@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import BudgetError, HermitianError, SpecError
 from .multinorms import MultiNormSpec, point_value
-from .optim import OptimConfig
-from .partitions import set_partitions, slot_assignments
-from .spaces import SpaceSpec, VectorTuple, matrix_from_json, matrix_to_json
+from .optim import OptimConfig, field_normal
+from .partitions import set_partitions, slot_assignments, unit_grid
+from .spaces import SpaceSpec, VectorTuple, delta_tuple, matrix_from_json, matrix_to_json
 
 _PROJ_TOL = 1e-10
 
@@ -135,11 +135,7 @@ class DetectorReport:
 
 def _sample_vectors(space: SpaceSpec, trials: int, cfg: OptimConfig, stream: int):
     for t in range(trials):
-        rng = cfg.rng(stream + t)
-        x = rng.standard_normal(space.dim)
-        if space.is_complex:
-            x = x + 1j * rng.standard_normal(space.dim)
-        yield x
+        yield field_normal(cfg.rng(stream + t), space.dim, space.is_complex)
 
 
 def is_hermitian(
@@ -167,21 +163,13 @@ def is_hermitian(
         gap = val - nx
         if gap > worst_gap:
             worst_gap = gap
-            witness = {"x": x, "zeta": np.asarray(zeta), "lhs": val, "rhs": nx}
+            witness = {"x": x, "zeta": np.array(zeta), "lhs": val, "rhs": nx}
 
-    grid = max(8, cfg.grid_points // 4)
-    phase_combos: list[tuple] = []
-    if space.is_complex:
-        if grid ** (k - 1) <= 4096:
-            phases = np.exp(2j * np.pi * np.arange(grid) / grid)
-            for assign in slot_assignments(k - 1, grid, 4097):
-                phase_combos.append((1.0,) + tuple(phases[a] for a in assign))
-        else:
-            phase_combos = []
-    else:
-        if 2 ** (k - 1) <= 4096:
-            for assign in slot_assignments(k - 1, 2, 4097):
-                phase_combos.append((1.0,) + tuple(1.0 if a == 0 else -1.0 for a in assign))
+    levels = max(8, cfg.grid_points // 4) if space.is_complex else 2
+    try:
+        phase_combos = [zeta for block in unit_grid(k, levels, 4096) for zeta in block]
+    except BudgetError:
+        phase_combos = []  # too many phase combinations: sampled points only
 
     for ti, x in enumerate(_sample_vectors(space, trials, cfg, 130000)):
         nx = space.norm(x)
@@ -219,13 +207,9 @@ def is_small(
     worst_gap, witness = 0.0, None
     for ti in range(trials):
         rng = cfg.rng(140000 + ti)
-        X = rng.standard_normal((space.dim, k))
-        if space.is_complex:
-            X = X + 1j * rng.standard_normal((space.dim, k))
+        X = field_normal(rng, (space.dim, k), space.is_complex)
         if ti == 0:
-            X = np.zeros_like(X)
-            for j in range(k):
-                X[j % space.dim, j] = 1.0
+            X = delta_tuple(space.dim, k, space.is_complex)
         elif ti == 1:
             X = np.ones_like(X)
         elif ti % 3 == 1:
@@ -278,9 +262,7 @@ def is_orthogonal(
     worst_gap, witness = 0.0, None
     for ti in range(trials):
         rng = cfg.rng(150000 + ti)
-        Z = rng.standard_normal((space.dim, k))
-        if space.is_complex:
-            Z = Z + 1j * rng.standard_normal((space.dim, k))
+        Z = field_normal(rng, (space.dim, k), space.is_complex)
         X = np.stack([Ps[i] @ Z[:, i] for i in range(k)], axis=1)
         gap, blocks, lhs, rhs = coagulations_equal(spec, space, X, cfg, tol)
         if gap > worst_gap:
@@ -306,11 +288,7 @@ def orthogonal_set(
     worst_gap, witness = 0.0, None
     scalings = [np.ones(k)]
     for ti in range(trials):
-        rng = cfg.rng(160000 + ti)
-        c = rng.standard_normal(k)
-        if space.is_complex:
-            c = c + 1j * rng.standard_normal(k)
-        scalings.append(c)
+        scalings.append(field_normal(cfg.rng(160000 + ti), k, space.is_complex))
     for c in scalings:
         X = t.columns * np.asarray(c)[None, :]
         gap, blocks, lhs, rhs = coagulations_equal(spec, space, X, cfg, tol)
@@ -448,9 +426,7 @@ def is_orthogonal_multinorm(
     for ti in range(trials):
         rng = cfg.rng(170000 + ti)
         n = int(rng.integers(1, 4))
-        X = rng.standard_normal((space.dim, n))
-        if space.is_complex:
-            X = X + 1j * rng.standard_normal((space.dim, n))
+        X = field_normal(rng, (space.dim, n), space.is_complex)
         lhs = point_value(spec, space, X, cfg)
         rhs = generated_value(f, space, X, cfg)
         gap = lhs - rhs
@@ -459,9 +435,7 @@ def is_orthogonal_multinorm(
             witness = {"tuple": X, "spec_value": lhs, "generated_value": rhs}
     # canonical delta tuples catch coordinate effects that random draws smear
     for n in range(1, min(space.dim, 3) + 1):
-        X = np.zeros((space.dim, n), dtype=complex if space.is_complex else float)
-        for j in range(n):
-            X[j % space.dim, j] = 1.0
+        X = delta_tuple(space.dim, n, space.is_complex)
         lhs = point_value(spec, space, X, cfg)
         rhs = generated_value(f, space, X, cfg)
         gap = lhs - rhs

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SpecError
 from .multinorms import MultiNormSpec, point_value
-from .optim import OptimConfig, op_norm_pq
+from .optim import OptimConfig, field_normal, op_norm_pq
 from .partitions import set_partitions
 from .spaces import INF, MatrixOp, SpaceSpec
 
@@ -158,9 +158,7 @@ def check_multinorm_matrix_law(
             A = rng.uniform(-1, 1, size=(m, n))
             if space.is_complex and rng.random() < 0.5:
                 A = A + 1j * rng.uniform(-1, 1, size=(m, n))
-        X = rng.standard_normal((mdim, n))
-        if space.is_complex:
-            X = X + 1j * rng.standard_normal((mdim, n))
+        X = field_normal(rng, (mdim, n), space.is_complex)
         res = op_norm_pq(MatrixOp(A, p_role, p_role), cfg)
         anorm = res.lower if res.kind == "exact" else res.upper
         lhs = point_value(spec, space, X @ A.T, cfg)
@@ -185,9 +183,7 @@ def check_coagulation_contraction(
     for trial in range(trials):
         rng = cfg.rng(90000 + trial)
         n = int(rng.integers(2, 5))
-        X = rng.standard_normal((m, n))
-        if space.is_complex:
-            X = X + 1j * rng.standard_normal((m, n))
+        X = field_normal(rng, (m, n), space.is_complex)
         parts = list(set_partitions(n))
         blocks = parts[int(rng.integers(0, len(parts)))]
         Y = np.stack([X[:, b].sum(axis=1) for b in blocks], axis=1)

@@ -9,15 +9,15 @@ from closed inequalities (root averages, q-sum bounds).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 import numpy as np
 
 from .errors import SpecError
-from .optim import NormValue, OptimConfig, ball_linear_max, lp_norm, seeded_ascent
+from .optim import NormValue, OptimConfig, ball_linear_max, field_normal, lp_norm, seeded_ascent
 from .partitions import slot_assignments
-from .spaces import INF, REAL, SpaceSpec, VectorTuple, delta
+from .spaces import INF, REAL, SpaceSpec, VectorTuple, delta, delta_tuple, roots_tuple
 from . import summing
 
 VARIANTS = (
@@ -272,20 +272,7 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig) -> 
             d = np.sqrt(w)
             return lambda X: float(np.linalg.svd(d[:, None] * X, compute_uv=False)[0])
         if ps == 1 and space.field == REAL:
-            def mu1_real(X):
-                n = X.shape[1]
-                best = 0.0
-                for code in range(2 ** (n - 1)):
-                    signs = np.ones(n)
-                    for j in range(n - 1):
-                        if (code >> j) & 1:
-                            signs[j + 1] = -1.0
-                    val = space.norm(X @ signs)
-                    if val > best:
-                        best = val
-                return best
-
-            return mu1_real
+            return lambda X: summing.mu1_phase_guidance(space, X)
         return None
     if v == "generated":
         from .decompositions import generated_value
@@ -325,11 +312,7 @@ def _mu_scale(p: float, L: np.ndarray, dual: SpaceSpec, cfg: OptimConfig) -> flo
 def _pq_seeds(space: SpaceSpec, dual: SpaceSpec, X: np.ndarray) -> list[np.ndarray]:
     m, n = X.shape
     dt = complex if space.is_complex else float
-    seeds = []
-    deltas = np.zeros((m, n), dtype=dt)
-    for j in range(n):
-        deltas[j % m, j] = 1.0
-    seeds.append(deltas)
+    seeds = [delta_tuple(m, n, space.is_complex)]
     norming = np.stack([space.unit_ball_norming(X[:, j]) for j in range(n)], axis=1)
     seeds.append(norming.astype(dt))
     for j in range(n):
@@ -353,7 +336,7 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
     n = t.n
     p, q = spec.p, spec.q
     dual = space.dual()
-    inner_cfg = OptimConfig(cfg.seed, 2, cfg.grid_points, 1, cfg.max_enum, cfg.tol)
+    inner_cfg = replace(cfg, restarts=2, refine_passes=1)
 
     def project(L):
         scale = _mu_scale(p, L, dual, inner_cfg)
@@ -562,16 +545,8 @@ def _hilbert_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
     col = space.norm_cols(X)
     if col.max() > 0:
         seeds.append((col / np.linalg.norm(col)).astype(dt))
-    for j in range(min(n, 4)):
-        e = np.zeros(n, dtype=dt)
-        e[j] = 1.0
-        seeds.append(e)
-    for i in range(cfg.restarts):
-        rng = cfg.rng(11000 + i)
-        s = rng.standard_normal(n)
-        if space.is_complex:
-            s = s + 1j * rng.standard_normal(n)
-        seeds.append(s)
+    seeds += list(np.eye(n, dtype=dt)[: min(n, 4)])
+    seeds += [field_normal(cfg.rng(11000 + i), n, space.is_complex) for i in range(cfg.restarts)]
 
     best, best_alpha = 0.0, None
     for s in seeds:
@@ -591,7 +566,7 @@ def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig)
     m, n = L.shape
     base_fast = exact_evaluator(base, primal, cfg)
     heuristic = base_fast is None
-    inner_cfg = OptimConfig(cfg.seed, min(cfg.restarts, 4), cfg.grid_points, 1, cfg.max_enum, cfg.tol)
+    inner_cfg = replace(cfg, restarts=min(cfg.restarts, 4), refine_passes=1)
 
     def membership(Xc):
         if base_fast is not None:
@@ -768,9 +743,7 @@ def check_axioms(
     for trial in range(trials):
         rng = cfg.rng(40000 + trial)
         n = int(rng.integers(2, n_max + 1))
-        X = rng.standard_normal((m, n))
-        if space.is_complex:
-            X = X + 1j * rng.standard_normal((m, n))
+        X = field_normal(rng, (m, n), space.is_complex)
         base = val(X)
 
         perm = rng.permutation(n)
@@ -853,15 +826,8 @@ def rate_of_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConf
         return cols / norms[None, :]
 
     dt = complex if space.is_complex else float
-    seeds = []
-    deltas = np.zeros((m, n), dtype=dt)
-    for j in range(n):
-        deltas[j % m, j] = 1.0
-    seeds.append(project(deltas))
-    zeta = np.exp(2j * np.pi / n)
-    roots = np.array([[zeta ** ((j + 1) * (k + 1)) for j in range(n)] for k in range(m)])
-    if not space.is_complex:
-        roots = np.real(roots)
+    seeds = [project(delta_tuple(m, n, space.is_complex))]
+    roots = roots_tuple(m, n, space.is_complex)
     nr = space.norm_cols(roots)
     if np.all(nr > 0):
         seeds.append(roots / nr[None, :])

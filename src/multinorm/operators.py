@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DimensionError, SpecError
 from .multinorms import MultiNormSpec, evaluate, exact_evaluator, point_value
 from .optim import INF, NormValue, OptimConfig, op_norm_pq, seeded_ascent
-from .spaces import MatrixOp, SpaceSpec, VectorTuple
+from .spaces import MatrixOp, SpaceSpec, VectorTuple, delta_tuple
 
 
 def amplify(T, t: VectorTuple, target: SpaceSpec) -> VectorTuple:
@@ -76,10 +76,7 @@ def _delta_tuples(dim: int, n: int, is_complex: bool, cap: int = 2048):
                 cols[k, j] = 1.0
             out.append(cols)
     else:
-        cols = np.zeros((dim, n), dtype=dt)
-        for j in range(n):
-            cols[j % dim, j] = 1.0
-        out.append(cols)
+        out.append(delta_tuple(dim, n, is_complex))
     return out
 
 

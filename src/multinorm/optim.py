@@ -9,12 +9,13 @@ uses substream seed^i, so results are bit-identical across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .errors import BudgetError, DegenerateNormError
+from .partitions import unit_grid, unit_roots
 from .spaces import COMPLEX, INF, REAL, MatrixOp, conjugate_index, vector_to_json
 
 _ASCENT_ITERS = 200
@@ -39,20 +40,11 @@ class OptimConfig:
         return np.random.default_rng((self.seed ^ stream) & 0xFFFFFFFFFFFFFFFF)
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "grid_points": self.grid_points,
-            "refine_passes": self.refine_passes,
-            "max_enum": self.max_enum,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(doc: dict) -> "OptimConfig":
-        base = OptimConfig()
-        kwargs = {k: doc[k] for k in ("seed", "restarts", "grid_points", "refine_passes", "max_enum", "tol") if k in doc}
-        return replace(base, **kwargs)
+        return OptimConfig(**{f.name: doc[f.name] for f in fields(OptimConfig) if f.name in doc})
 
 
 @dataclass(frozen=True)
@@ -128,6 +120,14 @@ def lp_norm(v: np.ndarray, r: float) -> float:
     return float((a**r).sum() ** (1.0 / r))
 
 
+def field_normal(rng: np.random.Generator, shape, is_complex: bool) -> np.ndarray:
+    """Standard normal draw; over C the imaginary part is drawn second."""
+    z = rng.standard_normal(shape)
+    if is_complex:
+        z = z + 1j * rng.standard_normal(shape)
+    return z
+
+
 def _phase(v: np.ndarray) -> np.ndarray:
     a = np.abs(v)
     return np.where(a > 0, v / np.where(a > 0, a, 1.0), 1.0)
@@ -143,19 +143,12 @@ def sign_supremum(f: Callable[[np.ndarray], float], n: int, cfg: OptimConfig, sy
     symmetric=True asserts f(-e) = f(e) and pins the first sign to +1,
     halving the work.
     """
-    count = 2 ** (n - 1) if symmetric else 2**n
-    if count > cfg.max_enum:
-        raise BudgetError(f"sign enumeration needs {count} > max_enum={cfg.max_enum}")
     best, best_eps = -INF, None
-    eps = np.ones(n)
-    for code in range(count):
-        bits = code
-        for j in range(n - 1 if symmetric else n):
-            idx = j + 1 if symmetric else j
-            eps[idx] = 1.0 if (bits >> j) & 1 == 0 else -1.0
-        val = float(f(eps))
-        if val > best:
-            best, best_eps = val, eps.copy()
+    for block in unit_grid(n if symmetric else n + 1, 2, cfg.max_enum):
+        for eps in (block if symmetric else block[:, 1:]):
+            val = float(f(eps))
+            if val > best:
+                best, best_eps = val, eps.copy()
     return NormValue.exact(best, best_eps, "sign_enum")
 
 
@@ -190,10 +183,7 @@ def torus_supremum(
 
 
 def _torus_sweep(f, n, cfg, real: bool) -> NormValue:
-    if real:
-        candidates0 = np.array([1.0, -1.0])
-    else:
-        candidates0 = np.exp(2j * np.pi * np.arange(cfg.grid_points) / cfg.grid_points)
+    candidates0 = unit_roots(2 if real else cfg.grid_points)
 
     def sweep(zeta, cands_for):
         improved = True
@@ -267,25 +257,9 @@ def torus_certified_upper(
     pts = min(pts, 4 * cfg.grid_points)
     if pts < 8:
         return INF
-    angles = 2 * np.pi * np.arange(pts) / pts
     h = 2 * np.pi / pts
     slack = 0.5 * h * float(np.sum(np.asarray(lipschitz)))
-    zeta = np.ones(n, dtype=complex)
-    best = -INF
-    idx = [0] * free
-    while True:
-        for j in range(free):
-            zeta[j + 1] = np.exp(1j * angles[idx[j]])
-        v = float(g(zeta))
-        if v > best:
-            best = v
-        j = free - 1
-        while j >= 0 and idx[j] == pts - 1:
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            break
-        idx[j] += 1
+    best = max(float(g(zeta)) for block in unit_grid(n, pts, budget) for zeta in block)
     return best + slack
 
 
@@ -309,15 +283,9 @@ def seeded_ascent(
     first find.
     """
 
-    def draw(rng):
-        z = rng.standard_normal(shape)
-        if complex_field:
-            z = z + 1j * rng.standard_normal(shape)
-        return z
-
     starts: list[np.ndarray] = [np.asarray(s) for s in seeds]
     for i in range(cfg.restarts):
-        starts.append(draw(cfg.rng(1000 + i)))
+        starts.append(field_normal(cfg.rng(1000 + i), shape, complex_field))
 
     best_val, best_pt = -INF, None
     for si, s0 in enumerate(starts):
@@ -331,7 +299,7 @@ def seeded_ascent(
         budget = iters
         while budget > 0:
             budget -= 1
-            direction = draw(rng)
+            direction = field_normal(rng, shape, complex_field)
             cand = project(pt + step * direction)
             v = value(cand) if cand is not None else -INF
             if v > val * (1 + cfg.tol) + 1e-15:
@@ -440,18 +408,10 @@ def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_f
             x, val = xn, v
         return val, x
 
-    seeds = []
-    for j in range(min(n, 8)):
-        e = np.zeros(n, dtype=complex if complex_field else float)
-        e[j] = 1.0
-        seeds.append(e)
-    seeds.append(np.ones(n, dtype=complex if complex_field else float))
-    for i in range(cfg.restarts):
-        rng = cfg.rng(7000 + i)
-        s = rng.standard_normal(n)
-        if complex_field:
-            s = s + 1j * rng.standard_normal(n)
-        seeds.append(s)
+    dt = complex if complex_field else float
+    seeds = list(np.eye(n, dtype=dt)[: min(n, 8)])
+    seeds.append(np.ones(n, dtype=dt))
+    seeds += [field_normal(cfg.rng(7000 + i), n, complex_field) for i in range(cfg.restarts)]
 
     best, best_x = 0.0, None
     for s in seeds:

@@ -1,11 +1,16 @@
-"""Enumeration helpers: set partitions, slot assignments, permutations."""
+"""Enumeration helpers: set partitions, slot assignments, unimodular grids."""
 
 from __future__ import annotations
 
-from itertools import permutations
+from functools import lru_cache
+from itertools import product
 from typing import Iterator
 
+import numpy as np
+
 from .errors import BudgetError
+
+GRID_BLOCK = 4096  # rows per block of unit_grid
 
 
 def set_partitions(k: int, max_blocks: int | None = None) -> Iterator[list[list[int]]]:
@@ -52,22 +57,42 @@ def slot_assignments(items: int, slots: int, budget: int) -> Iterator[tuple[int,
     total = slots**items
     if total > budget:
         raise BudgetError(f"assignment enumeration needs {total} > budget {budget}")
-    assign = [0] * items
-    while True:
-        yield tuple(assign)
-        i = items - 1
-        while i >= 0 and assign[i] == slots - 1:
-            assign[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        assign[i] += 1
+    return product(range(slots), repeat=items)
 
 
-def all_permutations(k: int, budget: int) -> Iterator[tuple[int, ...]]:
-    total = 1
-    for i in range(2, k + 1):
-        total *= i
-    if total > budget:
-        raise BudgetError(f"permutation enumeration needs {total} > budget {budget}")
-    return permutations(range(k))
+def unit_roots(levels: int) -> np.ndarray:
+    """The levels-th roots of unity; real +-1 for levels == 2."""
+    if levels == 2:
+        return np.array([1.0, -1.0])
+    return np.exp(2j * np.pi * np.arange(levels) / levels)
+
+
+def _grid_rows(n: int, levels: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the pinned grid, last coordinate fastest."""
+    digits = np.arange(start, stop)[:, None] // levels ** np.arange(n - 2, -1, -1) % levels
+    roots = unit_roots(levels)
+    Z = np.ones((stop - start, n), dtype=roots.dtype)
+    Z[:, 1:] = roots[digits]
+    return Z
+
+
+@lru_cache(maxsize=64)
+def _small_grid(n: int, levels: int) -> np.ndarray:
+    Z = _grid_rows(n, levels, 0, levels ** (n - 1))
+    Z.flags.writeable = False
+    return Z
+
+
+def unit_grid(n: int, levels: int, budget: int) -> Iterator[np.ndarray]:
+    """The pinned grid {1} x U_levels^(n-1) as row blocks of at most GRID_BLOCK rows.
+
+    Rows follow itertools.product order (last coordinate fastest).  A grid
+    that fits one block is cached read-only; larger grids are built block
+    by block and never held whole.
+    """
+    count = levels ** (n - 1)
+    if count > budget:
+        raise BudgetError(f"grid enumeration needs {count} > budget {budget}")
+    if count <= GRID_BLOCK:
+        return iter((_small_grid(n, levels),))
+    return (_grid_rows(n, levels, s, min(s + GRID_BLOCK, count)) for s in range(0, count, GRID_BLOCK))

@@ -206,6 +206,21 @@ def delta(space: SpaceSpec, k: int) -> np.ndarray:
     return x
 
 
+def delta_tuple(m: int, n: int, is_complex: bool) -> np.ndarray:
+    """The (m, n) tuple whose column j is delta_{j mod m}."""
+    cols = np.zeros((m, n), dtype=complex if is_complex else float)
+    cols[np.arange(n) % m, np.arange(n)] = 1.0
+    return cols
+
+
+def roots_tuple(m: int, n: int, is_complex: bool) -> np.ndarray:
+    """The (m, n) tuple with entries zeta^((j+1)(k+1)), zeta = exp(2 pi i / n); real part over R."""
+    k = np.arange(1, m + 1)[:, None]
+    j = np.arange(1, n + 1)[None, :]
+    roots = np.exp(2j * np.pi / n) ** (j * k)
+    return roots if is_complex else roots.real.copy()
+
+
 @dataclass(frozen=True)
 class MatrixOp:
     """An m-by-n scalar matrix read as an operator l^p_n -> l^q_m.

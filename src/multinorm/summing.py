@@ -8,7 +8,7 @@ weights of E are absorbed into a diagonal rescaling.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .optim import (
     torus_certified_upper,
     torus_supremum,
 )
-from .spaces import INF, REAL, MatrixOp, SpaceSpec, VectorTuple, conjugate_index, delta
+from .partitions import unit_grid
+from .spaces import INF, REAL, MatrixOp, SpaceSpec, VectorTuple, conjugate_index, delta, delta_tuple, roots_tuple
 
 
 def _weight_root(space: SpaceSpec) -> np.ndarray:
@@ -39,33 +40,11 @@ def tuple_sandwich(t: VectorTuple, p: float) -> tuple[float, float]:
     return float(norms.max()), lp_norm(norms, p)
 
 
-@lru_cache(maxsize=64)
-def _phase_grid(n: int, complex_field: bool) -> np.ndarray:
-    """Small grid of unimodular coefficient columns, first entry pinned to 1."""
-    if not complex_field:
-        count = 2 ** (n - 1)
-        Z = np.ones((n, count))
-        for c in range(count):
-            for j in range(n - 1):
-                if (c >> j) & 1:
-                    Z[j + 1, c] = -1.0
-        return Z
-    grid = 16 if n <= 3 else 8
-    count = grid ** (n - 1)
-    Z = np.ones((n, count), dtype=complex)
-    phases = np.exp(2j * np.pi * np.arange(grid) / grid)
-    for c in range(count):
-        code = c
-        for j in range(n - 1):
-            Z[j + 1, c] = phases[code % grid]
-            code //= grid
-    return Z
-
-
 def mu1_phase_guidance(space: SpaceSpec, X: np.ndarray) -> float:
     """Vectorized grid estimate of mu_{1,n}; exact over real scalars."""
-    Z = _phase_grid(X.shape[1], space.is_complex)
-    return float(space.norm_cols(X @ Z).max())
+    n = X.shape[1]
+    levels = (16 if n <= 3 else 8) if space.is_complex else 2
+    return max(float(space.norm_cols(X @ Z.T).max()) for Z in unit_grid(n, levels, OptimConfig.max_enum))
 
 
 def mu_weak(p: float, t: VectorTuple, cfg: OptimConfig | None = None, certify_upper: bool = True) -> NormValue:
@@ -178,7 +157,7 @@ def pi_summing(
         op_norm_upper = res.upper if res.upper != INF else res.lower
     upper = n ** (1.0 / q) * op_norm_upper
 
-    inner = OptimConfig(cfg.seed, 2, cfg.grid_points, 1, cfg.max_enum, cfg.tol)
+    inner = replace(cfg, restarts=2, refine_passes=1)
 
     def score(cols: np.ndarray) -> float:
         scale, _ = _mu_for_normalization(p, VectorTuple(cols, space), inner, certify_upper=False)
@@ -187,16 +166,10 @@ def pi_summing(
         img = T @ cols / scale
         return lp_norm(tgt.norm_cols(img), q)
 
-    seeds = []
-    deltas = np.zeros((space.dim, n), dtype=complex if space.is_complex else float)
-    for j in range(n):
-        deltas[j % space.dim, j] = 1.0
-    seeds.append(deltas)
-
     _, cols = seeded_ascent(
         project=lambda c: c,
         value=score,
-        seeds=seeds,
+        seeds=[delta_tuple(space.dim, n, space.is_complex)],
         shape=(space.dim, n),
         cfg=cfg,
         complex_field=space.is_complex,
@@ -222,7 +195,7 @@ def c_n(space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
     """
     cfg = cfg or OptimConfig()
     if cfg.restarts < 64:
-        cfg = OptimConfig(cfg.seed, 64, cfg.grid_points, cfg.refine_passes, cfg.max_enum, cfg.tol)
+        cfg = replace(cfg, restarts=64)
     if n < 1:
         raise SpecError("n must be >= 1")
     if n == 1:
@@ -239,21 +212,12 @@ def c_n(space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
             return None
         return cols / norms[None, :]
 
-    seeds = []
     m = space.dim
-    dt = complex if space.is_complex else float
-    deltas = np.zeros((m, n), dtype=dt)
-    for j in range(n):
-        deltas[j % m, j] = 1.0
-    seeds.append(deltas)
-    if space.is_complex or space.field == REAL:
-        zeta = np.exp(2j * np.pi / n)
-        roots = np.array([[zeta ** ((j + 1) * (k + 1)) for j in range(n)] for k in range(m)])
-        if not space.is_complex:
-            roots = np.real(roots) + 0.0
-        norms = space.norm_cols(roots)
-        if np.all(norms > 0):
-            seeds.append(roots / norms[None, :])
+    seeds = [delta_tuple(m, n, space.is_complex)]
+    roots = roots_tuple(m, n, space.is_complex)
+    norms = space.norm_cols(roots)
+    if np.all(norms > 0):
+        seeds.append(roots / norms[None, :])
 
     _, cols = seeded_ascent(
         project=project,

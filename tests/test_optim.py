@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 import multinorm as mn
 from multinorm import INF, MatrixOp, OptimConfig, SpaceSpec
-from multinorm.optim import _power_ascent, lp_norm
+from multinorm.optim import _power_ascent, field_normal, lp_norm
+from multinorm.partitions import GRID_BLOCK, unit_grid
+from multinorm.spaces import delta_tuple, roots_tuple
 
 
 CFG = OptimConfig(seed=99)
@@ -155,3 +158,76 @@ def test_norm_value_validation():
     nv = mn.NormValue.lower_bound(1.0, np.array([1.0, 2.0]), "m")
     doc = nv.to_json()
     assert doc["upper"] is None and doc["witness"] == [1.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# shared grid kernel and seed builders
+
+
+@pytest.mark.parametrize("levels", [2, 3, 8, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unit_grid_is_pinned_product(levels, n):
+    blocks = list(unit_grid(n, levels, 10**6))
+    assert len(blocks) == 1 and not blocks[0].flags.writeable
+    roots = np.exp(2j * np.pi * np.arange(levels) / levels) if levels > 2 else np.array([1.0, -1.0])
+    expected = np.array([(1.0,) + z for z in itertools.product(roots, repeat=n - 1)])
+    assert blocks[0].dtype == (float if levels == 2 else complex)
+    assert np.array_equal(blocks[0], expected)  # same rows in the same order, last coordinate fastest
+
+
+def test_unit_grid_budget():
+    with pytest.raises(mn.BudgetError):
+        unit_grid(4, 8, 8**3 - 1)
+    assert sum(len(b) for b in unit_grid(4, 8, 8**3)) == 8**3
+
+
+def test_unit_grid_blocks_join_to_product():
+    blocks = list(unit_grid(4, 20, 10**6))  # 8000 rows: more than one block
+    assert len(blocks) == 2 and all(len(b) <= GRID_BLOCK for b in blocks)
+    roots = np.exp(2j * np.pi * np.arange(20) / 20)
+    expected = np.array([(1.0,) + z for z in itertools.product(roots, repeat=3)])
+    assert np.array_equal(np.concatenate(blocks), expected)
+
+
+def test_sign_supremum_visits_every_sign_vector():
+    for n in range(1, 6):
+        seen = []
+        mn.sign_supremum(lambda e: seen.append(tuple(e)) or 0.0, n, CFG)
+        assert sorted(seen) == sorted(itertools.product([1.0, -1.0], repeat=n))
+        seen.clear()
+        mn.sign_supremum(lambda e: seen.append(tuple(e)) or 0.0, n, CFG, symmetric=True)
+        assert sorted(seen) == sorted((1.0,) + s for s in itertools.product([1.0, -1.0], repeat=n - 1))
+
+
+def test_real_weak_summing_1_is_sign_supremum():
+    rng = np.random.default_rng(3)
+    spec = mn.MultiNormSpec.weak_summing(1)
+    for _ in range(50):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        space = SpaceSpec(float(rng.choice([1.0, 1.5, 2.0, 3.0])), m, tuple(rng.uniform(0.5, 2.0, m)))
+        X = rng.standard_normal((m, n))
+        res = mn.evaluate(spec, mn.VectorTuple(X, space), CFG)
+        ref = mn.sign_supremum(lambda e: space.norm(X @ e), n, CFG)
+        assert res.kind == "exact"
+        assert res.lower == pytest.approx(ref.lower, rel=1e-12)
+
+
+def test_seed_builders():
+    d = delta_tuple(3, 5, False)
+    assert d.shape == (3, 5) and d.dtype == float
+    assert np.array_equal(d, np.eye(3)[:, [0, 1, 2, 0, 1]])
+    assert delta_tuple(2, 3, True).dtype == complex
+    r = roots_tuple(4, 3, True)
+    assert r.shape == (4, 3) and r.dtype == complex
+    assert np.allclose(r[1, 2], np.exp(2j * np.pi * 6 / 3))
+    assert np.allclose(np.abs(r), 1.0)
+    rr = roots_tuple(4, 3, False)
+    assert rr.dtype == float and np.array_equal(rr, r.real)
+
+
+def test_field_normal_draw_order():
+    a = field_normal(np.random.default_rng(8), (2, 3), True)
+    rng = np.random.default_rng(8)
+    re = rng.standard_normal((2, 3))
+    assert np.array_equal(a, re + 1j * rng.standard_normal((2, 3)))
+    assert np.array_equal(field_normal(np.random.default_rng(8), 4, False), np.random.default_rng(8).standard_normal(4))
