@@ -3,7 +3,8 @@
 Every report embeds the seed and full optimizer config, so rerunning the
 printed {command, input, cfg} triple reproduces the report byte for byte
 (modulo the timestamp field).  Exit codes: 0 success, 1 acceptance
-failure, 2 schema error.
+failure, 2 bad input (schema, non-finite number, or a spec, dimension,
+field, budget, degenerate-norm or hermitian error).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -19,6 +19,7 @@ import numpy as np
 
 from . import acceptance, summing
 from .decompositions import Decomposition, is_hermitian, is_orthogonal, is_small
+from .errors import BudgetError, DegenerateNormError, DimensionError, FieldError, HermitianError, SpecError
 from .multinorms import MultiNormSpec, check_axioms, evaluate, rate_of_growth
 from .operators import mb_norm
 from .optim import INF, OptimConfig
@@ -29,15 +30,27 @@ class SchemaError(ValueError):
     pass
 
 
+# errors the library raises on input it cannot evaluate: exit 2, like a schema error
+INPUT_ERRORS = (SpecError, DimensionError, FieldError, BudgetError, DegenerateNormError, HermitianError)
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise SchemaError(f"non-finite number {text} in input")
+    return x
+
+
 def _load_input(arg: str | None) -> dict:
     if arg is None:
         return {}
+    strict = {"parse_float": _finite, "parse_constant": _finite}
     if arg == "-":
-        return json.load(sys.stdin)
+        return json.load(sys.stdin, **strict)
     if arg.strip().startswith("{"):
-        return json.loads(arg)
+        return json.loads(arg, **strict)
     with open(arg, "r", encoding="utf-8") as f:
-        return json.load(f)
+        return json.load(f, **strict)
 
 
 def _space(doc: dict, key: str = "space") -> SpaceSpec:
@@ -49,9 +62,9 @@ def _space(doc: dict, key: str = "space") -> SpaceSpec:
         raise SchemaError(f"bad {key!r}: {e}") from e
 
 
-def _spec(doc: dict, key: str = "spec") -> MultiNormSpec:
+def _spec(doc: dict, key: str = "spec", default: dict | None = None) -> MultiNormSpec:
     try:
-        return MultiNormSpec.from_json(doc[key])
+        return MultiNormSpec.from_json(doc[key] if default is None else doc.get(key) or default)
     except KeyError as e:
         raise SchemaError(f"missing {key!r}") from e
     except (TypeError, ValueError) as e:
@@ -150,8 +163,8 @@ def cmd_dual(doc: dict, cfg: OptimConfig) -> dict:
 def cmd_mbnorm(doc: dict, cfg: OptimConfig) -> dict:
     source = _space(doc, "source")
     target = _space(doc, "target")
-    spec_source = MultiNormSpec.from_json(doc.get("spec_source") or {"variant": "min"})
-    spec_target = MultiNormSpec.from_json(doc.get("spec_target") or {"variant": "min"})
+    spec_source = _spec(doc, "spec_source", {"variant": "min"})
+    spec_target = _spec(doc, "spec_target", {"variant": "min"})
     try:
         T = matrix_from_json(doc["matrix"])
     except KeyError as e:
@@ -289,7 +302,6 @@ def run(command: str, doc: dict, cfg: OptimConfig, only: list | None = None) -> 
         "command": command,
         "input": doc,
         "cfg": cfg.to_json(),
-        "threads": os.environ.get("MULTINORM_THREADS", "1"),
         "result": result,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
@@ -305,6 +317,9 @@ def main(argv: list | None = None) -> int:
         report = run(args.command, doc, cfg, only=args.only)
     except (SchemaError, json.JSONDecodeError, OSError) as e:
         print(f"schema error: {e}", file=sys.stderr)
+        return 2
+    except INPUT_ERRORS as e:
+        print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
     payload = json.dumps(report, indent=2, sort_keys=True)

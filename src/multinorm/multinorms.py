@@ -393,7 +393,7 @@ def _pq_spectral_polish(space: SpaceSpec, X: np.ndarray, q: float, L0: np.ndarra
         G = (space.w[:, None] * X) * (u * coef)[None, :]
         M = np.conj(G) / D[:, None]
         U, s, Vh = np.linalg.svd(M, full_matrices=False)
-        Bn = np.conj(U @ Vh)
+        Bn = U @ Vh
         vn, Ln = value_of(Bn)
         if vn <= val + 1e-14:
             break

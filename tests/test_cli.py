@@ -111,6 +111,18 @@ def test_schema_error_exit_2(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "eval", '{"space": {"p": 2, "dim": 2}, "spec": {"variant": "nope"}, "tuple": [[1,0]]}')
     assert code == 2
+    # library errors on bad input exit 2 with one line on stderr, no traceback
+    for command, doc in [
+        ("eval", '{"space": {"p": 3, "dim": 2}, "tuple": [[1, 0]], "spec": {"variant": "hilbert"}}'),
+        ("mbnorm", '{"source": {"p": 1, "dim": 2}, "target": {"p": 1, "dim": 2}, "spec_source": {"variant": "nope"},'
+                   ' "matrix": [[1, 0], [0, 1]]}'),
+        ("eval", '{"space": {"p": 2, "dim": 2}, "tuple": [[NaN, 0]], "spec": {"variant": "min"}}'),
+        ("eval", '{"space": {"p": 2, "dim": 2, "weights": [1, Infinity]}, "tuple": [[1, 0]], "spec": {"variant": "min"}}'),
+    ]:
+        code = main([command, doc])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
 
 
 def test_verify_single_criterion(capsys):
@@ -127,6 +139,7 @@ def test_replay_byte_identical(capsys):
     assert code == 0
     code, out2 = run_cli(capsys, "eval", doc, "--seed", "11")
     r1, r2 = json.loads(out1), json.loads(out2)
+    assert set(r1) == {"command", "input", "cfg", "result", "timestamp"}
     r1.pop("timestamp"), r2.pop("timestamp")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 

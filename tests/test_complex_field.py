@@ -110,3 +110,13 @@ def test_complex_generated_band_family():
     gv = mn.evaluate(gen, t, CFG).lower
     sv = mn.evaluate(Spec.standard_q(2), t, CFG).lower
     assert gv == pytest.approx(sv, abs=1e-9)
+
+
+def test_complex_spectral_polish_climbs():
+    # on complex l^2 the (2,q) polish steps to U @ Vh, the maximizer of Re<M, B> over the spectral ball
+    space = SpaceSpec(2, 4, field="complex")
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    res = mn.evaluate(Spec.pq_spec(2, 2.5), VectorTuple(X, space), OptimConfig(seed=5))
+    assert res.lower <= res.upper
+    assert res.lower >= 2.45  # the conjugated step stalled at 2.372
