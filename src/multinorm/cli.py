@@ -30,10 +30,6 @@ class SchemaError(ValueError):
     pass
 
 
-# errors the library raises on input it cannot evaluate: exit 2, like a schema error
-INPUT_ERRORS = (SpecError, DimensionError, FieldError, BudgetError, DegenerateNormError, HermitianError)
-
-
 def _finite(text: str) -> float:
     x = float(text)
     if not math.isfinite(x):
@@ -318,7 +314,8 @@ def main(argv: list | None = None) -> int:
     except (SchemaError, json.JSONDecodeError, OSError) as e:
         print(f"schema error: {e}", file=sys.stderr)
         return 2
-    except INPUT_ERRORS as e:
+    except (SpecError, DimensionError, FieldError, BudgetError, DegenerateNormError, HermitianError) as e:
+        # the library rejected input it cannot evaluate
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
