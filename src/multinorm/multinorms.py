@@ -303,12 +303,6 @@ def _pairings(space: SpaceSpec, X: np.ndarray, L: np.ndarray) -> np.ndarray:
     return np.einsum("k,kj,kj->j", space.w, X, L)
 
 
-def _mu_scale(p: float, L: np.ndarray, dual: SpaceSpec, cfg: OptimConfig) -> float:
-    """Exact mu when available, otherwise a certified upper bound."""
-    res = summing.mu_weak(p, VectorTuple(L, dual), cfg, certify_upper=False)
-    return res.lower if res.kind == "exact" else res.upper
-
-
 def _pq_seeds(space: SpaceSpec, dual: SpaceSpec, X: np.ndarray) -> list[np.ndarray]:
     m, n = X.shape
     dt = complex if space.is_complex else float
@@ -339,7 +333,7 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
     inner_cfg = replace(cfg, restarts=2, refine_passes=1)
 
     def project(L):
-        scale = _mu_scale(p, L, dual, inner_cfg)
+        scale, _ = summing.mu_scale(p, L, dual, inner_cfg)
         if scale <= 0 or not math.isfinite(scale):
             return None
         return L / scale

@@ -364,10 +364,22 @@ def ball_linear_max(
 # p -> q operator norms
 
 
+def _col_norms(A: np.ndarray, r: float) -> np.ndarray:
+    """Unweighted l^r norms of the columns of A, vectorized.
+
+    Fewer than 8 rows are summed in lp_norm's order, and the r-th root is
+    the scalar pow lp_norm takes (numpy's array pow may round differently),
+    so each entry equals lp_norm of its column bit for bit.
+    """
+    a = np.abs(A)
+    if r == INF:
+        return a.max(axis=0, initial=0.0)
+    return np.array([s ** (1.0 / r) for s in (a**r).sum(axis=0).tolist()])
+
+
 def _holder_upper(A: np.ndarray, p: float, q: float) -> float:
-    col = np.array([lp_norm(A[:, j], q) for j in range(A.shape[1])])
-    row = np.array([lp_norm(A[i, :], conjugate_index(p)) for i in range(A.shape[0])])
-    return min(lp_norm(col, conjugate_index(p)), lp_norm(row, q))
+    pp = conjugate_index(p)
+    return min(lp_norm(_col_norms(A, q), pp), lp_norm(_col_norms(A.T, pp), q))
 
 
 def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool) -> tuple[float, np.ndarray]:
@@ -421,25 +433,30 @@ def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_f
     return best, best_x
 
 
-def op_norm_pq(a: MatrixOp, cfg: OptimConfig, field: str | None = None, ascent: bool = True) -> NormValue:
+def op_norm_pq(a: MatrixOp, cfg: OptimConfig, field: str | None = None) -> NormValue:
     """Operator norm of a : l^p_n -> l^q_m with a certificate.
 
     Exact closed forms: p=1 (max column q-norm), q=inf (max row p'-norm),
     p=q=2 (top singular value), generalized permutation matrices, and sign
     enumerations for small real instances with p=inf or q=1.  Other roles
     return a bracket: power-iteration lower bound plus Holder upper bounds.
-    ascent=False skips the iteration in the fallback (cheap bracket for
-    hot loops that only consume the upper bound).
     """
     A = np.asarray(a.entries)
-    p, q = a.in_index, a.out_index
     if field is None:
         field = COMPLEX if np.iscomplexobj(A) else REAL
-    complex_field = field == COMPLEX
+    return _op_norm(A, a.in_index, a.out_index, cfg, field == COMPLEX)
+
+
+def _op_norm(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool, ascent: bool = True) -> NormValue:
+    """op_norm_pq on a raw, already validated array.
+
+    ascent=False skips the power iteration in the fallback and returns a
+    cheap Holder bracket (for hot loops that only consume the upper bound).
+    """
     m, n = A.shape
 
     if p == 1:
-        cols = np.array([lp_norm(A[:, j], q) for j in range(n)])
+        cols = _col_norms(A, q)
         j = int(np.argmax(cols))
         e = np.zeros(n, dtype=complex if complex_field else float)
         e[j] = 1.0
@@ -447,7 +464,7 @@ def op_norm_pq(a: MatrixOp, cfg: OptimConfig, field: str | None = None, ascent: 
 
     if q == INF:
         pp = conjugate_index(p)
-        rows = np.array([lp_norm(A[i, :], pp) for i in range(m)])
+        rows = _col_norms(A.T, pp)
         i = int(np.argmax(rows))
         r = A[i, :]
         ar = np.abs(r)
@@ -520,8 +537,7 @@ def op_norm_pq(a: MatrixOp, cfg: OptimConfig, field: str | None = None, ascent: 
     upper = _holder_upper(A, p, q)
     if not ascent:
         ncols = lp_norm(np.ones(n), p)
-        lower = max(lp_norm(A @ np.ones(n), q) / ncols if ncols > 0 else 0.0,
-                    max(lp_norm(A[:, j], q) for j in range(n)))
+        lower = max(lp_norm(A @ np.ones(n), q) / ncols if ncols > 0 else 0.0, float(_col_norms(A, q).max()))
         return NormValue.bracket(min(lower, upper), upper, None, "holder_bracket")
     lower, x = _power_ascent(A, p, q, cfg, complex_field)
     return NormValue.bracket(min(lower, upper), upper, x, "power_ascent")

@@ -16,6 +16,7 @@ from .errors import SpecError
 from .optim import (
     NormValue,
     OptimConfig,
+    _op_norm,
     lp_norm,
     op_norm_pq,
     seeded_ascent,
@@ -34,6 +35,11 @@ def _weight_root(space: SpaceSpec) -> np.ndarray:
     return space.w ** (1.0 / space.p)
 
 
+def _reduced(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
+    """The matrix whose (p' -> r) operator norm is mu_{p,n} of X's columns."""
+    return _weight_root(space)[:, None] * X
+
+
 def tuple_sandwich(t: VectorTuple, p: float) -> tuple[float, float]:
     """max_j ||x_j||  <=  mu_{p,n}  <=  (sum_j ||x_j||^p)^(1/p)."""
     norms = t.space.norm_cols(t.columns)
@@ -47,48 +53,61 @@ def mu1_phase_guidance(space: SpaceSpec, X: np.ndarray) -> float:
     return max(float(space.norm_cols(X @ Z.T).max()) for Z in unit_grid(n, levels, OptimConfig.max_enum))
 
 
-def mu_weak(p: float, t: VectorTuple, cfg: OptimConfig | None = None, certify_upper: bool = True) -> NormValue:
+def mu_weak(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormValue:
     """Weak p-summing norm mu_{p,n}(x_1,...,x_n) on the tuple's space.
 
     Exact whenever the reduced (p' -> r) matrix role has a closed form
     (r = inf, p = inf, p' = r = 2, disjoint supports) or, for p = 1 over
     real scalars, by sign enumeration of || sum_j eps_j x_j ||.
-    certify_upper=False skips the phase-grid upper bound for complex p=1
-    (hot search loops); the cheaper Holder/sum upper bounds remain.
     """
     cfg = cfg or OptimConfig()
     if p < 1:
         raise SpecError("summing index p must be >= 1")
     space = t.space
+    X = t.columns
     lo_sand, up_sand = tuple_sandwich(t, p)
     if p == INF:
-        j = int(np.argmax(space.norm_cols(t.columns)))
+        j = int(np.argmax(space.norm_cols(X)))
         return NormValue.exact(lo_sand, {"column": j}, "max_column")
 
-    pprime = conjugate_index(p)
-    A = _weight_root(space)[:, None] * t.columns
-    res = op_norm_pq(MatrixOp(A, pprime, space.p), cfg, field=space.field, ascent=certify_upper)
+    res = op_norm_pq(MatrixOp(_reduced(space, X), conjugate_index(p), space.p), cfg, field=space.field)
     if res.kind == "exact":
         return NormValue.exact(res.lower, {"coefficients": res.witness}, "op_norm_" + res.method)
 
     if p == 1:
-        norm_of_combo = lambda z: space.norm(t.columns @ z)
+        norm_of_combo = lambda z: space.norm(X @ z)
         if space.field == REAL and 2 ** (t.n - 1) <= cfg.max_enum:
             se = sign_supremum(norm_of_combo, t.n, cfg, symmetric=True)
             return NormValue.exact(se.lower, {"signs": se.witness}, "sign_enum")
-        if not certify_upper:
-            # hot-loop mode: cheap bracket only, no torus work
-            lower = max(res.lower, lo_sand, mu1_phase_guidance(space, t.columns))
-            upper = min(up_sand, res.upper)
-            return NormValue.bracket(min(lower, upper), upper, None, "torus_skipped")
         ts = torus_supremum(norm_of_combo, t.n, cfg, field=space.field)
         lower = max(ts.lower, res.lower, lo_sand)
-        col_norms = space.norm_cols(t.columns)
-        upper = min(up_sand, res.upper, torus_certified_upper(norm_of_combo, col_norms[1:], t.n, cfg))
+        col_norms = space.norm_cols(X)
+        torus_upper = torus_certified_upper(norm_of_combo, col_norms[1:], t.n, cfg)
+        upper = min(up_sand, res.upper, torus_upper)
         return NormValue.bracket(min(lower, upper), upper, {"phases": ts.witness}, "torus_ascent")
 
     lower = max(res.lower, lo_sand)
     return NormValue.bracket(lower, min(up_sand, res.upper), {"coefficients": res.witness}, res.method)
+
+
+def mu_scale(p: float, X: np.ndarray, space: SpaceSpec, cfg: OptimConfig) -> tuple[float, bool]:
+    """(mu_{p,n} of X's columns, True) where mu_weak is exact, else (a certified upper bound, False).
+
+    The raw-array form of mu_weak for search loops that rescale onto the
+    mu ball: X is an already validated (dim, n) array of the space's field
+    and p >= 1.  The value is mu_weak's exact value, or the smaller of its
+    sandwich and Holder upper bounds; no torus or phase-grid work is done.
+    """
+    norms = space.norm_cols(X)
+    if p == INF:
+        return float(norms.max()), True
+    res = _op_norm(_reduced(space, X), conjugate_index(p), space.p, cfg, space.is_complex, ascent=False)
+    if res.kind == "exact":
+        return res.lower, True
+    n = X.shape[1]
+    if p == 1 and not space.is_complex and 2 ** (n - 1) <= cfg.max_enum:
+        return sign_supremum(lambda z: space.norm(X @ z), n, cfg, symmetric=True).lower, True
+    return min(lp_norm(norms, p), res.upper), False
 
 
 def mu_weak_dual(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormValue:
@@ -116,9 +135,9 @@ def mu_weak_dual(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> No
     return NormValue.bracket(lower, min(res.upper, up_sand), {"primal_point": res.witness}, res.method)
 
 
-def _mu_for_normalization(p: float, t: VectorTuple, cfg: OptimConfig, certify_upper: bool = True) -> tuple[float, bool]:
+def _mu_for_normalization(p: float, t: VectorTuple, cfg: OptimConfig) -> tuple[float, bool]:
     """A safe scale: mu itself when exact, else a certified upper bound."""
-    res = mu_weak(p, t, cfg, certify_upper=certify_upper)
+    res = mu_weak(p, t, cfg)
     if res.kind == "exact":
         return res.lower, True
     return min(res.upper, tuple_sandwich(t, p)[1]), False
@@ -160,7 +179,7 @@ def pi_summing(
     inner = replace(cfg, restarts=2, refine_passes=1)
 
     def score(cols: np.ndarray) -> float:
-        scale, _ = _mu_for_normalization(p, VectorTuple(cols, space), inner, certify_upper=False)
+        scale, _ = mu_scale(p, cols, space, inner)
         if scale <= 0:
             return 0.0
         img = T @ cols / scale

@@ -152,6 +152,29 @@ def test_torus_certified_upper():
     assert up <= target + 0.1
 
 
+def test_col_norms_match_lp_norm_reference():
+    from multinorm.optim import _col_norms, _holder_upper
+    from multinorm.spaces import conjugate_index
+
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        A = field_normal(rng, (m, n), bool(rng.integers(2)))
+        for r in (1.0, 1.5, 2.0, 3.0, INF):
+            assert _col_norms(A, r).tolist() == [lp_norm(A[:, j], r) for j in range(n)]
+            assert _col_norms(A.T, r).tolist() == [lp_norm(A[i, :], r) for i in range(m)]
+        for p, q in ((1.5, 2.5), (3.0, 1.5), (2.0, 3.0)):
+            pp = conjugate_index(p)
+            col = np.array([lp_norm(A[:, j], q) for j in range(n)])
+            row = np.array([lp_norm(A[i, :], pp) for i in range(m)])
+            assert _holder_upper(A, p, q) == min(lp_norm(col, pp), lp_norm(row, q))
+        for q in (1.0, 1.5, 2.0, 3.0, INF):
+            assert mn.op_norm_pq(MatrixOp(A, 1, q), CFG).lower == max(lp_norm(A[:, j], q) for j in range(n))
+        for p in (1.5, 2.0, 3.0, INF):
+            pp = conjugate_index(p)
+            assert mn.op_norm_pq(MatrixOp(A, p, INF), CFG).lower == max(lp_norm(A[i, :], pp) for i in range(m))
+
+
 def test_norm_value_validation():
     with pytest.raises(ValueError):
         mn.NormValue("bracket", 2.0, 1.0, None, "bad")

@@ -189,3 +189,35 @@ def test_roots_of_unity_square_sums():
         unimodular = np.exp(2j * np.pi * rng.random(k))
         z = np.array([sum(unimodular[j] * zeta ** ((i + 1) * (j + 1)) for j in range(k)) for i in range(k)])
         assert (np.abs(z) ** 2).sum() == pytest.approx(k**2, abs=1e-9 * k**2)
+
+
+def test_mu_scale_matches_mu_weak():
+    from multinorm.optim import field_normal
+    from multinorm.summing import mu_scale
+
+    rng = np.random.default_rng(1234)
+    cfg = OptimConfig(seed=8, restarts=2, grid_points=16)
+    cases = 0
+    for field in ("real", "complex"):
+        for r in (1.0, 1.5, 2.0, 3.0, INF):
+            for weighted in (False, True):
+                for p in (1.0, 1.5, 2.0):
+                    for _ in range(3):
+                        m, n = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+                        weights = tuple(rng.uniform(0.5, 2.0, m)) if weighted else ()
+                        space = SpaceSpec(r, m, weights, field)
+                        X = field_normal(rng, (m, n), space.is_complex)
+                        value, exact = mu_scale(p, X, space, cfg)
+                        res = mn.mu_weak(p, VectorTuple(X, space), cfg)
+                        assert exact == (res.kind == "exact")
+                        if exact:
+                            assert value == res.lower
+                        elif res.method == "torus_ascent":
+                            assert value >= res.upper
+                        else:
+                            # the same sandwich and Holder bounds that make mu_weak's upper side
+                            assert value == res.upper
+                        # mu_weak's lower side may pass its upper by rounding (n = 1)
+                        assert value >= res.lower * (1 - 4 * np.finfo(float).eps)
+                        cases += 1
+    assert cases == 180
