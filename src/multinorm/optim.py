@@ -236,7 +236,7 @@ def _torus_sweep(f, n, cfg, real: bool) -> NormValue:
 
 
 def torus_certified_upper(
-    g: Callable[[np.ndarray], float],
+    g: Callable[[np.ndarray], np.ndarray],
     lipschitz: Sequence[float],
     n: int,
     cfg: OptimConfig,
@@ -244,14 +244,14 @@ def torus_certified_upper(
 ) -> float:
     """Certified upper bound for sup of g over the pinned n-torus.
 
-    g takes a full phase vector (first entry 1).  lipschitz[j] bounds the
-    derivative of g in the phase angle of coordinate j+1.  Uses a uniform
-    grid plus the Lipschitz slack; returns inf when the grid would blow
-    the budget.
+    g takes a (B, n) block of phase vectors (first entry 1) and returns
+    its B values.  lipschitz[j] bounds the derivative of g in the phase
+    angle of coordinate j+1.  Uses a uniform grid plus the Lipschitz slack;
+    returns inf when the grid would blow the budget.
     """
     free = n - 1
     if free == 0:
-        return float(g(np.ones(1, dtype=complex)))
+        return float(np.max(g(np.ones((1, 1), dtype=complex))))
     budget = min(budget, cfg.max_enum)
     pts = int(budget ** (1.0 / free))
     pts = min(pts, 4 * cfg.grid_points)
@@ -259,7 +259,7 @@ def torus_certified_upper(
         return INF
     h = 2 * np.pi / pts
     slack = 0.5 * h * float(np.sum(np.asarray(lipschitz)))
-    best = max(float(g(zeta)) for block in unit_grid(n, pts, budget) for zeta in block)
+    best = max(float(np.max(g(Z))) for Z in unit_grid(n, pts, budget))
     return best + slack
 
 

@@ -82,7 +82,7 @@ def mu_weak(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormVal
         ts = torus_supremum(norm_of_combo, t.n, cfg, field=space.field)
         lower = max(ts.lower, res.lower, lo_sand)
         col_norms = space.norm_cols(X)
-        torus_upper = torus_certified_upper(norm_of_combo, col_norms[1:], t.n, cfg)
+        torus_upper = torus_certified_upper(lambda Z: space.norm_cols(X @ Z.T), col_norms[1:], t.n, cfg)
         upper = min(up_sand, res.upper, torus_upper)
         return NormValue.bracket(min(lower, upper), upper, {"phases": ts.witness}, "torus_ascent")
 

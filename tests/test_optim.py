@@ -145,11 +145,30 @@ def test_torus_certified_upper():
 
     space = SpaceSpec(1, 2, field="complex")
     X = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-    g = lambda z: space.norm(X @ z)
+    g = lambda Z: space.norm_cols(X @ Z.T)
     up = torus_certified_upper(g, [space.norm(X[:, 1])], 2, CFG)
     target = 2 * math.sqrt(2)  # phase i aligns both coordinates
     assert up >= target - 1e-9
     assert up <= target + 0.1
+
+
+def test_block_torus_upper_matches_scalar_loop():
+    from multinorm.optim import torus_certified_upper
+
+    rng = np.random.default_rng(17)
+    cfg = OptimConfig(seed=3, restarts=2, grid_points=16)
+    for r in (1.0, 1.5, 2.0, 3.0, INF):
+        for n in (1, 2, 3, 4):
+            weights = tuple(rng.uniform(0.5, 2.0, 3)) if n % 2 else ()
+            space = SpaceSpec(r, 3, weights, "complex")
+            X = field_normal(rng, (3, n), True)
+            lip = space.norm_cols(X)[1:]
+            block = torus_certified_upper(lambda Z: space.norm_cols(X @ Z.T), lip, n, cfg)
+            scalar = torus_certified_upper(lambda Z: np.array([space.norm(X @ z) for z in Z]), lip, n, cfg)
+            assert abs(block - scalar) <= 1e-12 * scalar
+            found = mn.torus_supremum(lambda z: space.norm(X @ z), n, cfg)
+            # at n = 1 both sides are the one column's norm, from two summation orders
+            assert block >= found.lower * (1 - 4 * np.finfo(float).eps)
 
 
 def test_col_norms_match_lp_norm_reference():
