@@ -4,7 +4,8 @@ Every report embeds the seed and full optimizer config, so rerunning the
 printed {command, input, cfg} triple reproduces the report byte for byte
 (modulo the timestamp field).  Exit codes: 0 success, 1 acceptance
 failure, 2 bad input (schema, non-finite number, or a spec, dimension,
-field, budget, degenerate-norm or hermitian error).
+field, budget, degenerate-norm or hermitian error) or a result that
+overflowed to a non-finite number.
 """
 
 from __future__ import annotations
@@ -310,7 +311,9 @@ def main(argv: list | None = None) -> int:
         if not isinstance(doc, dict):
             raise SchemaError("input must be a JSON object")
         cfg = _cfg(doc, args)
-        report = run(args.command, doc, cfg, only=args.only)
+        # overflow surfaces below as a non-finite result, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run(args.command, doc, cfg, only=args.only)
     except (SchemaError, json.JSONDecodeError, OSError) as e:
         print(f"schema error: {e}", file=sys.stderr)
         return 2
@@ -319,7 +322,11 @@ def main(argv: list | None = None) -> int:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
-    payload = json.dumps(report, indent=2, sort_keys=True)
+    try:
+        payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        print("non-finite result: the input overflows double precision", file=sys.stderr)
+        return 2
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(payload + "\n")

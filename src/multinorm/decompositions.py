@@ -43,6 +43,9 @@ class Decomposition:
         for P in Ps:
             if P.shape != (m, m):
                 raise SpecError("projections must be square and same-sized")
+            if not np.all(np.isfinite(P)):
+                # NaN would pass every tolerance check below (NaN > tol is False)
+                raise SpecError("projection entries must be finite")
         total = sum(Ps)
         if np.abs(total - np.eye(m)).max() > _PROJ_TOL:
             raise SpecError("projections must sum to the identity")

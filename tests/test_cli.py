@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,17 @@ def test_schema_error_exit_2(capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
+
+
+def test_overflowing_result_exit_2(capsys):
+    # finite input whose norm overflows: exit 2 with one stderr line, no Infinity in the output
+    doc = '{"space": {"p": 2, "dim": 2}, "tuple": [[1e308, 1e308]], "spec": {"variant": "min"}}'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["eval", doc])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
 
 
 def test_verify_single_criterion(capsys):

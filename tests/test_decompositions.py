@@ -21,6 +21,8 @@ def test_decomposition_validation():
         mn.Decomposition((np.eye(2) * 0.5, np.eye(2) * 0.5))  # not idempotent
     with pytest.raises(mn.SpecError):
         mn.Decomposition((np.eye(2), np.eye(2)))  # does not sum to identity
+    with pytest.raises(mn.SpecError):
+        mn.Decomposition((np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])))  # NaN passes every tolerance check
     d = mn.coordinate_decomposition(SpaceSpec(2, 3), [[0, 1], [2]])
     assert d.length == 2 and d.dim == 3
 
