@@ -30,7 +30,6 @@ from .optim import (
     OptimConfig,
     ball_linear_max,
     lp_norm,
-    matrix_op_norm,
     op_norm_pq,
     sign_supremum,
     torus_supremum,

@@ -15,7 +15,6 @@ import numpy as np
 from . import summing
 from .decompositions import (
     Decomposition,
-    FamilyOfDecompositions,
     band_family,
     coordinate_decomposition,
     generated_multinorm,
@@ -27,7 +26,7 @@ from .matrixlaws import is_row_special, row_special_decompose
 from .multinorms import MultiNormSpec as Spec, check_axioms, evaluate, rate_of_growth
 from .operators import mb_norm
 from .optim import INF, OptimConfig
-from .spaces import SpaceSpec, VectorTuple
+from .spaces import SpaceSpec, VectorTuple, delta_tuple
 
 
 @dataclass
@@ -48,13 +47,6 @@ class CriterionResult:
         }
 
 
-def _delta_tuple(space: SpaceSpec, n: int) -> VectorTuple:
-    X = np.zeros((space.dim, n))
-    for j in range(n):
-        X[j, j] = 1.0
-    return VectorTuple(X, space)
-
-
 class _Checker:
     def __init__(self):
         self.details: list[str] = []
@@ -70,7 +62,7 @@ def crit_1_max_on_delta_tuples(cfg: OptimConfig) -> CriterionResult:
     for r in (1.0, 1.5, 2.0):
         for n in (2, 3):
             space = SpaceSpec(r, 3)
-            res = evaluate(Spec.max_spec(), _delta_tuple(space, n), cfg)
+            res = evaluate(Spec.max_spec(), VectorTuple(delta_tuple(space.dim, n, False), space), cfg)
             target = n ** (1.0 / r)
             if r == 1.0:
                 ok = res.kind == "exact" and abs(res.lower - target) <= 1e-10
@@ -99,7 +91,7 @@ def crit_3_pq_on_delta_tuples(cfg: OptimConfig) -> CriterionResult:
     for r, p, q in ((1.0, 1, 2), (1.0, 2, 2), (1.5, 2, 2), (2.0, 2, 3), (1.5, 1.5, 3)):
         for n in (2, 3):
             space = SpaceSpec(r, 3)
-            res = evaluate(Spec.pq_spec(p, q), _delta_tuple(space, n), cfg)
+            res = evaluate(Spec.pq_spec(p, q), VectorTuple(delta_tuple(space.dim, n, False), space), cfg)
             target = n ** (1.0 / q)
             ok_low = abs(res.lower - target) <= 1e-6
             ok_up = abs(res.upper - target) <= 1e-12

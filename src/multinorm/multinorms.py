@@ -458,9 +458,8 @@ def _max_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
         val = _norm_of_abs(space, np.abs(X).max(axis=1))
         return NormValue.exact(val, None, "standard_1_fastpath")
     inner = _pq_value(MultiNormSpec.pq_spec(1, 1), t, cfg)
-    upper = min(_roots_upper(space, X, cfg), float(space.norm_cols(X).sum()))
     lower = max(inner.lower, float(space.norm_cols(X).max()))
-    return NormValue.bracket(min(lower, upper), upper, inner.witness, "pq11_ascent_roots_upper")
+    return NormValue.bracket(min(lower, inner.upper), inner.upper, inner.witness, "pq11_ascent_roots_upper")
 
 
 def _standard_q_search(t: VectorTuple, q: float, cfg: OptimConfig) -> NormValue:

@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import DimensionError, SpecError
 from .multinorms import MultiNormSpec, evaluate, exact_evaluator, point_value
-from .optim import INF, NormValue, OptimConfig, op_norm_pq, seeded_ascent
+from .optim import INF, NormValue, OptimConfig, seeded_ascent
 from .spaces import MatrixOp, SpaceSpec, VectorTuple, delta_tuple
+from .summing import op_norm_between
 
 
 def amplify(T, t: VectorTuple, target: SpaceSpec) -> VectorTuple:
@@ -33,15 +34,6 @@ def amplify(T, t: VectorTuple, target: SpaceSpec) -> VectorTuple:
 def multi_bound(spec: MultiNormSpec, pool: VectorTuple, cfg: OptimConfig | None = None) -> NormValue:
     """Multi-bound c_B of a finite set, via the norm of the full tuple."""
     return evaluate(spec, pool, cfg or OptimConfig())
-
-
-def op_norm_between(T: np.ndarray, source: SpaceSpec, target: SpaceSpec, cfg: OptimConfig) -> NormValue:
-    """||T : E -> F|| with the weights of both spaces absorbed."""
-    T = np.asarray(T)
-    DE = np.ones(source.dim) if source.p == INF else source.w ** (1.0 / source.p)
-    DF = np.ones(target.dim) if target.p == INF else target.w ** (1.0 / target.p)
-    A = DF[:, None] * T / DE[None, :]
-    return op_norm_pq(MatrixOp(A, source.p, target.p), cfg, field=source.field)
 
 
 @dataclass

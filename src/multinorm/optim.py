@@ -436,22 +436,29 @@ def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_f
 def op_norm_pq(a: MatrixOp, cfg: OptimConfig, field: str | None = None) -> NormValue:
     """Operator norm of a : l^p_n -> l^q_m with a certificate.
 
-    Exact closed forms: p=1 (max column q-norm), q=inf (max row p'-norm),
-    p=q=2 (top singular value), generalized permutation matrices, and sign
-    enumerations for small real instances with p=inf or q=1.  Other roles
-    return a bracket: power-iteration lower bound plus Holder upper bounds.
+    Exact where _op_norm_exact is; other roles return a bracket:
+    power-iteration lower bound plus Holder upper bounds.
     """
     A = np.asarray(a.entries)
     if field is None:
         field = COMPLEX if np.iscomplexobj(A) else REAL
-    return _op_norm(A, a.in_index, a.out_index, cfg, field == COMPLEX)
+    p, q, complex_field = a.in_index, a.out_index, field == COMPLEX
+    res = _op_norm_exact(A, p, q, cfg, complex_field)
+    if res is not None:
+        return res
+    upper = _holder_upper(A, p, q)
+    lower, x = _power_ascent(A, p, q, cfg, complex_field)
+    return NormValue.bracket(min(lower, upper), upper, x, "power_ascent")
 
 
-def _op_norm(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool, ascent: bool = True) -> NormValue:
-    """op_norm_pq on a raw, already validated array.
+def _op_norm_exact(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool) -> NormValue | None:
+    """Exact (p -> q) norm of a raw, already validated array, or None.
 
-    ascent=False skips the power iteration in the fallback and returns a
-    cheap Holder bracket (for hot loops that only consume the upper bound).
+    Closed forms: p=1 (max column q-norm), q=inf (max row p'-norm),
+    p=q=2 (top singular value), generalized permutation matrices; over
+    real scalars, sign enumerations for p=inf or q=1 when the 2^(n-1)
+    (resp. 2^(m-1)) pinned sign vectors fit cfg.max_enum.  Callers attach
+    their own bound when this returns None.
     """
     m, n = A.shape
 
@@ -511,11 +518,11 @@ def _op_norm(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field:
             x = np.real(x)
         return NormValue.exact(lp_norm(ad, t), x, "diagonal_like")
 
-    if not complex_field and p == INF and 2**n <= cfg.max_enum:
+    if not complex_field and p == INF and 2 ** (n - 1) <= cfg.max_enum:
         res = sign_supremum(lambda e: lp_norm(A @ e, q), n, cfg, symmetric=True)
         return NormValue.exact(res.lower, res.witness, "sign_enum_inputs")
 
-    if not complex_field and q == 1 and 2**m <= cfg.max_enum:
+    if not complex_field and q == 1 and 2 ** (m - 1) <= cfg.max_enum:
         pp = conjugate_index(p)
 
         def dual_val(s):
@@ -534,15 +541,4 @@ def _op_norm(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field:
             x = x / max(lp_norm(x, p), 1e-300)
         return NormValue.exact(res.lower, x, "sign_enum_outputs")
 
-    upper = _holder_upper(A, p, q)
-    if not ascent:
-        ncols = lp_norm(np.ones(n), p)
-        lower = max(lp_norm(A @ np.ones(n), q) / ncols if ncols > 0 else 0.0, float(_col_norms(A, q).max()))
-        return NormValue.bracket(min(lower, upper), upper, None, "holder_bracket")
-    lower, x = _power_ascent(A, p, q, cfg, complex_field)
-    return NormValue.bracket(min(lower, upper), upper, x, "power_ascent")
-
-
-def matrix_op_norm(a: MatrixOp, cfg: OptimConfig | None = None, field: str | None = None) -> NormValue:
-    """Norm of a matrix in its declared (p -> q) role; exact where closed forms exist."""
-    return op_norm_pq(a, cfg or OptimConfig(), field)
+    return None

@@ -16,16 +16,16 @@ from .errors import SpecError
 from .optim import (
     NormValue,
     OptimConfig,
-    _op_norm,
+    _holder_upper,
+    _op_norm_exact,
     lp_norm,
     op_norm_pq,
     seeded_ascent,
-    sign_supremum,
     torus_certified_upper,
     torus_supremum,
 )
 from .partitions import unit_grid
-from .spaces import INF, REAL, MatrixOp, SpaceSpec, VectorTuple, conjugate_index, delta, delta_tuple, roots_tuple
+from .spaces import INF, MatrixOp, SpaceSpec, VectorTuple, conjugate_index, delta, delta_tuple, roots_tuple
 
 
 def _weight_root(space: SpaceSpec) -> np.ndarray:
@@ -56,9 +56,9 @@ def mu1_phase_guidance(space: SpaceSpec, X: np.ndarray) -> float:
 def mu_weak(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormValue:
     """Weak p-summing norm mu_{p,n}(x_1,...,x_n) on the tuple's space.
 
-    Exact whenever the reduced (p' -> r) matrix role has a closed form
-    (r = inf, p = inf, p' = r = 2, disjoint supports) or, for p = 1 over
-    real scalars, by sign enumeration of || sum_j eps_j x_j ||.
+    Exact whenever op_norm_pq is exact on the reduced (p' -> r) matrix:
+    a closed form (r = inf, p = inf, p' = r = 2, disjoint supports) or,
+    for p = 1 over real scalars, sign enumeration of || sum_j eps_j x_j ||.
     """
     cfg = cfg or OptimConfig()
     if p < 1:
@@ -75,19 +75,16 @@ def mu_weak(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormVal
         return NormValue.exact(res.lower, {"coefficients": res.witness}, "op_norm_" + res.method)
 
     if p == 1:
-        norm_of_combo = lambda z: space.norm(X @ z)
-        if space.field == REAL and 2 ** (t.n - 1) <= cfg.max_enum:
-            se = sign_supremum(norm_of_combo, t.n, cfg, symmetric=True)
-            return NormValue.exact(se.lower, {"signs": se.witness}, "sign_enum")
-        ts = torus_supremum(norm_of_combo, t.n, cfg, field=space.field)
+        ts = torus_supremum(lambda z: space.norm(X @ z), t.n, cfg, field=space.field)
         lower = max(ts.lower, res.lower, lo_sand)
         col_norms = space.norm_cols(X)
         torus_upper = torus_certified_upper(lambda Z: space.norm_cols(X @ Z.T), col_norms[1:], t.n, cfg)
         upper = min(up_sand, res.upper, torus_upper)
         return NormValue.bracket(min(lower, upper), upper, {"phases": ts.witness}, "torus_ascent")
 
-    lower = max(res.lower, lo_sand)
-    return NormValue.bracket(lower, min(up_sand, res.upper), {"coefficients": res.witness}, res.method)
+    upper = min(up_sand, res.upper)
+    lower = min(max(res.lower, lo_sand), upper)
+    return NormValue.bracket(lower, upper, {"coefficients": res.witness}, res.method)
 
 
 def mu_scale(p: float, X: np.ndarray, space: SpaceSpec, cfg: OptimConfig) -> tuple[float, bool]:
@@ -95,19 +92,18 @@ def mu_scale(p: float, X: np.ndarray, space: SpaceSpec, cfg: OptimConfig) -> tup
 
     The raw-array form of mu_weak for search loops that rescale onto the
     mu ball: X is an already validated (dim, n) array of the space's field
-    and p >= 1.  The value is mu_weak's exact value, or the smaller of its
-    sandwich and Holder upper bounds; no torus or phase-grid work is done.
+    and p >= 1.  The value is _op_norm_exact's value, or the smaller of the
+    sandwich and Holder upper bounds; no ascent, torus or phase-grid work
+    is done.
     """
     norms = space.norm_cols(X)
     if p == INF:
         return float(norms.max()), True
-    res = _op_norm(_reduced(space, X), conjugate_index(p), space.p, cfg, space.is_complex, ascent=False)
-    if res.kind == "exact":
+    A, pp = _reduced(space, X), conjugate_index(p)
+    res = _op_norm_exact(A, pp, space.p, cfg, space.is_complex)
+    if res is not None:
         return res.lower, True
-    n = X.shape[1]
-    if p == 1 and not space.is_complex and 2 ** (n - 1) <= cfg.max_enum:
-        return sign_supremum(lambda z: space.norm(X @ z), n, cfg, symmetric=True).lower, True
-    return min(lp_norm(norms, p), res.upper), False
+    return min(lp_norm(norms, p), _holder_upper(A, pp, space.p)), False
 
 
 def mu_weak_dual(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormValue:
@@ -131,16 +127,15 @@ def mu_weak_dual(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> No
     lo_sand, up_sand = tuple_sandwich(t, p)
     if res.kind == "exact":
         return NormValue.exact(res.lower, {"primal_point": res.witness}, "op_norm_" + res.method)
-    lower = max(res.lower, lo_sand)
-    return NormValue.bracket(lower, min(res.upper, up_sand), {"primal_point": res.witness}, res.method)
+    upper = min(res.upper, up_sand)
+    lower = min(max(res.lower, lo_sand), upper)
+    return NormValue.bracket(lower, upper, {"primal_point": res.witness}, res.method)
 
 
-def _mu_for_normalization(p: float, t: VectorTuple, cfg: OptimConfig) -> tuple[float, bool]:
-    """A safe scale: mu itself when exact, else a certified upper bound."""
-    res = mu_weak(p, t, cfg)
-    if res.kind == "exact":
-        return res.lower, True
-    return min(res.upper, tuple_sandwich(t, p)[1]), False
+def op_norm_between(T: np.ndarray, source: SpaceSpec, target: SpaceSpec, cfg: OptimConfig) -> NormValue:
+    """||T : E -> F|| with the weights of both spaces absorbed."""
+    A = _weight_root(target)[:, None] * np.asarray(T) / _weight_root(source)[None, :]
+    return op_norm_pq(MatrixOp(A, source.p, target.p), cfg, field=source.field)
 
 
 def pi_summing(
@@ -171,8 +166,7 @@ def pi_summing(
     if operator is None:
         op_norm_upper = 1.0
     else:
-        DE, DF = _weight_root(space), _weight_root(tgt)
-        res = op_norm_pq(MatrixOp(DF[:, None] * T / DE[None, :], space.p, tgt.p), cfg, field=space.field)
+        res = op_norm_between(T, space, tgt, cfg)
         op_norm_upper = res.upper if res.upper != INF else res.lower
     upper = n ** (1.0 / q) * op_norm_upper
 
@@ -195,7 +189,9 @@ def pi_summing(
     )
     lower, witness, scale_exact = 0.0, None, False
     if cols is not None:
-        scale, scale_exact = _mu_for_normalization(p, VectorTuple(cols, space), cfg)
+        res = mu_weak(p, VectorTuple(cols, space), cfg)
+        scale_exact = res.kind == "exact"
+        scale = res.lower if scale_exact else res.upper
         if scale > 0:
             img = T @ cols / scale
             lower = min(lp_norm(tgt.norm_cols(img), q), upper)

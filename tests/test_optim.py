@@ -88,6 +88,19 @@ def test_op_norm_bracket_roles():
         assert attained == pytest.approx(res.lower, rel=1e-9)
 
 
+def test_op_norm_sign_enumerations_at_budget_edge():
+    # a 3x3 real matrix visits 2^(3-1) = 4 pinned sign vectors, exactly max_enum
+    cfg = OptimConfig(max_enum=4)
+    A = np.random.default_rng(0).standard_normal((3, 3))
+    res = mn.op_norm_pq(MatrixOp(A, INF, 2), cfg)
+    assert res.kind == "exact" and res.method == "sign_enum_inputs"
+    assert res.lower == pytest.approx(max(lp_norm(A @ np.array(e), 2) for e in itertools.product((1, -1), repeat=3)))
+    res = mn.op_norm_pq(MatrixOp(A, 2, 1), cfg)
+    assert res.kind == "exact" and res.method == "sign_enum_outputs"
+    assert res.lower == pytest.approx(max(lp_norm(A.T @ np.array(s), 2) for s in itertools.product((1, -1), repeat=3)))
+    assert mn.op_norm_pq(MatrixOp(A, INF, 2), OptimConfig(max_enum=3)).kind == "bracket"
+
+
 def test_power_ascent_matches_svd():
     rng = np.random.default_rng(31)
     cfg = OptimConfig(seed=1, restarts=8)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import multinorm as mn
-from multinorm import INF, MatrixOp, SpaceSpec
+from multinorm import INF, MatrixOp, OptimConfig, SpaceSpec
 
 
 def test_norm_examples():
@@ -27,9 +27,9 @@ def test_dual_space():
 
 
 def test_matrix_op_norm_examples():
-    assert mn.matrix_op_norm(MatrixOp([[1, 2], [3, -4]], INF, INF)).lower == pytest.approx(7.0)
-    assert mn.matrix_op_norm(MatrixOp([[1, 2], [3, -4]], 1, 1)).lower == pytest.approx(6.0)
-    res = mn.matrix_op_norm(MatrixOp(np.eye(3), 2, 2))
+    assert mn.op_norm_pq(MatrixOp([[1, 2], [3, -4]], INF, INF), OptimConfig()).lower == pytest.approx(7.0)
+    assert mn.op_norm_pq(MatrixOp([[1, 2], [3, -4]], 1, 1), OptimConfig()).lower == pytest.approx(6.0)
+    res = mn.op_norm_pq(MatrixOp(np.eye(3), 2, 2), OptimConfig())
     assert res.kind == "exact" and res.lower == pytest.approx(1.0)
 
 
@@ -40,8 +40,8 @@ def test_matrix_norm_transpose_identity():
         A = rng.standard_normal((rng.integers(1, 5), rng.integers(1, 5)))
         for p, q in roles:
             a = MatrixOp(A, p, q)
-            direct = mn.matrix_op_norm(a)
-            flipped = mn.matrix_op_norm(a.transpose())
+            direct = mn.op_norm_pq(a, OptimConfig())
+            flipped = mn.op_norm_pq(a.transpose(), OptimConfig())
             if direct.kind == "exact" and flipped.kind == "exact":
                 assert direct.lower == pytest.approx(flipped.lower, abs=1e-10)
 

@@ -217,7 +217,28 @@ def test_mu_scale_matches_mu_weak():
                         else:
                             # the same sandwich and Holder bounds that make mu_weak's upper side
                             assert value == res.upper
-                        # mu_weak's lower side may pass its upper by rounding (n = 1)
-                        assert value >= res.lower * (1 - 4 * np.finfo(float).eps)
+                        assert value >= res.lower
                         cases += 1
     assert cases == 180
+
+
+def test_one_column_brackets_keep_lower_below_upper():
+    # the sandwich lower side max_j ||x_j|| can round one ulp above the Holder upper side
+    X = np.array([[-1.0845999438342624], [-1.4339955619182034]])
+    res = mn.mu_weak(1.5, VectorTuple(X, SpaceSpec(1.5, 2)), OptimConfig())
+    assert res.kind == "bracket" and res.lower <= res.upper
+    X = np.array([[0.42113113746240616], [-1.054840662577835], [-1.2720782100976422]])
+    res = mn.mu_weak_dual(3, VectorTuple(X, SpaceSpec(1.5, 3)), OptimConfig())
+    assert res.kind == "bracket" and res.lower <= res.upper
+
+
+def test_mu_weak_sign_enumeration_at_budget_edge():
+    # n = 3 visits 2^(n-1) = 4 pinned sign vectors, exactly max_enum
+    from multinorm.summing import mu_scale
+
+    cfg = OptimConfig(max_enum=4)
+    space = SpaceSpec(2, 3)
+    X = np.random.default_rng(0).standard_normal((3, 3))
+    res = mn.mu_weak(1, VectorTuple(X, space), cfg)
+    assert res.kind == "exact" and res.method == "op_norm_sign_enum_inputs"
+    assert mu_scale(1, X, space, cfg) == (res.lower, True)
