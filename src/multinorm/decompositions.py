@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetError, HermitianError, SpecError
-from .multinorms import MultiNormSpec, point_value
-from .optim import OptimConfig, field_normal
+from .multinorms import MultiNormSpec, _norm_of_abs, point_value
+from .optim import OptimConfig, _as_value, field_normal
 from .partitions import set_partitions, slot_assignments, unit_grid
 from .spaces import SpaceSpec, VectorTuple, delta_tuple, matrix_from_json, matrix_to_json
 
@@ -352,26 +352,25 @@ def close_family(
     return FamilyOfDecompositions(ordered, ("C1", "C2", "C3"))
 
 
-def generated_value(family: FamilyOfDecompositions, space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> float:
+def generated_value(family: FamilyOfDecompositions, space: SpaceSpec, X: np.ndarray, cfg: OptimConfig):
     """max over family members and slot assignments of ||sum_i P_i x_{a(i)}||.
 
     Assigning the k projections of a member to the n tuple slots (n^k maps)
     realizes the permutation/merge/trivial closure on the fly, so the value
-    matches the closed family's supremum over length-n members.
+    matches the closed family's supremum over length-n members.  X is one
+    tuple (a float is returned) or a (..., dim, n) stack.
     """
-    n = X.shape[1]
-    best = float(space.norm_cols(X).max())  # trivial decompositions
+    n = X.shape[-1]
+    best = space.norm_cols(X).max(axis=-1)  # trivial decompositions
     for d in family.members:
         k = d.length
         PX = [P @ X for P in d.projections]
         for assign in slot_assignments(k, n, cfg.max_enum):
-            y = PX[0][:, assign[0]].copy()
+            y = PX[0][..., assign[0]].copy()
             for i in range(1, k):
-                y += PX[i][:, assign[i]]
-            val = space.norm(y)
-            if val > best:
-                best = val
-    return best
+                y += PX[i][..., assign[i]]
+            best = np.maximum(best, _norm_of_abs(space, np.abs(y)))
+    return _as_value(best)
 
 
 def generated_multinorm(

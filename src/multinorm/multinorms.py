@@ -15,7 +15,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .errors import SpecError
-from .optim import NormValue, OptimConfig, ball_linear_max, field_normal, lp_norm, seeded_ascent
+from .optim import NormValue, OptimConfig, _as_value, _root, ball_linear_max, field_normal, lp_norm, seeded_ascent
 from .partitions import slot_assignments
 from .spaces import INF, REAL, SpaceSpec, VectorTuple, delta, delta_tuple, roots_tuple
 from . import summing
@@ -211,10 +211,11 @@ def validate(spec: MultiNormSpec, space: SpaceSpec) -> None:
 # exact closed-form evaluators (fast paths)
 
 
-def _norm_of_abs(space: SpaceSpec, a: np.ndarray) -> float:
+def _norm_of_abs(space: SpaceSpec, a: np.ndarray):
+    """Norm of a nonnegative vector, or of each row of a (..., dim) stack."""
     if space.p == INF:
-        return float(a.max()) if a.size else 0.0
-    return float((space.w * a**space.p).sum() ** (1.0 / space.p))
+        return _as_value(a.max(axis=-1, initial=0.0))
+    return _root((space.w * a**space.p).sum(axis=-1), space.p)
 
 
 def standard_q_value(space: SpaceSpec, X: np.ndarray, q: float, assign: np.ndarray) -> float:
@@ -230,18 +231,23 @@ def standard_q_value(space: SpaceSpec, X: np.ndarray, q: float, assign: np.ndarr
     return lp_norm(parts, q)
 
 
-def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig) -> Optional[Callable[[np.ndarray], float]]:
-    """A plain X -> value function when the variant has an exact path."""
+def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig) -> Optional[Callable[[np.ndarray], Any]]:
+    """The variant's exact value function, or None when it has no exact path.
+
+    The function takes one (m, n) tuple and returns a float, or a stack of
+    shape (..., m, n) and returns the (...) values; each stacked value
+    equals the value of its tuple alone bit for bit.
+    """
     v = spec.variant
     w = space.w
     p = space.p
 
     if v == "min":
-        return lambda X: float(space.norm_cols(X).max())
+        return lambda X: _as_value(space.norm_cols(X).max(axis=-1))
     if v == "lattice" or (v == "standard_q" and spec.q == p) or (v == "max" and p == 1):
-        return lambda X: _norm_of_abs(space, np.abs(X).max(axis=1))
+        return lambda X: _norm_of_abs(space, np.abs(X).max(axis=-1))
     if v == "dual_lattice":
-        return lambda X: _norm_of_abs(space, np.abs(X).sum(axis=1))
+        return lambda X: _norm_of_abs(space, np.abs(X).sum(axis=-1))
     if v == "lp_sum":
         return lambda X: lp_norm(space.norm_cols(X), spec.p)
     if v == "partition":
@@ -250,7 +256,7 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig) -> 
 
             def part_inf(X):
                 a = np.abs(X)
-                return float(max(a[b, :].max() for b in blocks))
+                return _as_value(np.max([a[..., b, :].max(axis=(-2, -1)) for b in blocks], axis=0))
 
             return part_inf
 
@@ -258,21 +264,21 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig) -> 
             contrib = w[:, None] * np.abs(X) ** p
             total = 0.0
             for b in blocks:
-                total += contrib[b, :].sum(axis=0).max()
-            return float(total ** (1.0 / p))
+                total = total + contrib[..., b, :].sum(axis=-2).max(axis=-1)
+            return _root(total, p)
 
         return part
     if v == "weak_summing":
         ps = spec.p
         if ps == INF:
-            return lambda X: float(space.norm_cols(X).max())
+            return lambda X: _as_value(space.norm_cols(X).max(axis=-1))
         if p == INF:
-            return lambda X: float(((np.abs(X) ** ps).sum(axis=1) ** (1.0 / ps)).max())
+            return lambda X: _as_value(((np.abs(X) ** ps).sum(axis=-1) ** (1.0 / ps)).max(axis=-1))
         if ps == 2 and p == 2:
             d = np.sqrt(w)
-            return lambda X: float(np.linalg.svd(d[:, None] * X, compute_uv=False)[0])
+            return lambda X: _as_value(np.linalg.svd(d[:, None] * X, compute_uv=False)[..., 0])
         if ps == 1 and space.field == REAL:
-            return lambda X: summing.mu1_phase_guidance(space, X)
+            return lambda X: summing.mu1_phase_guidance(space, X, cfg)
         return None
     if v == "generated":
         from .decompositions import generated_value
@@ -283,13 +289,27 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig) -> 
         if base_fn is None:
             return None
         ops = [np.asarray(T) for T in spec.ops]
-        return lambda X: max(base_fn(T @ X) for T in ops)
+        return lambda X: _as_value(np.max([base_fn(T @ X) for T in ops], axis=0))
     return None
+
+
+def _grid_fits(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConfig) -> bool:
+    """False where the exact evaluator's sign grid for n-tuples exceeds cfg.max_enum.
+
+    Real weak_summing(1) on a space with p < inf is evaluated on 2^(n-1)
+    sign rows; above the budget evaluate hands it to summing.mu_weak,
+    which then gives a bracket.
+    """
+    if spec.variant == "extended":
+        return _grid_fits(spec.base, space, n, cfg)
+    if spec.variant == "weak_summing" and spec.p == 1 and space.p != INF and space.field == REAL:
+        return 2 ** (n - 1) <= cfg.max_enum
+    return True
 
 
 def is_exact_path(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConfig) -> bool:
     if exact_evaluator(spec, space, cfg) is not None:
-        return True
+        return _grid_fits(spec, space, n, cfg)
     if spec.variant == "standard_q":
         return n**space.dim <= cfg.max_enum
     return False
@@ -300,7 +320,8 @@ def is_exact_path(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConfi
 
 
 def _pairings(space: SpaceSpec, X: np.ndarray, L: np.ndarray) -> np.ndarray:
-    return np.einsum("k,kj,kj->j", space.w, X, L)
+    """<x_j, lambda_j> for each slot j; L may be a (..., m, n) stack of functional tuples."""
+    return np.einsum("k,kj,...kj->...j", space.w, X, L)
 
 
 def _pq_seeds(space: SpaceSpec, dual: SpaceSpec, X: np.ndarray) -> list[np.ndarray]:
@@ -332,14 +353,16 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
     dual = space.dual()
     inner_cfg = replace(cfg, restarts=2, refine_passes=1)
 
-    def project(L):
-        scale, _ = summing.mu_scale(p, L, dual, inner_cfg)
-        if scale <= 0 or not math.isfinite(scale):
-            return None
-        return L / scale
+    def project(Ls):
+        out, ok = Ls.copy(), np.zeros(len(Ls), dtype=bool)
+        for b, L in enumerate(Ls):
+            scale, _ = summing.mu_scale(p, L, dual, inner_cfg)
+            if scale > 0 and math.isfinite(scale):
+                out[b], ok[b] = L / scale, True
+        return out, ok
 
-    def value(L):
-        return lp_norm(np.abs(_pairings(space, X, L)), q)
+    def value(Ls):
+        return lp_norm(np.abs(_pairings(space, X, Ls)), q)
 
     seeds = _pq_seeds(space, dual, X)
     val, L = seeded_ascent(project, value, seeds, (space.dim, n), cfg, space.is_complex)
@@ -382,7 +405,9 @@ def _pq_spectral_polish(space: SpaceSpec, X: np.ndarray, q: float, L0: np.ndarra
     for _ in range(60):
         c = _pairings(space, X, B / D[:, None])
         ac = np.abs(c)
-        u = np.where(ac > 0, np.conj(c) / np.where(ac > 0, ac, 1.0), 0.0)
+        # phases of subnormal pairings would overflow (1/ac > max float); they count as zero
+        big = ac >= np.finfo(float).tiny
+        u = np.where(big, np.conj(c) / np.where(big, ac, 1.0), 0.0)
         coef = ac ** (q - 1.0) if q != 1 else (ac > 0).astype(float)
         G = (space.w[:, None] * X) * (u * coef)[None, :]
         M = np.conj(G) / D[:, None]
@@ -607,7 +632,7 @@ def evaluate(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig | None = None
     v = spec.variant
 
     fast = exact_evaluator(spec, space, cfg)
-    if fast is not None:
+    if fast is not None and _grid_fits(spec, space, X.shape[1], cfg):
         value = fast(X)
         witness = None
         method = {
@@ -650,12 +675,28 @@ def evaluate(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig | None = None
     raise SpecError(f"unhandled variant {v!r}")
 
 
-def point_value(spec: MultiNormSpec, space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> float:
-    """Cheap point estimate (certified lower bound; exact on exact paths)."""
+def point_evaluator(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig) -> Callable[[np.ndarray], Any]:
+    """point_value with the evaluator resolved once, for callers that evaluate many tuples."""
     fast = exact_evaluator(spec, space, cfg)
     if fast is not None:
-        return fast(X)
-    return evaluate(spec, VectorTuple(X, space), cfg).lower
+        return fast
+
+    def search(X):
+        X = np.asarray(X)
+        if X.ndim == 2:
+            return evaluate(spec, VectorTuple(X, space), cfg).lower
+        flat = X.reshape(-1, *X.shape[-2:])
+        return np.array([evaluate(spec, VectorTuple(x, space), cfg).lower for x in flat]).reshape(X.shape[:-2])
+
+    return search
+
+
+def point_value(spec: MultiNormSpec, space: SpaceSpec, X: np.ndarray, cfg: OptimConfig):
+    """Cheap point estimate (certified lower bound; exact on exact paths).
+
+    X is one (m, n) tuple (a float is returned) or a (..., m, n) stack.
+    """
+    return point_evaluator(spec, space, cfg)(X)
 
 
 # ---------------------------------------------------------------------------
@@ -812,29 +853,18 @@ def rate_of_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConf
         if abs(got - target) <= 1e-9 * max(1.0, target):
             return NormValue.exact(target, {"tuple": witness_cols}, "closed_form_growth")
 
-    def project(cols):
-        norms = space.norm_cols(cols)
-        if np.any(norms <= 0):
-            return None
-        return cols / norms[None, :]
-
     dt = complex if space.is_complex else float
-    seeds = [project(delta_tuple(m, n, space.is_complex))]
+    project = summing.unit_columns(space)
+    ends, ok = project(np.array([delta_tuple(m, n, space.is_complex), np.ones((m, n), dtype=dt)]))
+    seeds = [ends[0]] if ok[0] else []
     roots = roots_tuple(m, n, space.is_complex)
     nr = space.norm_cols(roots)
     if np.all(nr > 0):
         seeds.append(roots / nr[None, :])
-    x0 = np.ones((m, 1), dtype=dt)
-    seeds.append(project(np.repeat(x0, n, axis=1)))
+    if ok[1]:
+        seeds.append(ends[1])
 
-    val, cols = seeded_ascent(
-        project,
-        lambda c: point_value(spec, space, c, cfg),
-        [s for s in seeds if s is not None],
-        (m, n),
-        cfg,
-        space.is_complex,
-    )
+    val, cols = seeded_ascent(project, point_evaluator(spec, space, cfg), seeds, (m, n), cfg, space.is_complex)
     return NormValue.lower_bound(val, {"tuple": cols}, "unit_tuple_ascent")
 
 

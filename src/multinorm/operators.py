@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SpecError
-from .multinorms import MultiNormSpec, evaluate, exact_evaluator, point_value
-from .optim import INF, NormValue, OptimConfig, seeded_ascent
+from .multinorms import MultiNormSpec, evaluate, exact_evaluator, point_evaluator
+from .optim import INF, NormValue, OptimConfig, seeded_ascent, unconstrained
 from .spaces import MatrixOp, SpaceSpec, VectorTuple, delta_tuple
 from .summing import op_norm_between
 
@@ -72,6 +72,46 @@ def _delta_tuples(dim: int, n: int, is_complex: bool, cap: int = 2048):
     return out
 
 
+def _source_scale(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig):
+    """(scale, heuristic): scale maps a stack of tuples to their source norms.
+
+    Exact paths give the norm; otherwise each tuple is evaluated and its
+    upper bound taken, or its lower bound when there is none, which sets
+    heuristic[0].
+    """
+    heuristic = [False]
+    fast = exact_evaluator(spec, space, cfg)
+    if fast is not None:
+        return fast, heuristic
+
+    def scale(C):
+        out = np.empty(len(C))
+        for b, cols in enumerate(C):
+            res = evaluate(spec, VectorTuple(cols, space), cfg)
+            if res.upper == INF:
+                heuristic[0] = True
+            out[b] = res.lower if res.upper == INF else res.upper
+        return out
+
+    return scale, heuristic
+
+
+def _scaled_score(src_scale, image, tgt_value):
+    """Stack objective C -> tgt_value(image(C, s)) with s = src_scale(C); 0 where s <= 0."""
+
+    def score(C):
+        s = src_scale(C)
+        live = ~(s <= 0)
+        if live.all():
+            return tgt_value(image(C, s[:, None, None]))
+        out = np.zeros(len(C))
+        if live.any():
+            out[live] = tgt_value(image(C[live], s[live][:, None, None]))
+        return out
+
+    return score
+
+
 def mb_norm(
     T: np.ndarray,
     source: SpaceSpec,
@@ -99,33 +139,18 @@ def mb_norm(
         sup = NormValue(opn.kind, opn.lower, opn.upper, opn.witness, "collapsed_to_operator_norm")
         return MBNormResult(p_seq, sup, True, n_max)
 
-    src_fast = exact_evaluator(spec_source, source, cfg)
-    heuristic_scale = [False]
-
-    def src_scale(cols) -> float:
-        if src_fast is not None:
-            return src_fast(cols)
-        res = evaluate(spec_source, VectorTuple(cols, source), cfg)
-        if res.upper == INF:
-            heuristic_scale[0] = True
-            return res.lower
-        return res.upper
+    src_scale, heuristic_scale = _source_scale(spec_source, source, cfg)
+    score = _scaled_score(src_scale, lambda C, s: T @ C / s, point_evaluator(spec_target, target, cfg))
 
     p_seq: list[float] = []
     prev_witness = None
     all_exact = True
     best_witness = None
     for n in range(1, n_max + 1):
-        def score(cols):
-            s = src_scale(cols)
-            if s <= 0:
-                return 0.0
-            return point_value(spec_target, target, T @ cols / s, cfg)
-
         seeds = _delta_tuples(source.dim, n, source.is_complex)
         if prev_witness is not None:
             seeds.append(np.concatenate([prev_witness, prev_witness[:, -1:]], axis=1))
-        val, cols = seeded_ascent(lambda c: c, score, seeds, (source.dim, n), cfg, source.is_complex)
+        val, cols = seeded_ascent(unconstrained, score, seeds, (source.dim, n), cfg, source.is_complex)
         upper_n = n * (opn.lower if opn.kind == "exact" else opn.upper)
         val = max(val, p_seq[-1] if p_seq else 0.0)
         if abs(val - upper_n) <= 1e-9 * max(1.0, upper_n) and opn.kind == "exact":
@@ -170,25 +195,17 @@ def mb_tuple_norm(
         kind = "exact" if all(v.kind == "exact" for v in vals) else "lower"
         return NormValue(kind, best.lower, best.lower if kind == "exact" else INF, best.witness, "target_min_collapse")
 
-    src_fast = exact_evaluator(spec_source, source, cfg)
-
-    def src_scale(cols) -> float:
-        if src_fast is not None:
-            return src_fast(cols)
-        res = evaluate(spec_source, VectorTuple(cols, source), cfg)
-        return res.upper if res.upper != INF else res.lower
+    src_scale, _ = _source_scale(spec_source, source, cfg)
+    score = _scaled_score(
+        src_scale,
+        lambda C, s: np.concatenate([T @ C / s for T in Ts], axis=-1),
+        point_evaluator(spec_target, target, cfg),
+    )
 
     best_val, best_witness = 0.0, None
     for k in range(1, k_max + 1):
-        def score(cols):
-            s = src_scale(cols)
-            if s <= 0:
-                return 0.0
-            big = np.concatenate([T @ cols / s for T in Ts], axis=1)
-            return point_value(spec_target, target, big, cfg)
-
         seeds = _delta_tuples(source.dim, k, source.is_complex)
-        val, cols = seeded_ascent(lambda c: c, score, seeds, (source.dim, k), cfg, source.is_complex)
+        val, cols = seeded_ascent(unconstrained, score, seeds, (source.dim, k), cfg, source.is_complex)
         if val > best_val:
             best_val, best_witness = val, {"tuple": cols, "k": k}
     return NormValue.lower_bound(best_val, best_witness, f"tuple_ascent_k<={k_max}")

@@ -110,14 +110,34 @@ def _witness_json(w):
     return w
 
 
-def lp_norm(v: np.ndarray, r: float) -> float:
-    """Unweighted l^r norm of a vector, r in [1, inf]."""
+def lp_norm(v: np.ndarray, r: float):
+    """Unweighted l^r norm of a vector, r in [1, inf].
+
+    A 2-D or larger input is a stack of rows: the (...) norms of its rows
+    are returned, each equal to the norm of that row alone bit for bit.
+    """
     a = np.abs(np.asarray(v))
-    if a.size == 0:
-        return 0.0
     if r == INF:
-        return float(a.max())
-    return float((a**r).sum() ** (1.0 / r))
+        return _as_value(a.max(axis=-1, initial=0.0))
+    return _root((a**r).sum(axis=-1), r)
+
+
+def _root(s, r: float):
+    """s ** (1/r) entrywise by scalar pow; a float for a scalar s.
+
+    numpy's array pow may round differently from the scalar pow the
+    single-vector paths take, so stacked roots are taken one by one.
+    """
+    s = np.asarray(s)
+    if s.ndim == 0:
+        return float(s) ** (1.0 / r)
+    return np.array([x ** (1.0 / r) for x in s.ravel().tolist()]).reshape(s.shape)
+
+
+def _as_value(a):
+    """A float for a 0-d result, the array itself for a stack of results."""
+    a = np.asarray(a)
+    return float(a) if a.ndim == 0 else a
 
 
 def field_normal(rng: np.random.Generator, shape, is_complex: bool) -> np.ndarray:
@@ -267,9 +287,14 @@ def torus_certified_upper(
 # generic projected ascent
 
 
+def unconstrained(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The projection of an ascent without constraints: every point is feasible."""
+    return S, np.ones(len(S), dtype=bool)
+
+
 def seeded_ascent(
-    project: Callable[[np.ndarray], np.ndarray | None],
-    value: Callable[[np.ndarray], float],
+    project: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    value: Callable[[np.ndarray], np.ndarray],
     seeds: Sequence[np.ndarray],
     shape: tuple,
     cfg: OptimConfig,
@@ -278,54 +303,83 @@ def seeded_ascent(
 ) -> tuple[float, np.ndarray | None]:
     """Maximize value over the feasible set reached by project.
 
-    project maps an arbitrary point onto the feasible set (or returns None
-    for degenerate points).  Deterministic in cfg.seed; ties resolved by
-    first find.
+    Both callbacks take stacks of shape (B, *shape).  project returns
+    (points, ok): points[b] is the feasible image of point b where ok[b],
+    and is ignored where point b is degenerate.  value returns the (B,)
+    values of a stack of feasible points.
+
+    Every restart (the seeds, then cfg.restarts Gaussian starts) climbs in
+    lockstep: on each tick each live restart proposes pt + step*d with a
+    fresh direction d while exploring, or pt + boost*d while riding a
+    direction that just paid, and one project and one value call handle
+    all proposals.  Restart i draws each fresh direction with field_normal
+    from its own cfg.rng(5000 + i), so every trajectory is the one the
+    restart would climb alone.  Deterministic in
+    cfg.seed; ties resolved by first find.
     """
+    dt = complex if complex_field else float
+    starts = [np.asarray(s) for s in seeds]
+    starts += [field_normal(cfg.rng(1000 + i), shape, complex_field) for i in range(cfg.restarts)]
+    pts, ok = project(np.array(starts, dtype=dt))
+    ids = np.flatnonzero(ok)
+    if ids.size == 0:
+        return -INF, None
+    pts = pts[ids]
+    vals = np.asarray(value(pts), dtype=float)
 
-    starts: list[np.ndarray] = [np.asarray(s) for s in seeds]
-    for i in range(cfg.restarts):
-        starts.append(field_normal(cfg.rng(1000 + i), shape, complex_field))
+    # per-restart state of the live restarts; a restart whose step underflows leaves the arrays
+    final_vals, final_pts = vals.copy(), pts.copy()
+    live = np.arange(ids.size)
+    rngs = [cfg.rng(5000 + int(i)) for i in ids]
+    direction = np.zeros_like(pts)
+    step = np.full(ids.size, 0.5)
+    boost = np.zeros(ids.size)
+    misses = np.zeros(ids.size, dtype=int)
+    riding = np.zeros(ids.size, dtype=bool)
+    grow = 1 + cfg.tol
+    bcast = (-1,) + (1,) * len(shape)
 
-    best_val, best_pt = -INF, None
-    for si, s0 in enumerate(starts):
-        pt = project(np.array(s0, dtype=complex if complex_field else float))
-        if pt is None:
-            continue
-        val = value(pt)
-        rng = cfg.rng(5000 + si)
-        step = 0.5
-        misses = 0
-        budget = iters
-        while budget > 0:
-            budget -= 1
-            direction = field_normal(rng, shape, complex_field)
-            cand = project(pt + step * direction)
-            v = value(cand) if cand is not None else -INF
-            if v > val * (1 + cfg.tol) + 1e-15:
-                val, pt = v, cand
-                misses = 0
-                # ride the improving direction while it keeps paying
-                boost = 2.0 * step
-                while budget > 0:
-                    budget -= 1
-                    cand = project(pt + boost * direction)
-                    v = value(cand) if cand is not None else -INF
-                    if v > val * (1 + cfg.tol) + 1e-15:
-                        val, pt = v, cand
-                        boost *= 2.0
-                    else:
-                        break
-            else:
-                misses += 1
-            if misses >= 8:
-                step *= 0.6
-                misses = 0
-                if step < 1e-7:
+    for _ in range(iters):
+        fresh = ~riding
+        for i in fresh.nonzero()[0].tolist():
+            direction[i] = field_normal(rngs[i], shape, complex_field)
+        cand, cok = project(pts + np.where(riding, boost, step).reshape(bcast) * direction)
+        if cok.all():
+            v = np.asarray(value(cand), dtype=float)
+        else:
+            v = np.full(live.size, -INF)
+            if cok.any():
+                v[cok] = value(cand[cok])
+
+        better = v > vals * grow + 1e-15
+        vals = np.where(better, v, vals)
+        pts[better] = cand[better]
+        # a paying exploring step starts a ride at twice the step; a paying ride doubles
+        boost = np.where(riding, 2.0 * boost, 2.0 * step)
+        misses = np.where(better, 0, misses + fresh)
+        riding = better
+        shrink = misses >= 8
+        if shrink.any():
+            step = np.where(shrink, step * 0.6, step)
+            misses[shrink] = 0
+            keep = step >= 1e-7
+            if not keep.all():
+                gone = ~keep
+                final_vals[live[gone]], final_pts[live[gone]] = vals[gone], pts[gone]
+                live, vals, pts, step, boost, misses, riding = (a[keep] for a in (live, vals, pts, step, boost, misses, riding))
+                direction = direction[keep]
+                rngs = [g for g, k in zip(rngs, keep.tolist()) if k]
+                if live.size == 0:
                     break
+    final_vals[live], final_pts[live] = vals, pts
+
+    best_val, best_r = -INF, None
+    for r, val in enumerate(final_vals.tolist()):
         if val > best_val:
-            best_val, best_pt = val, pt
-    return best_val, best_pt
+            best_val, best_r = val, r
+    if best_r is None:
+        return -INF, None
+    return best_val, final_pts[best_r].copy()
 
 
 def ball_linear_max(
@@ -341,18 +395,24 @@ def ball_linear_max(
 
     membership must be a norm (positively homogeneous, zero only at zero on
     the directions explored); points are radially projected onto its unit
-    sphere before climbing.
+    sphere before climbing.  Both callbacks take one point.
     """
 
-    def project(pt):
-        nu = membership(pt)
-        if nu <= 0.0 or not math.isfinite(nu):
-            if abs(objective(pt)) > cfg.tol:
-                raise DegenerateNormError("membership vanished on a direction with nonzero objective")
-            return None
-        return pt / nu
+    def project(P):
+        out, ok = P.copy(), np.zeros(len(P), dtype=bool)
+        for b, pt in enumerate(P):
+            nu = membership(pt)
+            if nu <= 0.0 or not math.isfinite(nu):
+                if abs(objective(pt)) > cfg.tol:
+                    raise DegenerateNormError("membership vanished on a direction with nonzero objective")
+                continue
+            out[b], ok[b] = pt / nu, True
+        return out, ok
 
-    val, pt = seeded_ascent(project, lambda x: abs(objective(x)), seeds, shape, cfg, complex_field)
+    def value(P):
+        return np.array([abs(objective(x)) for x in P], dtype=float)
+
+    val, pt = seeded_ascent(project, value, seeds, shape, cfg, complex_field)
     if val == -INF:
         val, pt = 0.0, None
     if upper is not None:
@@ -374,7 +434,7 @@ def _col_norms(A: np.ndarray, r: float) -> np.ndarray:
     a = np.abs(A)
     if r == INF:
         return a.max(axis=0, initial=0.0)
-    return np.array([s ** (1.0 / r) for s in (a**r).sum(axis=0).tolist()])
+    return _root((a**r).sum(axis=0), r)
 
 
 def _holder_upper(A: np.ndarray, p: float, q: float) -> float:

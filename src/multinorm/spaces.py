@@ -9,7 +9,8 @@ the package is built on top of these primitives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +46,7 @@ class SpaceSpec:
     dim: int
     weights: tuple[float, ...] = ()
     field: str = REAL
+    w: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)  # weights as a read-only array
 
     def __post_init__(self):
         if not (self.p >= 1.0):
@@ -59,10 +61,9 @@ class SpaceSpec:
             raise ValueError("weights must be strictly positive")
         if self.field not in (REAL, COMPLEX):
             raise ValueError(f"unknown scalar field {self.field!r}")
-
-    @property
-    def w(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)
+        w.flags.writeable = False
+        object.__setattr__(self, "w", w)
 
     @property
     def is_complex(self) -> bool:
@@ -89,11 +90,11 @@ class SpaceSpec:
         return float((self.w * a**self.p).sum() ** (1.0 / self.p))
 
     def norm_cols(self, X: np.ndarray) -> np.ndarray:
-        """Norms of the columns of an (dim, n) array, vectorized."""
+        """Norms of the columns of a (dim, n) array, or of each tuple of a (..., dim, n) stack."""
         a = np.abs(X)
         if self.p == INF:
-            return a.max(axis=0)
-        return np.einsum("k,kj->j", self.w, a**self.p) ** (1.0 / self.p)
+            return a.max(axis=-2)
+        return np.einsum("k,...kj->...j", self.w, a**self.p) ** (1.0 / self.p)
 
     def pairing(self, x, lam) -> complex | float:
         """Bilinear pairing <x, lam> = sum_k w_k x_k lam_k (primal weights)."""

@@ -16,6 +16,7 @@ from .errors import SpecError
 from .optim import (
     NormValue,
     OptimConfig,
+    _as_value,
     _holder_upper,
     _op_norm_exact,
     lp_norm,
@@ -23,6 +24,7 @@ from .optim import (
     seeded_ascent,
     torus_certified_upper,
     torus_supremum,
+    unconstrained,
 )
 from .partitions import unit_grid
 from .spaces import INF, MatrixOp, SpaceSpec, VectorTuple, conjugate_index, delta, delta_tuple, roots_tuple
@@ -46,11 +48,31 @@ def tuple_sandwich(t: VectorTuple, p: float) -> tuple[float, float]:
     return float(norms.max()), lp_norm(norms, p)
 
 
-def mu1_phase_guidance(space: SpaceSpec, X: np.ndarray) -> float:
-    """Vectorized grid estimate of mu_{1,n}; exact over real scalars."""
-    n = X.shape[1]
+def mu1_phase_guidance(space: SpaceSpec, X: np.ndarray, cfg: OptimConfig):
+    """Grid estimate of mu_{1,n} for a tuple or a (..., dim, n) stack; exact over real scalars.
+
+    The grid has levels^(n-1) rows, budgeted by cfg.max_enum.
+    """
+    n = X.shape[-1]
     levels = (16 if n <= 3 else 8) if space.is_complex else 2
-    return max(float(space.norm_cols(X @ Z.T).max()) for Z in unit_grid(n, levels, OptimConfig.max_enum))
+    best = None
+    for Z in unit_grid(n, levels, cfg.max_enum):
+        block = space.norm_cols(X @ Z.T).max(axis=-1)
+        best = block if best is None else np.maximum(best, block)
+    return _as_value(best)
+
+
+def unit_columns(space: SpaceSpec):
+    """Stack projection onto tuples of unit vectors; a tuple with a zero column is degenerate."""
+
+    def project(S):
+        norms = space.norm_cols(S)
+        ok = ~np.any(norms <= 0, axis=-1)
+        out = S.copy()
+        out[ok] = S[ok] / norms[ok][:, None, :]
+        return out, ok
+
+    return project
 
 
 def mu_weak(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormValue:
@@ -172,15 +194,17 @@ def pi_summing(
 
     inner = replace(cfg, restarts=2, refine_passes=1)
 
-    def score(cols: np.ndarray) -> float:
-        scale, _ = mu_scale(p, cols, space, inner)
-        if scale <= 0:
-            return 0.0
-        img = T @ cols / scale
-        return lp_norm(tgt.norm_cols(img), q)
+    def score(C: np.ndarray) -> np.ndarray:
+        scale = np.array([mu_scale(p, cols, space, inner)[0] for cols in C])
+        out = np.zeros(len(C))
+        live = ~(scale <= 0)
+        if live.any():
+            img = T @ C[live] / scale[live][:, None, None]
+            out[live] = lp_norm(tgt.norm_cols(img), q)
+        return out
 
     _, cols = seeded_ascent(
-        project=lambda c: c,
+        project=unconstrained,
         value=score,
         seeds=[delta_tuple(space.dim, n, space.is_complex)],
         shape=(space.dim, n),
@@ -217,16 +241,6 @@ def c_n(space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
         x = delta(space, 0) / space.norm(delta(space, 0))
         return NormValue.exact(1.0, {"tuple": x[:, None]}, "single_vector")
 
-    def mu_value(cols: np.ndarray) -> float:
-        # descent guidance: exact over real scalars, grid estimate over complex
-        return mu1_phase_guidance(space, cols)
-
-    def project(cols):
-        norms = space.norm_cols(cols)
-        if np.any(norms <= 0):
-            return None
-        return cols / norms[None, :]
-
     m = space.dim
     seeds = [delta_tuple(m, n, space.is_complex)]
     roots = roots_tuple(m, n, space.is_complex)
@@ -234,9 +248,10 @@ def c_n(space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
     if np.all(norms > 0):
         seeds.append(roots / norms[None, :])
 
+    # descent guidance: exact over real scalars, grid estimate over complex
     _, cols = seeded_ascent(
-        project=project,
-        value=lambda c: -mu_value(c),
+        project=unit_columns(space),
+        value=lambda C: -mu1_phase_guidance(space, C, cfg),
         seeds=seeds,
         shape=(m, n),
         cfg=cfg,

@@ -1,0 +1,153 @@
+"""Golden test: the lockstep seeded_ascent climbs exactly like the sequential loop it replaced.
+
+_sequential_ascent is a frozen copy of the one-restart-at-a-time loop,
+with scalar project (point -> point or None) and scalar value callbacks.
+The lockstep engine gets the same callbacks lifted to stacks, and must
+return the same (value, point) bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from multinorm.optim import INF, OptimConfig, field_normal, seeded_ascent
+
+
+def _sequential_ascent(project, value, seeds, shape, cfg, complex_field=False, iters=200):
+    starts = [np.asarray(s) for s in seeds]
+    for i in range(cfg.restarts):
+        starts.append(field_normal(cfg.rng(1000 + i), shape, complex_field))
+
+    best_val, best_pt = -INF, None
+    for si, s0 in enumerate(starts):
+        pt = project(np.array(s0, dtype=complex if complex_field else float))
+        if pt is None:
+            continue
+        val = value(pt)
+        rng = cfg.rng(5000 + si)
+        step = 0.5
+        misses = 0
+        budget = iters
+        while budget > 0:
+            budget -= 1
+            direction = field_normal(rng, shape, complex_field)
+            cand = project(pt + step * direction)
+            v = value(cand) if cand is not None else -INF
+            if v > val * (1 + cfg.tol) + 1e-15:
+                val, pt = v, cand
+                misses = 0
+                boost = 2.0 * step
+                while budget > 0:
+                    budget -= 1
+                    cand = project(pt + boost * direction)
+                    v = value(cand) if cand is not None else -INF
+                    if v > val * (1 + cfg.tol) + 1e-15:
+                        val, pt = v, cand
+                        boost *= 2.0
+                    else:
+                        break
+            else:
+                misses += 1
+            if misses >= 8:
+                step *= 0.6
+                misses = 0
+                if step < 1e-7:
+                    break
+        if val > best_val:
+            best_val, best_pt = val, pt
+    return best_val, best_pt
+
+
+def _stacked(project, value):
+    def project_stack(S):
+        out, ok = S.copy(), np.zeros(len(S), dtype=bool)
+        for b, x in enumerate(S):
+            y = project(x)
+            if y is not None:
+                out[b], ok[b] = y, True
+        return out, ok
+
+    return project_stack, lambda P: np.array([value(x) for x in P], dtype=float)
+
+
+def _unit_columns(x):
+    norms = np.sqrt((np.abs(x) ** 2).sum(axis=0))
+    if np.any(norms <= 0):
+        return None
+    return x / norms[None, :]
+
+
+def _half_space(x):
+    # degenerate for some candidates: the real part of the first entry must stay above -0.3
+    if np.real(x.flat[0]) < -0.3:
+        return None
+    return x / max(1.0, float(np.abs(x).max()))
+
+
+def _never(x):
+    return None
+
+
+def _identity(x):
+    return x
+
+
+def _bumpy(x):
+    a = np.abs(x)
+    return float((a**1.5).sum() ** (1 / 1.5) - 0.3 * np.cos(3 * a).sum())
+
+
+def _negative_spread(x):
+    # a c_n-like objective: minimize a max of column combinations
+    return -float(np.abs(x.sum(axis=1)).max() + 0.1 * np.abs(x[:, 0] - x[:, -1]).sum())
+
+
+def _constant(x):
+    return 1.0
+
+
+PROJECTIONS = {"unit_columns": _unit_columns, "half_space": _half_space, "identity": _identity, "never": _never}
+OBJECTIVES = {"bumpy": _bumpy, "negative": _negative_spread, "constant": _constant}
+
+
+def _seeds(shape, is_complex):
+    dt = complex if is_complex else float
+    zero = np.zeros(shape, dtype=dt)  # None under unit_columns
+    far = np.full(shape, -1.0, dtype=dt)  # None under half_space
+    ones = np.ones(shape, dtype=dt)
+    return [zero, ones, far, ones]
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("restarts", [1, 2, 5])
+@pytest.mark.parametrize("iters", [1, 7, 200, 400])
+@pytest.mark.parametrize("proj", list(PROJECTIONS))
+@pytest.mark.parametrize("obj", list(OBJECTIVES))
+def test_lockstep_matches_sequential(is_complex, restarts, iters, proj, obj):
+    shape = (3, 2)
+    cfg = OptimConfig(seed=17 + restarts, restarts=restarts)
+    project, value = PROJECTIONS[proj], OBJECTIVES[obj]
+    seeds = _seeds(shape, is_complex)
+    want_val, want_pt = _sequential_ascent(project, value, seeds, shape, cfg, is_complex, iters)
+    got_val, got_pt = seeded_ascent(*_stacked(project, value), seeds, shape, cfg, is_complex, iters)
+    assert got_val == want_val or (math.isnan(got_val) and math.isnan(want_val))
+    if want_pt is None:
+        assert got_pt is None
+    else:
+        assert got_pt.dtype == want_pt.dtype
+        assert np.array_equal(got_pt, want_pt)
+
+
+def test_lockstep_no_seeds_and_all_degenerate():
+    cfg = OptimConfig(seed=3, restarts=3)
+    assert seeded_ascent(*_stacked(_never, _bumpy), [], (2, 2), cfg) == (-INF, None)
+
+
+def test_constant_objective_keeps_first_find():
+    # nothing beats the first feasible start, so its projected seed is returned
+    cfg = OptimConfig(seed=5, restarts=4)
+    seeds = _seeds((3, 2), False)
+    val, pt = seeded_ascent(*_stacked(_unit_columns, _constant), seeds, (3, 2), cfg)
+    assert val == 1.0
+    assert np.array_equal(pt, _unit_columns(seeds[1]))

@@ -357,3 +357,14 @@ def test_spec_json_round_trip():
     ]
     for spec in specs:
         assert Spec.from_json(spec.to_json()) == spec
+
+
+def test_spectral_polish_takes_subnormal_pairings_without_overflow():
+    # 1 / |<x, lambda>| overflows for a subnormal pairing; the polish treats such a pairing as zero
+    import warnings
+
+    sp = SpaceSpec(2.0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = mn.evaluate(Spec.pq_spec(2, 2), VectorTuple(np.array([[2.22507386e-311]]), sp), OptimConfig(seed=11, restarts=1))
+    assert res.lower <= res.upper
