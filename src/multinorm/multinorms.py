@@ -17,7 +17,7 @@ import numpy as np
 from .errors import SpecError
 from .optim import NormValue, OptimConfig, _as_value, _root, ball_linear_max, field_normal, lp_norm, seeded_ascent
 from .partitions import slot_assignments
-from .spaces import INF, REAL, SpaceSpec, VectorTuple, delta, delta_tuple, roots_tuple
+from .spaces import INF, REAL, SpaceSpec, VectorTuple, delta, delta_tuple, phase, roots_tuple
 from . import summing
 
 VARIANTS = (
@@ -346,40 +346,44 @@ def _pq_seeds(space: SpaceSpec, dual: SpaceSpec, X: np.ndarray) -> list[np.ndarr
 
 
 def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValue:
+    """Lower bound from a climb over mu_{p,n}-unit functional tuples; upper from the q-sum and root bounds.
+
+    With p = 2 on an index-2 space the mu_{2,n} ball is a spectral ball, and
+    the spectral polish from the seeds and cfg.restarts Gaussian starts
+    (the streams seeded_ascent would draw) is the whole search.  Other
+    (p,q) pairs climb with seeded_ascent.
+    """
     space = t.space
     X = t.columns
     n = t.n
     p, q = spec.p, spec.q
     dual = space.dual()
-    inner_cfg = replace(cfg, restarts=2, refine_passes=1)
-
-    def project(Ls):
-        out, ok = Ls.copy(), np.zeros(len(Ls), dtype=bool)
-        for b, L in enumerate(Ls):
-            scale, _ = summing.mu_scale(p, L, dual, inner_cfg)
-            if scale > 0 and math.isfinite(scale):
-                out[b], ok[b] = L / scale, True
-        return out, ok
-
-    def value(Ls):
-        return lp_norm(np.abs(_pairings(space, X, Ls)), q)
-
     seeds = _pq_seeds(space, dual, X)
-    val, L = seeded_ascent(project, value, seeds, (space.dim, n), cfg, space.is_complex)
 
     if p == 2 and space.p == 2:
-        # the mu_{2,n} ball is a spectral ball, so the support-function step
-        # has a closed form: iterate the linearization maximizer
-        fw_starts = [s for s in seeds[:3]] + ([L] if L is not None else [])
-        for s in fw_starts:
-            v, Lf = _pq_spectral_polish(space, X, q, s)
-            if v > val:
-                val, L = v, Lf
+        seeds += [field_normal(cfg.rng(1000 + i), (space.dim, n), space.is_complex) for i in range(cfg.restarts)]
+        val, L = max((_pq_spectral_polish(space, X, q, s) for s in seeds), key=lambda vL: vL[0])
+        method = "pq_spectral_polish"
+    else:
+        inner_cfg = replace(cfg, restarts=2, refine_passes=1)
 
-    col_norms = space.norm_cols(X)
-    upper = min(lp_norm(col_norms, q), _roots_upper(space, X, cfg))
+        def project(Ls):
+            out, ok = Ls.copy(), np.zeros(len(Ls), dtype=bool)
+            for b, L in enumerate(Ls):
+                scale, _ = summing.mu_scale(p, L, dual, inner_cfg)
+                if scale > 0 and math.isfinite(scale):
+                    out[b], ok[b] = L / scale, True
+            return out, ok
+
+        def value(Ls):
+            return lp_norm(np.abs(_pairings(space, X, Ls)), q)
+
+        val, L = seeded_ascent(project, value, seeds, (space.dim, n), cfg, space.is_complex)
+        method = "pq_ball_ascent"
+
+    upper = min(lp_norm(space.norm_cols(X), q), _roots_upper(space, X, cfg))
     val = max(val, 0.0)
-    return NormValue.bracket(min(val, upper), upper, {"functionals": L}, "pq_ball_ascent")
+    return NormValue.bracket(min(val, upper), upper, {"functionals": L}, method)
 
 
 def _pq_spectral_polish(space: SpaceSpec, X: np.ndarray, q: float, L0: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -388,7 +392,9 @@ def _pq_spectral_polish(space: SpaceSpec, X: np.ndarray, q: float, L0: np.ndarra
     The feasible set {mu_{2,n}(L) <= 1} is {||D L||_2 <= 1} with D the
     square-root weight matrix; maximizing a real-linear functional over it
     is a nuclear-norm step (one SVD).  The objective is 1-homogeneous and
-    convex, so each step is nondecreasing.
+    convex, so each step is nondecreasing; it stops once a step gains at
+    most 1e-14.  Convergence is linear and slow starts have taken ~270
+    steps, so the 500-step cap is only a guard.
     """
     D = np.sqrt(space.w)
     B = D[:, None] * np.asarray(L0, dtype=complex)
@@ -402,14 +408,11 @@ def _pq_spectral_polish(space: SpaceSpec, X: np.ndarray, q: float, L0: np.ndarra
         return lp_norm(np.abs(_pairings(space, X, L)), q), L
 
     val, L = value_of(B)
-    for _ in range(60):
+    for _ in range(500):
         c = _pairings(space, X, B / D[:, None])
         ac = np.abs(c)
-        # phases of subnormal pairings would overflow (1/ac > max float); they count as zero
-        big = ac >= np.finfo(float).tiny
-        u = np.where(big, np.conj(c) / np.where(big, ac, 1.0), 0.0)
         coef = ac ** (q - 1.0) if q != 1 else (ac > 0).astype(float)
-        G = (space.w[:, None] * X) * (u * coef)[None, :]
+        G = (space.w[:, None] * X) * (phase(np.conj(c)) * coef)[None, :]
         M = np.conj(G) / D[:, None]
         U, s, Vh = np.linalg.svd(M, full_matrices=False)
         Bn = U @ Vh
@@ -425,63 +428,49 @@ def _pq_spectral_polish(space: SpaceSpec, X: np.ndarray, q: float, L0: np.ndarra
 def _roots_upper(space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> float:
     """Average-of-combinations upper bound valid for every multi-norm.
 
-    Complex scalars: roots of unity of order k in {n, 2n}.  Real scalars:
-    Sylvester-Hadamard sign matrices of the next power-of-two size.
+    Each row r of a k x n matrix R gives the combination X R[r]^T; the bound
+    is the mean norm of the k combinations.  Complex scalars: roots of unity
+    of order k in {n, 2n} (roots_tuple).  Real scalars: Sylvester-Hadamard
+    sign rows of the next two power-of-two sizes.
     """
-    m, n = X.shape
-    best = float(space.norm_cols(X).sum())
-
-    def eval_complex(cols, k):
-        zeta = np.exp(2j * np.pi / k)
-        total = 0.0
-        for j in range(1, k + 1):
-            combo = np.zeros(m, dtype=complex)
-            for idx in range(cols.shape[1]):
-                combo = combo + zeta ** (j * (idx + 1)) * cols[:, idx]
-            total += _norm_of_abs(space, np.abs(combo))
-        return total / k
-
-    def hadamard(k):
-        H = np.array([[1.0]])
-        while H.shape[0] < k:
+    n = X.shape[1]
+    if space.is_complex:
+        mats = [roots_tuple(k, k, True)[:, :n] for k in (n, 2 * n)]
+    else:
+        H = np.ones((1, 1))
+        mats = []
+        while len(mats) < 2:
+            if len(H) >= n:
+                mats.append(H[:, :n])
             H = np.block([[H, H], [H, -H]])
-        return H
 
-    def eval_real(cols, k):
-        H = hadamard(k)
-        total = 0.0
-        for j in range(k):
-            combo = cols @ H[j, : cols.shape[1]]
-            total += _norm_of_abs(space, np.abs(combo))
-        return total / k
-
-    perms = [np.arange(n)]
     rng = cfg.rng(333)
-    for _ in range(3):
-        perms.append(rng.permutation(n))
-
+    perms = [np.arange(n)] + [rng.permutation(n) for _ in range(3)]
+    best = float(space.norm_cols(X).sum())
     for perm in perms:
         cols = X[:, perm]
-        if space.is_complex:
-            for k in (n, 2 * n):
-                padded = np.concatenate([cols, np.zeros((m, k - n), dtype=cols.dtype)], axis=1)
-                best = min(best, eval_complex(padded, k))
-        else:
-            k0 = 1
-            while k0 < n:
-                k0 *= 2
-            for k in (k0, 2 * k0):
-                padded = np.concatenate([cols, np.zeros((m, k - n))], axis=1)
-                best = min(best, eval_real(padded, k))
+        for R in mats:
+            best = min(best, float(space.norm_cols(cols @ R.T).mean()))
     return best
 
 
 def _max_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
+    """The maximum multi-norm, the projective tensor norm on l^inf_n (x) E.
+
+    Over R, (s, t) -> ((s + t)/2, (s - t)/2) maps l^inf_2 onto l^1_2
+    isometrically, so on a real 2-tuple the tensor norm is the l^1_2 one:
+    ||(x1, x2)||^max = (||x1 + x2|| + ||x1 - x2||) / 2.  The functionals
+    ((a + b)/2, (a - b)/2), with a and b norming x1 + x2 and x1 - x2,
+    attain it and have mu_1 = max(||a||, ||b||) <= 1.  Other tuples get
+    the (1,1) ascent from below and the root averages from above.
+    """
     space = t.space
     X = t.columns
-    if space.p == 1:
-        val = _norm_of_abs(space, np.abs(X).max(axis=1))
-        return NormValue.exact(val, None, "standard_1_fastpath")
+    if t.n == 2 and not space.is_complex:
+        plus, minus = X[:, 0] + X[:, 1], X[:, 0] - X[:, 1]
+        a, b = space.unit_ball_norming(plus), space.unit_ball_norming(minus)
+        val = (space.norm(plus) + space.norm(minus)) / 2
+        return NormValue.exact(val, {"functionals": np.stack([a + b, a - b], axis=1) / 2}, "real_pair_closed_form")
     inner = _pq_value(MultiNormSpec.pq_spec(1, 1), t, cfg)
     lower = max(inner.lower, float(space.norm_cols(X).max()))
     return NormValue.bracket(min(lower, inner.upper), inner.upper, inner.witness, "pq11_ascent_roots_upper")
@@ -597,7 +586,7 @@ def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig)
     # canonical near-optimal directions for the closed-form bases
     dt = complex if primal.is_complex else float
     absL = np.abs(L)
-    phases = np.where(absL > 0, np.conj(L) / np.where(absL > 0, absL, 1.0), 1.0)
+    phases = phase(np.conj(L))
     seeds = []
     s = absL.sum(axis=1)
     u = dual_space.unit_ball_norming(s)

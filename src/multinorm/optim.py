@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetError, DegenerateNormError
 from .partitions import unit_grid, unit_roots
-from .spaces import COMPLEX, INF, REAL, MatrixOp, conjugate_index, vector_to_json
+from .spaces import COMPLEX, INF, REAL, MatrixOp, conjugate_index, phase, vector_to_json
 
 _ASCENT_ITERS = 200
 
@@ -146,11 +146,6 @@ def field_normal(rng: np.random.Generator, shape, is_complex: bool) -> np.ndarra
     if is_complex:
         z = z + 1j * rng.standard_normal(shape)
     return z
-
-
-def _phase(v: np.ndarray) -> np.ndarray:
-    a = np.abs(v)
-    return np.where(a > 0, v / np.where(a > 0, a, 1.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +457,15 @@ def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_f
             if ny == 0:
                 break
             ay = np.abs(y)
-            z = _phase(y) * ay ** (q - 1.0) if q > 1 else _phase(y) * (ay > 0)
+            z = phase(y) * ay ** (q - 1.0) if q > 1 else phase(y) * (ay > 0)
             g = A.conj().T @ z
             if p == INF:
-                xn = _phase(g)
+                xn = phase(g)
                 if not complex_field:
                     xn = np.sign(g) + (g == 0)
             else:
                 ag = np.abs(g)
-                xn = _phase(g) * ag ** (pp - 1.0) if pp != INF else _phase(g) * (ag >= ag.max())
+                xn = phase(g) * ag ** (pp - 1.0) if pp != INF else phase(g) * (ag >= ag.max())
             xn = normalize(xn)
             if xn is None:
                 break
@@ -538,9 +533,9 @@ def _op_norm_exact(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_
         if rows[i] == 0:
             x = np.zeros(n)
         elif p == INF:
-            x = _phase(np.conj(r))
+            x = phase(np.conj(r))
         else:
-            x = _phase(np.conj(r)) * (ar / rows[i]) ** (pp - 1.0)
+            x = phase(np.conj(r)) * (ar / rows[i]) ** (pp - 1.0)
             x = x / max(lp_norm(x, p), 1e-300)
         if not complex_field:
             x = np.real(x)
@@ -569,11 +564,11 @@ def _op_norm_exact(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_
             return NormValue.exact(float(ad.max()), x, "diagonal_like")
         t = q if p == INF else p * q / (p - q)
         if p == INF:
-            x[cols_nz] = np.conj(_phase(dvals))
+            x[cols_nz] = np.conj(phase(dvals))
         else:
             mags = ad ** (t / p)
             mags = mags / lp_norm(mags, p)
-            x[cols_nz] = mags * np.conj(_phase(dvals))
+            x[cols_nz] = mags * np.conj(phase(dvals))
         if not complex_field:
             x = np.real(x)
         return NormValue.exact(lp_norm(ad, t), x, "diagonal_like")

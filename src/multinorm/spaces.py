@@ -31,6 +31,16 @@ def conjugate_index(p: float) -> float:
     return p / (p - 1.0)
 
 
+_TINY = np.finfo(float).tiny  # smallest normal float; below it 1 / |v| may overflow
+
+
+def phase(v: np.ndarray) -> np.ndarray:
+    """v / |v| entrywise, and 1 where |v| < _TINY (zero or subnormal entries)."""
+    a = np.abs(v)
+    big = a >= _TINY
+    return np.where(big, v / np.where(big, a, 1.0), 1.0)
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """A weighted l^p space of a fixed finite dimension.
@@ -122,14 +132,14 @@ class SpaceSpec:
         if nx == 0:
             return lam
         a = np.abs(x)
-        phase = np.where(a > 0, np.conj(x) / np.where(a > 0, a, 1.0), 1.0)
+        ph = phase(np.conj(x))
         if self.p == INF:
             k = int(np.argmax(a))
-            lam[k] = phase[k] / self.weights[k]
+            lam[k] = ph[k] / self.weights[k]
         elif self.p == 1:
-            lam = phase.astype(lam.dtype)
+            lam = ph.astype(lam.dtype)
         else:
-            lam = phase * (a / nx) ** (self.p - 1.0)
+            lam = ph * (a / nx) ** (self.p - 1.0)
         if not self.is_complex:
             lam = lam.real.astype(float)
         return lam

@@ -368,3 +368,52 @@ def test_spectral_polish_takes_subnormal_pairings_without_overflow():
         warnings.simplefilter("error", RuntimeWarning)
         res = mn.evaluate(Spec.pq_spec(2, 2), VectorTuple(np.array([[2.22507386e-311]]), sp), OptimConfig(seed=11, restarts=1))
     assert res.lower <= res.upper
+
+
+def _index2_tuples():
+    rng = np.random.default_rng(21)
+    for field in ("real", "complex"):
+        for m in (3, 4):
+            for weights in ((), tuple(rng.uniform(0.5, 2.0, m))):
+                s = SpaceSpec(2, m, weights, field)
+                X = rng.standard_normal((m, 3))
+                if s.is_complex:
+                    X = X + 1j * rng.standard_normal((m, 3))
+                yield VectorTuple(X, s)
+
+
+def test_index2_pq_is_the_spectral_polish_alone(monkeypatch):
+    from multinorm import multinorms
+
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("index-2 (2,q) must not climb with seeded_ascent")
+
+    monkeypatch.setattr(multinorms, "seeded_ascent", no_ascent)
+    cfg = OptimConfig(seed=1, restarts=2, grid_points=32)
+    for t in _index2_tuples():
+        for q in (2, 2.5, 3):
+            res = mn.evaluate(Spec.pq_spec(2, q), t, cfg)
+            assert res.method == "pq_spectral_polish"
+            assert 0 < res.lower <= res.upper
+        # on a Hilbert space the (2,2)-multi-norm is the hilbert multi-norm
+        p22 = mn.evaluate(Spec.pq_spec(2, 2), t, cfg).lower
+        h = mn.evaluate(Spec.hilbert(), t, cfg).lower
+        assert abs(p22 - h) <= 1e-9 * h
+
+
+@pytest.mark.parametrize("r", [1.5, 2, 3, INF])
+def test_real_max_on_pairs_is_the_l1_2_closed_form(r):
+    # over R, l^inf_2 = l^1_2, so ||(x1, x2)||^max = (||x1 + x2|| + ||x1 - x2||) / 2
+    rng = np.random.default_rng(22)
+    for weights in ((), (0.5, 1.5, 2.0)):
+        s = SpaceSpec(r, 3, weights)
+        d = s.dual()
+        for _ in range(3):
+            X = rng.standard_normal((3, 2))
+            res = mn.evaluate(Spec.max_spec(), VectorTuple(X, s), CFG)
+            closed = (s.norm(X[:, 0] + X[:, 1]) + s.norm(X[:, 0] - X[:, 1])) / 2
+            assert res.kind == "exact" and res.lower == closed
+            L = res.witness["functionals"]
+            mu1 = max(d.norm(e1 * L[:, 0] + e2 * L[:, 1]) for e1 in (1, -1) for e2 in (1, -1))
+            assert mu1 <= 1 + 1e-12
+            assert s.pairing(X[:, 0], L[:, 0]) + s.pairing(X[:, 1], L[:, 1]) == pytest.approx(closed, rel=1e-12)

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import multinorm as mn
 from multinorm.multinorms import is_exact_path
+from multinorm.spaces import delta_tuple
 
 S = mn.MultiNormSpec
 INF = math.inf
@@ -110,3 +111,55 @@ def test_exact_paths_ignore_column_phases_over_c(name, data):
     turned = mn.evaluate(spec, mn.VectorTuple(X * np.exp(1j * theta)[None, :], space), LIGHT)
     assert base.kind == turned.kind == "exact"
     assert _close(turned.lower, base.lower)
+
+
+# search lower bounds never exceed the closed forms of acceptance criteria 3, 6 and 10
+PQ_INDICES = (1.0, 1.5, 2.0, 3.0)
+
+
+def _weights(data, m):
+    return tuple(data.draw(st.lists(st.floats(0.5, 2.0), min_size=m, max_size=m))) if data.draw(st.booleans()) else ()
+
+
+def _below(lower, closed):
+    assert lower <= closed + 1e-12 * max(1.0, closed), (lower, closed)
+
+
+@settings(max_examples=12)
+@given(data=st.data())
+def test_pq_lower_on_unit_basis_tuples_within_n_to_the_1_over_q(data):
+    # criterion 3: n disjointly supported unit vectors of l^r have (p,q)-multi-norm n^(1/q) when p >= r
+    r = data.draw(st.sampled_from(PQ_INDICES))
+    p = data.draw(st.sampled_from([s for s in PQ_INDICES if s >= r]))
+    q = data.draw(st.sampled_from([s for s in PQ_INDICES if s >= p]))
+    m = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, m))
+    space = mn.SpaceSpec(r, m, _weights(data, m), data.draw(st.sampled_from(["real", "complex"])))
+    X = delta_tuple(m, n, space.is_complex) / (space.w[:, None] ** (1.0 / r))
+    res = mn.evaluate(S.pq_spec(p, q), mn.VectorTuple(X, space), LIGHT)
+    _below(res.lower, n ** (1.0 / q))
+
+
+@pytest.mark.parametrize("spec", [S.hilbert(), S.pq_spec(2, 2)], ids=["hilbert", "pq(2,2)"])
+@settings(max_examples=12)
+@given(data=st.data())
+def test_index2_lower_on_diagonal_tuples_within_weighted_l2_of_beta(spec, data):
+    # criterion 6: the tuple (beta_k delta_k) has hilbert and (2,2) value ||beta|| in the weighted l^2 norm
+    m = data.draw(st.integers(1, 4))
+    space = mn.SpaceSpec(2.0, m, _weights(data, m), data.draw(st.sampled_from(["real", "complex"])))
+    beta = data.draw(tuples(space, 1))[:, 0]
+    res = mn.evaluate(spec, mn.VectorTuple(np.diag(beta), space), LIGHT)
+    _below(res.lower, space.norm(beta))
+
+
+@settings(max_examples=12)
+@given(data=st.data())
+def test_pq1q_lower_on_l1_within_exact_standard_q(data):
+    # criterion 10: on L^1 the (1,q)-multi-norm is the standard q-multi-norm
+    m = data.draw(st.integers(1, 3))
+    space = mn.SpaceSpec(1.0, m, _weights(data, m))
+    t = mn.VectorTuple(data.draw(tuples(space, data.draw(st.integers(1, 3)))), space)
+    q = data.draw(st.sampled_from(PQ_INDICES))
+    exact = mn.evaluate(S.standard_q(q), t, LIGHT)
+    assert exact.kind == "exact"
+    _below(mn.evaluate(S.pq_spec(1, q), t, LIGHT).lower, exact.lower)

@@ -143,3 +143,21 @@ def test_space_json_round_trip():
     doc = mn.spaces.vector_to_json(x)
     back = mn.spaces.vector_from_json(doc, s)
     assert np.allclose(back, x)
+
+
+def test_phase_of_subnormal_entries_does_not_overflow():
+    # 1 / |v| overflows below the smallest normal float; such entries get the phase of a zero entry
+    # (the suite turns RuntimeWarning into an error)
+    from multinorm.spaces import phase
+
+    v = np.array([2.2e-311 + 1e-311j, 1e-311j, 0j, 3 - 4j, -2.5 + 1e-300j])
+    ph = phase(v)
+    assert ph[:3].tolist() == [1, 1, 1]
+    assert np.array_equal(ph[3:], v[3:] / np.abs(v[3:]))
+    for p in (1, INF):
+        lam = SpaceSpec(p, 2, field="complex").unit_ball_norming(v[:2])
+        assert np.all(np.isfinite(lam))
+    L = np.array([[2.2e-311 + 1e-311j, 1e-311j], [2.2e-311, 2.2e-311j]])
+    sp = SpaceSpec(2, 2, field="complex")
+    res = mn.evaluate(mn.MultiNormSpec.numerical_dual(mn.MultiNormSpec.lattice()), mn.VectorTuple(L, sp), OptimConfig(seed=3, restarts=1))
+    assert 0 <= res.lower <= res.upper
