@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import BudgetError, HermitianError, SpecError
 from .multinorms import MultiNormSpec, _norm_of_abs, point_value
-from .optim import OptimConfig, _as_value, field_normal
-from .partitions import set_partitions, slot_assignments, unit_grid
+from .optim import OptimConfig, _as_value, _first_max, field_normal
+from .partitions import GRID_BLOCK, set_partitions, slot_assignments, unit_grid
 from .spaces import SpaceSpec, VectorTuple, delta_tuple, matrix_from_json, matrix_to_json
 
 _PROJ_TOL = 1e-10
@@ -159,38 +159,32 @@ def is_hermitian(
     Ps = d.projections
     worst_gap, witness = 0.0, None
 
-    def try_zeta(x, nx, zeta):
-        nonlocal worst_gap, witness
-        y = sum(z * (P @ x) for z, P in zip(zeta, Ps))
-        val = space.norm(y)
-        gap = val - nx
-        if gap > worst_gap:
-            worst_gap = gap
-            witness = {"x": x, "zeta": np.array(zeta), "lhs": val, "rhs": nx}
-
     levels = max(8, cfg.grid_points // 4) if space.is_complex else 2
     try:
-        phase_combos = [zeta for block in unit_grid(k, levels, 4096) for zeta in block]
+        (grid,) = unit_grid(k, levels, GRID_BLOCK)
     except BudgetError:
-        phase_combos = []  # too many phase combinations: sampled points only
+        grid = np.ones((0, k))  # too many phase combinations: sampled points only
 
     for ti, x in enumerate(_sample_vectors(space, trials, cfg, 130000)):
         nx = space.norm(x)
         if nx <= 0:
             continue
-        for zeta in phase_combos:
-            try_zeta(x, nx, zeta)
         rng = cfg.rng(131000 + ti)
-        for _ in range(8):
-            mags = rng.random(k)
-            if space.is_complex:
-                zeta = mags * np.exp(2j * np.pi * rng.random(k))
-            else:
-                zeta = mags * np.where(rng.random(k) < 0.5, 1.0, -1.0)
-            try_zeta(x, nx, zeta)
+        # 8 interior points, each drawing its moduli, then its phases or signs
+        if space.is_complex:
+            samples = [rng.random(k) * np.exp(2j * np.pi * rng.random(k)) for _ in range(8)]
+        else:
+            samples = [rng.random(k) * np.where(rng.random(k) < 0.5, 1.0, -1.0) for _ in range(8)]
+        Z = np.concatenate([grid, samples])
+        # rows Y[b] = sum_i Z[b, i] P_i x, accumulated in slot order; each row norm equals space.norm bit for bit
+        Y = sum(Z[:, i, None] * (P @ x) for i, P in enumerate(Ps))
+        vals = _norm_of_abs(space, np.abs(Y))
+        b, gap = _first_max(vals - nx)
+        if gap > worst_gap:
+            worst_gap = gap
+            witness = {"x": x, "zeta": Z[b].copy(), "lhs": float(vals[b]), "rhs": nx}
 
-    scaled_tol = tol
-    verdict = worst_gap <= scaled_tol
+    verdict = worst_gap <= tol
     note = "no counterexample within budget" if verdict else "witness violates the contraction"
     return DetectorReport(verdict, worst_gap, witness, trials, note)
 
@@ -228,13 +222,7 @@ def is_small(
     return DetectorReport(verdict, worst_gap, witness, trials, "small-decomposition test")
 
 
-def coagulations_equal(
-    spec: MultiNormSpec,
-    space: SpaceSpec,
-    X: np.ndarray,
-    cfg: OptimConfig,
-    tol: float,
-):
+def coagulations_equal(spec: MultiNormSpec, space: SpaceSpec, X: np.ndarray, cfg: OptimConfig):
     """Worst |coagulated - original| over all set partitions of the slots."""
     k = X.shape[1]
     base = point_value(spec, space, X, cfg)
@@ -267,7 +255,7 @@ def is_orthogonal(
         rng = cfg.rng(150000 + ti)
         Z = field_normal(rng, (space.dim, k), space.is_complex)
         X = np.stack([Ps[i] @ Z[:, i] for i in range(k)], axis=1)
-        gap, blocks, lhs, rhs = coagulations_equal(spec, space, X, cfg, tol)
+        gap, blocks, lhs, rhs = coagulations_equal(spec, space, X, cfg)
         if gap > worst_gap:
             worst_gap = gap
             witness = {"tuple": X, "partition": blocks, "lhs": lhs, "rhs": rhs}
@@ -294,7 +282,7 @@ def orthogonal_set(
         scalings.append(field_normal(cfg.rng(160000 + ti), k, space.is_complex))
     for c in scalings:
         X = t.columns * np.asarray(c)[None, :]
-        gap, blocks, lhs, rhs = coagulations_equal(spec, space, X, cfg, tol)
+        gap, blocks, lhs, rhs = coagulations_equal(spec, space, X, cfg)
         if gap > worst_gap:
             worst_gap = gap
             witness = {"scalars": c, "partition": blocks, "lhs": lhs, "rhs": rhs}

@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import FieldError, SpecError
 from .multinorms import MultiNormSpec, point_value
 from .optim import OptimConfig, field_normal, op_norm_pq
 from .partitions import set_partitions
@@ -145,7 +145,10 @@ def check_multinorm_matrix_law(
     cfg = cfg or OptimConfig()
     violations: list[LawViolation] = []
     mdim = space.dim
-    fixed = [np.asarray(M, dtype=float) for M in (fixed_matrices or [])]
+    fixed = [np.asarray(M) for M in (fixed_matrices or [])]
+    if not space.is_complex and any(np.iscomplexobj(A) and np.any(A.imag != 0) for A in fixed):
+        raise FieldError("complex fixed matrix in a law on a real space")
+    fixed = [A.astype(complex) if space.is_complex and np.iscomplexobj(A) else np.real(A).astype(float) for A in fixed]
     for trial in range(trials):
         rng = cfg.rng(70000 + trial)
         n = int(rng.integers(1, 5))

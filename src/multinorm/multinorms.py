@@ -320,11 +320,11 @@ def is_exact_path(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConfi
 
 
 def _pairings(space: SpaceSpec, X: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """<x_j, lambda_j> for each slot j; L may be a (..., m, n) stack of functional tuples."""
-    return np.einsum("k,kj,...kj->...j", space.w, X, L)
+    """<x_j, lambda_j> for each slot j; X and L may each be a (..., m, n) stack of tuples."""
+    return np.einsum("k,...kj,...kj->...j", space.w, X, L)
 
 
-def _pq_seeds(space: SpaceSpec, dual: SpaceSpec, X: np.ndarray) -> list[np.ndarray]:
+def _pq_seeds(space: SpaceSpec, X: np.ndarray) -> list[np.ndarray]:
     m, n = X.shape
     dt = complex if space.is_complex else float
     seeds = [delta_tuple(m, n, space.is_complex)]
@@ -358,7 +358,7 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
     n = t.n
     p, q = spec.p, spec.q
     dual = space.dual()
-    seeds = _pq_seeds(space, dual, X)
+    seeds = _pq_seeds(space, X)
 
     if p == 2 and space.p == 2:
         seeds += [field_normal(cfg.rng(1000 + i), (space.dim, n), space.is_complex) for i in range(cfg.restarts)]
@@ -568,20 +568,13 @@ def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig)
     dual_space = t.space
     primal = dual_space.dual()
     base = spec.base
-    validate(base, primal)
     L = t.columns
     m, n = L.shape
-    base_fast = exact_evaluator(base, primal, cfg)
-    heuristic = base_fast is None
-    inner_cfg = replace(cfg, restarts=min(cfg.restarts, 4), refine_passes=1)
+    heuristic = exact_evaluator(base, primal, cfg) is None
+    membership = point_evaluator(base, primal, replace(cfg, restarts=min(cfg.restarts, 4), refine_passes=1))
 
-    def membership(Xc):
-        if base_fast is not None:
-            return base_fast(Xc)
-        return evaluate(base, VectorTuple(Xc, primal), inner_cfg).lower
-
-    def objective(Xc):
-        return _pairings(primal, Xc, L).sum()
+    def objective(Xs):
+        return _pairings(primal, Xs, L).sum(axis=-1)
 
     # canonical near-optimal directions for the closed-form bases
     dt = complex if primal.is_complex else float

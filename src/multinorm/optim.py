@@ -8,7 +8,6 @@ uses substream seed^i, so results are bit-identical across runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Sequence
 
@@ -152,29 +151,39 @@ def field_normal(rng: np.random.Generator, shape, is_complex: bool) -> np.ndarra
 # exhaustive enumerations
 
 
-def sign_supremum(f: Callable[[np.ndarray], float], n: int, cfg: OptimConfig, symmetric: bool = False) -> NormValue:
+def sign_supremum(f: Callable[[np.ndarray], np.ndarray], n: int, cfg: OptimConfig, symmetric: bool = False) -> NormValue:
     """Exact maximum of f over {+-1}^n by enumeration.
 
-    symmetric=True asserts f(-e) = f(e) and pins the first sign to +1,
-    halving the work.
+    f takes a (B, n) block of sign vectors and returns its B values; one
+    call per unit_grid block.  symmetric=True asserts f(-e) = f(e) and
+    pins the first sign to +1, halving the work.  Ties go to the first
+    sign vector in grid order; NaN values never win.
     """
     best, best_eps = -INF, None
     for block in unit_grid(n if symmetric else n + 1, 2, cfg.max_enum):
-        for eps in (block if symmetric else block[:, 1:]):
-            val = float(f(eps))
-            if val > best:
-                best, best_eps = val, eps.copy()
+        E = block if symmetric else block[:, 1:]
+        i, val = _first_max(f(E))
+        if val > best:
+            best, best_eps = val, E[i].copy()
     return NormValue.exact(best, best_eps, "sign_enum")
 
 
+def _first_max(vals) -> tuple[int, float]:
+    """(index, value) of the first maximum of a value block, NaN counting as -inf."""
+    vals = np.where(np.isnan(vals), -INF, vals)
+    i = int(np.argmax(vals))
+    return i, float(vals[i])
+
+
 def torus_supremum(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], np.ndarray],
     n: int,
     cfg: OptimConfig,
     field: str = COMPLEX,
 ) -> NormValue:
     """Lower bound for sup f over the n-torus (first phase pinned to 1).
 
+    f takes a (B, n) block of phase vectors and returns its B values.
     Callers must pass f invariant under a common phase rotation, which is
     what pins the first coordinate.  For real scalars the torus collapses
     to {+-1} and the search enumerates signs when the budget allows.
@@ -189,7 +198,7 @@ def torus_supremum(
         return NormValue(kind, res.lower, res.lower if n <= 1 else INF, res.witness, "sign_enum")
     res = _torus_sweep(f, n, cfg, real=False)
     if 2 ** (n - 1) <= min(cfg.max_enum, 4096):
-        se = sign_supremum(lambda e: f(e.astype(complex)), n, cfg, symmetric=True)
+        se = sign_supremum(lambda E: f(E.astype(complex)), n, cfg, symmetric=True)
         if se.lower > res.lower:
             res = NormValue("lower", se.lower, INF, se.witness.astype(complex), "torus_sign_grid")
     if n <= 1:
@@ -202,17 +211,18 @@ def _torus_sweep(f, n, cfg, real: bool) -> NormValue:
 
     def sweep(zeta, cands_for):
         improved = True
-        val = float(f(zeta))
+        val = float(f(zeta[None])[0])
         guard = 0
         while improved and guard < 12:
             improved = False
             guard += 1
             for j in range(1, n):
-                old = zeta[j]
-                best_c, best_v = old, val
-                for c in cands_for(j, zeta):
-                    zeta[j] = c
-                    v = float(f(zeta))
+                cands = cands_for(j, zeta)
+                Z = np.repeat(zeta[None], len(cands), axis=0)
+                Z[:, j] = cands
+                best_c, best_v = zeta[j], val
+                # first candidate clearing the threshold over the running best, in order
+                for c, v in zip(cands.tolist(), np.asarray(f(Z), dtype=float).tolist()):
                     if v > best_v + 1e-15:
                         best_c, best_v = c, v
                 zeta[j] = best_c
@@ -378,8 +388,8 @@ def seeded_ascent(
 
 
 def ball_linear_max(
-    membership: Callable[[np.ndarray], float],
-    objective: Callable[[np.ndarray], complex],
+    membership: Callable[[np.ndarray], np.ndarray],
+    objective: Callable[[np.ndarray], np.ndarray],
     shape: tuple,
     cfg: OptimConfig,
     seeds: Sequence[np.ndarray] = (),
@@ -390,22 +400,21 @@ def ball_linear_max(
 
     membership must be a norm (positively homogeneous, zero only at zero on
     the directions explored); points are radially projected onto its unit
-    sphere before climbing.  Both callbacks take one point.
+    sphere before climbing.  Both callbacks take a (B, *shape) stack and
+    return its (B,) values, as seeded_ascent's do.
     """
 
     def project(P):
-        out, ok = P.copy(), np.zeros(len(P), dtype=bool)
-        for b, pt in enumerate(P):
-            nu = membership(pt)
-            if nu <= 0.0 or not math.isfinite(nu):
-                if abs(objective(pt)) > cfg.tol:
-                    raise DegenerateNormError("membership vanished on a direction with nonzero objective")
-                continue
-            out[b], ok[b] = pt / nu, True
+        nu = np.asarray(membership(P), dtype=float)
+        ok = (nu > 0.0) & np.isfinite(nu)
+        if not ok.all() and np.any(np.abs(objective(P[~ok])) > cfg.tol):
+            raise DegenerateNormError("membership vanished on a direction with nonzero objective")
+        out = P.copy()
+        out[ok] = P[ok] / nu[ok].reshape((-1,) + (1,) * len(shape))
         return out, ok
 
     def value(P):
-        return np.array([abs(objective(x)) for x in P], dtype=float)
+        return np.abs(objective(P))
 
     val, pt = seeded_ascent(project, value, seeds, shape, cfg, complex_field)
     if val == -INF:
@@ -439,7 +448,7 @@ def _holder_upper(A: np.ndarray, p: float, q: float) -> float:
 
 def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool) -> tuple[float, np.ndarray]:
     """Nonlinear power iteration for sup ||Ax||_q / ||x||_p, with restarts."""
-    m, n = A.shape
+    n = A.shape[1]
     pp = conjugate_index(p)
 
     def normalize(x):
@@ -574,16 +583,12 @@ def _op_norm_exact(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_
         return NormValue.exact(lp_norm(ad, t), x, "diagonal_like")
 
     if not complex_field and p == INF and 2 ** (n - 1) <= cfg.max_enum:
-        res = sign_supremum(lambda e: lp_norm(A @ e, q), n, cfg, symmetric=True)
+        res = sign_supremum(lambda E: lp_norm(E @ A.T, q), n, cfg, symmetric=True)
         return NormValue.exact(res.lower, res.witness, "sign_enum_inputs")
 
     if not complex_field and q == 1 and 2 ** (m - 1) <= cfg.max_enum:
         pp = conjugate_index(p)
-
-        def dual_val(s):
-            return lp_norm(A.T @ s, pp)
-
-        res = sign_supremum(dual_val, m, cfg, symmetric=True)
+        res = sign_supremum(lambda S: lp_norm(S @ A, pp), m, cfg, symmetric=True)
         g = A.T @ res.witness
         ag = np.abs(g)
         nx = lp_norm(g, pp)

@@ -97,10 +97,12 @@ def mu_weak(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormVal
         return NormValue.exact(res.lower, {"coefficients": res.witness}, "op_norm_" + res.method)
 
     if p == 1:
-        ts = torus_supremum(lambda z: space.norm(X @ z), t.n, cfg, field=space.field)
+        def combos(Z):
+            return space.norm_cols(X @ Z.T)
+
+        ts = torus_supremum(combos, t.n, cfg, field=space.field)
         lower = max(ts.lower, res.lower, lo_sand)
-        col_norms = space.norm_cols(X)
-        torus_upper = torus_certified_upper(lambda Z: space.norm_cols(X @ Z.T), col_norms[1:], t.n, cfg)
+        torus_upper = torus_certified_upper(combos, space.norm_cols(X)[1:], t.n, cfg)
         upper = min(up_sand, res.upper, torus_upper)
         return NormValue.bracket(min(lower, upper), upper, {"phases": ts.witness}, "torus_ascent")
 

@@ -96,6 +96,18 @@ def test_multinorm_fails_type_2_law():
     assert v.lhs > v.bound + 0.1
 
 
+def test_complex_fixed_matrices_keep_their_field():
+    # [[1, i], [0, 0]] has (2 -> 2) norm sqrt(2); its real part alone has norm 1 and never violates the law
+    A = np.array([[1.0, 1j], [0.0, 0.0]])
+    rep = mn.check_multinorm_matrix_law(Spec.min_spec(), SpaceSpec(2, 2, field="complex"), 2, trials=40, cfg=CFG, fixed_matrices=[A] * 40)
+    assert not rep.ok
+    assert all(np.array_equal(v.matrix, A) for v in rep.violations)
+    with pytest.raises(mn.FieldError):
+        mn.check_multinorm_matrix_law(Spec.min_spec(), SpaceSpec(2, 2), 2, trials=1, cfg=CFG, fixed_matrices=[A])
+    real = mn.check_multinorm_matrix_law(Spec.min_spec(), SpaceSpec(2, 2), 2, trials=2, cfg=CFG, fixed_matrices=[A.real + 0j] * 2)
+    assert real.ok
+
+
 def test_coagulation_contraction_dual_lattice():
     for p in (1, 2, INF):
         s = SpaceSpec(p, 3)

@@ -15,32 +15,32 @@ CFG = OptimConfig(seed=99)
 
 
 def test_sign_supremum_examples():
-    res = mn.sign_supremum(lambda e: abs(e[0] + e[1]), 2, CFG)
+    res = mn.sign_supremum(lambda E: np.abs(E[:, 0] + E[:, 1]), 2, CFG)
     assert res.kind == "exact" and res.lower == pytest.approx(2.0)
     assert np.array_equal(res.witness, [1, 1]) or np.array_equal(res.witness, [-1, -1])
 
     s = SpaceSpec(2, 2)
-    res = mn.sign_supremum(lambda e: s.norm(e[0] * np.array([1, 0]) + e[1] * np.array([0, 1])), 2, CFG)
+    res = mn.sign_supremum(lambda E: s.norm_cols(np.outer([1, 0], E[:, 0]) + np.outer([0, 1], E[:, 1])), 2, CFG)
     assert res.lower == pytest.approx(math.sqrt(2))
 
-    res = mn.sign_supremum(lambda e: abs(e[0] - e[1]), 2, CFG)
+    res = mn.sign_supremum(lambda E: np.abs(E[:, 0] - E[:, 1]), 2, CFG)
     assert res.lower == pytest.approx(2.0)
     assert res.witness[0] * res.witness[1] == -1
 
 
 def test_sign_supremum_budget():
     with pytest.raises(mn.BudgetError):
-        mn.sign_supremum(lambda e: 0.0, 25, OptimConfig(max_enum=2**20))
+        mn.sign_supremum(lambda E: np.zeros(len(E)), 25, OptimConfig(max_enum=2**20))
 
 
 def test_torus_supremum_examples():
-    res = mn.torus_supremum(lambda z: abs(z[0] + z[1]), 2, CFG)
+    res = mn.torus_supremum(lambda Z: np.abs(Z[:, 0] + Z[:, 1]), 2, CFG)
     assert res.lower == pytest.approx(2.0, abs=1e-9)
-    res = mn.torus_supremum(lambda z: max(abs(z[0]), abs(z[1])), 2, CFG)
+    res = mn.torus_supremum(lambda Z: np.maximum(np.abs(Z[:, 0]), np.abs(Z[:, 1])), 2, CFG)
     assert res.lower == pytest.approx(1.0, abs=1e-9)
-    res = mn.torus_supremum(lambda z: abs(z[0] + 1j * z[1]), 2, CFG)
+    res = mn.torus_supremum(lambda Z: np.abs(Z[:, 0] + 1j * Z[:, 1]), 2, CFG)
     assert res.lower == pytest.approx(2.0, abs=1e-9)
-    res = mn.torus_supremum(lambda z: abs(z[0]), 1, CFG)
+    res = mn.torus_supremum(lambda Z: np.abs(Z[:, 0]), 1, CFG)
     assert res.kind == "exact"
 
 
@@ -52,18 +52,18 @@ def test_torus_matches_signs_on_real_field():
         p = float(rng.choice([1.0, 2.0, 3.0]))
         space = SpaceSpec(p, m)
         X = rng.standard_normal((m, n))
-        f = lambda z: space.norm(X @ np.real(z))
+        f = lambda Z: space.norm_cols(X @ np.real(Z).T)
         sign = mn.sign_supremum(f, n, CFG, symmetric=True)
         torus = mn.torus_supremum(f, n, CFG, field="real")
         assert torus.lower == pytest.approx(sign.lower, abs=1e-9)
 
 
 def test_ball_linear_max_examples():
-    res = mn.ball_linear_max(lambda x: float(np.linalg.norm(x)), lambda x: x[0], (2,), CFG)
+    res = mn.ball_linear_max(lambda P: np.linalg.norm(P, axis=-1), lambda P: P[:, 0], (2,), CFG)
     assert res.lower == pytest.approx(1.0, abs=1e-6)
-    res = mn.ball_linear_max(lambda x: float(np.abs(x).sum()), lambda x: x[0] + x[1], (2,), CFG)
+    res = mn.ball_linear_max(lambda P: np.abs(P).sum(axis=-1), lambda P: P[:, 0] + P[:, 1], (2,), CFG)
     assert res.lower == pytest.approx(1.0, abs=1e-6)
-    res = mn.ball_linear_max(lambda x: float(np.abs(x).max()), lambda x: x[0] + x[1], (2,), CFG)
+    res = mn.ball_linear_max(lambda P: np.abs(P).max(axis=-1), lambda P: P[:, 0] + P[:, 1], (2,), CFG)
     assert res.lower == pytest.approx(2.0, abs=1e-6)
 
 
@@ -142,15 +142,15 @@ def test_determinism_same_seed():
     r2 = mn.op_norm_pq(a, OptimConfig(seed=123))
     assert r1.lower == r2.lower and r1.upper == r2.upper
     assert np.array_equal(r1.witness, r2.witness)
-    res1 = mn.ball_linear_max(lambda x: float(np.linalg.norm(x)), lambda x: x.sum(), (3,), OptimConfig(seed=7))
-    res2 = mn.ball_linear_max(lambda x: float(np.linalg.norm(x)), lambda x: x.sum(), (3,), OptimConfig(seed=7))
+    res1 = mn.ball_linear_max(lambda P: np.linalg.norm(P, axis=-1), lambda P: P.sum(axis=-1), (3,), OptimConfig(seed=7))
+    res2 = mn.ball_linear_max(lambda P: np.linalg.norm(P, axis=-1), lambda P: P.sum(axis=-1), (3,), OptimConfig(seed=7))
     assert res1.lower == res2.lower
     assert np.array_equal(res1.witness, res2.witness)
 
 
 def test_degenerate_membership():
     with pytest.raises(mn.DegenerateNormError):
-        mn.ball_linear_max(lambda x: 0.0, lambda x: 1.0, (2,), CFG)
+        mn.ball_linear_max(lambda P: np.zeros(len(P)), lambda P: np.ones(len(P)), (2,), CFG)
 
 
 def test_torus_certified_upper():
@@ -180,7 +180,7 @@ def test_block_torus_upper_matches_scalar_loop():
             block = torus_certified_upper(lambda Z: space.norm_cols(X @ Z.T), lip, n, cfg, budget=2**14)
             scalar = torus_certified_upper(lambda Z: np.array([space.norm(X @ z) for z in Z]), lip, n, cfg, budget=2**14)
             assert abs(block - scalar) <= 1e-12 * scalar
-            found = mn.torus_supremum(lambda z: space.norm(X @ z), n, cfg)
+            found = mn.torus_supremum(lambda Z: space.norm_cols(X @ Z.T), n, cfg)
             # at n = 1 both sides are the one column's norm, from two summation orders
             assert block >= found.lower * (1 - 4 * np.finfo(float).eps)
 
@@ -246,13 +246,23 @@ def test_unit_grid_blocks_join_to_product():
 
 
 def test_sign_supremum_visits_every_sign_vector():
+    def recorder(seen):
+        return lambda E: seen.extend(map(tuple, E)) or np.zeros(len(E))
+
     for n in range(1, 6):
         seen = []
-        mn.sign_supremum(lambda e: seen.append(tuple(e)) or 0.0, n, CFG)
+        mn.sign_supremum(recorder(seen), n, CFG)
         assert sorted(seen) == sorted(itertools.product([1.0, -1.0], repeat=n))
         seen.clear()
-        mn.sign_supremum(lambda e: seen.append(tuple(e)) or 0.0, n, CFG, symmetric=True)
+        mn.sign_supremum(recorder(seen), n, CFG, symmetric=True)
         assert sorted(seen) == sorted((1.0,) + s for s in itertools.product([1.0, -1.0], repeat=n - 1))
+
+
+def test_sign_supremum_calls_f_once_per_grid_block():
+    calls = []
+    res = mn.sign_supremum(lambda E: calls.append(E.shape) or np.abs(E.sum(axis=1)), 5, CFG)
+    assert calls == [(32, 5)]
+    assert res.lower == 5.0 and np.array_equal(res.witness, np.ones(5))
 
 
 def test_real_weak_summing_1_is_sign_supremum():
@@ -263,7 +273,7 @@ def test_real_weak_summing_1_is_sign_supremum():
         space = SpaceSpec(float(rng.choice([1.0, 1.5, 2.0, 3.0])), m, tuple(rng.uniform(0.5, 2.0, m)))
         X = rng.standard_normal((m, n))
         res = mn.evaluate(spec, mn.VectorTuple(X, space), CFG)
-        ref = mn.sign_supremum(lambda e: space.norm(X @ e), n, CFG)
+        ref = mn.sign_supremum(lambda E: space.norm_cols(X @ E.T), n, CFG)
         assert res.kind == "exact"
         assert res.lower == pytest.approx(ref.lower, rel=1e-12)
 

@@ -163,3 +163,17 @@ def test_pq1q_lower_on_l1_within_exact_standard_q(data):
     exact = mn.evaluate(S.standard_q(q), t, LIGHT)
     assert exact.kind == "exact"
     _below(mn.evaluate(S.pq_spec(1, q), t, LIGHT).lower, exact.lower)
+
+
+@pytest.mark.parametrize("base, closed", [(S.lattice(), S.dual_lattice()), (S.min_spec(), S.lp_sum(1))], ids=["lattice", "min"])
+@settings(max_examples=12)
+@given(data=st.data())
+def test_numerical_dual_lower_within_exact_closed_form_dual(base, closed, data):
+    # criterion 9: the dual of the lattice multi-norm is the dual lattice one, the dual of min is the l^1 sum
+    r = data.draw(st.sampled_from(RS))
+    m = data.draw(st.integers(1, 3))
+    space = mn.SpaceSpec(r, m, _weights(data, m), data.draw(st.sampled_from(["real", "complex"])))
+    t = mn.VectorTuple(data.draw(tuples(space, data.draw(st.integers(1, 3)))), space)
+    exact = mn.evaluate(closed, t, LIGHT)
+    assert exact.kind == "exact"
+    _below(mn.evaluate(S.numerical_dual(base), t, LIGHT).lower, exact.lower)
