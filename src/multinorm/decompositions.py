@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetError, HermitianError, SpecError
-from .multinorms import MultiNormSpec, _norm_of_abs, point_value
+from .multinorms import MultiNormSpec, _norm_of_abs, _point_values, _stack_values, _trial_chunks
 from .optim import OptimConfig, _as_value, _first_max, field_normal
 from .partitions import GRID_BLOCK, set_partitions, slot_assignments, unit_grid
 from .spaces import SpaceSpec, VectorTuple, delta_tuple, matrix_from_json, matrix_to_json
@@ -155,6 +155,7 @@ def is_hermitian(
     when the grid fits the budget) plus sampled interior points.
     """
     cfg = cfg or OptimConfig()
+    _trial_chunks(trials)  # rejects a negative count
     k = d.length
     Ps = d.projections
     worst_gap, witness = 0.0, None
@@ -202,38 +203,57 @@ def is_small(
     k = d.length
     Ps = d.projections
     worst_gap, witness = 0.0, None
-    for ti in range(trials):
-        rng = cfg.rng(140000 + ti)
-        X = field_normal(rng, (space.dim, k), space.is_complex)
-        if ti == 0:
-            X = delta_tuple(space.dim, k, space.is_complex)
-        elif ti == 1:
-            X = np.ones_like(X)
-        elif ti % 3 == 1:
-            X = np.stack([P @ X[:, i] for i, P in enumerate(Ps)], axis=1)
-        y = sum(Ps[i] @ X[:, i] for i in range(k))
-        lhs = space.norm(y)
-        rhs = point_value(spec, space, X, cfg)
-        gap = lhs - rhs
-        if gap > worst_gap:
-            worst_gap = gap
-            witness = {"tuple": X, "lhs": lhs, "rhs": rhs}
+    for chunk in _trial_chunks(trials):
+        drawn = []
+        for ti in chunk:
+            rng = cfg.rng(140000 + ti)
+            X = field_normal(rng, (space.dim, k), space.is_complex)
+            if ti == 0:
+                X = delta_tuple(space.dim, k, space.is_complex)
+            elif ti == 1:
+                X = np.ones_like(X)
+            elif ti % 3 == 1:
+                X = np.stack([P @ X[:, i] for i, P in enumerate(Ps)], axis=1)
+            drawn.append((X, space.norm(sum(Ps[i] @ X[:, i] for i in range(k)))))
+        rhs_vals = _point_values(spec, space, [X for X, _ in drawn], cfg)
+        for (X, lhs), rhs in zip(drawn, rhs_vals):
+            gap = lhs - rhs
+            if gap > worst_gap:
+                worst_gap = gap
+                witness = {"tuple": X, "lhs": lhs, "rhs": rhs}
     verdict = worst_gap <= tol
     return DetectorReport(verdict, worst_gap, witness, trials, "small-decomposition test")
 
 
-def coagulations_equal(spec: MultiNormSpec, space: SpaceSpec, X: np.ndarray, cfg: OptimConfig):
-    """Worst |coagulated - original| over all set partitions of the slots."""
-    k = X.shape[1]
-    base = point_value(spec, space, X, cfg)
-    worst = (0.0, None, base, base)
-    for blocks in set_partitions(k):
-        Y = np.stack([X[:, b].sum(axis=1) for b in blocks], axis=1)
-        val = point_value(spec, space, Y, cfg)
-        gap = abs(val - base)
-        if gap > worst[0]:
-            worst = (gap, blocks, val, base)
-    return worst
+def coagulations_equal(spec: MultiNormSpec, space: SpaceSpec, Xs: list, cfg: OptimConfig) -> list[tuple]:
+    """For each k-slot tuple of Xs, the worst (|coagulated - original|, blocks, coagulated, original).
+
+    Every tuple of Xs has the same k slots; the worst is taken over all set
+    partitions of the slots, the first one on ties.  The tuples and their
+    coagulations are evaluated as stacks of at most about GRID_BLOCK tuples.
+    """
+    if not Xs:
+        return []
+    partitions = list(set_partitions(Xs[0].shape[1]))
+    per = len(partitions) + 1
+    step = max(1, GRID_BLOCK // per)
+    out = []
+    for s in range(0, len(Xs), step):
+        batch = Xs[s : s + step]
+        tuples = []
+        for X in batch:
+            tuples.append(X)
+            tuples += [np.stack([X[:, b].sum(axis=1) for b in blocks], axis=1) for blocks in partitions]
+        vals = _point_values(spec, space, tuples, cfg)
+        for i in range(len(batch)):
+            base = vals[per * i]
+            worst = (0.0, None, base, base)
+            for blocks, val in zip(partitions, vals[per * i + 1 : per * (i + 1)]):
+                gap = abs(val - base)
+                if gap > worst[0]:
+                    worst = (gap, blocks, val, base)
+            out.append(worst)
+    return out
 
 
 def is_orthogonal(
@@ -251,14 +271,15 @@ def is_orthogonal(
         raise BudgetError("coagulation enumeration capped at 8 blocks")
     Ps = d.projections
     worst_gap, witness = 0.0, None
-    for ti in range(trials):
-        rng = cfg.rng(150000 + ti)
-        Z = field_normal(rng, (space.dim, k), space.is_complex)
-        X = np.stack([Ps[i] @ Z[:, i] for i in range(k)], axis=1)
-        gap, blocks, lhs, rhs = coagulations_equal(spec, space, X, cfg)
-        if gap > worst_gap:
-            worst_gap = gap
-            witness = {"tuple": X, "partition": blocks, "lhs": lhs, "rhs": rhs}
+    for chunk in _trial_chunks(trials):
+        Xs = []
+        for ti in chunk:
+            Z = field_normal(cfg.rng(150000 + ti), (space.dim, k), space.is_complex)
+            Xs.append(np.stack([Ps[i] @ Z[:, i] for i in range(k)], axis=1))
+        for X, (gap, blocks, lhs, rhs) in zip(Xs, coagulations_equal(spec, space, Xs, cfg)):
+            if gap > worst_gap:
+                worst_gap = gap
+                witness = {"tuple": X, "partition": blocks, "lhs": lhs, "rhs": rhs}
     verdict = worst_gap <= tol
     return DetectorReport(verdict, worst_gap, witness, trials, "orthogonal-decomposition test")
 
@@ -276,18 +297,22 @@ def orthogonal_set(
     k = t.n
     if k > 8:
         raise BudgetError("coagulation enumeration capped at 8 vectors")
+    chunks = _trial_chunks(trials)
     worst_gap, witness = 0.0, None
-    scalings = [np.ones(k)]
-    for ti in range(trials):
-        scalings.append(field_normal(cfg.rng(160000 + ti), k, space.is_complex))
-    for c in scalings:
-        X = t.columns * np.asarray(c)[None, :]
-        gap, blocks, lhs, rhs = coagulations_equal(spec, space, X, cfg)
-        if gap > worst_gap:
-            worst_gap = gap
-            witness = {"scalars": c, "partition": blocks, "lhs": lhs, "rhs": rhs}
+
+    def batches():
+        yield [np.ones(k)]
+        for chunk in chunks:
+            yield [field_normal(cfg.rng(160000 + ti), k, space.is_complex) for ti in chunk]
+
+    for scalings in batches():
+        Xs = [t.columns * c[None, :] for c in scalings]
+        for c, (gap, blocks, lhs, rhs) in zip(scalings, coagulations_equal(spec, space, Xs, cfg)):
+            if gap > worst_gap:
+                worst_gap = gap
+                witness = {"scalars": c, "partition": blocks, "lhs": lhs, "rhs": rhs}
     verdict = worst_gap <= tol
-    return DetectorReport(verdict, worst_gap, witness, len(scalings), "orthogonal-set test")
+    return DetectorReport(verdict, worst_gap, witness, trials + 1, "orthogonal-set test")
 
 
 # ---------------------------------------------------------------------------
@@ -412,25 +437,27 @@ def is_orthogonal_multinorm(
 ) -> DetectorReport:
     """Estimate sup (spec value - generated value); heuristic verdict gap < tol."""
     cfg = cfg or OptimConfig()
+    chunks = _trial_chunks(trials)
     worst_gap, witness = 0.0, None
-    for ti in range(trials):
-        rng = cfg.rng(170000 + ti)
-        n = int(rng.integers(1, 4))
-        X = field_normal(rng, (space.dim, n), space.is_complex)
-        lhs = point_value(spec, space, X, cfg)
-        rhs = generated_value(f, space, X, cfg)
-        gap = lhs - rhs
-        if gap > worst_gap:
-            worst_gap = gap
-            witness = {"tuple": X, "spec_value": lhs, "generated_value": rhs}
-    # canonical delta tuples catch coordinate effects that random draws smear
-    for n in range(1, min(space.dim, 3) + 1):
-        X = delta_tuple(space.dim, n, space.is_complex)
-        lhs = point_value(spec, space, X, cfg)
-        rhs = generated_value(f, space, X, cfg)
-        gap = lhs - rhs
-        if gap > worst_gap:
-            worst_gap = gap
-            witness = {"tuple": X, "spec_value": lhs, "generated_value": rhs}
+
+    def batches():
+        for chunk in chunks:
+            Xs = []
+            for ti in chunk:
+                rng = cfg.rng(170000 + ti)
+                n = int(rng.integers(1, 4))
+                Xs.append(field_normal(rng, (space.dim, n), space.is_complex))
+            yield Xs
+        # canonical delta tuples catch coordinate effects that random draws smear
+        yield [delta_tuple(space.dim, n, space.is_complex) for n in range(1, min(space.dim, 3) + 1)]
+
+    for Xs in batches():
+        lhs_vals = _point_values(spec, space, Xs, cfg)
+        rhs_vals = _stack_values(lambda S: generated_value(f, space, S, cfg), Xs)
+        for X, lhs, rhs in zip(Xs, lhs_vals, rhs_vals):
+            gap = lhs - rhs
+            if gap > worst_gap:
+                worst_gap = gap
+                witness = {"tuple": X, "spec_value": lhs, "generated_value": rhs}
     verdict = worst_gap <= tol
     return DetectorReport(verdict, worst_gap, witness, trials, "orthogonality of the multi-norm w.r.t. the family")

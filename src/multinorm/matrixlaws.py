@@ -15,8 +15,8 @@ from typing import Any
 import numpy as np
 
 from .errors import FieldError, SpecError
-from .multinorms import MultiNormSpec, point_value
-from .optim import OptimConfig, field_normal, op_norm_pq
+from .multinorms import MultiNormSpec, _point_values, _stack_values, _trial_chunks
+from .optim import OptimConfig, _holder_upper, _op_norm_closed_form, _op_norm_exact, field_normal
 from .partitions import set_partitions
 from .spaces import INF, MatrixOp, SpaceSpec
 
@@ -126,6 +126,29 @@ class MatrixLawReport:
         return not self.violations
 
 
+def _law_norms(mats: list, p: float, cfg: OptimConfig) -> list[float]:
+    """||A : l^p -> l^p|| for each matrix, in list order.
+
+    A closed-form role is evaluated one stack per (shape, dtype) group;
+    other roles take op_norm_pq's value matrix by matrix: exact where
+    _op_norm_exact is, else the Holder upper bound of its bracket.
+    """
+    closed = _op_norm_closed_form(p, p)
+    if closed is None:
+        out = []
+        for A in mats:
+            res = _op_norm_exact(A, p, p, cfg, np.iscomplexobj(A))
+            out.append(res.lower if res is not None else _holder_upper(A, p, p))
+        return out
+
+    def checked(S):
+        if not np.all(np.isfinite(S)):
+            raise ValueError("matrix entries must be finite")
+        return closed(S)
+
+    return _stack_values(checked, mats)
+
+
 def check_multinorm_matrix_law(
     spec: MultiNormSpec,
     space: SpaceSpec,
@@ -140,35 +163,39 @@ def check_multinorm_matrix_law(
     p_role = inf certifies the multi-norm law, p_role = 1 the dual law,
     general p the type-p law.  For roles without a closed form the matrix
     norm is replaced by its certified upper bound, so every reported
-    violation is genuine.
+    violation is genuine.  The first len(fixed_matrices) trials use those
+    matrices in place of random ones.
     """
     cfg = cfg or OptimConfig()
+    chunks = _trial_chunks(trials)
     violations: list[LawViolation] = []
     mdim = space.dim
     fixed = [np.asarray(M) for M in (fixed_matrices or [])]
     if not space.is_complex and any(np.iscomplexobj(A) and np.any(A.imag != 0) for A in fixed):
         raise FieldError("complex fixed matrix in a law on a real space")
     fixed = [A.astype(complex) if space.is_complex and np.iscomplexobj(A) else np.real(A).astype(float) for A in fixed]
-    for trial in range(trials):
-        rng = cfg.rng(70000 + trial)
-        n = int(rng.integers(1, 5))
-        if fixed and trial < len(fixed):
-            A = fixed[trial]
-            n = A.shape[1]
-            m = A.shape[0]
-        else:
-            m = int(rng.integers(1, 5))
-            A = rng.uniform(-1, 1, size=(m, n))
-            if space.is_complex and rng.random() < 0.5:
-                A = A + 1j * rng.uniform(-1, 1, size=(m, n))
-        X = field_normal(rng, (mdim, n), space.is_complex)
-        res = op_norm_pq(MatrixOp(A, p_role, p_role), cfg)
-        anorm = res.lower if res.kind == "exact" else res.upper
-        lhs = point_value(spec, space, X @ A.T, cfg)
-        rhs = point_value(spec, space, X, cfg)
-        bound = anorm * rhs
-        if lhs > bound + tol * max(1.0, bound):
-            violations.append(LawViolation(lhs, bound, A, X))
+    for A in fixed or [np.zeros((1, 1))]:
+        MatrixOp(A, p_role, p_role)  # the role, shape and finiteness checks, once per matrix
+
+    for chunk in chunks:
+        drawn = []
+        for trial in chunk:
+            rng = cfg.rng(70000 + trial)
+            n = int(rng.integers(1, 5))
+            if trial < len(fixed):
+                A = fixed[trial]
+            else:
+                m = int(rng.integers(1, 5))
+                A = rng.uniform(-1, 1, size=(m, n))
+                if space.is_complex and rng.random() < 0.5:
+                    A = A + 1j * rng.uniform(-1, 1, size=(m, n))
+            drawn.append((A, field_normal(rng, (mdim, A.shape[1]), space.is_complex)))
+        norms = _law_norms([A for A, _ in drawn], p_role, cfg)
+        vals = _point_values(spec, space, [X @ A.T for A, X in drawn] + [X for _, X in drawn], cfg)
+        for (A, X), anorm, lhs, rhs in zip(drawn, norms, vals, vals[len(drawn) :]):
+            bound = anorm * rhs
+            if lhs > bound + tol * max(1.0, bound):
+                violations.append(LawViolation(lhs, bound, A, X))
     return MatrixLawReport(p_role, trials, tol, violations)
 
 
@@ -181,17 +208,21 @@ def check_coagulation_contraction(
 ) -> MatrixLawReport:
     """For dual multi-norms: summing blocks of a tuple never increases it."""
     cfg = cfg or OptimConfig()
+    chunks = _trial_chunks(trials)
     violations: list[LawViolation] = []
     m = space.dim
-    for trial in range(trials):
-        rng = cfg.rng(90000 + trial)
-        n = int(rng.integers(2, 5))
-        X = field_normal(rng, (m, n), space.is_complex)
-        parts = list(set_partitions(n))
-        blocks = parts[int(rng.integers(0, len(parts)))]
-        Y = np.stack([X[:, b].sum(axis=1) for b in blocks], axis=1)
-        lhs = point_value(spec, space, Y, cfg)
-        rhs = point_value(spec, space, X, cfg)
-        if lhs > rhs + tol * max(1.0, rhs):
-            violations.append(LawViolation(lhs, rhs, blocks, X))
+    partitions = {n: list(set_partitions(n)) for n in range(2, 5)}
+    for chunk in chunks:
+        drawn = []
+        for trial in chunk:
+            rng = cfg.rng(90000 + trial)
+            n = int(rng.integers(2, 5))
+            X = field_normal(rng, (m, n), space.is_complex)
+            parts = partitions[n]
+            blocks = parts[int(rng.integers(0, len(parts)))]
+            drawn.append((blocks, X, np.stack([X[:, b].sum(axis=1) for b in blocks], axis=1)))
+        vals = _point_values(spec, space, [Y for *_, Y in drawn] + [X for _, X, _ in drawn], cfg)
+        for (blocks, X, _), lhs, rhs in zip(drawn, vals, vals[len(drawn) :]):
+            if lhs > rhs + tol * max(1.0, rhs):
+                violations.append(LawViolation(lhs, rhs, blocks, X))
     return MatrixLawReport(1.0, trials, tol, violations)

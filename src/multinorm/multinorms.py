@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SpecError
 from .optim import NormValue, OptimConfig, _as_value, _root, ball_linear_max, field_normal, lp_norm, seeded_ascent
-from .partitions import slot_assignments
+from .partitions import GRID_BLOCK, slot_assignments
 from .spaces import INF, REAL, SpaceSpec, VectorTuple, delta, delta_tuple, phase, roots_tuple
 from . import summing
 
@@ -730,6 +730,43 @@ class AxiomReport:
         }
 
 
+def _trial_chunks(trials: int) -> list[range]:
+    """Trial indices 0..trials-1 in ranges of at most GRID_BLOCK; a negative count is a SpecError.
+
+    An audit draws one range's trials, evaluates them, and scans them
+    before it draws the next, so its memory does not grow with trials.
+    """
+    if trials < 0:
+        raise SpecError(f"trials must be >= 0, got {trials}")
+    return [range(s, min(s + GRID_BLOCK, trials)) for s in range(0, trials, GRID_BLOCK)]
+
+
+def _stack_values(evaluate_stack: Callable[[np.ndarray], Any], tuples: list) -> list[float]:
+    """The float values of a list of arrays, in list order.
+
+    evaluate_stack gets one (B, *shape) stack per (shape, dtype) group and
+    returns its B values; where it keeps point_value's contract each value
+    equals the value of its array alone bit for bit.
+    """
+    groups: dict = {}
+    for i, X in enumerate(tuples):
+        groups.setdefault((X.shape, X.dtype), []).append(i)
+    out = np.empty(len(tuples))
+    for idx in groups.values():
+        out[idx] = evaluate_stack(np.stack([tuples[i] for i in idx]))
+    return out.tolist()
+
+
+def _point_values(spec: MultiNormSpec, space: SpaceSpec, tuples: list, cfg: OptimConfig) -> list[float]:
+    """point_value of each tuple of a list, in list order, with one point_value call per stack.
+
+    Resolving the evaluator once per stack costs a few microseconds, and
+    every evaluation stays a point_value call, which is what tools that
+    wrap point_value (the benchmark's certificate-kind recorder) observe.
+    """
+    return _stack_values(lambda S: point_value(spec, space, S, cfg), tuples)
+
+
 def check_axioms(
     spec: MultiNormSpec,
     space: SpaceSpec,
@@ -742,9 +779,14 @@ def check_axioms(
 
     Exact-path specs are audited at tol 1e-8; search-backed specs at the
     widened 2e-2 on their certified lower bounds, flagged "heuristic".
+    Each trial draws n, X, a permutation and the scalars alpha from its own
+    stream; the derived tuples of a chunk of trials are evaluated as stacks.
     """
     cfg = cfg or OptimConfig()
     validate(spec, space)
+    if n_max < 2:
+        raise SpecError(f"axiom audits need n_max >= 2, got {n_max}")
+    chunks = _trial_chunks(trials)
     exact = is_exact_path(spec, space, n_max, cfg)
     if tol is None:
         tol = 1e-8 if exact else 2e-2
@@ -752,47 +794,50 @@ def check_axioms(
     dual = spec.is_dual_multinorm()
     last_axiom = "B4" if dual else "A4"
     checked = ["A1", "A2", "A3", last_axiom]
-    val = lambda X: point_value(spec, space, X, cfg)
 
     violations: list[AxiomViolation] = []
     m = space.dim
-    for trial in range(trials):
-        rng = cfg.rng(40000 + trial)
-        n = int(rng.integers(2, n_max + 1))
-        X = field_normal(rng, (m, n), space.is_complex)
-        base = val(X)
-
-        perm = rng.permutation(n)
-        lhs = val(X[:, perm])
-        if abs(lhs - base) > tol * max(1.0, base):
-            violations.append(AxiomViolation("A1", n, lhs, base, abs(lhs - base), {"tuple": X, "perm": perm}))
-
-        alpha = 2.0 * rng.random(n) - 0.0
-        if space.is_complex:
-            alpha = alpha * np.exp(2j * np.pi * rng.random(n))
-        lhs = val(X * alpha[None, :])
-        rhs = float(np.abs(alpha).max()) * base
-        if lhs > rhs + tol * max(1.0, rhs):
-            violations.append(AxiomViolation("A2", n, lhs, rhs, lhs - rhs, {"tuple": X, "alpha": alpha}))
-
-        padded = np.concatenate([X, np.zeros((m, 1), dtype=X.dtype)], axis=1)
-        lhs = val(padded)
-        if abs(lhs - base) > tol * max(1.0, base):
-            violations.append(AxiomViolation("A3", n + 1, lhs, base, abs(lhs - base), {"tuple": X}))
-
-        if not dual:
+    for chunk in chunks:
+        drawn, tuples = [], []
+        for trial in chunk:
+            rng = cfg.rng(40000 + trial)
+            n = int(rng.integers(2, n_max + 1))
+            X = field_normal(rng, (m, n), space.is_complex)
+            perm = rng.permutation(n)
+            alpha = 2.0 * rng.random(n)
+            if space.is_complex:
+                alpha = alpha * np.exp(2j * np.pi * rng.random(n))
+            padded = np.concatenate([X, np.zeros((m, 1), dtype=X.dtype)], axis=1)
             rep = np.concatenate([X, X[:, -1:]], axis=1)
-            lhs = val(rep)
-            if abs(lhs - base) > tol * max(1.0, base):
-                violations.append(AxiomViolation("A4", n + 1, lhs, base, abs(lhs - base), {"tuple": X}))
-        else:
-            rep = np.concatenate([X, X[:, -1:]], axis=1)
-            doubled = X.copy()
-            doubled[:, -1] *= 2.0
-            lhs = val(rep)
-            rhs = val(doubled)
-            if abs(lhs - rhs) > tol * max(1.0, rhs):
-                violations.append(AxiomViolation("B4", n + 1, lhs, rhs, abs(lhs - rhs), {"tuple": X}))
+            # base, permuted, scaled, padded, repeated last slot, and for (B4) the doubled last slot
+            tuples += [X, X[:, perm], X * alpha[None, :], padded, rep]
+            if dual:
+                doubled = X.copy()
+                doubled[:, -1] *= 2.0
+                tuples.append(doubled)
+            drawn.append((n, X, perm, alpha))
+        vals = _point_values(spec, space, tuples, cfg)
+        per = 6 if dual else 5
+
+        for i, (n, X, perm, alpha) in enumerate(drawn):
+            base, permuted, scaled, padded_val, rep_val = vals[per * i : per * i + 5]
+            if abs(permuted - base) > tol * max(1.0, base):
+                violations.append(AxiomViolation("A1", n, permuted, base, abs(permuted - base), {"tuple": X, "perm": perm}))
+
+            rhs = float(np.abs(alpha).max()) * base
+            if scaled > rhs + tol * max(1.0, rhs):
+                violations.append(AxiomViolation("A2", n, scaled, rhs, scaled - rhs, {"tuple": X, "alpha": alpha}))
+
+            if abs(padded_val - base) > tol * max(1.0, base):
+                violations.append(AxiomViolation("A3", n + 1, padded_val, base, abs(padded_val - base), {"tuple": X}))
+
+            if not dual:
+                if abs(rep_val - base) > tol * max(1.0, base):
+                    violations.append(AxiomViolation("A4", n + 1, rep_val, base, abs(rep_val - base), {"tuple": X}))
+            else:
+                rhs = vals[per * i + 5]
+                if abs(rep_val - rhs) > tol * max(1.0, rhs):
+                    violations.append(AxiomViolation("B4", n + 1, rep_val, rhs, abs(rep_val - rhs), {"tuple": X}))
 
     return AxiomReport(checked, violations, trials, tol, mode)
 

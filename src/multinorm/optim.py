@@ -394,7 +394,6 @@ def ball_linear_max(
     cfg: OptimConfig,
     seeds: Sequence[np.ndarray] = (),
     complex_field: bool = False,
-    upper: float | None = None,
 ) -> NormValue:
     """Approximate sup{ |objective(x)| : membership(x) <= 1 }.
 
@@ -419,8 +418,6 @@ def ball_linear_max(
     val, pt = seeded_ascent(project, value, seeds, shape, cfg, complex_field)
     if val == -INF:
         val, pt = 0.0, None
-    if upper is not None:
-        return NormValue.bracket(min(val, upper), upper, pt, "ball_ascent")
     return NormValue.lower_bound(val, pt, "ball_ascent")
 
 
@@ -429,7 +426,7 @@ def ball_linear_max(
 
 
 def _col_norms(A: np.ndarray, r: float) -> np.ndarray:
-    """Unweighted l^r norms of the columns of A, vectorized.
+    """Unweighted l^r norms of the columns of A, or of each matrix of a (..., m, n) stack.
 
     Fewer than 8 rows are summed in lp_norm's order, and the r-th root is
     the scalar pow lp_norm takes (numpy's array pow may round differently),
@@ -437,8 +434,8 @@ def _col_norms(A: np.ndarray, r: float) -> np.ndarray:
     """
     a = np.abs(A)
     if r == INF:
-        return a.max(axis=0, initial=0.0)
-    return _root((a**r).sum(axis=0), r)
+        return a.max(axis=-2, initial=0.0)
+    return _root((a**r).sum(axis=-2), r)
 
 
 def _holder_upper(A: np.ndarray, p: float, q: float) -> float:
@@ -513,6 +510,23 @@ def op_norm_pq(a: MatrixOp, cfg: OptimConfig, field: str | None = None) -> NormV
     upper = _holder_upper(A, p, q)
     lower, x = _power_ascent(A, p, q, cfg, complex_field)
     return NormValue.bracket(min(lower, upper), upper, x, "power_ascent")
+
+
+def _op_norm_closed_form(p: float, q: float) -> Callable[[np.ndarray], np.ndarray] | None:
+    """_op_norm_exact's closed form for the role (p, q) on (B, m, n) stacks, or None.
+
+    p=1 (max column q-norm), q=inf (max row p'-norm) and p=q=2 (top
+    singular value, from the same full SVD); each of the B values equals
+    _op_norm_exact(S[b], ...).lower bit for bit.
+    """
+    if p == 1:
+        return lambda S: _col_norms(S, q).max(axis=-1)
+    if q == INF:
+        pp = conjugate_index(p)
+        return lambda S: _col_norms(np.swapaxes(S, -1, -2), pp).max(axis=-1)
+    if p == 2 and q == 2:
+        return lambda S: np.linalg.svd(S)[1][..., 0]
+    return None
 
 
 def _op_norm_exact(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool) -> NormValue | None:

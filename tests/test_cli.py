@@ -170,3 +170,19 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     saved = json.loads(path.read_text())
     assert saved["result"]["norm_value"]["lower"] == pytest.approx(5.0)
+
+
+def test_bad_audit_sizes_exit_2(capsys):
+    # n_max < 2 leaked numpy's "low >= high"; a negative trial count was echoed in an empty report
+    space, lattice = {"p": 2, "dim": 3}, {"variant": "lattice"}
+    decomposition = {"projections": [[[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 1]]]}
+    for command, doc in [
+        ("axioms", {"space": space, "spec": lattice, "n_max": 1}),
+        ("axioms", {"space": space, "spec": lattice, "trials": -3}),
+        ("decomp", {"space": space, "spec": lattice, "decomposition": decomposition, "trials": -3}),
+    ]:
+        code = main([command, json.dumps(doc)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("SpecError: ") and captured.err.count("\n") == 1

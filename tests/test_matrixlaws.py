@@ -120,3 +120,36 @@ def test_role_guard():
         mn.row_special_decompose(mn.MatrixOp(np.eye(2), 1, 1))
     with pytest.raises(mn.SpecError):
         mn.column_special_decompose(mn.MatrixOp(np.eye(2), INF, INF))
+
+
+def test_fixed_matrices_are_validated_up_front():
+    s = SpaceSpec(2, 2)
+    with pytest.raises(mn.DimensionError):
+        mn.check_multinorm_matrix_law(Spec.min_spec(), s, INF, trials=3, cfg=CFG, fixed_matrices=[np.ones(3)])
+    with pytest.raises(ValueError, match="finite"):
+        mn.check_multinorm_matrix_law(Spec.min_spec(), s, INF, trials=3, cfg=CFG, fixed_matrices=[np.array([[1.0, np.nan]])])
+    with pytest.raises(ValueError, match="roles"):
+        mn.check_multinorm_matrix_law(Spec.min_spec(), s, 0.5, trials=3, cfg=CFG)
+    with pytest.raises(ValueError, match="roles"):
+        mn.check_multinorm_matrix_law(Spec.min_spec(), s, 0.5, trials=3, cfg=CFG, fixed_matrices=[np.eye(2)])
+
+
+def test_audits_reject_bad_sizes():
+    s = SpaceSpec(2, 3)
+    d = mn.coordinate_decomposition(s, [[0], [1, 2]])
+    t = mn.VectorTuple(np.eye(3), s)
+    with pytest.raises(mn.SpecError):
+        mn.check_axioms(Spec.lattice(), s, n_max=1, trials=5, cfg=CFG)
+    for audit in (
+        lambda: mn.check_axioms(Spec.lattice(), s, trials=-1, cfg=CFG),
+        lambda: mn.check_multinorm_matrix_law(Spec.lattice(), s, INF, trials=-1, cfg=CFG),
+        lambda: mn.check_coagulation_contraction(Spec.dual_lattice(), s, trials=-1, cfg=CFG),
+        lambda: mn.is_hermitian(d, s, trials=-1, cfg=CFG),
+        lambda: mn.is_small(d, Spec.lattice(), s, trials=-1, cfg=CFG),
+        lambda: mn.is_orthogonal(d, Spec.lattice(), s, trials=-1, cfg=CFG),
+        lambda: mn.orthogonal_set(Spec.lattice(), t, trials=-1, cfg=CFG),
+        lambda: mn.is_orthogonal_multinorm(Spec.lattice(), mn.band_family(s), s, trials=-1, cfg=CFG),
+    ):
+        with pytest.raises(mn.SpecError, match="trials"):
+            audit()
+    assert mn.check_axioms(Spec.lattice(), s, trials=0, cfg=CFG).ok
