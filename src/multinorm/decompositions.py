@@ -234,7 +234,8 @@ def coagulations_equal(spec: MultiNormSpec, space: SpaceSpec, Xs: list, cfg: Opt
     """
     if not Xs:
         return []
-    partitions = list(set_partitions(Xs[0].shape[1]))
+    # the last set partition is all singletons, whose coagulation is the tuple itself
+    partitions = list(set_partitions(Xs[0].shape[1]))[:-1]
     per = len(partitions) + 1
     step = max(1, GRID_BLOCK // per)
     out = []

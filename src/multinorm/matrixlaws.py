@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FieldError, SpecError
 from .multinorms import MultiNormSpec, _point_values, _stack_values, _trial_chunks
-from .optim import OptimConfig, _holder_upper, _op_norm_closed_form, _op_norm_exact, field_normal
+from .optim import OptimConfig, _holder_upper, _op_norm_exact, field_normal
 from .partitions import set_partitions
 from .spaces import INF, MatrixOp, SpaceSpec
 
@@ -127,26 +127,21 @@ class MatrixLawReport:
 
 
 def _law_norms(mats: list, p: float, cfg: OptimConfig) -> list[float]:
-    """||A : l^p -> l^p|| for each matrix, in list order.
+    """||A : l^p -> l^p|| for each matrix, in list order, one stack per (shape, dtype) group.
 
-    A closed-form role is evaluated one stack per (shape, dtype) group;
-    other roles take op_norm_pq's value matrix by matrix: exact where
-    _op_norm_exact is, else the Holder upper bound of its bracket.
+    _op_norm_exact's value where it has one, else the Holder upper bound.
     """
-    closed = _op_norm_closed_form(p, p)
-    if closed is None:
-        out = []
-        for A in mats:
-            res = _op_norm_exact(A, p, p, cfg, np.iscomplexobj(A))
-            out.append(res.lower if res is not None else _holder_upper(A, p, p))
-        return out
 
-    def checked(S):
+    def norms(S):
         if not np.all(np.isfinite(S)):
             raise ValueError("matrix entries must be finite")
-        return closed(S)
+        values, _, methods = _op_norm_exact(S, p, p, cfg, np.iscomplexobj(S))
+        bound = np.array([m is None for m in methods])
+        if bound.any():
+            values[bound] = _holder_upper(S[bound], p, p)
+        return values
 
-    return _stack_values(checked, mats)
+    return _stack_values(norms, mats)
 
 
 def check_multinorm_matrix_law(

@@ -324,16 +324,19 @@ def _pairings(space: SpaceSpec, X: np.ndarray, L: np.ndarray) -> np.ndarray:
     return np.einsum("k,...kj,...kj->...j", space.w, X, L)
 
 
+def _slot_norming_seeds(space: SpaceSpec, X: np.ndarray) -> list[np.ndarray]:
+    """The functionals norming X's columns (unit_ball_norming), then one tuple per slot keeping only that slot's."""
+    m, n = X.shape
+    norming = np.stack([space.unit_ball_norming(X[:, j]) for j in range(n)], axis=1)
+    singles = np.zeros((n, m, n), dtype=norming.dtype)
+    singles[np.arange(n), :, np.arange(n)] = norming.T
+    return [norming, *singles]
+
+
 def _pq_seeds(space: SpaceSpec, X: np.ndarray) -> list[np.ndarray]:
     m, n = X.shape
     dt = complex if space.is_complex else float
-    seeds = [delta_tuple(m, n, space.is_complex)]
-    norming = np.stack([space.unit_ball_norming(X[:, j]) for j in range(n)], axis=1)
-    seeds.append(norming.astype(dt))
-    for j in range(n):
-        single = np.zeros((m, n), dtype=dt)
-        single[:, j] = norming[:, j]
-        seeds.append(single)
+    seeds = [delta_tuple(m, n, space.is_complex), *_slot_norming_seeds(space, X)]
     # functionals norming each entry on the coordinates it dominates
     owner = np.abs(X).argmax(axis=1)
     masked = np.zeros((m, n), dtype=dt)
@@ -368,11 +371,10 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
         inner_cfg = replace(cfg, restarts=2, refine_passes=1)
 
         def project(Ls):
-            out, ok = Ls.copy(), np.zeros(len(Ls), dtype=bool)
-            for b, L in enumerate(Ls):
-                scale, _ = summing.mu_scale(p, L, dual, inner_cfg)
-                if scale > 0 and math.isfinite(scale):
-                    out[b], ok[b] = L / scale, True
+            scale, _ = summing.mu_scale(p, Ls, dual, inner_cfg)
+            ok = (scale > 0) & np.isfinite(scale)
+            out = Ls.copy()
+            out[ok] = Ls[ok] / scale[ok][:, None, None]
             return out, ok
 
         def value(Ls):
@@ -570,7 +572,7 @@ def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig)
     base = spec.base
     L = t.columns
     m, n = L.shape
-    heuristic = exact_evaluator(base, primal, cfg) is None
+    heuristic = not is_exact_path(base, primal, n, cfg)
     membership = point_evaluator(base, primal, replace(cfg, restarts=min(cfg.restarts, 4), refine_passes=1))
 
     def objective(Xs):
@@ -589,12 +591,7 @@ def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig)
     for k in range(m):
         masked[k, owner[k]] = u[k] * phases[k, owner[k]]
     seeds.append(masked)
-    per_slot = np.stack([dual_space.unit_ball_norming(L[:, j]) for j in range(n)], axis=1)
-    seeds.append(per_slot.astype(dt))
-    for j in range(n):
-        single = np.zeros((m, n), dtype=dt)
-        single[:, j] = per_slot[:, j]
-        seeds.append(single)
+    seeds += _slot_norming_seeds(dual_space, L)
 
     res = ball_linear_max(membership, objective, (m, n), cfg, seeds=seeds, complex_field=primal.is_complex)
     method = "numerical_dual_ascent" + ("_heuristic_membership" if heuristic else "")
@@ -658,19 +655,19 @@ def evaluate(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig | None = None
 
 
 def point_evaluator(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig) -> Callable[[np.ndarray], Any]:
-    """point_value with the evaluator resolved once, for callers that evaluate many tuples."""
+    """point_value with the evaluator resolved once; as in evaluate, widths that fail _grid_fits take the search path."""
     fast = exact_evaluator(spec, space, cfg)
-    if fast is not None:
-        return fast
 
-    def search(X):
+    def value(X):
         X = np.asarray(X)
+        if fast is not None and _grid_fits(spec, space, X.shape[-1], cfg):
+            return fast(X)
         if X.ndim == 2:
             return evaluate(spec, VectorTuple(X, space), cfg).lower
         flat = X.reshape(-1, *X.shape[-2:])
         return np.array([evaluate(spec, VectorTuple(x, space), cfg).lower for x in flat]).reshape(X.shape[:-2])
 
-    return search
+    return value
 
 
 def point_value(spec: MultiNormSpec, space: SpaceSpec, X: np.ndarray, cfg: OptimConfig):

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SpecError
-from .multinorms import MultiNormSpec, evaluate, exact_evaluator, point_evaluator
+from .multinorms import MultiNormSpec, _grid_fits, evaluate, exact_evaluator, point_evaluator
 from .optim import INF, NormValue, OptimConfig, seeded_ascent, unconstrained
 from .spaces import MatrixOp, SpaceSpec, VectorTuple, delta_tuple
-from .summing import op_norm_between
+from .summing import _scaled_score, op_norm_between
 
 
 def amplify(T, t: VectorTuple, target: SpaceSpec) -> VectorTuple:
@@ -75,16 +75,16 @@ def _delta_tuples(dim: int, n: int, is_complex: bool, cap: int = 2048):
 def _source_scale(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig):
     """(scale, heuristic): scale maps a stack of tuples to their source norms.
 
-    Exact paths give the norm; otherwise each tuple is evaluated and its
-    upper bound taken, or its lower bound when there is none, which sets
-    heuristic[0].
+    Exact paths give the norm (widths that fail _grid_fits are not exact);
+    otherwise each tuple is evaluated and its upper bound taken, or its
+    lower bound when there is none, which sets heuristic[0].
     """
     heuristic = [False]
     fast = exact_evaluator(spec, space, cfg)
-    if fast is not None:
-        return fast, heuristic
 
     def scale(C):
+        if fast is not None and _grid_fits(spec, space, C.shape[-1], cfg):
+            return fast(C)
         out = np.empty(len(C))
         for b, cols in enumerate(C):
             res = evaluate(spec, VectorTuple(cols, space), cfg)
@@ -94,22 +94,6 @@ def _source_scale(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig):
         return out
 
     return scale, heuristic
-
-
-def _scaled_score(src_scale, image, tgt_value):
-    """Stack objective C -> tgt_value(image(C, s)) with s = src_scale(C); 0 where s <= 0."""
-
-    def score(C):
-        s = src_scale(C)
-        live = ~(s <= 0)
-        if live.all():
-            return tgt_value(image(C, s[:, None, None]))
-        out = np.zeros(len(C))
-        if live.any():
-            out[live] = tgt_value(image(C[live], s[live][:, None, None]))
-        return out
-
-    return score
 
 
 def mb_norm(

@@ -159,20 +159,32 @@ def sign_supremum(f: Callable[[np.ndarray], np.ndarray], n: int, cfg: OptimConfi
     pins the first sign to +1, halving the work.  Ties go to the first
     sign vector in grid order; NaN values never win.
     """
-    best, best_eps = -INF, None
+    vals, signs = _sign_scan(lambda E: np.asarray(f(E))[None], 1, n, cfg, symmetric)
+    return NormValue.exact(vals[0], signs[0] if vals[0] > -INF else None, "sign_enum")
+
+
+def _sign_scan(f, B: int, n: int, cfg: OptimConfig, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row first maxima over {+-1}^n of the (B, G) values f gives each (G, n) unit_grid block.
+
+    Returns the (B,) maxima and their (B, n) sign vectors; ties go to the
+    first sign vector in grid order, NaN never wins, and a row that
+    nothing wins keeps -inf.
+    """
+    best, signs = np.full(B, -INF), np.zeros((B, n))
     for block in unit_grid(n if symmetric else n + 1, 2, cfg.max_enum):
         E = block if symmetric else block[:, 1:]
         i, val = _first_max(f(E))
-        if val > best:
-            best, best_eps = val, E[i].copy()
-    return NormValue.exact(best, best_eps, "sign_enum")
+        win = val > best
+        best[win], signs[win] = val[win], E[i[win]]
+    return best, signs
 
 
-def _first_max(vals) -> tuple[int, float]:
-    """(index, value) of the first maximum of a value block, NaN counting as -inf."""
+def _first_max(vals):
+    """(index, value) of the first maximum along the last axis, NaN counting as -inf; arrays for a stack of rows."""
     vals = np.where(np.isnan(vals), -INF, vals)
-    i = int(np.argmax(vals))
-    return i, float(vals[i])
+    i = np.argmax(vals, axis=-1)
+    v = np.take_along_axis(vals, i[..., None], axis=-1)[..., 0]
+    return (int(i), float(v)) if vals.ndim == 1 else (i, v)
 
 
 def torus_supremum(
@@ -438,9 +450,10 @@ def _col_norms(A: np.ndarray, r: float) -> np.ndarray:
     return _root((a**r).sum(axis=-2), r)
 
 
-def _holder_upper(A: np.ndarray, p: float, q: float) -> float:
+def _holder_upper(S: np.ndarray, p: float, q: float):
+    """Holder upper bound for ||A : l^p -> l^q||: a float for one matrix, (B,) values for a (B, m, n) stack."""
     pp = conjugate_index(p)
-    return min(lp_norm(_col_norms(A, q), pp), lp_norm(_col_norms(A.T, pp), q))
+    return _as_value(np.minimum(lp_norm(_col_norms(S, q), pp), lp_norm(_col_norms(np.swapaxes(S, -1, -2), pp), q)))
 
 
 def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool) -> tuple[float, np.ndarray]:
@@ -504,115 +517,103 @@ def op_norm_pq(a: MatrixOp, cfg: OptimConfig, field: str | None = None) -> NormV
     if field is None:
         field = COMPLEX if np.iscomplexobj(A) else REAL
     p, q, complex_field = a.in_index, a.out_index, field == COMPLEX
-    res = _op_norm_exact(A, p, q, cfg, complex_field)
-    if res is not None:
-        return res
+    values, witnesses, methods = _op_norm_exact(A[None], p, q, cfg, complex_field)
+    if methods[0] is not None:
+        return NormValue.exact(values[0], witnesses[0], methods[0])
     upper = _holder_upper(A, p, q)
     lower, x = _power_ascent(A, p, q, cfg, complex_field)
     return NormValue.bracket(min(lower, upper), upper, x, "power_ascent")
 
 
-def _op_norm_closed_form(p: float, q: float) -> Callable[[np.ndarray], np.ndarray] | None:
-    """_op_norm_exact's closed form for the role (p, q) on (B, m, n) stacks, or None.
+def _op_norm_exact(S: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool) -> tuple[np.ndarray, list, list]:
+    """Exact (p -> q) norms of a (B, m, n) stack of raw, already validated arrays.
 
-    p=1 (max column q-norm), q=inf (max row p'-norm) and p=q=2 (top
-    singular value, from the same full SVD); each of the B values equals
-    _op_norm_exact(S[b], ...).lower bit for bit.
+    Returns (values, witnesses, methods), one entry per slice, each equal
+    to what the slice gets alone bit for bit.  A slice takes the first rule
+    that covers it: the closed forms p=1 (max column q-norm), q=inf (max
+    row p'-norm) and p=q=2 (top singular value); generalized permutation
+    matrices; over real scalars, sign enumerations for p=inf or q=1 when
+    the 2^(n-1) (resp. 2^(m-1)) pinned sign vectors fit cfg.max_enum.  A
+    slice no rule covers gets value NaN, witness None and method None, and
+    callers attach their own bound there.
     """
-    if p == 1:
-        return lambda S: _col_norms(S, q).max(axis=-1)
-    if q == INF:
-        pp = conjugate_index(p)
-        return lambda S: _col_norms(np.swapaxes(S, -1, -2), pp).max(axis=-1)
-    if p == 2 and q == 2:
-        return lambda S: np.linalg.svd(S)[1][..., 0]
-    return None
-
-
-def _op_norm_exact(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool) -> NormValue | None:
-    """Exact (p -> q) norm of a raw, already validated array, or None.
-
-    Closed forms: p=1 (max column q-norm), q=inf (max row p'-norm),
-    p=q=2 (top singular value), generalized permutation matrices; over
-    real scalars, sign enumerations for p=inf or q=1 when the 2^(n-1)
-    (resp. 2^(m-1)) pinned sign vectors fit cfg.max_enum.  Callers attach
-    their own bound when this returns None.
-    """
-    m, n = A.shape
+    B, m, n = S.shape
+    take = np.arange(B)
 
     if p == 1:
-        cols = _col_norms(A, q)
-        j = int(np.argmax(cols))
-        e = np.zeros(n, dtype=complex if complex_field else float)
-        e[j] = 1.0
-        return NormValue.exact(float(cols[j]), e, "max_column_norm")
+        cols = _col_norms(S, q)
+        j = cols.argmax(axis=-1)
+        return cols[take, j], list(np.eye(n, dtype=complex if complex_field else float)[j]), ["max_column_norm"] * B
 
     if q == INF:
         pp = conjugate_index(p)
-        rows = _col_norms(A.T, pp)
-        i = int(np.argmax(rows))
-        r = A[i, :]
-        ar = np.abs(r)
-        if rows[i] == 0:
-            x = np.zeros(n)
-        elif p == INF:
-            x = phase(np.conj(r))
-        else:
-            x = phase(np.conj(r)) * (ar / rows[i]) ** (pp - 1.0)
-            x = x / max(lp_norm(x, p), 1e-300)
-        if not complex_field:
-            x = np.real(x)
-        return NormValue.exact(float(rows[i]), x, "max_row_dual_norm")
+        rows = _col_norms(np.swapaxes(S, -1, -2), pp)
+        i = rows.argmax(axis=-1)
+        values, R = rows[take, i], S[take, i]
+        W = _dual_unit_vectors(R, values, p, pp, phase(np.conj(R)))
+        W = W if complex_field else np.real(W)
+        return values, [np.zeros(n) if v == 0 else w for v, w in zip(values.tolist(), W)], ["max_row_dual_norm"] * B
 
     if p == 2 and q == 2:
-        U, s, Vh = np.linalg.svd(A)
-        x = np.conj(Vh[0, :])
-        if not complex_field:
-            x = np.real(x)
-        return NormValue.exact(float(s[0]), x, "svd")
+        _, s, Vh = np.linalg.svd(S)
+        return s[:, 0], list(np.conj(Vh[:, 0]) if complex_field else np.real(Vh[:, 0])), ["svd"] * B
 
-    nz_per_row = (np.abs(A) > 0).sum(axis=1)
-    nz_per_col = (np.abs(A) > 0).sum(axis=0)
-    if nz_per_row.max(initial=0) <= 1 and nz_per_col.max(initial=0) <= 1:
-        # generalized permutation matrix: acts diagonally on disjoint coordinates
-        cols_nz = np.where(nz_per_col > 0)[0]
-        dvals = np.array([A[np.argmax(np.abs(A[:, j])), j] for j in cols_nz])
-        x = np.zeros(n, dtype=complex if complex_field else float)
-        if dvals.size == 0:
-            return NormValue.exact(0.0, x, "diagonal_like")
-        ad = np.abs(dvals)
-        if p <= q:
-            jbest = int(np.argmax(ad))
-            x[cols_nz[jbest]] = 1.0
-            return NormValue.exact(float(ad.max()), x, "diagonal_like")
-        t = q if p == INF else p * q / (p - q)
-        if p == INF:
-            x[cols_nz] = np.conj(phase(dvals))
-        else:
-            mags = ad ** (t / p)
-            mags = mags / lp_norm(mags, p)
-            x[cols_nz] = mags * np.conj(phase(dvals))
-        if not complex_field:
-            x = np.real(x)
-        return NormValue.exact(lp_norm(ad, t), x, "diagonal_like")
+    values, witnesses, methods = np.full(B, np.nan), [None] * B, [None] * B
+    nz = np.abs(S) > 0
+    diagonal = (nz.sum(axis=-1) <= 1).all(axis=-1) & (nz.sum(axis=-2) <= 1).all(axis=-1)
+    for b in np.flatnonzero(diagonal).tolist():
+        values[b], witnesses[b] = _diagonal_like(S[b], p, q, complex_field)
+        methods[b] = "diagonal_like"
+    rest = np.flatnonzero(~diagonal)
+    if complex_field or rest.size == 0:
+        return values, witnesses, methods
+    T = S if rest.size == B else S[rest]
 
-    if not complex_field and p == INF and 2 ** (n - 1) <= cfg.max_enum:
-        res = sign_supremum(lambda E: lp_norm(E @ A.T, q), n, cfg, symmetric=True)
-        return NormValue.exact(res.lower, res.witness, "sign_enum_inputs")
-
-    if not complex_field and q == 1 and 2 ** (m - 1) <= cfg.max_enum:
+    if p == INF and 2 ** (n - 1) <= cfg.max_enum:
+        vals, W = _sign_scan(lambda E: lp_norm(E @ np.swapaxes(T, -1, -2), q), rest.size, n, cfg, symmetric=True)
+        method = "sign_enum_inputs"
+    elif q == 1 and 2 ** (m - 1) <= cfg.max_enum:
         pp = conjugate_index(p)
-        res = sign_supremum(lambda S: lp_norm(S @ A, pp), m, cfg, symmetric=True)
-        g = A.T @ res.witness
-        ag = np.abs(g)
-        nx = lp_norm(g, pp)
-        if nx == 0:
-            x = np.zeros(n)
-        elif p == INF:
-            x = np.sign(g) + (g == 0)
-        else:
-            x = np.sign(g) * (ag / nx) ** (pp - 1.0)
-            x = x / max(lp_norm(x, p), 1e-300)
-        return NormValue.exact(res.lower, x, "sign_enum_outputs")
+        vals, signs = _sign_scan(lambda E: lp_norm(E @ T, pp), rest.size, m, cfg, symmetric=True)
+        G = (np.swapaxes(T, -1, -2) @ signs[..., None])[..., 0]
+        nx = lp_norm(G, pp)
+        W = _dual_unit_vectors(G, nx, p, pp, np.sign(G) + (G == 0))
+        W[nx == 0] = 0.0
+        method = "sign_enum_outputs"
+    else:
+        return values, witnesses, methods
+    values[rest] = vals
+    for b, w in zip(rest.tolist(), W):
+        witnesses[b], methods[b] = w, method
+    return values, witnesses, methods
 
-    return None
+
+def _dual_unit_vectors(R: np.ndarray, norms: np.ndarray, p: float, pp: float, directions: np.ndarray) -> np.ndarray:
+    """Rows x[b] with <R[b], x[b]> = norms[b] = ||R[b]||_p' and ||x[b]||_p = 1 (for p = inf the directions); zero rows are the caller's."""
+    if p == INF:
+        return directions
+    W = directions * (np.abs(R) / np.where(norms == 0, 1.0, norms)[:, None]) ** (pp - 1.0)
+    return W / np.maximum(lp_norm(W, p), 1e-300)[:, None]
+
+
+def _diagonal_like(A: np.ndarray, p: float, q: float, complex_field: bool) -> tuple[float, np.ndarray]:
+    """(value, witness) of a generalized permutation matrix, which acts diagonally on disjoint coordinates."""
+    cols_nz = np.where((np.abs(A) > 0).sum(axis=0) > 0)[0]
+    dvals = A[np.abs(A).argmax(axis=0)[cols_nz], cols_nz]
+    x = np.zeros(A.shape[1], dtype=complex if complex_field else float)
+    if dvals.size == 0:
+        return 0.0, x
+    ad = np.abs(dvals)
+    if p <= q:
+        x[cols_nz[int(np.argmax(ad))]] = 1.0
+        return float(ad.max()), x
+    t = q if p == INF else p * q / (p - q)
+    if p == INF:
+        x[cols_nz] = np.conj(phase(dvals))
+    else:
+        mags = ad ** (t / p)
+        mags = mags / lp_norm(mags, p)
+        x[cols_nz] = mags * np.conj(phase(dvals))
+    if not complex_field:
+        x = np.real(x)
+    return lp_norm(ad, t), x

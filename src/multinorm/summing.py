@@ -111,23 +111,29 @@ def mu_weak(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormVal
     return NormValue.bracket(lower, upper, {"coefficients": res.witness}, res.method)
 
 
-def mu_scale(p: float, X: np.ndarray, space: SpaceSpec, cfg: OptimConfig) -> tuple[float, bool]:
+def mu_scale(p: float, X: np.ndarray, space: SpaceSpec, cfg: OptimConfig) -> tuple:
     """(mu_{p,n} of X's columns, True) where mu_weak is exact, else (a certified upper bound, False).
 
     The raw-array form of mu_weak for search loops that rescale onto the
     mu ball: X is an already validated (dim, n) array of the space's field
-    and p >= 1.  The value is _op_norm_exact's value, or the smaller of the
-    sandwich and Holder upper bounds; no ascent, torus or phase-grid work
-    is done.
+    (or a (B, dim, n) stack, giving (B,) value and flag arrays equal to the
+    per-tuple results bit for bit) and p >= 1.  The value is _op_norm_exact's
+    value, or the smaller of the sandwich and Holder upper bounds; no
+    ascent, torus or phase-grid work is done.
     """
-    norms = space.norm_cols(X)
+    S = X if X.ndim == 3 else X[None]
+    norms = space.norm_cols(S)
     if p == INF:
-        return float(norms.max()), True
-    A, pp = _reduced(space, X), conjugate_index(p)
-    res = _op_norm_exact(A, pp, space.p, cfg, space.is_complex)
-    if res is not None:
-        return res.lower, True
-    return min(lp_norm(norms, p), _holder_upper(A, pp, space.p)), False
+        values, exact = norms.max(axis=-1), np.ones(len(S), dtype=bool)
+    else:
+        A, pp = _reduced(space, S), conjugate_index(p)
+        values, _, methods = _op_norm_exact(A, pp, space.p, cfg, space.is_complex)
+        exact = np.array([m is not None for m in methods])
+        if not exact.all():
+            values[~exact] = np.minimum(lp_norm(norms[~exact], p), _holder_upper(A[~exact], pp, space.p))
+    if X.ndim == 2:
+        return float(values[0]), bool(exact[0])
+    return values, exact
 
 
 def mu_weak_dual(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormValue:
@@ -160,6 +166,22 @@ def op_norm_between(T: np.ndarray, source: SpaceSpec, target: SpaceSpec, cfg: Op
     """||T : E -> F|| with the weights of both spaces absorbed."""
     A = _weight_root(target)[:, None] * np.asarray(T) / _weight_root(source)[None, :]
     return op_norm_pq(MatrixOp(A, source.p, target.p), cfg, field=source.field)
+
+
+def _scaled_score(src_scale, image, tgt_value):
+    """Stack objective C -> tgt_value(image(C, s)) with s = src_scale(C); 0 where s <= 0."""
+
+    def score(C):
+        s = src_scale(C)
+        live = ~(s <= 0)
+        if live.all():
+            return tgt_value(image(C, s[:, None, None]))
+        out = np.zeros(len(C))
+        if live.any():
+            out[live] = tgt_value(image(C[live], s[live][:, None, None]))
+        return out
+
+    return score
 
 
 def pi_summing(
@@ -196,18 +218,12 @@ def pi_summing(
 
     inner = replace(cfg, restarts=2, refine_passes=1)
 
-    def score(C: np.ndarray) -> np.ndarray:
-        scale = np.array([mu_scale(p, cols, space, inner)[0] for cols in C])
-        out = np.zeros(len(C))
-        live = ~(scale <= 0)
-        if live.any():
-            img = T @ C[live] / scale[live][:, None, None]
-            out[live] = lp_norm(tgt.norm_cols(img), q)
-        return out
+    def q_sum(Y: np.ndarray) -> np.ndarray:
+        return lp_norm(tgt.norm_cols(Y), q)
 
     _, cols = seeded_ascent(
         project=unconstrained,
-        value=score,
+        value=_scaled_score(lambda C: mu_scale(p, C, space, inner)[0], lambda C, s: T @ C / s, q_sum),
         seeds=[delta_tuple(space.dim, n, space.is_complex)],
         shape=(space.dim, n),
         cfg=cfg,

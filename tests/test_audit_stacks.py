@@ -18,7 +18,7 @@ from multinorm import multinorms
 from multinorm.decompositions import generated_value
 from multinorm.matrixlaws import LawViolation, MatrixLawReport
 from multinorm.multinorms import AxiomReport, AxiomViolation, _stack_values, is_exact_path, point_value
-from multinorm.optim import _op_norm_closed_form, _op_norm_exact, field_normal, op_norm_pq
+from multinorm.optim import _op_norm_exact, field_normal, op_norm_pq
 from multinorm.partitions import GRID_BLOCK, set_partitions
 from multinorm.spaces import INF, MatrixOp, SpaceSpec, delta_tuple
 
@@ -355,23 +355,29 @@ def test_matrix_law_spans_chunks():
 @pytest.mark.parametrize("is_complex", [False, True])
 @pytest.mark.parametrize("role", [(1, 1), (1, 1.5), (1, 2), (1, 3), (1, INF), (1.5, INF), (2, INF), (3, INF), (INF, INF), (2, 2)])
 def test_stacked_closed_forms_match_op_norm_exact(is_complex, role):
+    # the law norms of roles with a closed form: one stacked _op_norm_exact call, op_norm_pq's value matrix by matrix
     p, q = role
     rng = np.random.default_rng(11)
-    closed = _op_norm_closed_form(p, q)
     for m in range(1, 5):
         for n in range(1, 5):
             S = rng.uniform(-1, 1, size=(6, m, n))
             if is_complex:
                 S = S + 1j * rng.uniform(-1, 1, size=(6, m, n))
             S[0] = 0.0
-            got = closed(S)
-            want = [_op_norm_exact(A, p, q, CFG, is_complex).lower for A in S]
-            assert got.tolist() == want
+            values, _, methods = _op_norm_exact(S, p, q, CFG, is_complex)
+            want = [op_norm_pq(MatrixOp(A, p, q), CFG) for A in S]
+            assert all(res.kind == "exact" for res in want)
+            assert values.tolist() == [res.lower for res in want]
+            assert methods == [res.method for res in want]
 
 
 def test_closed_forms_cover_only_their_roles():
-    assert _op_norm_closed_form(1.5, 1.5) is None
-    assert _op_norm_closed_form(2, 3) is None
+    # a dense matrix has no exact path for these roles, so the law takes the Holder upper bound
+    A = np.random.default_rng(3).uniform(-1, 1, size=(1, 3, 3))
+    for p, q in ((1.5, 1.5), (2, 3)):
+        for S in (A, A + 1j * A[:, ::-1]):
+            values, witnesses, methods = _op_norm_exact(S, p, q, CFG, np.iscomplexobj(S))
+            assert np.isnan(values[0]) and witnesses == [None] and methods == [None]
 
 
 # ---------------------------------------------------------------------------

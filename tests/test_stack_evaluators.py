@@ -122,6 +122,39 @@ def test_mu1_guidance_respects_the_callers_budget():
     assert is_exact_path(spec, mn.SpaceSpec(INF, 3), 4, small)
 
 
+def test_point_value_takes_the_search_path_over_the_sign_grid_budget():
+    sp = mn.SpaceSpec(2.0, 3)
+    spec = S.weak_summing(1)
+    small = mn.OptimConfig(seed=5, restarts=2, max_enum=8)
+    rng = np.random.default_rng(12)
+    # 5 slots visit 2^4 = 16 > 8 pinned sign rows: evaluate's bracket, lower side
+    X = _draw(rng, (2, 3, 5), False)
+    want = [mn.evaluate(spec, mn.VectorTuple(x, sp), small) for x in X]
+    assert all(w.kind == "bracket" for w in want)
+    assert point_value(spec, sp, X, small).tolist() == [w.lower for w in want]
+    assert point_value(spec, sp, X[1], small) == want[1].lower
+    # 4 slots fit the budget and keep the exact evaluator
+    Y = X[..., :4]
+    assert point_value(spec, sp, Y, small).tolist() == exact_evaluator(spec, sp, small)(Y).tolist()
+
+
+def test_budgeted_weak_summing_1_audits_and_sources_do_not_raise():
+    sp = mn.SpaceSpec(2.0, 3)
+    spec = S.weak_summing(1)
+    report = mn.check_axioms(spec, sp, n_max=5, trials=6, cfg=mn.OptimConfig(seed=5, restarts=2, max_enum=8))
+    assert report.mode == "heuristic" and report.trials == 6
+    tiny = mn.OptimConfig(seed=5, restarts=2, max_enum=2)
+    T = np.diag([1.0, 0.5, 2.0])
+    # levels n = 1, 2 fit 2^(n-1) <= 2 sign rows; n = 3 does not
+    res = mn.mb_norm(T, sp, spec, sp, S.lattice(), 3, tiny)
+    assert len(res.p_seq) == 3 and all(math.isfinite(v) for v in res.p_seq)
+    L = _draw(np.random.default_rng(3), (3, 3), False)
+    dual = mn.evaluate(S.numerical_dual(spec), mn.VectorTuple(L, sp), tiny)
+    assert dual.kind == "lower" and dual.method == "numerical_dual_ascent_heuristic_membership"
+    fits = mn.evaluate(S.numerical_dual(spec), mn.VectorTuple(L[:, :2], sp), tiny)
+    assert fits.method == "numerical_dual_ascent"
+
+
 def test_space_weights_array_built_once():
     sp = mn.SpaceSpec(1.5, 3, (1.0, 2.0, 0.5))
     assert sp.w is sp.w
