@@ -275,8 +275,13 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig) -> 
         if p == INF:
             return lambda X: _as_value(((np.abs(X) ** ps).sum(axis=-1) ** (1.0 / ps)).max(axis=-1))
         if ps == 2 and p == 2:
-            d = np.sqrt(w)
-            return lambda X: _as_value(np.linalg.svd(d[:, None] * X, compute_uv=False)[..., 0])
+
+            def spectral(X):
+                # mu_weak's exact value: the same stacked p->q kernel, whose 2->2 rule is always exact
+                values, _ = summing.mu_scale(2, X.reshape((-1, *X.shape[-2:])), space, cfg)
+                return _as_value(values.reshape(X.shape[:-2]))
+
+            return spectral
         if ps == 1 and space.field == REAL:
             return lambda X: summing.mu1_phase_guidance(space, X, cfg)
         return None

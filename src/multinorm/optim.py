@@ -8,6 +8,7 @@ uses substream seed^i, so results are bit-identical across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Sequence
 
@@ -125,11 +126,14 @@ def _root(s, r: float):
     """s ** (1/r) entrywise by scalar pow; a float for a scalar s.
 
     numpy's array pow may round differently from the scalar pow the
-    single-vector paths take, so stacked roots are taken one by one.
+    single-vector paths take, so stacked roots are taken one by one; for
+    r = 1 the root is the identity (x ** 1.0 == x for every double).
     """
     s = np.asarray(s)
     if s.ndim == 0:
         return float(s) ** (1.0 / r)
+    if r == 1:
+        return s.astype(float)
     return np.array([x ** (1.0 / r) for x in s.ravel().tolist()]).reshape(s.shape)
 
 
@@ -145,6 +149,14 @@ def field_normal(rng: np.random.Generator, shape, is_complex: bool) -> np.ndarra
     if is_complex:
         z = z + 1j * rng.standard_normal(shape)
     return z
+
+
+def field_normal_block(rng: np.random.Generator, k: int, shape: tuple, is_complex: bool) -> np.ndarray:
+    """k successive field_normal(rng, shape, is_complex) draws as one (k, *shape) array, bit for bit, in one call."""
+    if not is_complex:
+        return rng.standard_normal((k, *shape))
+    z = rng.standard_normal((k, 2, *shape))
+    return z[:, 0] + 1j * z[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +341,17 @@ def seeded_ascent(
     lockstep: on each tick each live restart proposes pt + step*d with a
     fresh direction d while exploring, or pt + boost*d while riding a
     direction that just paid, and one project and one value call handle
-    all proposals.  Restart i draws each fresh direction with field_normal
-    from its own cfg.rng(5000 + i), so every trajectory is the one the
-    restart would climb alone.  Deterministic in
+    all proposals.  Restart i draws its fresh directions from its own
+    cfg.rng(5000 + i), K at a time with field_normal_block, which gives
+    the numbers of K successive field_normal calls; so every trajectory
+    is the one the restart would climb alone.  Deterministic in
     cfg.seed; ties resolved by first find.
+
+    The L live restarts share one (L, K, *shape) pool of directions, with
+    K = min(iters, max(1, 2**16 // (L * prod(shape)))): the pool holds at
+    most 2**16 entries, or one direction per restart where L * prod(shape)
+    exceeds that, never one block of iters per restart.  A restart refills
+    its own block only once it has spent it.
     """
     dt = complex if complex_field else float
     starts = [np.asarray(s) for s in seeds]
@@ -346,11 +365,14 @@ def seeded_ascent(
 
     # per-restart state of the live restarts; a restart whose step underflows leaves the arrays
     final_vals, final_pts = vals.copy(), pts.copy()
-    live = np.arange(ids.size)
+    live = rows = np.arange(ids.size)
     rngs = [cfg.rng(5000 + int(i)) for i in ids]
-    direction = np.zeros_like(pts)
+    # each restart's block of K directions; drawn indexes the current one, and from K - 1 the first tick fills every block
+    K = min(iters, max(1, 2**16 // (ids.size * math.prod(shape))))
+    pool = np.empty((ids.size, K, *shape), dtype=dt)
+    drawn = np.full(ids.size, K - 1)
     step = np.full(ids.size, 0.5)
-    boost = np.zeros(ids.size)
+    mult = np.zeros(ids.size)
     misses = np.zeros(ids.size, dtype=int)
     riding = np.zeros(ids.size, dtype=bool)
     grow = 1 + cfg.tol
@@ -358,9 +380,13 @@ def seeded_ascent(
 
     for _ in range(iters):
         fresh = ~riding
-        for i in fresh.nonzero()[0].tolist():
-            direction[i] = field_normal(rngs[i], shape, complex_field)
-        cand, cok = project(pts + np.where(riding, boost, step).reshape(bcast) * direction)
+        drawn += fresh
+        for i in np.flatnonzero(drawn == K).tolist():
+            pool[i] = field_normal_block(rngs[live[i]], K, shape, complex_field)
+            drawn[i] = 0
+        # an exploring restart steps by step; a paying step starts a ride at twice it, and a paying ride doubles
+        mult = np.where(riding, 2.0 * mult, step)
+        cand, cok = project(pts + mult.reshape(bcast) * pool[rows, drawn])
         if cok.all():
             v = np.asarray(value(cand), dtype=float)
         else:
@@ -370,9 +396,7 @@ def seeded_ascent(
 
         better = v > vals * grow + 1e-15
         vals = np.where(better, v, vals)
-        pts[better] = cand[better]
-        # a paying exploring step starts a ride at twice the step; a paying ride doubles
-        boost = np.where(riding, 2.0 * boost, 2.0 * step)
+        pts = np.where(better.reshape(bcast), cand, pts)
         misses = np.where(better, 0, misses + fresh)
         riding = better
         shrink = misses >= 8
@@ -383,18 +407,16 @@ def seeded_ascent(
             if not keep.all():
                 gone = ~keep
                 final_vals[live[gone]], final_pts[live[gone]] = vals[gone], pts[gone]
-                live, vals, pts, step, boost, misses, riding = (a[keep] for a in (live, vals, pts, step, boost, misses, riding))
-                direction = direction[keep]
-                rngs = [g for g, k in zip(rngs, keep.tolist()) if k]
+                live, vals, pts, step, mult, misses, riding, pool, drawn = (
+                    a[keep] for a in (live, vals, pts, step, mult, misses, riding, pool, drawn)
+                )
+                rows = np.arange(live.size)
                 if live.size == 0:
                     break
     final_vals[live], final_pts[live] = vals, pts
 
-    best_val, best_r = -INF, None
-    for r, val in enumerate(final_vals.tolist()):
-        if val > best_val:
-            best_val, best_r = val, r
-    if best_r is None:
+    best_r, best_val = _first_max(final_vals)
+    if best_val == -INF:
         return -INF, None
     return best_val, final_pts[best_r].copy()
 

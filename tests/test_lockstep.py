@@ -7,11 +7,12 @@ return the same (value, point) bit for bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from multinorm.optim import INF, OptimConfig, field_normal, seeded_ascent
+from multinorm.optim import INF, OptimConfig, field_normal, field_normal_block, seeded_ascent, unconstrained
 
 
 def _sequential_ascent(project, value, seeds, shape, cfg, complex_field=False, iters=200):
@@ -151,3 +152,53 @@ def test_constant_objective_keeps_first_find():
     val, pt = seeded_ascent(*_stacked(_unit_columns, _constant), seeds, (3, 2), cfg)
     assert val == 1.0
     assert np.array_equal(pt, _unit_columns(seeds[1]))
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("k", [1, 7, 200])
+def test_block_draw_equals_successive_field_normal_calls(is_complex, k):
+    shape = (3, 2)
+    rng, ref = np.random.default_rng(41), np.random.default_rng(41)
+    for _ in range(2):  # a second block continues the stream where the first stopped
+        block = field_normal_block(rng, k, shape, is_complex)
+        want = np.stack([field_normal(ref, shape, is_complex) for _ in range(k)])
+        assert block.dtype == want.dtype and block.shape == (k, *shape)
+        assert np.array_equal(block.view(np.float64), want.view(np.float64))
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("shape", [(3, 2), (8, 4)])
+@pytest.mark.parametrize("proj, obj", [("unit_columns", "bumpy"), ("half_space", "negative"), ("identity", "constant")])
+def test_lockstep_matches_sequential_with_refills(is_complex, shape, proj, obj):
+    # c_n's 64 Gaussian restarts plus four seeds: blocks of 2**16 // (68 * 6) = 160 or 2**16 // (68 * 32) = 30
+    # directions, so restarts refill mid-climb, and at iters=400 restarts also leave through the step exit
+    iters = 400
+    cfg = OptimConfig(seed=29, restarts=64)
+    assert 2**16 // ((cfg.restarts + 4) * math.prod(shape)) < iters
+    project, value = PROJECTIONS[proj], OBJECTIVES[obj]
+    seeds = _seeds(shape, is_complex)
+    want_seen, got_seen = [], []
+
+    def recorded(seen):
+        # every trajectory, not just the best one: both engines must evaluate the same points
+        return lambda x: seen.append(x.tobytes()) or value(x)
+
+    want_val, want_pt = _sequential_ascent(project, recorded(want_seen), seeds, shape, cfg, is_complex, iters)
+    got_val, got_pt = seeded_ascent(*_stacked(project, recorded(got_seen)), seeds, shape, cfg, is_complex, iters)
+    assert sorted(got_seen) == sorted(want_seen)
+    assert got_val == want_val
+    assert got_pt.dtype == want_pt.dtype
+    assert np.array_equal(got_pt, want_pt)
+
+
+def test_direction_pool_memory_is_bounded():
+    # 2048 restarts of shape (8, 4): a pool of iters directions per restart would take
+    # 2048 * 50 * 32 * 8 B = 26 MB; the bounded pool takes one direction per restart, 0.5 MB
+    cfg = OptimConfig(seed=3, restarts=2048)
+    tracemalloc.start()
+    try:
+        seeded_ascent(unconstrained, lambda P: -np.abs(P).sum(axis=(1, 2)), [], (8, 4), cfg, iters=50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MB"

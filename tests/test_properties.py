@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import multinorm as mn
 from multinorm.multinorms import is_exact_path
@@ -177,3 +177,21 @@ def test_numerical_dual_lower_within_exact_closed_form_dual(base, closed, data):
     exact = mn.evaluate(closed, t, LIGHT)
     assert exact.kind == "exact"
     _below(mn.evaluate(S.numerical_dual(base), t, LIGHT).lower, exact.lower)
+
+
+@settings(max_examples=200)
+@given(
+    s=arrays(
+        np.float64,
+        array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+        elements=st.one_of(st.floats(0.0, allow_nan=False, allow_subnormal=True), st.sampled_from([0.0, 5e-324, 2.2e-308, INF])),
+    )
+)
+def test_root_of_index_one_is_the_scalar_pow_loop(s):
+    # _root skips its per-entry scalar pow at r = 1; the result must be the loop's bit for bit
+    from multinorm.optim import _root
+
+    want = np.array([x ** (1.0 / 1.0) for x in s.ravel().tolist()]).reshape(s.shape)
+    got = _root(s, 1.0)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

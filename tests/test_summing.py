@@ -222,6 +222,26 @@ def test_mu_scale_matches_mu_weak():
     assert cases == 180
 
 
+def test_weak_summing_2_point_value_equals_mu_weak():
+    # exact_evaluator and mu_weak give one exact value for weak_summing(2), alone and stacked
+    from multinorm.multinorms import point_value
+    from multinorm.optim import field_normal
+
+    rng = np.random.default_rng(77)
+    cfg = OptimConfig(seed=8, restarts=2, grid_points=16)
+    spec = mn.MultiNormSpec.weak_summing(2)
+    for field in ("real", "complex"):
+        for weighted in (False, True):
+            m = 3
+            space = SpaceSpec(2, m, tuple(rng.uniform(0.5, 2.0, m)) if weighted else (), field)
+            stack = field_normal(rng, (40, m, 3), space.is_complex)
+            values = point_value(spec, space, stack, cfg)
+            for X, stacked in zip(stack, values.tolist()):
+                want = mn.mu_weak(2, VectorTuple(X, space), cfg)
+                assert want.kind == "exact"
+                assert point_value(spec, space, X, cfg) == want.lower == stacked
+
+
 def test_one_column_brackets_keep_lower_below_upper():
     # the sandwich lower side max_j ||x_j|| can round one ulp above the Holder upper side
     X = np.array([[-1.0845999438342624], [-1.4339955619182034]])
