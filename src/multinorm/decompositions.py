@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetError, HermitianError, SpecError
 from .multinorms import MultiNormSpec, _norm_of_abs, _point_values, _stack_values, _trial_chunks
-from .optim import OptimConfig, _as_value, _first_max, field_normal
+from .optim import COUNTS, NORMALS, UNIFORMS, OptimConfig, _as_value, _first_max, field_normal_block
 from .partitions import GRID_BLOCK, set_partitions, slot_assignments, unit_grid
 from .spaces import SpaceSpec, VectorTuple, delta_tuple, matrix_from_json, matrix_to_json
 
@@ -136,11 +136,6 @@ class DetectorReport:
         }
 
 
-def _sample_vectors(space: SpaceSpec, trials: int, cfg: OptimConfig, stream: int):
-    for t in range(trials):
-        yield field_normal(cfg.rng(stream + t), space.dim, space.is_complex)
-
-
 def is_hermitian(
     d: Decomposition,
     space: SpaceSpec,
@@ -152,10 +147,13 @@ def is_hermitian(
 
     Real scalars: exact over the sign choices, plus sampled interior
     moduli.  Complex scalars: phase grid (exhaustive over the free phases
-    when the grid fits the budget) plus sampled interior points.
+    when the grid fits the budget) plus sampled interior points.  Trial t
+    draws x from cfg.stream("hermitian", NORMALS) and its 8 interior
+    points' moduli and phases (or signs) from cfg.stream("hermitian",
+    UNIFORMS), one block per chunk of trials.
     """
     cfg = cfg or OptimConfig()
-    _trial_chunks(trials)  # rejects a negative count
+    chunks = _trial_chunks(trials)
     k = d.length
     Ps = d.projections
     worst_gap, witness = 0.0, None
@@ -166,24 +164,24 @@ def is_hermitian(
     except BudgetError:
         grid = np.ones((0, k))  # too many phase combinations: sampled points only
 
-    for ti, x in enumerate(_sample_vectors(space, trials, cfg, 130000)):
-        nx = space.norm(x)
-        if nx <= 0:
-            continue
-        rng = cfg.rng(131000 + ti)
-        # 8 interior points, each drawing its moduli, then its phases or signs
-        if space.is_complex:
-            samples = [rng.random(k) * np.exp(2j * np.pi * rng.random(k)) for _ in range(8)]
-        else:
-            samples = [rng.random(k) * np.where(rng.random(k) < 0.5, 1.0, -1.0) for _ in range(8)]
-        Z = np.concatenate([grid, samples])
-        # rows Y[b] = sum_i Z[b, i] P_i x, accumulated in slot order; each row norm equals space.norm bit for bit
-        Y = sum(Z[:, i, None] * (P @ x) for i, P in enumerate(Ps))
-        vals = _norm_of_abs(space, np.abs(Y))
-        b, gap = _first_max(vals - nx)
-        if gap > worst_gap:
-            worst_gap = gap
-            witness = {"x": x, "zeta": Z[b].copy(), "lhs": float(vals[b]), "rhs": nx}
+    normals, uniforms = cfg.stream("hermitian", NORMALS), cfg.stream("hermitian", UNIFORMS)
+    for chunk in chunks:
+        xs = field_normal_block(normals, len(chunk), (space.dim,), space.is_complex)
+        U = uniforms.random((len(chunk), 8, 2, k))
+        # 8 interior points per trial: moduli times phases, or times signs over R
+        turns = np.exp(2j * np.pi * U[:, :, 1]) if space.is_complex else np.where(U[:, :, 1] < 0.5, 1.0, -1.0)
+        for x, samples in zip(xs, U[:, :, 0] * turns):
+            nx = space.norm(x)
+            if nx <= 0:
+                continue
+            Z = np.concatenate([grid, samples])
+            # rows Y[b] = sum_i Z[b, i] P_i x, accumulated in slot order; each row norm equals space.norm bit for bit
+            Y = sum(Z[:, i, None] * (P @ x) for i, P in enumerate(Ps))
+            vals = _norm_of_abs(space, np.abs(Y))
+            b, gap = _first_max(vals - nx)
+            if gap > worst_gap:
+                worst_gap = gap
+                witness = {"x": x, "zeta": Z[b].copy(), "lhs": float(vals[b]), "rhs": nx}
 
     verdict = worst_gap <= tol
     note = "no counterexample within budget" if verdict else "witness violates the contraction"
@@ -198,16 +196,20 @@ def is_small(
     cfg: OptimConfig | None = None,
     tol: float = 1e-8,
 ) -> DetectorReport:
-    """Test ||P_1 x_1 + ... + P_k x_k|| <= ||(x_1,...,x_k)||_k on samples."""
+    """Test ||P_1 x_1 + ... + P_k x_k|| <= ||(x_1,...,x_k)||_k on samples.
+
+    Trial t's tuple is row t of cfg.stream("small", NORMALS), drawn one
+    block per chunk; trials 0 and 1 test the delta and all-ones tuples
+    instead, and every third from trial 4 on its block-supported image.
+    """
     cfg = cfg or OptimConfig()
     k = d.length
     Ps = d.projections
     worst_gap, witness = 0.0, None
+    normals = cfg.stream("small", NORMALS)
     for chunk in _trial_chunks(trials):
         drawn = []
-        for ti in chunk:
-            rng = cfg.rng(140000 + ti)
-            X = field_normal(rng, (space.dim, k), space.is_complex)
+        for ti, X in zip(chunk, field_normal_block(normals, len(chunk), (space.dim, k), space.is_complex)):
             if ti == 0:
                 X = delta_tuple(space.dim, k, space.is_complex)
             elif ti == 1:
@@ -265,18 +267,21 @@ def is_orthogonal(
     cfg: OptimConfig | None = None,
     tol: float = 1e-8,
 ) -> DetectorReport:
-    """Test that every coagulation of block-supported tuples keeps the norm."""
+    """Test that every coagulation of block-supported tuples keeps the norm.
+
+    Trial t projects row t of cfg.stream("orthogonal", NORMALS), drawn one
+    block per chunk, onto the blocks.
+    """
     cfg = cfg or OptimConfig()
     k = d.length
     if k > 8:
         raise BudgetError("coagulation enumeration capped at 8 blocks")
     Ps = d.projections
     worst_gap, witness = 0.0, None
+    normals = cfg.stream("orthogonal", NORMALS)
     for chunk in _trial_chunks(trials):
-        Xs = []
-        for ti in chunk:
-            Z = field_normal(cfg.rng(150000 + ti), (space.dim, k), space.is_complex)
-            Xs.append(np.stack([Ps[i] @ Z[:, i] for i in range(k)], axis=1))
+        Zs = field_normal_block(normals, len(chunk), (space.dim, k), space.is_complex)
+        Xs = [np.stack([Ps[i] @ Z[:, i] for i in range(k)], axis=1) for Z in Zs]
         for X, (gap, blocks, lhs, rhs) in zip(Xs, coagulations_equal(spec, space, Xs, cfg)):
             if gap > worst_gap:
                 worst_gap = gap
@@ -292,7 +297,11 @@ def orthogonal_set(
     cfg: OptimConfig | None = None,
     tol: float = 1e-8,
 ) -> DetectorReport:
-    """Orthogonality of a vector set: coagulation-invariance of scalar multiples."""
+    """Orthogonality of a vector set: coagulation-invariance of scalar multiples.
+
+    The unscaled set comes first; trial t then scales by row t of
+    cfg.stream("orthogonal_set", NORMALS), drawn one block per chunk.
+    """
     cfg = cfg or OptimConfig()
     space = t.space
     k = t.n
@@ -301,10 +310,12 @@ def orthogonal_set(
     chunks = _trial_chunks(trials)
     worst_gap, witness = 0.0, None
 
+    normals = cfg.stream("orthogonal_set", NORMALS)
+
     def batches():
         yield [np.ones(k)]
         for chunk in chunks:
-            yield [field_normal(cfg.rng(160000 + ti), k, space.is_complex) for ti in chunk]
+            yield list(field_normal_block(normals, len(chunk), (k,), space.is_complex))
 
     for scalings in batches():
         Xs = [t.columns * c[None, :] for c in scalings]
@@ -436,19 +447,22 @@ def is_orthogonal_multinorm(
     cfg: OptimConfig | None = None,
     tol: float = 1e-8,
 ) -> DetectorReport:
-    """Estimate sup (spec value - generated value); heuristic verdict gap < tol."""
+    """Estimate sup (spec value - generated value); heuristic verdict gap < tol.
+
+    Trial t draws n in 1..3 from cfg.stream("orthogonal_multinorm", COUNTS)
+    and its tuple, padded to 3 columns, from the NORMALS stream, one block
+    of each per chunk.
+    """
     cfg = cfg or OptimConfig()
     chunks = _trial_chunks(trials)
     worst_gap, witness = 0.0, None
+    counts, normals = cfg.stream("orthogonal_multinorm", COUNTS), cfg.stream("orthogonal_multinorm", NORMALS)
 
     def batches():
         for chunk in chunks:
-            Xs = []
-            for ti in chunk:
-                rng = cfg.rng(170000 + ti)
-                n = int(rng.integers(1, 4))
-                Xs.append(field_normal(rng, (space.dim, n), space.is_complex))
-            yield Xs
+            ns = counts.integers(1, 4, size=len(chunk)).tolist()
+            Zs = field_normal_block(normals, len(chunk), (space.dim, 3), space.is_complex)
+            yield [Z[:, :n] for n, Z in zip(ns, Zs)]
         # canonical delta tuples catch coordinate effects that random draws smear
         yield [delta_tuple(space.dim, n, space.is_complex) for n in range(1, min(space.dim, 3) + 1)]
 

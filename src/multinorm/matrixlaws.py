@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FieldError, SpecError
 from .multinorms import MultiNormSpec, _point_values, _stack_values, _trial_chunks
-from .optim import OptimConfig, _holder_upper, _op_norm_exact, field_normal
+from .optim import COUNTS, NORMALS, UNIFORMS, OptimConfig, _holder_upper, _op_norm_exact, field_normal_block
 from .partitions import set_partitions
 from .spaces import INF, MatrixOp, SpaceSpec
 
@@ -160,6 +160,12 @@ def check_multinorm_matrix_law(
     norm is replaced by its certified upper bound, so every reported
     violation is genuine.  The first len(fixed_matrices) trials use those
     matrices in place of random ones.
+
+    Each kind of draw has one stream per call (cfg.stream("matrix_law",
+    kind)), drawn per chunk as one block with a fixed-width row per trial:
+    the sizes (n, m) in 1..4, X padded to max(4, widest fixed matrix)
+    columns, and 33 uniforms (the real and imaginary parts of a padded 4x4
+    matrix, then the coin that makes it complex).
     """
     cfg = cfg or OptimConfig()
     chunks = _trial_chunks(trials)
@@ -172,19 +178,23 @@ def check_multinorm_matrix_law(
     for A in fixed or [np.zeros((1, 1))]:
         MatrixOp(A, p_role, p_role)  # the role, shape and finiteness checks, once per matrix
 
+    counts, normals, uniforms = (cfg.stream("matrix_law", kind) for kind in (COUNTS, NORMALS, UNIFORMS))
+    width = max([4] + [A.shape[1] for A in fixed])
     for chunk in chunks:
+        T = len(chunk)
+        sizes = counts.integers(1, 5, size=(T, 2)).tolist()
+        Xs = field_normal_block(normals, T, (mdim, width), space.is_complex)
+        U = uniforms.random((T, 33))
+        entries = 2.0 * U[:, :32].reshape(T, 2, 4, 4) - 1.0
         drawn = []
-        for trial in chunk:
-            rng = cfg.rng(70000 + trial)
-            n = int(rng.integers(1, 5))
+        for trial, (n, m), X, parts, coin in zip(chunk, sizes, Xs, entries, U[:, 32].tolist()):
             if trial < len(fixed):
                 A = fixed[trial]
             else:
-                m = int(rng.integers(1, 5))
-                A = rng.uniform(-1, 1, size=(m, n))
-                if space.is_complex and rng.random() < 0.5:
-                    A = A + 1j * rng.uniform(-1, 1, size=(m, n))
-            drawn.append((A, field_normal(rng, (mdim, A.shape[1]), space.is_complex)))
+                A = parts[0, :m, :n]
+                if space.is_complex and coin < 0.5:
+                    A = A + 1j * parts[1, :m, :n]
+            drawn.append((A, X[:, : A.shape[1]]))
         norms = _law_norms([A for A, _ in drawn], p_role, cfg)
         vals = _point_values(spec, space, [X @ A.T for A, X in drawn] + [X for _, X in drawn], cfg)
         for (A, X), anorm, lhs, rhs in zip(drawn, norms, vals, vals[len(drawn) :]):
@@ -201,20 +211,26 @@ def check_coagulation_contraction(
     cfg: OptimConfig | None = None,
     tol: float = 1e-9,
 ) -> MatrixLawReport:
-    """For dual multi-norms: summing blocks of a tuple never increases it."""
+    """For dual multi-norms: summing blocks of a tuple never increases it.
+
+    Trial t draws n in 2..4, X padded to 4 columns and one uniform that
+    picks the set partition, each kind from its own cfg.stream("coagulation",
+    kind) in one block per chunk.
+    """
     cfg = cfg or OptimConfig()
     chunks = _trial_chunks(trials)
     violations: list[LawViolation] = []
     m = space.dim
     partitions = {n: list(set_partitions(n)) for n in range(2, 5)}
+    counts, normals, uniforms = (cfg.stream("coagulation", kind) for kind in (COUNTS, NORMALS, UNIFORMS))
     for chunk in chunks:
+        T = len(chunk)
+        ns = counts.integers(2, 5, size=T).tolist()
+        Xs = field_normal_block(normals, T, (m, 4), space.is_complex)
         drawn = []
-        for trial in chunk:
-            rng = cfg.rng(90000 + trial)
-            n = int(rng.integers(2, 5))
-            X = field_normal(rng, (m, n), space.is_complex)
-            parts = partitions[n]
-            blocks = parts[int(rng.integers(0, len(parts)))]
+        for n, X, u in zip(ns, Xs, uniforms.random(T).tolist()):
+            X, parts = X[:, :n], partitions[n]
+            blocks = parts[int(u * len(parts))]
             drawn.append((blocks, X, np.stack([X[:, b].sum(axis=1) for b in blocks], axis=1)))
         vals = _point_values(spec, space, [Y for *_, Y in drawn] + [X for _, X, _ in drawn], cfg)
         for (blocks, X, _), lhs, rhs in zip(drawn, vals, vals[len(drawn) :]):

@@ -15,7 +15,20 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .errors import SpecError
-from .optim import NormValue, OptimConfig, _as_value, _root, ball_linear_max, field_normal, lp_norm, seeded_ascent
+from .optim import (
+    COUNTS,
+    NORMALS,
+    UNIFORMS,
+    NormValue,
+    OptimConfig,
+    _as_value,
+    _root,
+    ball_linear_max,
+    field_normal_block,
+    gaussian_starts,
+    lp_norm,
+    seeded_ascent,
+)
 from .partitions import GRID_BLOCK, slot_assignments
 from .spaces import INF, REAL, SpaceSpec, VectorTuple, delta, delta_tuple, phase, roots_tuple
 from . import summing
@@ -358,7 +371,7 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
 
     With p = 2 on an index-2 space the mu_{2,n} ball is a spectral ball, and
     the spectral polish from the seeds and cfg.restarts Gaussian starts
-    (the streams seeded_ascent would draw) is the whole search.  Other
+    (the starts seeded_ascent would draw) is the whole search.  Other
     (p,q) pairs climb with seeded_ascent.
     """
     space = t.space
@@ -369,7 +382,7 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
     seeds = _pq_seeds(space, X)
 
     if p == 2 and space.p == 2:
-        seeds += [field_normal(cfg.rng(1000 + i), (space.dim, n), space.is_complex) for i in range(cfg.restarts)]
+        seeds += list(gaussian_starts(cfg, "ascent.starts", (space.dim, n), space.is_complex))
         val, L = max((_pq_spectral_polish(space, X, q, s) for s in seeds), key=lambda vL: vL[0])
         method = "pq_spectral_polish"
     else:
@@ -451,8 +464,7 @@ def _roots_upper(space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> float:
                 mats.append(H[:, :n])
             H = np.block([[H, H], [H, -H]])
 
-    rng = cfg.rng(333)
-    perms = [np.arange(n)] + [rng.permutation(n) for _ in range(3)]
+    perms = [np.arange(n), *np.argsort(cfg.stream("roots_upper.perms").random((3, n)), axis=1)]
     best = float(space.norm_cols(X).sum())
     for perm in perms:
         cols = X[:, perm]
@@ -516,9 +528,8 @@ def _standard_q_search(t: VectorTuple, q: float, cfg: OptimConfig) -> NormValue:
         return val, assign
 
     best, best_assign = climb(np.abs(X).argmax(axis=1).astype(int))
-    for i in range(min(cfg.restarts, 16)):
-        rng = cfg.rng(9000 + i)
-        val, assign = climb(rng.integers(0, n, size=m))
+    for start in cfg.stream("standard_q.starts").integers(0, n, size=(min(cfg.restarts, 16), m)):
+        val, assign = climb(start)
         if val > best:
             best, best_assign = val, assign
     return NormValue.lower_bound(best, {"assignment": best_assign}, "partition_local_search")
@@ -560,7 +571,7 @@ def _hilbert_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
     if col.max() > 0:
         seeds.append((col / np.linalg.norm(col)).astype(dt))
     seeds += list(np.eye(n, dtype=dt)[: min(n, 4)])
-    seeds += [field_normal(cfg.rng(11000 + i), n, space.is_complex) for i in range(cfg.restarts)]
+    seeds += list(gaussian_starts(cfg, "hilbert.starts", (n,), space.is_complex))
 
     best, best_alpha = 0.0, None
     for s in seeds:
@@ -781,8 +792,12 @@ def check_axioms(
 
     Exact-path specs are audited at tol 1e-8; search-backed specs at the
     widened 2e-2 on their certified lower bounds, flagged "heuristic".
-    Each trial draws n, X, a permutation and the scalars alpha from its own
-    stream; the derived tuples of a chunk of trials are evaluated as stacks.
+    Each kind of draw has one stream per call (cfg.stream("axioms", kind)),
+    drawn per chunk as one block with a fixed-width row per trial: n, then
+    X padded to n_max columns, then n_max uniforms each for the permutation
+    (their argsort), the moduli of alpha and, over C, its phases.  So a
+    trial's numbers depend on (seed, trial) alone, not on trials.  The
+    derived tuples of a chunk of trials are evaluated as stacks.
     """
     cfg = cfg or OptimConfig()
     validate(spec, space)
@@ -799,16 +814,18 @@ def check_axioms(
 
     violations: list[AxiomViolation] = []
     m = space.dim
+    counts, normals, uniforms = (cfg.stream("axioms", kind) for kind in (COUNTS, NORMALS, UNIFORMS))
     for chunk in chunks:
+        T = len(chunk)
+        ns = counts.integers(2, n_max + 1, size=T).tolist()
+        Xs = field_normal_block(normals, T, (m, n_max), space.is_complex)
+        U = uniforms.random((T, 3 if space.is_complex else 2, n_max))
+        alphas = 2.0 * U[:, 1]
+        if space.is_complex:
+            alphas = alphas * np.exp(2j * np.pi * U[:, 2])
         drawn, tuples = [], []
-        for trial in chunk:
-            rng = cfg.rng(40000 + trial)
-            n = int(rng.integers(2, n_max + 1))
-            X = field_normal(rng, (m, n), space.is_complex)
-            perm = rng.permutation(n)
-            alpha = 2.0 * rng.random(n)
-            if space.is_complex:
-                alpha = alpha * np.exp(2j * np.pi * rng.random(n))
+        for n, X, u, alpha in zip(ns, Xs, U, alphas):
+            X, perm, alpha = X[:, :n], np.argsort(u[0, :n]), alpha[:n]
             padded = np.concatenate([X, np.zeros((m, 1), dtype=X.dtype)], axis=1)
             rep = np.concatenate([X, X[:, -1:]], axis=1)
             # base, permuted, scaled, padded, repeated last slot, and for (B4) the doubled last slot

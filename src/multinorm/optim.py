@@ -2,8 +2,9 @@
 
 Every result is a NormValue carrying a certificate: an exact value, a
 bracket [lower, upper], or a certified lower bound with the witness that
-attains it.  All randomness flows through one seeded generator; restart i
-uses substream seed^i, so results are bit-identical across runs.
+attains it.  Every random draw comes from cfg.stream(site, index), a
+generator keyed by (seed, call site, index): one generator per call, drawn
+in whole blocks, so results are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -19,6 +20,29 @@ from .partitions import unit_grid, unit_roots
 from .spaces import COMPLEX, INF, REAL, MatrixOp, conjugate_index, phase, vector_to_json
 
 _ASCENT_ITERS = 200
+
+# The call sites that draw random numbers.  A site's id is part of its
+# generator's key, so the ids are fixed here (never hash(str), which varies
+# between processes) and an id is never reused for another site.
+SITE_ID = {
+    "ascent.starts": 1,
+    "ascent.directions": 2,
+    "power_ascent.starts": 3,
+    "torus_sweep.starts": 4,
+    "roots_upper.perms": 5,
+    "standard_q.starts": 6,
+    "hilbert.starts": 7,
+    "axioms": 8,
+    "matrix_law": 9,
+    "coagulation": 10,
+    "hermitian": 11,
+    "small": 12,
+    "orthogonal": 13,
+    "orthogonal_set": 14,
+    "orthogonal_multinorm": 15,
+}
+# an audit's one stream per draw kind, as the index of cfg.stream(site, index)
+COUNTS, NORMALS, UNIFORMS = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -36,8 +60,9 @@ class OptimConfig:
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
-    def rng(self, stream: int = 0) -> np.random.Generator:
-        return np.random.default_rng((self.seed ^ stream) & 0xFFFFFFFFFFFFFFFF)
+    def stream(self, site: str, index: int = 0) -> np.random.Generator:
+        """The generator of (seed, site, index); the seed is taken mod 2**64, so any integer seed works."""
+        return np.random.default_rng([self.seed % 2**64, SITE_ID[site], index])
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -159,6 +184,11 @@ def field_normal_block(rng: np.random.Generator, k: int, shape: tuple, is_comple
     return z[:, 0] + 1j * z[:, 1]
 
 
+def gaussian_starts(cfg: OptimConfig, site: str, shape: tuple, is_complex: bool) -> np.ndarray:
+    """The (cfg.restarts, *shape) Gaussian starts of a multistart search, one block from cfg.stream(site)."""
+    return field_normal_block(cfg.stream(site), cfg.restarts, shape, is_complex)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive enumerations
 
@@ -255,15 +285,9 @@ def _torus_sweep(f, n, cfg, real: bool) -> NormValue:
                     improved = True
         return val, zeta
 
-    starts = [np.ones(n, dtype=float if real else complex)]
-    rng = cfg.rng(101)
-    for _ in range(min(cfg.restarts, 8) - 1):
-        if real:
-            starts.append(np.where(rng.random(n) < 0.5, 1.0, -1.0))
-        else:
-            starts.append(np.exp(2j * np.pi * rng.random(n)))
-    for s in starts:
-        s[0] = 1.0
+    U = cfg.stream("torus_sweep.starts").random((min(cfg.restarts, 8) - 1, n))
+    starts = np.concatenate([np.ones((1, n)), np.where(U < 0.5, 1.0, -1.0) if real else np.exp(2j * np.pi * U)])
+    starts[:, 0] = 1.0
 
     best, best_z = -INF, None
     for z0 in starts:
@@ -337,25 +361,24 @@ def seeded_ascent(
     and is ignored where point b is degenerate.  value returns the (B,)
     values of a stack of feasible points.
 
-    Every restart (the seeds, then cfg.restarts Gaussian starts) climbs in
-    lockstep: on each tick each live restart proposes pt + step*d with a
-    fresh direction d while exploring, or pt + boost*d while riding a
-    direction that just paid, and one project and one value call handle
-    all proposals.  Restart i draws its fresh directions from its own
-    cfg.rng(5000 + i), K at a time with field_normal_block, which gives
-    the numbers of K successive field_normal calls; so every trajectory
-    is the one the restart would climb alone.  Deterministic in
+    Every restart (the seeds, then the cfg.restarts Gaussian starts of
+    gaussian_starts(cfg, "ascent.starts", ...)) climbs in lockstep: on each
+    tick each live restart proposes pt + step*d with a fresh direction d
+    while exploring, or pt + boost*d while riding a direction that just
+    paid, and one project and one value call handle all proposals.  The
+    directions come from one cfg.stream("ascent.directions"): tick t draws
+    field_normal(rng, (L0, *shape)) for the L0 starts, and restart i's fresh
+    direction at tick t is row i of it, whatever else is live.  So every
+    trajectory is the one the restart would climb alone.  Deterministic in
     cfg.seed; ties resolved by first find.
 
-    The L live restarts share one (L, K, *shape) pool of directions, with
-    K = min(iters, max(1, 2**16 // (L * prod(shape)))): the pool holds at
-    most 2**16 entries, or one direction per restart where L * prod(shape)
-    exceeds that, never one block of iters per restart.  A restart refills
-    its own block only once it has spent it.
+    The draws come K ticks at a time in one (K, L0, *shape) block, with
+    K = min(iters, max(1, 2**16 // (L0 * prod(shape)))): the pool holds at
+    most 2**16 entries, or one tick's directions where L0 * prod(shape)
+    exceeds that.
     """
     dt = complex if complex_field else float
-    starts = [np.asarray(s) for s in seeds]
-    starts += [field_normal(cfg.rng(1000 + i), shape, complex_field) for i in range(cfg.restarts)]
+    starts = [np.asarray(s) for s in seeds] + list(gaussian_starts(cfg, "ascent.starts", shape, complex_field))
     pts, ok = project(np.array(starts, dtype=dt))
     ids = np.flatnonzero(ok)
     if ids.size == 0:
@@ -365,12 +388,10 @@ def seeded_ascent(
 
     # per-restart state of the live restarts; a restart whose step underflows leaves the arrays
     final_vals, final_pts = vals.copy(), pts.copy()
-    live = rows = np.arange(ids.size)
-    rngs = [cfg.rng(5000 + int(i)) for i in ids]
-    # each restart's block of K directions; drawn indexes the current one, and from K - 1 the first tick fills every block
-    K = min(iters, max(1, 2**16 // (ids.size * math.prod(shape))))
-    pool = np.empty((ids.size, K, *shape), dtype=dt)
-    drawn = np.full(ids.size, K - 1)
+    live = np.arange(ids.size)
+    directions = cfg.stream("ascent.directions")
+    K = min(iters, max(1, 2**16 // (len(starts) * math.prod(shape))))
+    d = np.zeros_like(pts)
     step = np.full(ids.size, 0.5)
     mult = np.zeros(ids.size)
     misses = np.zeros(ids.size, dtype=int)
@@ -378,15 +399,15 @@ def seeded_ascent(
     grow = 1 + cfg.tol
     bcast = (-1,) + (1,) * len(shape)
 
-    for _ in range(iters):
+    for t in range(iters):
+        if t % K == 0:
+            pool = field_normal_block(directions, K, (len(starts), *shape), complex_field)
         fresh = ~riding
-        drawn += fresh
-        for i in np.flatnonzero(drawn == K).tolist():
-            pool[i] = field_normal_block(rngs[live[i]], K, shape, complex_field)
-            drawn[i] = 0
+        # a riding restart keeps its direction; an exploring one takes its own row of this tick's draw
+        d = np.where(riding.reshape(bcast), d, pool[t % K, ids[live]])
         # an exploring restart steps by step; a paying step starts a ride at twice it, and a paying ride doubles
         mult = np.where(riding, 2.0 * mult, step)
-        cand, cok = project(pts + mult.reshape(bcast) * pool[rows, drawn])
+        cand, cok = project(pts + mult.reshape(bcast) * d)
         if cok.all():
             v = np.asarray(value(cand), dtype=float)
         else:
@@ -407,10 +428,9 @@ def seeded_ascent(
             if not keep.all():
                 gone = ~keep
                 final_vals[live[gone]], final_pts[live[gone]] = vals[gone], pts[gone]
-                live, vals, pts, step, mult, misses, riding, pool, drawn = (
-                    a[keep] for a in (live, vals, pts, step, mult, misses, riding, pool, drawn)
+                live, vals, pts, step, mult, misses, riding, d = (
+                    a[keep] for a in (live, vals, pts, step, mult, misses, riding, d)
                 )
-                rows = np.arange(live.size)
                 if live.size == 0:
                     break
     final_vals[live], final_pts[live] = vals, pts
@@ -519,7 +539,7 @@ def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_f
     dt = complex if complex_field else float
     seeds = list(np.eye(n, dtype=dt)[: min(n, 8)])
     seeds.append(np.ones(n, dtype=dt))
-    seeds += [field_normal(cfg.rng(7000 + i), n, complex_field) for i in range(cfg.restarts)]
+    seeds += list(gaussian_starts(cfg, "power_ascent.starts", (n,), complex_field))
 
     best, best_x = 0.0, None
     for s in seeds:

@@ -199,7 +199,11 @@ def pi_summing(
     operator=None means the identity (the summing constant of the space).
     The search normalizes sampled tuples by mu's exact value when the mu
     path is exact, else by a certified upper bound, so the reported lower
-    bound is always sound.  Upper bound attached: n^(1/q) * ||T||.
+    bound is always sound.  With an operator, the norming vector x of
+    ||T|| padded with zeros, (x, 0, ..., 0), is normalized the same way and
+    gives pi >= ||T|| (up to the op-norm search); the larger of the two
+    lower bounds is kept with its witness.  Upper bound attached:
+    n^(1/q) * ||T||.
     """
     cfg = cfg or OptimConfig()
     if not (1 <= p <= q):
@@ -209,11 +213,17 @@ def pi_summing(
     if T.shape != (tgt.dim, space.dim):
         raise SpecError("operator shape incompatible with spaces")
 
+    candidates = []
     if operator is None:
         op_norm_upper = 1.0
     else:
         res = op_norm_between(T, space, tgt, cfg)
         op_norm_upper = res.upper if res.upper != INF else res.lower
+        if res.witness is not None:
+            padded = np.zeros((space.dim, n), dtype=complex if space.is_complex else float)
+            # op_norm_between's witness norms the weight-absorbed matrix; undo the source weights
+            padded[:, 0] = np.asarray(res.witness) / _weight_root(space)
+            candidates.append(padded)
     upper = n ** (1.0 / q) * op_norm_upper
 
     inner = replace(cfg, restarts=2, refine_passes=1)
@@ -230,14 +240,16 @@ def pi_summing(
         complex_field=space.is_complex,
     )
     lower, witness, scale_exact = 0.0, None, False
-    if cols is not None:
+    for cols in [cols] + candidates:
+        if cols is None:
+            continue
         res = mu_weak(p, VectorTuple(cols, space), cfg)
-        scale_exact = res.kind == "exact"
-        scale = res.lower if scale_exact else res.upper
+        exact = res.kind == "exact"
+        scale = res.lower if exact else res.upper
         if scale > 0:
-            img = T @ cols / scale
-            lower = min(lp_norm(tgt.norm_cols(img), q), upper)
-            witness = {"tuple": cols / scale}
+            val = min(lp_norm(tgt.norm_cols(T @ cols / scale), q), upper)
+            if witness is None or val > lower:
+                lower, witness, scale_exact = val, {"tuple": cols / scale}, exact
     if abs(upper - lower) <= 1e-12 * max(1.0, upper) and scale_exact:
         return NormValue.exact(upper, witness, "delta_witness_meets_definitional_upper")
     return NormValue.bracket(lower, upper, witness, "tuple_ascent")

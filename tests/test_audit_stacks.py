@@ -1,10 +1,13 @@
 """Golden test: the stacked audits report exactly what the per-trial loops they replaced reported.
 
-The _looped_* functions are frozen copies of the loops that drew one
-trial, evaluated its tuples with one point_value call each, and built one
-MatrixOp per law trial.  The library audits draw every trial of a chunk
-first and evaluate the chunk as stacks; their reports (violations, gaps,
-witnesses) must be identical bit for bit.
+The _looped_* functions are frozen copies of the loops that evaluated
+one trial's tuples with one point_value call each and built one MatrixOp
+per law trial.  They draw every trial at once, one block per draw kind
+from the audit's cfg.stream(site, kind), and take trial t's numbers from
+row t.  The library audits draw one block per chunk of trials and
+evaluate the chunk as stacks; their reports (violations, gaps, witnesses)
+must be identical bit for bit, so a trial's numbers do not depend on the
+chunking either.
 """
 
 import json
@@ -18,7 +21,7 @@ from multinorm import multinorms
 from multinorm.decompositions import generated_value
 from multinorm.matrixlaws import LawViolation, MatrixLawReport
 from multinorm.multinorms import AxiomReport, AxiomViolation, _stack_values, is_exact_path, point_value
-from multinorm.optim import _op_norm_exact, field_normal, op_norm_pq
+from multinorm.optim import COUNTS, NORMALS, UNIFORMS, _op_norm_exact, field_normal, field_normal_block, op_norm_pq
 from multinorm.partitions import GRID_BLOCK, set_partitions
 from multinorm.spaces import INF, MatrixOp, SpaceSpec, delta_tuple
 
@@ -39,18 +42,21 @@ def _looped_check_axioms(spec, space, n_max, trials, cfg, tol=None):
     val = lambda X: point_value(spec, space, X, cfg)
     violations = []
     m = space.dim
+    counts, normals, uniforms = (cfg.stream("axioms", kind) for kind in (COUNTS, NORMALS, UNIFORMS))
+    ns = counts.integers(2, n_max + 1, size=trials)
+    Xs = field_normal_block(normals, trials, (m, n_max), space.is_complex)
+    U = uniforms.random((trials, 3 if space.is_complex else 2, n_max))
     for trial in range(trials):
-        rng = cfg.rng(40000 + trial)
-        n = int(rng.integers(2, n_max + 1))
-        X = field_normal(rng, (m, n), space.is_complex)
+        n = int(ns[trial])
+        X = Xs[trial][:, :n]
         base = val(X)
-        perm = rng.permutation(n)
+        perm = np.argsort(U[trial, 0, :n])
         lhs = val(X[:, perm])
         if abs(lhs - base) > tol * max(1.0, base):
             violations.append(AxiomViolation("A1", n, lhs, base, abs(lhs - base), {"tuple": X, "perm": perm}))
-        alpha = 2.0 * rng.random(n) - 0.0
+        alpha = 2.0 * U[trial, 1, :n]
         if space.is_complex:
-            alpha = alpha * np.exp(2j * np.pi * rng.random(n))
+            alpha = alpha * np.exp(2j * np.pi * U[trial, 2, :n])
         lhs = val(X * alpha[None, :])
         rhs = float(np.abs(alpha).max()) * base
         if lhs > rhs + tol * max(1.0, rhs):
@@ -79,18 +85,21 @@ def _looped_matrix_law(spec, space, p_role, trials, cfg, tol=1e-9, fixed_matrice
     mdim = space.dim
     fixed = [np.asarray(M) for M in (fixed_matrices or [])]
     fixed = [A.astype(complex) if space.is_complex and np.iscomplexobj(A) else np.real(A).astype(float) for A in fixed]
+    counts, normals, uniforms = (cfg.stream("matrix_law", kind) for kind in (COUNTS, NORMALS, UNIFORMS))
+    width = max([4] + [A.shape[1] for A in fixed])
+    sizes = counts.integers(1, 5, size=(trials, 2))
+    Xs = field_normal_block(normals, trials, (mdim, width), space.is_complex)
+    U = uniforms.random((trials, 33))
     for trial in range(trials):
-        rng = cfg.rng(70000 + trial)
-        n = int(rng.integers(1, 5))
+        n, m = (int(k) for k in sizes[trial])
         if fixed and trial < len(fixed):
             A = fixed[trial]
             n = A.shape[1]
         else:
-            m = int(rng.integers(1, 5))
-            A = rng.uniform(-1, 1, size=(m, n))
-            if space.is_complex and rng.random() < 0.5:
-                A = A + 1j * rng.uniform(-1, 1, size=(m, n))
-        X = field_normal(rng, (mdim, n), space.is_complex)
+            A = 2.0 * U[trial, :16].reshape(4, 4)[:m, :n] - 1.0
+            if space.is_complex and U[trial, 32] < 0.5:
+                A = A + 1j * (2.0 * U[trial, 16:32].reshape(4, 4)[:m, :n] - 1.0)
+        X = Xs[trial][:, :n]
         res = op_norm_pq(MatrixOp(A, p_role, p_role), cfg)
         anorm = res.lower if res.kind == "exact" else res.upper
         lhs = point_value(spec, space, X @ A.T, cfg)
@@ -104,12 +113,15 @@ def _looped_matrix_law(spec, space, p_role, trials, cfg, tol=1e-9, fixed_matrice
 def _looped_coagulation(spec, space, trials, cfg, tol=1e-9):
     violations = []
     m = space.dim
+    counts, normals, uniforms = (cfg.stream("coagulation", kind) for kind in (COUNTS, NORMALS, UNIFORMS))
+    ns = counts.integers(2, 5, size=trials)
+    Xs = field_normal_block(normals, trials, (m, 4), space.is_complex)
+    picks = uniforms.random(trials)
     for trial in range(trials):
-        rng = cfg.rng(90000 + trial)
-        n = int(rng.integers(2, 5))
-        X = field_normal(rng, (m, n), space.is_complex)
+        n = int(ns[trial])
+        X = Xs[trial][:, :n]
         parts = list(set_partitions(n))
-        blocks = parts[int(rng.integers(0, len(parts)))]
+        blocks = parts[int(picks[trial] * len(parts))]
         Y = np.stack([X[:, b].sum(axis=1) for b in blocks], axis=1)
         lhs = point_value(spec, space, Y, cfg)
         rhs = point_value(spec, space, X, cfg)
@@ -122,9 +134,9 @@ def _looped_is_small(d, spec, space, trials, cfg, tol=1e-8):
     k = d.length
     Ps = d.projections
     worst_gap, witness = 0.0, None
+    Xs = field_normal_block(cfg.stream("small", NORMALS), trials, (space.dim, k), space.is_complex)
     for ti in range(trials):
-        rng = cfg.rng(140000 + ti)
-        X = field_normal(rng, (space.dim, k), space.is_complex)
+        X = Xs[ti]
         if ti == 0:
             X = delta_tuple(space.dim, k, space.is_complex)
         elif ti == 1:
@@ -158,9 +170,9 @@ def _looped_is_orthogonal(d, spec, space, trials, cfg, tol=1e-8):
     k = d.length
     Ps = d.projections
     worst_gap, witness = 0.0, None
+    Zs = field_normal_block(cfg.stream("orthogonal", NORMALS), trials, (space.dim, k), space.is_complex)
     for ti in range(trials):
-        rng = cfg.rng(150000 + ti)
-        Z = field_normal(rng, (space.dim, k), space.is_complex)
+        Z = Zs[ti]
         X = np.stack([Ps[i] @ Z[:, i] for i in range(k)], axis=1)
         gap, blocks, lhs, rhs = _looped_coagulations_equal(spec, space, X, cfg)
         if gap > worst_gap:
@@ -174,8 +186,9 @@ def _looped_orthogonal_set(spec, t, trials, cfg, tol=1e-8):
     k = t.n
     worst_gap, witness = 0.0, None
     scalings = [np.ones(k)]
+    rng = cfg.stream("orthogonal_set", NORMALS)
     for ti in range(trials):
-        scalings.append(field_normal(cfg.rng(160000 + ti), k, space.is_complex))
+        scalings.append(field_normal(rng, k, space.is_complex))
     for c in scalings:
         X = t.columns * np.asarray(c)[None, :]
         gap, blocks, lhs, rhs = _looped_coagulations_equal(spec, space, X, cfg)
@@ -188,10 +201,10 @@ def _looped_orthogonal_set(spec, t, trials, cfg, tol=1e-8):
 def _looped_is_orthogonal_multinorm(spec, f, space, trials, cfg, tol=1e-8):
     worst_gap, witness = 0.0, None
     draws = []
+    ns = cfg.stream("orthogonal_multinorm", COUNTS).integers(1, 4, size=trials)
+    Xs = field_normal_block(cfg.stream("orthogonal_multinorm", NORMALS), trials, (space.dim, 3), space.is_complex)
     for ti in range(trials):
-        rng = cfg.rng(170000 + ti)
-        n = int(rng.integers(1, 4))
-        draws.append(field_normal(rng, (space.dim, n), space.is_complex))
+        draws.append(Xs[ti][:, : int(ns[ti])])
     draws += [delta_tuple(space.dim, n, space.is_complex) for n in range(1, min(space.dim, 3) + 1)]
     for X in draws:
         lhs = point_value(spec, space, X, cfg)

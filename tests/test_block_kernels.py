@@ -51,12 +51,12 @@ def _pointwise_torus_sweep(f, n, cfg, real):
         return val, zeta
 
     starts = [np.ones(n, dtype=float if real else complex)]
-    rng = cfg.rng(101)
-    for _ in range(min(cfg.restarts, 8) - 1):
+    # one block of uniforms for the random starts, row by row
+    for u in cfg.stream("torus_sweep.starts").random((min(cfg.restarts, 8) - 1, n)):
         if real:
-            starts.append(np.where(rng.random(n) < 0.5, 1.0, -1.0))
+            starts.append(np.where(u < 0.5, 1.0, -1.0))
         else:
-            starts.append(np.exp(2j * np.pi * rng.random(n)))
+            starts.append(np.exp(2j * np.pi * u))
     for s in starts:
         s[0] = 1.0
 

@@ -186,3 +186,18 @@ def test_bad_audit_sizes_exit_2(capsys):
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("SpecError: ") and captured.err.count("\n") == 1
+
+
+def test_negative_seed_replays(capsys):
+    # the seed is taken mod 2**64 where a stream is built, so a negative one is a valid seed
+    doc = json.dumps({"space": {"p": 3, "dim": 3}, "tuple": [[1, 0.5, 0], [0, 1, -2]], "spec": {"variant": "pq", "p": 1.5, "q": 3}})
+    outs = []
+    for _ in range(2):
+        code, out = run_cli(capsys, "eval", doc, "--seed", "-1", "--restarts", "3")
+        assert code == 0
+        report = json.loads(out)
+        assert report["cfg"]["seed"] == -1
+        report.pop("timestamp")
+        outs.append(report)
+    assert outs[0] == outs[1]
+    assert outs[0]["result"]["norm_value"]["method"] == "pq_ball_ascent"

@@ -2,8 +2,12 @@
 
 _sequential_ascent is a frozen copy of the one-restart-at-a-time loop,
 with scalar project (point -> point or None) and scalar value callbacks.
-The lockstep engine gets the same callbacks lifted to stacks, and must
-return the same (value, point) bit for bit.
+It takes the stream layout as its definition: the starts are one block
+from cfg.stream("ascent.starts"), and restart i's fresh direction at its
+t-th step is row i of the t-th field_normal(rng, (L0, *shape)) draw from
+cfg.stream("ascent.directions"), L0 being the number of starts.  The
+lockstep engine gets the same callbacks lifted to stacks, and must return
+the same (value, point) bit for bit.
 """
 
 import math
@@ -15,24 +19,34 @@ import pytest
 from multinorm.optim import INF, OptimConfig, field_normal, field_normal_block, seeded_ascent, unconstrained
 
 
+def _direction_rows(cfg, L0, shape, complex_field, iters, rows):
+    """The directions of restarts rows at every tick, (iters, len(rows), *shape), from one pass over the stream."""
+    rng = cfg.stream("ascent.directions")
+    return np.stack([field_normal(rng, (L0, *shape), complex_field)[rows] for _ in range(iters)])
+
+
 def _sequential_ascent(project, value, seeds, shape, cfg, complex_field=False, iters=200):
     starts = [np.asarray(s) for s in seeds]
+    rng = cfg.stream("ascent.starts")
     for i in range(cfg.restarts):
-        starts.append(field_normal(cfg.rng(1000 + i), shape, complex_field))
+        starts.append(field_normal(rng, shape, complex_field))
 
+    # restarts take their directions in groups, one pass over the stream per group, which keeps the rows held to ~2**22
+    group = max(1, 2**22 // (iters * math.prod(shape)))
     best_val, best_pt = -INF, None
     for si, s0 in enumerate(starts):
+        if si % group == 0:
+            directions = _direction_rows(cfg, len(starts), shape, complex_field, iters, slice(si, si + group))
         pt = project(np.array(s0, dtype=complex if complex_field else float))
         if pt is None:
             continue
         val = value(pt)
-        rng = cfg.rng(5000 + si)
         step = 0.5
         misses = 0
         budget = iters
         while budget > 0:
+            direction = directions[iters - budget, si % group]
             budget -= 1
-            direction = field_normal(rng, shape, complex_field)
             cand = project(pt + step * direction)
             v = value(cand) if cand is not None else -INF
             if v > val * (1 + cfg.tol) + 1e-15:
@@ -171,7 +185,7 @@ def test_block_draw_equals_successive_field_normal_calls(is_complex, k):
 @pytest.mark.parametrize("proj, obj", [("unit_columns", "bumpy"), ("half_space", "negative"), ("identity", "constant")])
 def test_lockstep_matches_sequential_with_refills(is_complex, shape, proj, obj):
     # c_n's 64 Gaussian restarts plus four seeds: blocks of 2**16 // (68 * 6) = 160 or 2**16 // (68 * 32) = 30
-    # directions, so restarts refill mid-climb, and at iters=400 restarts also leave through the step exit
+    # ticks, so new blocks are drawn mid-climb, and at iters=400 restarts also leave through the step exit
     iters = 400
     cfg = OptimConfig(seed=29, restarts=64)
     assert 2**16 // ((cfg.restarts + 4) * math.prod(shape)) < iters

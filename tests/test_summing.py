@@ -152,6 +152,23 @@ def test_pi_summing_with_operator():
     assert res.lower >= 2.0 - 1e-9
 
 
+@pytest.mark.parametrize("weights", [(), (0.5, 1.0, 2.0)])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_pi_summing_lower_reaches_the_operator_norm(seed, weights):
+    # a norming vector padded with zeros has mu_{1,n} = 1, so pi_{2,1}^(n)(T) >= ||T||; the two-restart
+    # ascent alone stopped short of it (seed 1, unweighted: 1.836 < 1.888)
+    T = np.random.default_rng(seed).standard_normal((3, 3))
+    space = SpaceSpec(2, 3, weights)
+    res = mn.pi_summing(2, 1, space, 3, OptimConfig(seed=1, restarts=2), operator=T)
+    norm = mn.summing.op_norm_between(T, space, space, CFG)
+    assert norm.kind == "exact"
+    assert res.lower >= norm.lower * (1 - 1e-12)
+    # the witness is a mu-unit tuple that attains the lower bound
+    X = res.witness["tuple"]
+    assert mn.mu_weak(1, VectorTuple(X, space), CFG).lower == pytest.approx(1.0, abs=1e-12)
+    assert math.sqrt((space.norm_cols(T @ X) ** 2).sum()) == pytest.approx(res.lower, rel=1e-12)
+
+
 def test_c_n_values():
     res = mn.c_n(SpaceSpec(2, 2), 1, CFG)
     assert res.kind == "exact" and res.lower == pytest.approx(1.0)
