@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import acceptance, summing
 from .decompositions import Decomposition, is_hermitian, is_orthogonal, is_small
 from .errors import BudgetError, DegenerateNormError, DimensionError, FieldError, HermitianError, SpecError
-from .multinorms import MultiNormSpec, check_axioms, evaluate, rate_of_growth
+from .multinorms import MultiNormSpec, check_axioms, evaluate, is_exact_path, rate_of_growth
 from .operators import mb_norm
 from .optim import INF, OptimConfig
 from .spaces import SpaceSpec, VectorTuple, matrix_from_json, vector_from_json
@@ -110,8 +111,6 @@ def cmd_eval(doc: dict, cfg: OptimConfig) -> dict:
 
 
 def cmd_axioms(doc: dict, cfg: OptimConfig) -> dict:
-    from .multinorms import is_exact_path
-
     space = _space(doc)
     spec = _spec(doc)
     n_max = int(doc.get("n_max", 4))
@@ -330,7 +329,12 @@ def main(argv: list | None = None) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(payload + "\n")
-    print(payload if args.json_out else _render_text(report))
+    try:
+        print(payload if args.json_out else _render_text(report), flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe early: point stdout at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
     if args.command == "verify" and not report["result"]["passed"]:
         return 1

@@ -8,6 +8,7 @@ from closed inequalities (root averages, q-sum bounds).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
@@ -22,6 +23,8 @@ from .optim import (
     NormValue,
     OptimConfig,
     _as_value,
+    _first_max,
+    _op_norm_rule,
     _root,
     ball_linear_max,
     field_normal_block,
@@ -29,8 +32,8 @@ from .optim import (
     lp_norm,
     seeded_ascent,
 )
-from .partitions import GRID_BLOCK, slot_assignments
-from .spaces import INF, REAL, SpaceSpec, VectorTuple, delta, delta_tuple, phase, roots_tuple
+from .partitions import GRID_BLOCK, digit_rows
+from .spaces import INF, SpaceSpec, VectorTuple, conjugate_index, delta, delta_tuple, phase, roots_tuple
 from . import summing
 
 VARIANTS = (
@@ -127,14 +130,10 @@ class MultiNormSpec:
 
     # -- classification ----------------------------------------------------
     def is_dual_multinorm(self) -> bool:
-        """True when the variant satisfies (B4) instead of (A4)."""
-        if self.variant in ("dual_lattice", "weak_summing"):
-            return True
-        if self.variant == "lp_sum":
-            return self.p == 1
+        """True when the variant satisfies (B4) instead of (A4): mu_1 does, mu_inf is the minimum multi-norm."""
         if self.variant == "numerical_dual":
             return not self.base.is_dual_multinorm()
-        return False
+        return self.variant == "dual_lattice" or (self.variant in ("weak_summing", "lp_sum") and self.p == 1)
 
     def to_json(self) -> dict:
         doc: dict[str, Any] = {"variant": self.variant}
@@ -231,34 +230,58 @@ def _norm_of_abs(space: SpaceSpec, a: np.ndarray):
     return _root((space.w * a**space.p).sum(axis=-1), space.p)
 
 
-def standard_q_value(space: SpaceSpec, X: np.ndarray, q: float, assign: np.ndarray) -> float:
-    """Value of one ordered-partition assignment for the standard q norm."""
-    p = space.p
-    contrib = space.w[:, None] * np.abs(X) ** p
-    n = X.shape[1]
-    parts = np.zeros(n)
-    for j in range(n):
-        mask = assign == j
-        if np.any(mask):
-            parts[j] = contrib[mask, j].sum() ** (1.0 / p)
-    return lp_norm(parts, q)
+def _standard_q_values(space: SpaceSpec, contrib: np.ndarray, A: np.ndarray, q: float) -> np.ndarray:
+    """(..., G) standard q values (q-norm of the slots' p-norms) of (G, m) slot assignments A, given contrib = w |X|^p.
+
+    Each slot adds its rows in row order, numpy's order for fewer than 8 terms.
+    """
+    n = contrib.shape[-1]
+    sums = np.zeros((*contrib.shape[:-2], len(A), n))
+    for k in range(A.shape[1]):
+        sums += np.where(A[:, k, None] == np.arange(n), contrib[..., None, k, :], 0.0)
+    return lp_norm(_root(sums, space.p), q)
 
 
-def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig) -> Optional[Callable[[np.ndarray], Any]]:
-    """The variant's exact value function, or None when it has no exact path.
+def _standard_q_enum(space: SpaceSpec, X: np.ndarray, q: float):
+    """(value, first maximizing assignment in itertools.product order) of one (m, n) tuple or a (..., m, n) stack.
+
+    The n^m assignments come in digit blocks of at most GRID_BLOCK rows, fewer where a stack's block would pass 2^18 entries.
+    """
+    m, n = X.shape[-2:]
+    S = X.reshape(-1, m, n)
+    contrib = space.w[:, None] * np.abs(S) ** space.p
+    total, rows = n**m, max(1, min(GRID_BLOCK, 2**18 // (len(S) * n)))
+    best, assign = np.full(len(S), -INF), np.zeros((len(S), m), dtype=int)
+    for start in range(0, total, rows):
+        A = digit_rows(m, n, start, min(start + rows, total))
+        i, v = _first_max(_standard_q_values(space, contrib, A, q))
+        win = v > best
+        best[win], assign[win] = v[win], A[i[win]]
+    return _as_value(best.reshape(X.shape[:-2])), assign.reshape(*X.shape[:-2], m)
+
+
+def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConfig) -> Optional[Callable[[np.ndarray], Any]]:
+    """The variant's exact value function for n-tuples, or None where n-tuples have no exact path.
 
     The function takes one (m, n) tuple and returns a float, or a stack of
     shape (..., m, n) and returns the (...) values; each stacked value
-    equals the value of its tuple alone bit for bit.
+    equals the value of its tuple alone bit for bit.  standard_q(q > p)
+    enumerates its n^m slot assignments within cfg.max_enum.  weak_summing
+    is exact where optim._op_norm_rule covers its (p' -> r) matrices, by
+    mu_weak's kernel summing.mu_scale; real mu_1 on a space of finite index
+    keeps mu1_phase_guidance's sign grid (equal to mu_weak(1) up to the last
+    bits).  A spec the space cannot carry raises SpecError.
     """
+    validate(spec, space)
     v = spec.variant
-    w = space.w
     p = space.p
 
     if v == "min":
         return lambda X: _as_value(space.norm_cols(X).max(axis=-1))
     if v == "lattice" or (v == "standard_q" and spec.q == p) or (v == "max" and p == 1):
         return lambda X: _norm_of_abs(space, np.abs(X).max(axis=-1))
+    if v == "standard_q" and n**space.dim <= cfg.max_enum:
+        return lambda X: _standard_q_enum(space, X, spec.q)[0]
     if v == "dual_lattice":
         return lambda X: _norm_of_abs(space, np.abs(X).sum(axis=-1))
     if v == "lp_sum":
@@ -266,15 +289,10 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig) -> 
     if v == "partition":
         blocks = [np.asarray(b, dtype=int) for b in spec.blocks]
         if p == INF:
-
-            def part_inf(X):
-                a = np.abs(X)
-                return _as_value(np.max([a[..., b, :].max(axis=(-2, -1)) for b in blocks], axis=0))
-
-            return part_inf
+            return lambda X: _as_value(np.max([np.abs(X[..., b, :]).max(axis=(-2, -1)) for b in blocks], axis=0))
 
         def part(X):
-            contrib = w[:, None] * np.abs(X) ** p
+            contrib = space.w[:, None] * np.abs(X) ** p
             total = 0.0
             for b in blocks:
                 total = total + contrib[..., b, :].sum(axis=-2).max(axis=-1)
@@ -282,28 +300,17 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig) -> 
 
         return part
     if v == "weak_summing":
-        ps = spec.p
-        if ps == INF:
-            return lambda X: _as_value(space.norm_cols(X).max(axis=-1))
-        if p == INF:
-            return lambda X: _as_value(((np.abs(X) ** ps).sum(axis=-1) ** (1.0 / ps)).max(axis=-1))
-        if ps == 2 and p == 2:
-
-            def spectral(X):
-                # mu_weak's exact value: the same stacked p->q kernel, whose 2->2 rule is always exact
-                values, _ = summing.mu_scale(2, X.reshape((-1, *X.shape[-2:])), space, cfg)
-                return _as_value(values.reshape(X.shape[:-2]))
-
-            return spectral
-        if ps == 1 and space.field == REAL:
+        rule = _op_norm_rule(conjugate_index(spec.p), p, space.is_complex, space.dim, n, cfg.max_enum)
+        if rule == "sign_enum_inputs":
             return lambda X: summing.mu1_phase_guidance(space, X, cfg)
-        return None
+        if rule is not None:
+            return lambda X: summing.mu_scale(spec.p, X, space, cfg)[0]
     if v == "generated":
         from .decompositions import generated_value
 
         return lambda X: generated_value(spec.family, space, X, cfg)
     if v == "extended":
-        base_fn = exact_evaluator(spec.base, space, cfg)
+        base_fn = exact_evaluator(spec.base, space, n, cfg)
         if base_fn is None:
             return None
         ops = [np.asarray(T) for T in spec.ops]
@@ -311,26 +318,8 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig) -> 
     return None
 
 
-def _grid_fits(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConfig) -> bool:
-    """False where the exact evaluator's sign grid for n-tuples exceeds cfg.max_enum.
-
-    Real weak_summing(1) on a space with p < inf is evaluated on 2^(n-1)
-    sign rows; above the budget evaluate hands it to summing.mu_weak,
-    which then gives a bracket.
-    """
-    if spec.variant == "extended":
-        return _grid_fits(spec.base, space, n, cfg)
-    if spec.variant == "weak_summing" and spec.p == 1 and space.p != INF and space.field == REAL:
-        return 2 ** (n - 1) <= cfg.max_enum
-    return True
-
-
 def is_exact_path(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConfig) -> bool:
-    if exact_evaluator(spec, space, cfg) is not None:
-        return _grid_fits(spec, space, n, cfg)
-    if spec.variant == "standard_q":
-        return n**space.dim <= cfg.max_enum
-    return False
+    return exact_evaluator(spec, space, n, cfg) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -496,35 +485,23 @@ def _max_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
 
 
 def _standard_q_search(t: VectorTuple, q: float, cfg: OptimConfig) -> NormValue:
+    """Lower bound past the enumeration budget: one-row moves, each row's n moves scored in one kernel call."""
     space = t.space
     X = t.columns
     m, n = X.shape
-    if n**m <= cfg.max_enum:
-        best, best_assign = -INF, None
-        for assign in slot_assignments(m, n, cfg.max_enum):
-            arr = np.asarray(assign)
-            val = standard_q_value(space, X, q, arr)
-            if val > best:
-                best, best_assign = val, arr
-        return NormValue.exact(best, {"assignment": best_assign}, "partition_enum")
+    contrib = space.w[:, None] * np.abs(X) ** space.p
 
     def climb(assign):
-        val = standard_q_value(space, X, q, assign)
+        val = float(_standard_q_values(space, contrib, assign[None], q)[0])
         improved = True
         while improved:
             improved = False
             for k in range(m):
-                old = assign[k]
-                for j in range(n):
-                    if j == old:
-                        continue
-                    assign[k] = j
-                    v = standard_q_value(space, X, q, assign)
+                moves = np.repeat(assign[None], n, axis=0)
+                moves[:, k] = np.arange(n)
+                for j, v in enumerate(_standard_q_values(space, contrib, moves, q).tolist()):
                     if v > val + 1e-15:
-                        val = v
-                        old = j
-                        improved = True
-                assign[k] = old
+                        val, assign[k], improved = v, j, True
         return val, assign
 
     best, best_assign = climb(np.abs(X).argmax(axis=1).astype(int))
@@ -588,7 +565,6 @@ def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig)
     base = spec.base
     L = t.columns
     m, n = L.shape
-    heuristic = not is_exact_path(base, primal, n, cfg)
     membership = point_evaluator(base, primal, replace(cfg, restarts=min(cfg.restarts, 4), refine_passes=1))
 
     def objective(Xs):
@@ -610,7 +586,7 @@ def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig)
     seeds += _slot_norming_seeds(dual_space, L)
 
     res = ball_linear_max(membership, objective, (m, n), cfg, seeds=seeds, complex_field=primal.is_complex)
-    method = "numerical_dual_ascent" + ("_heuristic_membership" if heuristic else "")
+    method = "numerical_dual_ascent" + ("" if is_exact_path(base, primal, n, cfg) else "_heuristic_membership")
     return NormValue.lower_bound(res.lower, res.witness, method)
 
 
@@ -622,12 +598,14 @@ def evaluate(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig | None = None
     """Evaluate the multi-norm described by spec on the tuple t."""
     cfg = cfg or OptimConfig()
     space = t.space
-    validate(spec, space)
     X = t.columns
     v = spec.variant
 
-    fast = exact_evaluator(spec, space, cfg)
-    if fast is not None and _grid_fits(spec, space, X.shape[1], cfg):
+    fast = exact_evaluator(spec, space, X.shape[1], cfg)  # validates spec against the space
+    if fast is not None and v == "standard_q" and spec.q != space.p:
+        value, assign = _standard_q_enum(space, X, spec.q)
+        return NormValue.exact(value, {"assignment": assign}, "partition_enum")
+    if fast is not None:
         value = fast(X)
         witness = None
         method = {
@@ -671,17 +649,16 @@ def evaluate(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig | None = None
 
 
 def point_evaluator(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig) -> Callable[[np.ndarray], Any]:
-    """point_value with the evaluator resolved once; as in evaluate, widths that fail _grid_fits take the search path."""
-    fast = exact_evaluator(spec, space, cfg)
+    """point_value with the evaluator resolved once per tuple width; as in evaluate, a width with no exact path takes the search path."""
+    exact_at = functools.cache(lambda n: exact_evaluator(spec, space, n, cfg))
 
     def value(X):
         X = np.asarray(X)
-        if fast is not None and _grid_fits(spec, space, X.shape[-1], cfg):
+        fast = exact_at(X.shape[-1])
+        if fast is not None:
             return fast(X)
-        if X.ndim == 2:
-            return evaluate(spec, VectorTuple(X, space), cfg).lower
-        flat = X.reshape(-1, *X.shape[-2:])
-        return np.array([evaluate(spec, VectorTuple(x, space), cfg).lower for x in flat]).reshape(X.shape[:-2])
+        lows = [evaluate(spec, VectorTuple(x, space), cfg).lower for x in X.reshape(-1, *X.shape[-2:])]
+        return _as_value(np.array(lows).reshape(X.shape[:-2]))
 
     return value
 

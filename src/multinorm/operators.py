@@ -12,12 +12,13 @@ the p_n bounds computed here, so no separate continuity checker exists.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, SpecError
-from .multinorms import MultiNormSpec, _grid_fits, evaluate, exact_evaluator, point_evaluator
+from .multinorms import MultiNormSpec, evaluate, exact_evaluator, point_evaluator
 from .optim import INF, NormValue, OptimConfig, seeded_ascent, unconstrained
 from .spaces import MatrixOp, SpaceSpec, VectorTuple, delta_tuple
 from .summing import _scaled_score, op_norm_between
@@ -75,23 +76,19 @@ def _delta_tuples(dim: int, n: int, is_complex: bool, cap: int = 2048):
 def _source_scale(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig):
     """(scale, heuristic): scale maps a stack of tuples to their source norms.
 
-    Exact paths give the norm (widths that fail _grid_fits are not exact);
-    otherwise each tuple is evaluated and its upper bound taken, or its
-    lower bound when there is none, which sets heuristic[0].
+    A width with an exact path gives the norm; otherwise each tuple's upper
+    bound, or its lower bound where it has none, which sets heuristic[0].
     """
     heuristic = [False]
-    fast = exact_evaluator(spec, space, cfg)
+    exact_at = functools.cache(lambda n: exact_evaluator(spec, space, n, cfg))
 
     def scale(C):
-        if fast is not None and _grid_fits(spec, space, C.shape[-1], cfg):
+        fast = exact_at(C.shape[-1])
+        if fast is not None:
             return fast(C)
-        out = np.empty(len(C))
-        for b, cols in enumerate(C):
-            res = evaluate(spec, VectorTuple(cols, space), cfg)
-            if res.upper == INF:
-                heuristic[0] = True
-            out[b] = res.lower if res.upper == INF else res.upper
-        return out
+        res = [evaluate(spec, VectorTuple(cols, space), cfg) for cols in C]
+        heuristic[0] = heuristic[0] or any(r.upper == INF for r in res)
+        return np.array([r.lower if r.upper == INF else r.upper for r in res])
 
     return scale, heuristic
 

@@ -567,38 +567,56 @@ def op_norm_pq(a: MatrixOp, cfg: OptimConfig, field: str | None = None) -> NormV
     return NormValue.bracket(min(lower, upper), upper, x, "power_ascent")
 
 
+def _op_norm_rule(p: float, q: float, complex_field: bool, m: int, n: int, max_enum: int) -> str | None:
+    """The method that gives the exact (p -> q) norm of every (m, n) matrix, or None.
+
+    Closed forms p=1 (max column q-norm), q=inf (max row p'-norm), p=q=2 (top singular value); over
+    real scalars, sign enumerations for p=inf or q=1 whose 2^(n-1) (resp. 2^(m-1)) signs fit max_enum.
+    """
+    if p == 1:
+        return "max_column_norm"
+    if q == INF:
+        return "max_row_dual_norm"
+    if p == 2 and q == 2:
+        return "svd"
+    if complex_field:
+        return None
+    if p == INF and 2 ** (n - 1) <= max_enum:
+        return "sign_enum_inputs"
+    if q == 1 and 2 ** (m - 1) <= max_enum:
+        return "sign_enum_outputs"
+    return None
+
+
 def _op_norm_exact(S: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool) -> tuple[np.ndarray, list, list]:
-    """Exact (p -> q) norms of a (B, m, n) stack of raw, already validated arrays.
+    """Exact (p -> q) norms of a (B, m, n) stack of raw, already validated arrays, by _op_norm_rule.
 
     Returns (values, witnesses, methods), one entry per slice, each equal
-    to what the slice gets alone bit for bit.  A slice takes the first rule
-    that covers it: the closed forms p=1 (max column q-norm), q=inf (max
-    row p'-norm) and p=q=2 (top singular value); generalized permutation
-    matrices; over real scalars, sign enumerations for p=inf or q=1 when
-    the 2^(n-1) (resp. 2^(m-1)) pinned sign vectors fit cfg.max_enum.  A
-    slice no rule covers gets value NaN, witness None and method None, and
-    callers attach their own bound there.
+    to what the slice gets alone bit for bit.  Without a closed form,
+    generalized permutation matrices go first; a slice nothing covers gets
+    value NaN, witness None and method None, and callers attach their own bound.
     """
     B, m, n = S.shape
     take = np.arange(B)
+    rule = _op_norm_rule(p, q, complex_field, m, n, cfg.max_enum)
 
-    if p == 1:
+    if rule == "max_column_norm":
         cols = _col_norms(S, q)
         j = cols.argmax(axis=-1)
-        return cols[take, j], list(np.eye(n, dtype=complex if complex_field else float)[j]), ["max_column_norm"] * B
+        return cols[take, j], list(np.eye(n, dtype=complex if complex_field else float)[j]), [rule] * B
 
-    if q == INF:
+    if rule == "max_row_dual_norm":
         pp = conjugate_index(p)
         rows = _col_norms(np.swapaxes(S, -1, -2), pp)
         i = rows.argmax(axis=-1)
         values, R = rows[take, i], S[take, i]
         W = _dual_unit_vectors(R, values, p, pp, phase(np.conj(R)))
         W = W if complex_field else np.real(W)
-        return values, [np.zeros(n) if v == 0 else w for v, w in zip(values.tolist(), W)], ["max_row_dual_norm"] * B
+        return values, [np.zeros(n) if v == 0 else w for v, w in zip(values.tolist(), W)], [rule] * B
 
-    if p == 2 and q == 2:
+    if rule == "svd":
         _, s, Vh = np.linalg.svd(S)
-        return s[:, 0], list(np.conj(Vh[:, 0]) if complex_field else np.real(Vh[:, 0])), ["svd"] * B
+        return s[:, 0], list(np.conj(Vh[:, 0]) if complex_field else np.real(Vh[:, 0])), [rule] * B
 
     values, witnesses, methods = np.full(B, np.nan), [None] * B, [None] * B
     nz = np.abs(S) > 0
@@ -607,26 +625,22 @@ def _op_norm_exact(S: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_
         values[b], witnesses[b] = _diagonal_like(S[b], p, q, complex_field)
         methods[b] = "diagonal_like"
     rest = np.flatnonzero(~diagonal)
-    if complex_field or rest.size == 0:
+    if rule is None or rest.size == 0:
         return values, witnesses, methods
     T = S if rest.size == B else S[rest]
 
-    if p == INF and 2 ** (n - 1) <= cfg.max_enum:
+    if rule == "sign_enum_inputs":
         vals, W = _sign_scan(lambda E: lp_norm(E @ np.swapaxes(T, -1, -2), q), rest.size, n, cfg, symmetric=True)
-        method = "sign_enum_inputs"
-    elif q == 1 and 2 ** (m - 1) <= cfg.max_enum:
+    else:
         pp = conjugate_index(p)
         vals, signs = _sign_scan(lambda E: lp_norm(E @ T, pp), rest.size, m, cfg, symmetric=True)
         G = (np.swapaxes(T, -1, -2) @ signs[..., None])[..., 0]
         nx = lp_norm(G, pp)
         W = _dual_unit_vectors(G, nx, p, pp, np.sign(G) + (G == 0))
         W[nx == 0] = 0.0
-        method = "sign_enum_outputs"
-    else:
-        return values, witnesses, methods
     values[rest] = vals
     for b, w in zip(rest.tolist(), W):
-        witnesses[b], methods[b] = w, method
+        witnesses[b], methods[b] = w, rule
     return values, witnesses, methods
 
 

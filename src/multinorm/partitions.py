@@ -67,12 +67,16 @@ def unit_roots(levels: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(levels) / levels)
 
 
+def digit_rows(width: int, base: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the base**width digit strings of length width, in itertools.product order (last digit fastest)."""
+    return np.arange(start, stop)[:, None] // base ** np.arange(width - 1, -1, -1) % base
+
+
 def _grid_rows(n: int, levels: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the pinned grid, last coordinate fastest."""
-    digits = np.arange(start, stop)[:, None] // levels ** np.arange(n - 2, -1, -1) % levels
     roots = unit_roots(levels)
     Z = np.ones((stop - start, n), dtype=roots.dtype)
-    Z[:, 1:] = roots[digits]
+    Z[:, 1:] = roots[digit_rows(n - 1, levels, start, stop)]
     return Z
 
 

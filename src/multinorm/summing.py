@@ -78,9 +78,9 @@ def unit_columns(space: SpaceSpec):
 def mu_weak(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormValue:
     """Weak p-summing norm mu_{p,n}(x_1,...,x_n) on the tuple's space.
 
-    Exact whenever op_norm_pq is exact on the reduced (p' -> r) matrix:
-    a closed form (r = inf, p = inf, p' = r = 2, disjoint supports) or,
-    for p = 1 over real scalars, sign enumeration of || sum_j eps_j x_j ||.
+    Exact whenever op_norm_pq is exact on the reduced (p' -> r) matrix: a
+    rule of optim._op_norm_rule (closed forms for p' = 1, r = inf and
+    p' = r = 2; real sign enumerations for p = 1 or r = 1) or disjoint supports.
     """
     cfg = cfg or OptimConfig()
     if p < 1:
@@ -116,12 +116,12 @@ def mu_scale(p: float, X: np.ndarray, space: SpaceSpec, cfg: OptimConfig) -> tup
 
     The raw-array form of mu_weak for search loops that rescale onto the
     mu ball: X is an already validated (dim, n) array of the space's field
-    (or a (B, dim, n) stack, giving (B,) value and flag arrays equal to the
-    per-tuple results bit for bit) and p >= 1.  The value is _op_norm_exact's
+    (or a (..., dim, n) stack, giving (...) value and flag arrays equal to
+    the per-tuple results bit for bit) and p >= 1.  The value is _op_norm_exact's
     value, or the smaller of the sandwich and Holder upper bounds; no
     ascent, torus or phase-grid work is done.
     """
-    S = X if X.ndim == 3 else X[None]
+    S = X.reshape(-1, *X.shape[-2:])
     norms = space.norm_cols(S)
     if p == INF:
         values, exact = norms.max(axis=-1), np.ones(len(S), dtype=bool)
@@ -133,7 +133,7 @@ def mu_scale(p: float, X: np.ndarray, space: SpaceSpec, cfg: OptimConfig) -> tup
             values[~exact] = np.minimum(lp_norm(norms[~exact], p), _holder_upper(A[~exact], pp, space.p))
     if X.ndim == 2:
         return float(values[0]), bool(exact[0])
-    return values, exact
+    return values.reshape(X.shape[:-2]), exact.reshape(X.shape[:-2])
 
 
 def mu_weak_dual(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormValue:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +123,11 @@ def test_schema_error_exit_2(capsys):
                    ' "matrix": [[1, 0], [0, 1]]}'),
         ("eval", '{"space": {"p": 2, "dim": 2}, "tuple": [[NaN, 0]], "spec": {"variant": "min"}}'),
         ("eval", '{"space": {"p": 2, "dim": 2, "weights": [1, Infinity]}, "tuple": [[1, 0]], "spec": {"variant": "min"}}'),
+        ("axioms", '{"space": {"p": 2, "dim": 3}, "spec": {"variant": "weak_summing"}}'),
+        ("mbnorm", '{"source": {"p": 2, "dim": 2}, "target": {"p": 2, "dim": 2}, "spec_source": {"variant": "weak_summing"},'
+                   ' "spec_target": {"variant": "lattice"}, "matrix": [[1, 0], [0, 1]], "n_max": 2}'),
+        ("decomp", '{"space": {"p": 2, "dim": 2}, "spec": {"variant": "weak_summing"}, "trials": 2,'
+                   ' "decomposition": {"projections": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}}'),
     ]:
         code = main([command, doc])
         captured = capsys.readouterr()
@@ -201,3 +210,20 @@ def test_negative_seed_replays(capsys):
         outs.append(report)
     assert outs[0] == outs[1]
     assert outs[0]["result"]["norm_value"]["method"] == "pq_ball_ascent"
+
+
+def test_closed_stdout_exits_without_a_traceback(tmp_path):
+    # the report echoes its input, so a 6000-dimensional tuple prints far more than a pipe buffer holds
+    doc = {"space": {"p": 2, "dim": 6000}, "spec": {"variant": "min"}, "tuple": [[1.0] * 6000, [0.5] * 6000]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multinorm.cli", "eval", str(path)], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -417,3 +417,14 @@ def test_real_max_on_pairs_is_the_l1_2_closed_form(r):
             mu1 = max(d.norm(e1 * L[:, 0] + e2 * L[:, 1]) for e1 in (1, -1) for e2 in (1, -1))
             assert mu1 <= 1 + 1e-12
             assert s.pairing(X[:, 0], L[:, 0]) + s.pairing(X[:, 1], L[:, 1]) == pytest.approx(closed, rel=1e-12)
+
+
+def test_only_weak_summing_1_is_a_dual_multinorm():
+    # mu_inf is the minimum multi-norm: it satisfies (A4), and its audit checks (A4)
+    s = SpaceSpec(2, 3)
+    assert [Spec.weak_summing(p).is_dual_multinorm() for p in (1, 1.5, 2, INF)] == [True, False, False, False]
+    rep = mn.check_axioms(Spec.weak_summing(INF), s, n_max=4, trials=100, cfg=CFG)
+    assert rep.mode == "exact" and "A4" in rep.checked and "B4" not in rep.checked and rep.ok
+    rep = mn.check_axioms(Spec.weak_summing(1), s, n_max=4, trials=100, cfg=CFG)
+    assert rep.checked[-1] == "B4" and rep.ok
+    assert Spec.numerical_dual(Spec.weak_summing(INF)).is_dual_multinorm()

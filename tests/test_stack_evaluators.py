@@ -40,11 +40,13 @@ def _specs(sp, rng):
     if sp.p == 2:
         specs.append(S.weak_summing(2))
     if sp.p != INF:
-        specs.append(S.standard_q(sp.p))
+        specs += [S.standard_q(sp.p), S.standard_q(sp.p + 1)]
     if sp.p == 1:
         specs.append(S.max_spec())
     if not sp.is_complex:
         specs.append(S.weak_summing(1))
+    if sp.p == 1 and not sp.is_complex:
+        specs.append(S.weak_summing(1.5))
     if m <= 3:
         specs.append(S.generated(mn.band_family(sp)))
     return specs
@@ -67,7 +69,7 @@ def test_stacked_exact_evaluators_match_single_calls(field, r, weighted):
         for spec in _specs(sp, rng):
             if spec.variant == "generated" and n > 3:
                 continue
-            fn = exact_evaluator(spec, sp, CFG)
+            fn = exact_evaluator(spec, sp, n, CFG)
             assert fn is not None, spec.variant
             for B in (1, 5):
                 stack = _draw(rng, (B, m, n), sp.is_complex)
@@ -135,7 +137,7 @@ def test_point_value_takes_the_search_path_over_the_sign_grid_budget():
     assert point_value(spec, sp, X[1], small) == want[1].lower
     # 4 slots fit the budget and keep the exact evaluator
     Y = X[..., :4]
-    assert point_value(spec, sp, Y, small).tolist() == exact_evaluator(spec, sp, small)(Y).tolist()
+    assert point_value(spec, sp, Y, small).tolist() == exact_evaluator(spec, sp, 4, small)(Y).tolist()
 
 
 def test_budgeted_weak_summing_1_audits_and_sources_do_not_raise():
@@ -168,3 +170,61 @@ def test_space_weights_array_built_once():
     assert "w=" not in repr(sp)
     assert mn.SpaceSpec(2.0, 2).w.tolist() == [1.0, 1.0]
     assert dataclasses.replace(sp, weights=(3.0, 1.0, 1.0)).w.tolist() == [3.0, 1.0, 1.0]
+
+
+def _agreement_specs(sp):
+    specs = [
+        S.min_spec(),
+        S.max_spec(),
+        S.lattice(),
+        S.dual_lattice(),
+        S.lp_sum(1),
+        S.lp_sum(2.5),
+        S.partition([[0], [1, 2]]),
+        S.weak_summing(1),
+        S.weak_summing(1.5),
+        S.weak_summing(2),
+        S.weak_summing(INF),
+        S.extended(S.weak_summing(1), [np.eye(3), np.diag([1.0, -1.0, 0.5])]),
+        S.extended(S.lattice(), [np.eye(3), np.ones((3, 3)) / 3]),
+    ]
+    if sp.p != INF:
+        specs += [S.standard_q(sp.p), S.standard_q(sp.p + 1), S.extended(S.standard_q(sp.p + 1), [np.eye(3)])]
+    return specs
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, INF])
+def test_exact_paths_agree_with_evaluate(field, r):
+    # max_enum 8 bites: n^3 standard_q assignments fit for n <= 2, 2^(n-1) real mu_1 sign rows for n <= 4
+    small = mn.OptimConfig(seed=5, restarts=2, max_enum=8)
+    rng = np.random.default_rng([int(min(r, 9) * 10), field == "complex"])
+    sp = mn.SpaceSpec(r, 3, (1.0, 2.0, 0.5), field)
+    seen = 0
+    for spec in _agreement_specs(sp):
+        for n in range(1, 6):
+            if not is_exact_path(spec, sp, n, small):
+                continue
+            seen += 1
+            X = _draw(rng, (3, n), sp.is_complex)
+            res = mn.evaluate(spec, mn.VectorTuple(X, sp), small)
+            assert res.kind == "exact", (spec.variant, spec.p, n)
+            assert point_value(spec, sp, X, small) == res.lower, (spec.variant, spec.p, n)
+            stack = np.stack([X, 2 * X, X[:, ::-1]])
+            assert point_value(spec, sp, stack, small)[0] == res.lower
+    assert seen >= 40
+
+
+def test_real_l1_weak_summing_is_exact_for_every_index():
+    # on real l^1 the (p' -> 1) sign enumeration over the 2^(dim-1) output signs covers every p
+    sp = mn.SpaceSpec(1.0, 3, (1.0, 2.0, 0.5))
+    tiny = mn.OptimConfig(seed=5, restarts=2, max_enum=4)
+    X = _draw(np.random.default_rng(8), (3, 5), False)
+    for p in (1, 1.5, 2, 3, INF):
+        spec = S.weak_summing(p)
+        assert is_exact_path(spec, sp, 5, tiny)
+        res, direct = mn.evaluate(spec, mn.VectorTuple(X, sp), tiny), summing.mu_weak(p, mn.VectorTuple(X, sp), tiny)
+        assert res.kind == direct.kind == "exact" and res.lower == direct.lower
+    rep = mn.check_axioms(S.weak_summing(1.5), sp, 4, 40, tiny)
+    assert rep.mode == "exact" and rep.tol == 1e-8
+    assert {v.axiom for v in rep.violations} <= {"A4"}
