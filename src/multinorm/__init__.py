@@ -22,6 +22,7 @@ from .spaces import (
     lattice_abs,
     lattice_inf,
     lattice_sup,
+    lp_norm,
     neg_part,
     pos_part,
 )
@@ -29,7 +30,6 @@ from .optim import (
     NormValue,
     OptimConfig,
     ball_linear_max,
-    lp_norm,
     op_norm_pq,
     sign_supremum,
     torus_supremum,

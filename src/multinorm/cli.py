@@ -118,7 +118,7 @@ def cmd_axioms(doc: dict, cfg: OptimConfig) -> dict:
         trials = int(doc["trials"])
     else:
         # search-backed evaluators are orders of magnitude slower per call
-        trials = 200 if is_exact_path(spec, space, n_max, cfg) else 12
+        trials = 200 if is_exact_path(spec, space, n_max + 1, cfg) else 12
     rep = check_axioms(spec, space, n_max=n_max, trials=trials, cfg=cfg)
     return {"axiom_report": rep.to_json()}
 

@@ -21,10 +21,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetError, HermitianError, SpecError
-from .multinorms import MultiNormSpec, _norm_of_abs, _point_values, _stack_values, _trial_chunks
-from .optim import COUNTS, NORMALS, UNIFORMS, OptimConfig, _as_value, _first_max, field_normal_block
+from .multinorms import MultiNormSpec, _point_values, _stack_values, _trial_chunks
+from .optim import COUNTS, NORMALS, UNIFORMS, OptimConfig, _first_max, field_normal_block
 from .partitions import GRID_BLOCK, set_partitions, slot_assignments, unit_grid
-from .spaces import SpaceSpec, VectorTuple, delta_tuple, matrix_from_json, matrix_to_json
+from .spaces import SpaceSpec, VectorTuple, _as_value, delta_tuple, lp_norm, matrix_from_json, matrix_to_json
 
 _PROJ_TOL = 1e-10
 
@@ -177,7 +177,7 @@ def is_hermitian(
             Z = np.concatenate([grid, samples])
             # rows Y[b] = sum_i Z[b, i] P_i x, accumulated in slot order; each row norm equals space.norm bit for bit
             Y = sum(Z[:, i, None] * (P @ x) for i, P in enumerate(Ps))
-            vals = _norm_of_abs(space, np.abs(Y))
+            vals = lp_norm(Y, space.p, w=space.w)
             b, gap = _first_max(vals - nx)
             if gap > worst_gap:
                 worst_gap = gap
@@ -394,7 +394,7 @@ def generated_value(family: FamilyOfDecompositions, space: SpaceSpec, X: np.ndar
             y = PX[0][..., assign[0]].copy()
             for i in range(1, k):
                 y += PX[i][..., assign[i]]
-            best = np.maximum(best, _norm_of_abs(space, np.abs(y)))
+            best = np.maximum(best, lp_norm(y, space.p, w=space.w))
     return _as_value(best)
 
 

@@ -22,18 +22,15 @@ from .optim import (
     UNIFORMS,
     NormValue,
     OptimConfig,
-    _as_value,
     _first_max,
     _op_norm_rule,
-    _root,
     ball_linear_max,
     field_normal_block,
     gaussian_starts,
-    lp_norm,
     seeded_ascent,
 )
-from .partitions import GRID_BLOCK, digit_rows
-from .spaces import INF, SpaceSpec, VectorTuple, conjugate_index, delta, delta_tuple, phase, roots_tuple
+from .partitions import GRID_BLOCK, digit_rows, slot_assignments
+from .spaces import INF, SpaceSpec, VectorTuple, _as_value, _root, conjugate_index, delta, delta_tuple, lp_norm, phase, roots_tuple
 from . import summing
 
 VARIANTS = (
@@ -223,13 +220,6 @@ def validate(spec: MultiNormSpec, space: SpaceSpec) -> None:
 # exact closed-form evaluators (fast paths)
 
 
-def _norm_of_abs(space: SpaceSpec, a: np.ndarray):
-    """Norm of a nonnegative vector, or of each row of a (..., dim) stack."""
-    if space.p == INF:
-        return _as_value(a.max(axis=-1, initial=0.0))
-    return _root((space.w * a**space.p).sum(axis=-1), space.p)
-
-
 def _standard_q_values(space: SpaceSpec, contrib: np.ndarray, A: np.ndarray, q: float) -> np.ndarray:
     """(..., G) standard q values (q-norm of the slots' p-norms) of (G, m) slot assignments A, given contrib = w |X|^p.
 
@@ -266,7 +256,8 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimCon
     The function takes one (m, n) tuple and returns a float, or a stack of
     shape (..., m, n) and returns the (...) values; each stacked value
     equals the value of its tuple alone bit for bit.  standard_q(q > p)
-    enumerates its n^m slot assignments within cfg.max_enum.  weak_summing
+    enumerates its n^m slot assignments, and generated the n^k of each
+    length-k member, within cfg.max_enum.  weak_summing
     is exact where optim._op_norm_rule covers its (p' -> r) matrices, by
     mu_weak's kernel summing.mu_scale; real mu_1 on a space of finite index
     keeps mu1_phase_guidance's sign grid (equal to mu_weak(1) up to the last
@@ -279,11 +270,11 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimCon
     if v == "min":
         return lambda X: _as_value(space.norm_cols(X).max(axis=-1))
     if v == "lattice" or (v == "standard_q" and spec.q == p) or (v == "max" and p == 1):
-        return lambda X: _norm_of_abs(space, np.abs(X).max(axis=-1))
+        return lambda X: lp_norm(np.abs(X).max(axis=-1), p, w=space.w)
     if v == "standard_q" and n**space.dim <= cfg.max_enum:
         return lambda X: _standard_q_enum(space, X, spec.q)[0]
     if v == "dual_lattice":
-        return lambda X: _norm_of_abs(space, np.abs(X).sum(axis=-1))
+        return lambda X: lp_norm(np.abs(X).sum(axis=-1), p, w=space.w)
     if v == "lp_sum":
         return lambda X: lp_norm(space.norm_cols(X), spec.p)
     if v == "partition":
@@ -305,7 +296,7 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimCon
             return lambda X: summing.mu1_phase_guidance(space, X, cfg)
         if rule is not None:
             return lambda X: summing.mu_scale(spec.p, X, space, cfg)[0]
-    if v == "generated":
+    if v == "generated" and all(n**d.length <= cfg.max_enum for d in spec.family.members):
         from .decompositions import generated_value
 
         return lambda X: generated_value(spec.family, space, X, cfg)
@@ -645,6 +636,9 @@ def evaluate(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig | None = None
         if all(r.kind == "exact" for r in results):
             return NormValue.exact(lower, None, "family_max")
         return NormValue("lower" if upper == INF else "bracket", lower, upper, None, "family_max")
+    if v == "generated":  # no exact path: the first member past cfg.max_enum raises BudgetError
+        for d in spec.family.members:
+            slot_assignments(d.length, X.shape[1], cfg.max_enum)
     raise SpecError(f"unhandled variant {v!r}")
 
 
@@ -767,8 +761,9 @@ def check_axioms(
 ) -> AxiomReport:
     """Sampled audit of (A1)(A2)(A3) plus (A4) or (B4) for dual variants.
 
-    Exact-path specs are audited at tol 1e-8; search-backed specs at the
-    widened 2e-2 on their certified lower bounds, flagged "heuristic".
+    Specs with an exact path at n_max + 1 slots, the width of the padded
+    and repeated tuples, are audited at tol 1e-8; search-backed specs at
+    the widened 2e-2 on their certified lower bounds, flagged "heuristic".
     Each kind of draw has one stream per call (cfg.stream("axioms", kind)),
     drawn per chunk as one block with a fixed-width row per trial: n, then
     X padded to n_max columns, then n_max uniforms each for the permutation
@@ -781,7 +776,7 @@ def check_axioms(
     if n_max < 2:
         raise SpecError(f"axiom audits need n_max >= 2, got {n_max}")
     chunks = _trial_chunks(trials)
-    exact = is_exact_path(spec, space, n_max, cfg)
+    exact = is_exact_path(spec, space, n_max + 1, cfg)
     if tol is None:
         tol = 1e-8 if exact else 2e-2
     mode = "exact" if exact else "heuristic"

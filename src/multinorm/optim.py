@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BudgetError, DegenerateNormError
 from .partitions import unit_grid, unit_roots
-from .spaces import COMPLEX, INF, REAL, MatrixOp, conjugate_index, phase, vector_to_json
+from .spaces import COMPLEX, INF, REAL, MatrixOp, _as_value, conjugate_index, lp_norm, phase, vector_to_json
 
 _ASCENT_ITERS = 200
 
@@ -133,39 +133,6 @@ def _witness_json(w):
     if isinstance(w, (np.complexfloating, complex)):
         return [float(np.real(w)), float(np.imag(w))]
     return w
-
-
-def lp_norm(v: np.ndarray, r: float):
-    """Unweighted l^r norm of a vector, r in [1, inf].
-
-    A 2-D or larger input is a stack of rows: the (...) norms of its rows
-    are returned, each equal to the norm of that row alone bit for bit.
-    """
-    a = np.abs(np.asarray(v))
-    if r == INF:
-        return _as_value(a.max(axis=-1, initial=0.0))
-    return _root((a**r).sum(axis=-1), r)
-
-
-def _root(s, r: float):
-    """s ** (1/r) entrywise by scalar pow; a float for a scalar s.
-
-    numpy's array pow may round differently from the scalar pow the
-    single-vector paths take, so stacked roots are taken one by one; for
-    r = 1 the root is the identity (x ** 1.0 == x for every double).
-    """
-    s = np.asarray(s)
-    if s.ndim == 0:
-        return float(s) ** (1.0 / r)
-    if r == 1:
-        return s.astype(float)
-    return np.array([x ** (1.0 / r) for x in s.ravel().tolist()]).reshape(s.shape)
-
-
-def _as_value(a):
-    """A float for a 0-d result, the array itself for a stack of results."""
-    a = np.asarray(a)
-    return float(a) if a.ndim == 0 else a
 
 
 def field_normal(rng: np.random.Generator, shape, is_complex: bool) -> np.ndarray:
@@ -479,23 +446,10 @@ def ball_linear_max(
 # p -> q operator norms
 
 
-def _col_norms(A: np.ndarray, r: float) -> np.ndarray:
-    """Unweighted l^r norms of the columns of A, or of each matrix of a (..., m, n) stack.
-
-    Fewer than 8 rows are summed in lp_norm's order, and the r-th root is
-    the scalar pow lp_norm takes (numpy's array pow may round differently),
-    so each entry equals lp_norm of its column bit for bit.
-    """
-    a = np.abs(A)
-    if r == INF:
-        return a.max(axis=-2, initial=0.0)
-    return _root((a**r).sum(axis=-2), r)
-
-
 def _holder_upper(S: np.ndarray, p: float, q: float):
     """Holder upper bound for ||A : l^p -> l^q||: a float for one matrix, (B,) values for a (B, m, n) stack."""
     pp = conjugate_index(p)
-    return _as_value(np.minimum(lp_norm(_col_norms(S, q), pp), lp_norm(_col_norms(np.swapaxes(S, -1, -2), pp), q)))
+    return _as_value(np.minimum(lp_norm(lp_norm(S, q, axis=-2), pp), lp_norm(lp_norm(S, pp), q)))
 
 
 def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool) -> tuple[float, np.ndarray]:
@@ -601,13 +555,13 @@ def _op_norm_exact(S: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_
     rule = _op_norm_rule(p, q, complex_field, m, n, cfg.max_enum)
 
     if rule == "max_column_norm":
-        cols = _col_norms(S, q)
+        cols = lp_norm(S, q, axis=-2)
         j = cols.argmax(axis=-1)
         return cols[take, j], list(np.eye(n, dtype=complex if complex_field else float)[j]), [rule] * B
 
     if rule == "max_row_dual_norm":
         pp = conjugate_index(p)
-        rows = _col_norms(np.swapaxes(S, -1, -2), pp)
+        rows = lp_norm(S, pp)
         i = rows.argmax(axis=-1)
         values, R = rows[take, i], S[take, i]
         W = _dual_unit_vectors(R, values, p, pp, phase(np.conj(R)))

@@ -41,6 +41,32 @@ def phase(v: np.ndarray) -> np.ndarray:
     return np.where(big, v / np.where(big, a, 1.0), 1.0)
 
 
+def lp_norm(v, r: float, axis: int = -1, w=None):
+    """The l^r norms of |v| along axis, r in [1, inf], weighted by w (broadcast against v; ignored at r = inf).
+
+    A float for a 1-D v, an array for a stack.  Fewer than 8 terms are
+    summed in the same order along any axis, and _root rounds a lone value
+    as it rounds one in a stack, so each stacked norm equals the norm of
+    its vector alone bit for bit.
+    """
+    a = np.abs(np.asarray(v))
+    if r == INF:
+        return _as_value(a.max(axis=axis, initial=0.0))
+    s = a**r if w is None else w * a**r
+    return _root(s.sum(axis=axis), r)
+
+
+def _root(s, r: float):
+    """s ** (1/r) entrywise by numpy's array pow, which gives a 0-d, a length-1 and a long array the same bits; a float for a 0-d s."""
+    return _as_value(np.power(s, 1.0 / r))
+
+
+def _as_value(a):
+    """A float for a 0-d result, the array itself for a stack of results."""
+    a = np.asarray(a)
+    return float(a) if a.ndim == 0 else a
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """A weighted l^p space of a fixed finite dimension.
@@ -93,18 +119,11 @@ class SpaceSpec:
         return x
 
     def norm(self, x) -> float:
-        x = self.check_vector(x)
-        a = np.abs(x)
-        if self.p == INF:
-            return float(a.max())
-        return float((self.w * a**self.p).sum() ** (1.0 / self.p))
+        return lp_norm(self.check_vector(x), self.p, w=self.w)
 
     def norm_cols(self, X: np.ndarray) -> np.ndarray:
         """Norms of the columns of a (dim, n) array, or of each tuple of a (..., dim, n) stack."""
-        a = np.abs(X)
-        if self.p == INF:
-            return a.max(axis=-2)
-        return np.einsum("k,...kj->...j", self.w, a**self.p) ** (1.0 / self.p)
+        return lp_norm(X, self.p, axis=-2, w=self.w[:, None])
 
     def pairing(self, x, lam) -> complex | float:
         """Bilinear pairing <x, lam> = sum_k w_k x_k lam_k (primal weights)."""

@@ -16,10 +16,8 @@ from .errors import SpecError
 from .optim import (
     NormValue,
     OptimConfig,
-    _as_value,
     _holder_upper,
     _op_norm_exact,
-    lp_norm,
     op_norm_pq,
     seeded_ascent,
     torus_certified_upper,
@@ -27,7 +25,7 @@ from .optim import (
     unconstrained,
 )
 from .partitions import unit_grid
-from .spaces import INF, MatrixOp, SpaceSpec, VectorTuple, conjugate_index, delta, delta_tuple, roots_tuple
+from .spaces import INF, MatrixOp, SpaceSpec, VectorTuple, _as_value, conjugate_index, delta, delta_tuple, lp_norm, roots_tuple
 
 
 def _weight_root(space: SpaceSpec) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import multinorm as mn
-from multinorm import multinorms
+from multinorm import cli, multinorms
 from multinorm.decompositions import generated_value
 from multinorm.matrixlaws import LawViolation, MatrixLawReport
 from multinorm.multinorms import AxiomReport, AxiomViolation, _stack_values, is_exact_path, point_value
@@ -33,7 +33,7 @@ Spec = mn.MultiNormSpec
 
 
 def _looped_check_axioms(spec, space, n_max, trials, cfg, tol=None):
-    exact = is_exact_path(spec, space, n_max, cfg)
+    exact = is_exact_path(spec, space, n_max + 1, cfg)
     if tol is None:
         tol = 1e-8 if exact else 2e-2
     mode = "exact" if exact else "heuristic"
@@ -303,6 +303,16 @@ def test_check_axioms_search_backed_heuristic():
     got = mn.check_axioms(spec, space, 3, 2, cfg)
     assert got.mode == "heuristic"
     _same_json(got, _looped_check_axioms(spec, space, 3, 2, cfg))
+
+
+def test_check_axioms_decides_its_mode_at_the_padded_width():
+    # standard_q(3) on l^2_3 enumerates n^3 slot assignments: 4-tuples fit 64, the padded 5-tuples do not
+    spec, space, cfg = Spec.standard_q(3), SpaceSpec(2, 3), mn.OptimConfig(max_enum=64)
+    assert is_exact_path(spec, space, 4, cfg) and not is_exact_path(spec, space, 5, cfg)
+    got = mn.check_axioms(spec, space, 4, 100, cfg)
+    assert (got.mode, got.tol) == ("heuristic", 2e-2)
+    doc = {"space": space.to_json(), "spec": spec.to_json(), "n_max": 4}
+    assert cli.cmd_axioms(doc, cfg)["axiom_report"]["trials"] == 12
 
 
 def test_check_axioms_spans_chunks():

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from multinorm.optim import INF, NormValue, OptimConfig, _col_norms, _op_norm_exact, field_normal, lp_norm, op_norm_pq
+from multinorm.optim import INF, NormValue, OptimConfig, _op_norm_exact, field_normal, lp_norm, op_norm_pq
 from multinorm.partitions import unit_grid
 from multinorm.spaces import MatrixOp, SpaceSpec, conjugate_index, phase
 from multinorm.summing import mu_scale
@@ -34,7 +34,7 @@ def _per_matrix_op_norm_exact(A, p, q, cfg, complex_field):
     m, n = A.shape
 
     if p == 1:
-        cols = _col_norms(A, q)
+        cols = lp_norm(A, q, axis=-2)
         j = int(np.argmax(cols))
         e = np.zeros(n, dtype=complex if complex_field else float)
         e[j] = 1.0
@@ -42,7 +42,7 @@ def _per_matrix_op_norm_exact(A, p, q, cfg, complex_field):
 
     if q == INF:
         pp = conjugate_index(p)
-        rows = _col_norms(A.T, pp)
+        rows = lp_norm(A.T, pp, axis=-2)
         i = int(np.argmax(rows))
         r = A[i, :]
         ar = np.abs(r)

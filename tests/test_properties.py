@@ -187,11 +187,10 @@ def test_numerical_dual_lower_within_exact_closed_form_dual(base, closed, data):
         elements=st.one_of(st.floats(0.0, allow_nan=False, allow_subnormal=True), st.sampled_from([0.0, 5e-324, 2.2e-308, INF])),
     )
 )
-def test_root_of_index_one_is_the_scalar_pow_loop(s):
-    # _root skips its per-entry scalar pow at r = 1; the result must be the loop's bit for bit
-    from multinorm.optim import _root
+def test_root_at_index_one_is_the_identity(s):
+    # x ** (1 / 1) == x for every double, subnormals and inf included, at every stack shape
+    from multinorm.spaces import _root
 
-    want = np.array([x ** (1.0 / 1.0) for x in s.ravel().tolist()]).reshape(s.shape)
     got = _root(s, 1.0)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got.dtype == s.dtype and got.shape == s.shape
+    assert np.array_equal(got.view(np.uint64), s.view(np.uint64))

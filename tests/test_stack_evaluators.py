@@ -124,6 +124,19 @@ def test_mu1_guidance_respects_the_callers_budget():
     assert is_exact_path(spec, mn.SpaceSpec(INF, 3), 4, small)
 
 
+def test_generated_has_no_exact_path_past_its_assignment_budget():
+    sp = mn.SpaceSpec(2.0, 3)
+    spec = S.generated(mn.band_family(sp))
+    t = mn.VectorTuple(_draw(np.random.default_rng(8), (3, 4), False), sp)
+    # band_family(l^2_3) has members of lengths 1, 2 and 3; a 4-tuple needs 4^3 = 64 assignments of the longest
+    assert is_exact_path(spec, sp, 4, mn.OptimConfig(max_enum=64))
+    assert not is_exact_path(spec, sp, 4, mn.OptimConfig(max_enum=63))
+    small = mn.OptimConfig(max_enum=8)
+    assert not is_exact_path(spec, sp, 4, small)
+    with pytest.raises(BudgetError, match="assignment enumeration needs 16 > budget 8"):
+        mn.evaluate(spec, t, small)
+
+
 def test_point_value_takes_the_search_path_over_the_sign_grid_budget():
     sp = mn.SpaceSpec(2.0, 3)
     spec = S.weak_summing(1)

@@ -15,8 +15,8 @@ import pytest
 
 import multinorm as mn
 from multinorm.multinorms import _standard_q_enum, _standard_q_search, exact_evaluator, point_value
-from multinorm.optim import lp_norm
 from multinorm.partitions import GRID_BLOCK
+from multinorm.spaces import _root, lp_norm
 
 S = mn.MultiNormSpec
 
@@ -29,7 +29,7 @@ def _looped_value(space, X, q, assign):
     for j in range(n):
         mask = assign == j
         if np.any(mask):
-            parts[j] = contrib[mask, j].sum() ** (1.0 / p)
+            parts[j] = _root(contrib[mask, j].sum(), p)
     return lp_norm(parts, q)
 
 
