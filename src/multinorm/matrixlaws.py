@@ -135,8 +135,8 @@ def _law_norms(mats: list, p: float, cfg: OptimConfig) -> list[float]:
     def norms(S):
         if not np.all(np.isfinite(S)):
             raise ValueError("matrix entries must be finite")
-        values, _, methods = _op_norm_exact(S, p, p, cfg, np.iscomplexobj(S))
-        bound = np.array([m is None for m in methods])
+        values = _op_norm_exact(S, p, p, cfg, np.iscomplexobj(S))[0]
+        bound = np.isnan(values)
         if bound.any():
             values[bound] = _holder_upper(S[bound], p, p)
         return values

@@ -15,11 +15,12 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, DegenerateNormError
-from .partitions import unit_grid, unit_roots
+from .errors import DegenerateNormError
+from .partitions import grid_fits, unit_grid, unit_roots
 from .spaces import COMPLEX, INF, REAL, MatrixOp, _as_value, conjugate_index, lp_norm, phase, vector_to_json
 
 _ASCENT_ITERS = 200
+_TORUS_UPPER_POINTS = 2**18  # grid budget of torus_certified_upper, within cfg.max_enum
 
 # The call sites that draw random numbers.  A site's id is part of its
 # generator's key, so the ids are fixed here (never hash(str), which varies
@@ -211,14 +212,13 @@ def torus_supremum(
     Exact for n <= 1.
     """
     if field == REAL:
-        try:
-            res = sign_supremum(f, n, cfg, symmetric=True)
-        except BudgetError:
+        if not grid_fits(n, 2, cfg.max_enum):
             return _torus_sweep(f, n, cfg, real=True)
+        res = sign_supremum(f, n, cfg, symmetric=True)
         kind = "exact" if n <= 1 else "lower"
         return NormValue(kind, res.lower, res.lower if n <= 1 else INF, res.witness, "sign_enum")
     res = _torus_sweep(f, n, cfg, real=False)
-    if 2 ** (n - 1) <= min(cfg.max_enum, 4096):
+    if grid_fits(n, 2, min(cfg.max_enum, 4096)):
         se = sign_supremum(lambda E: f(E.astype(complex)), n, cfg, symmetric=True)
         if se.lower > res.lower:
             res = NormValue("lower", se.lower, INF, se.witness.astype(complex), "torus_sign_grid")
@@ -280,21 +280,19 @@ def torus_certified_upper(
     lipschitz: Sequence[float],
     n: int,
     cfg: OptimConfig,
-    budget: int = 2**18,
 ) -> float:
     """Certified upper bound for sup of g over the pinned n-torus.
 
     g takes a (B, n) block of phase vectors (first entry 1) and returns
     its B values.  lipschitz[j] bounds the derivative of g in the phase
     angle of coordinate j+1.  Uses a uniform grid plus the Lipschitz slack;
-    returns inf when the grid would blow the budget.
+    returns inf when 8 points per free phase pass min(_TORUS_UPPER_POINTS, cfg.max_enum).
     """
     free = n - 1
     if free == 0:
         return float(np.max(g(np.ones((1, 1), dtype=complex))))
-    budget = min(budget, cfg.max_enum)
-    pts = int(budget ** (1.0 / free))
-    pts = min(pts, 4 * cfg.grid_points)
+    budget = min(_TORUS_UPPER_POINTS, cfg.max_enum)
+    pts = min(int(budget ** (1.0 / free)), 4 * cfg.grid_points)
     if pts < 8:
         return INF
     h = 2 * np.pi / pts
@@ -514,8 +512,8 @@ def op_norm_pq(a: MatrixOp, cfg: OptimConfig, field: str | None = None) -> NormV
         field = COMPLEX if np.iscomplexobj(A) else REAL
     p, q, complex_field = a.in_index, a.out_index, field == COMPLEX
     values, witnesses, methods = _op_norm_exact(A[None], p, q, cfg, complex_field)
-    if methods[0] is not None:
-        return NormValue.exact(values[0], witnesses[0], methods[0])
+    if methods[0]:
+        return NormValue.exact(values[0], witnesses[0], str(methods[0]))
     upper = _holder_upper(A, p, q)
     lower, x = _power_ascent(A, p, q, cfg, complex_field)
     return NormValue.bracket(min(lower, upper), upper, x, "power_ascent")
@@ -535,20 +533,21 @@ def _op_norm_rule(p: float, q: float, complex_field: bool, m: int, n: int, max_e
         return "svd"
     if complex_field:
         return None
-    if p == INF and 2 ** (n - 1) <= max_enum:
+    if p == INF and grid_fits(n, 2, max_enum):
         return "sign_enum_inputs"
-    if q == 1 and 2 ** (m - 1) <= max_enum:
+    if q == 1 and grid_fits(m, 2, max_enum):
         return "sign_enum_outputs"
     return None
 
 
-def _op_norm_exact(S: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool) -> tuple[np.ndarray, list, list]:
+def _op_norm_exact(S: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact (p -> q) norms of a (B, m, n) stack of raw, already validated arrays, by _op_norm_rule.
 
-    Returns (values, witnesses, methods), one entry per slice, each equal
-    to what the slice gets alone bit for bit.  Without a closed form,
-    generalized permutation matrices go first; a slice nothing covers gets
-    value NaN, witness None and method None, and callers attach their own bound.
+    Returns arrays (values, witnesses, methods) of shapes (B,), (B, n) and
+    (B,), each slice's entries equal to what the slice gets alone bit for bit.
+    Without a closed form, generalized permutation matrices go first; a
+    slice nothing covers gets value NaN, a NaN witness row and method "",
+    and callers attach their own bound.
     """
     B, m, n = S.shape
     take = np.arange(B)
@@ -557,7 +556,7 @@ def _op_norm_exact(S: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_
     if rule == "max_column_norm":
         cols = lp_norm(S, q, axis=-2)
         j = cols.argmax(axis=-1)
-        return cols[take, j], list(np.eye(n, dtype=complex if complex_field else float)[j]), [rule] * B
+        return cols[take, j], np.eye(n, dtype=complex if complex_field else float)[j], np.full(B, rule)
 
     if rule == "max_row_dual_norm":
         pp = conjugate_index(p)
@@ -565,20 +564,19 @@ def _op_norm_exact(S: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_
         i = rows.argmax(axis=-1)
         values, R = rows[take, i], S[take, i]
         W = _dual_unit_vectors(R, values, p, pp, phase(np.conj(R)))
-        W = W if complex_field else np.real(W)
-        return values, [np.zeros(n) if v == 0 else w for v, w in zip(values.tolist(), W)], [rule] * B
+        return values, W if complex_field else np.real(W), np.full(B, rule)
 
     if rule == "svd":
         _, s, Vh = np.linalg.svd(S)
-        return s[:, 0], list(np.conj(Vh[:, 0]) if complex_field else np.real(Vh[:, 0])), [rule] * B
+        return s[:, 0], np.conj(Vh[:, 0]) if complex_field else np.real(Vh[:, 0]), np.full(B, rule)
 
-    values, witnesses, methods = np.full(B, np.nan), [None] * B, [None] * B
+    values, witnesses = np.full(B, np.nan), np.full((B, n), np.nan, dtype=complex if complex_field else float)
     nz = np.abs(S) > 0
     diagonal = (nz.sum(axis=-1) <= 1).all(axis=-1) & (nz.sum(axis=-2) <= 1).all(axis=-1)
-    for b in np.flatnonzero(diagonal).tolist():
-        values[b], witnesses[b] = _diagonal_like(S[b], p, q, complex_field)
-        methods[b] = "diagonal_like"
     rest = np.flatnonzero(~diagonal)
+    if rest.size < B:
+        values[diagonal], witnesses[diagonal] = _diagonal_like(S[diagonal], p, q, complex_field)
+    methods = np.where(diagonal, "diagonal_like", rule or "")
     if rule is None or rest.size == 0:
         return values, witnesses, methods
     T = S if rest.size == B else S[rest]
@@ -589,41 +587,36 @@ def _op_norm_exact(S: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_
         pp = conjugate_index(p)
         vals, signs = _sign_scan(lambda E: lp_norm(E @ T, pp), rest.size, m, cfg, symmetric=True)
         G = (np.swapaxes(T, -1, -2) @ signs[..., None])[..., 0]
-        nx = lp_norm(G, pp)
-        W = _dual_unit_vectors(G, nx, p, pp, np.sign(G) + (G == 0))
-        W[nx == 0] = 0.0
-    values[rest] = vals
-    for b, w in zip(rest.tolist(), W):
-        witnesses[b], methods[b] = w, rule
+        W = _dual_unit_vectors(G, lp_norm(G, pp), p, pp, np.sign(G) + (G == 0))
+    values[rest], witnesses[rest] = vals, W
     return values, witnesses, methods
 
 
 def _dual_unit_vectors(R: np.ndarray, norms: np.ndarray, p: float, pp: float, directions: np.ndarray) -> np.ndarray:
-    """Rows x[b] with <R[b], x[b]> = norms[b] = ||R[b]||_p' and ||x[b]||_p = 1 (for p = inf the directions); zero rows are the caller's."""
-    if p == INF:
-        return directions
-    W = directions * (np.abs(R) / np.where(norms == 0, 1.0, norms)[:, None]) ** (pp - 1.0)
-    return W / np.maximum(lp_norm(W, p), 1e-300)[:, None]
+    """Rows x[b] with <R[b], x[b]> = norms[b] = ||R[b]||_p' and ||x[b]||_p = 1 (for p = inf the directions); 0 where norms[b] = 0."""
+    W = directions
+    if p != INF:
+        W = directions * (np.abs(R) / np.where(norms == 0, 1.0, norms)[:, None]) ** (pp - 1.0)
+        W = W / np.maximum(lp_norm(W, p), 1e-300)[:, None]
+    return np.where((norms == 0)[:, None], 0.0, W)
 
 
-def _diagonal_like(A: np.ndarray, p: float, q: float, complex_field: bool) -> tuple[float, np.ndarray]:
-    """(value, witness) of a generalized permutation matrix, which acts diagonally on disjoint coordinates."""
-    cols_nz = np.where((np.abs(A) > 0).sum(axis=0) > 0)[0]
-    dvals = A[np.abs(A).argmax(axis=0)[cols_nz], cols_nz]
-    x = np.zeros(A.shape[1], dtype=complex if complex_field else float)
-    if dvals.size == 0:
-        return 0.0, x
-    ad = np.abs(dvals)
+def _diagonal_like(D: np.ndarray, p: float, q: float, complex_field: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(values, witnesses) of a (B, m, n) stack of generalized permutation matrices, which act diagonally on disjoint coordinates."""
+    # each column's one nonzero entry, 0 in a zero column
+    d = np.take_along_axis(D, np.abs(D).argmax(axis=-2)[:, None], axis=-2)[:, 0]
+    ad = np.abs(d)
     if p <= q:
-        x[cols_nz[int(np.argmax(ad))]] = 1.0
-        return float(ad.max()), x
+        return ad.max(axis=-1), np.eye(ad.shape[-1])[ad.argmax(axis=-1)] * ad.any(axis=-1)[:, None]
     t = q if p == INF else p * q / (p - q)
-    if p == INF:
-        x[cols_nz] = np.conj(phase(dvals))
-    else:
-        mags = ad ** (t / p)
-        mags = mags / lp_norm(mags, p)
-        x[cols_nz] = mags * np.conj(phase(dvals))
-    if not complex_field:
-        x = np.real(x)
-    return lp_norm(ad, t), x
+    mags = ad ** (t / p)
+    # each slice sums its nonzero entries in column order as alone: under 8 in order (one zero-padded sum), k >= 8 pairwise (a sum per k)
+    counts, order = (ad > 0).sum(axis=-1), np.argsort(ad == 0, axis=-1, kind="stable")
+    A, M = np.take_along_axis(ad, order, axis=-1), np.take_along_axis(mags, order, axis=-1)
+    widths = np.where(counts < 8, min(counts.max(), 7), counts)
+    values, norms = np.empty(len(D)), np.empty(len(D))
+    for k in np.unique(widths).tolist():
+        g = widths == k
+        values[g], norms[g] = lp_norm(A[g, :k], t), lp_norm(M[g, :k], p)
+    W = np.where(ad > 0, np.conj(phase(d)), 0.0) if p == INF else mags / np.where(norms == 0, 1.0, norms)[:, None] * np.conj(phase(d))
+    return values, W if complex_field else np.real(W)

@@ -87,6 +87,11 @@ def _small_grid(n: int, levels: int) -> np.ndarray:
     return Z
 
 
+def grid_fits(n: int, levels: int, budget: int) -> bool:
+    """Whether unit_grid(n, levels, budget) enumerates, i.e. its levels^(n-1) rows are within budget."""
+    return levels ** (n - 1) <= budget
+
+
 def unit_grid(n: int, levels: int, budget: int) -> Iterator[np.ndarray]:
     """The pinned grid {1} x U_levels^(n-1) as row blocks of at most GRID_BLOCK rows.
 
@@ -95,7 +100,7 @@ def unit_grid(n: int, levels: int, budget: int) -> Iterator[np.ndarray]:
     by block and never held whole.
     """
     count = levels ** (n - 1)
-    if count > budget:
+    if not grid_fits(n, levels, budget):
         raise BudgetError(f"grid enumeration needs {count} > budget {budget}")
     if count <= GRID_BLOCK:
         return iter((_small_grid(n, levels),))

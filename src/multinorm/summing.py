@@ -102,7 +102,8 @@ def mu_weak(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormVal
         lower = max(ts.lower, res.lower, lo_sand)
         torus_upper = torus_certified_upper(combos, space.norm_cols(X)[1:], t.n, cfg)
         upper = min(up_sand, res.upper, torus_upper)
-        return NormValue.bracket(min(lower, upper), upper, {"phases": ts.witness}, "torus_ascent")
+        witness = {"coefficients": res.witness} if res.lower > ts.lower else {"phases": ts.witness}
+        return NormValue.bracket(min(lower, upper), upper, witness, "torus_ascent")
 
     upper = min(up_sand, res.upper)
     lower = min(max(res.lower, lo_sand), upper)
@@ -116,8 +117,8 @@ def mu_scale(p: float, X: np.ndarray, space: SpaceSpec, cfg: OptimConfig) -> tup
     mu ball: X is an already validated (dim, n) array of the space's field
     (or a (..., dim, n) stack, giving (...) value and flag arrays equal to
     the per-tuple results bit for bit) and p >= 1.  The value is _op_norm_exact's
-    value, or the smaller of the sandwich and Holder upper bounds; no
-    ascent, torus or phase-grid work is done.
+    value, or where that is NaN the smaller of the sandwich and Holder upper
+    bounds; no ascent, torus or phase-grid work is done.
     """
     S = X.reshape(-1, *X.shape[-2:])
     norms = space.norm_cols(S)
@@ -125,8 +126,8 @@ def mu_scale(p: float, X: np.ndarray, space: SpaceSpec, cfg: OptimConfig) -> tup
         values, exact = norms.max(axis=-1), np.ones(len(S), dtype=bool)
     else:
         A, pp = _reduced(space, S), conjugate_index(p)
-        values, _, methods = _op_norm_exact(A, pp, space.p, cfg, space.is_complex)
-        exact = np.array([m is not None for m in methods])
+        values = _op_norm_exact(A, pp, space.p, cfg, space.is_complex)[0]
+        exact = ~np.isnan(values)
         if not exact.all():
             values[~exact] = np.minimum(lp_norm(norms[~exact], p), _holder_upper(A[~exact], pp, space.p))
     if X.ndim == 2:

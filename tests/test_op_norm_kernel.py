@@ -5,8 +5,9 @@ _per_matrix_op_norm_exact is a frozen copy of the one-matrix _op_norm_exact
 stacked _op_norm_exact gets (B, m, n) stacks that mix dense,
 generalized-permutation and all-zero slices, and must return for each
 slice the same value bit for bit, an array_equal witness of the same
-dtype, and the same method name; None where the frozen copy had no exact
-path.  Stacked mu_scale must equal mu_scale tuple by tuple.
+dtype, and the same method name; value NaN, a NaN witness row and method
+"" where the frozen copy had no exact path.  Stacked mu_scale must equal
+mu_scale tuple by tuple.
 """
 
 import math
@@ -47,7 +48,7 @@ def _per_matrix_op_norm_exact(A, p, q, cfg, complex_field):
         r = A[i, :]
         ar = np.abs(r)
         if rows[i] == 0:
-            x = np.zeros(n)
+            x = np.zeros(n, dtype=complex if complex_field else float)
         elif p == INF:
             x = phase(np.conj(r))
         else:
@@ -136,7 +137,7 @@ def _assert_slices_match(S, p, q, cfg, is_complex):
     for b, A in enumerate(S):
         want = _per_matrix_op_norm_exact(A, p, q, cfg, is_complex)
         if want is None:
-            assert math.isnan(values[b]) and witnesses[b] is None and methods[b] is None
+            assert math.isnan(values[b]) and np.isnan(witnesses[b]).all() and methods[b] == ""
             continue
         assert methods[b] == want.method
         assert float(values[b]) == want.lower
@@ -155,7 +156,7 @@ def test_stacked_kernel_matches_per_matrix_kernel(is_complex, role):
             _assert_slices_match(_mixed_stack(rng, m, n, is_complex), p, q, cfg, is_complex)
 
 
-@pytest.mark.parametrize("role", [(1, 3), (2, INF), (2, 2), (1.5, 1.5)])
+@pytest.mark.parametrize("role", [(1, 3), (2, INF), (2, 2), (1.5, 1.5), (INF, 1), (INF, 1.5), (3, 1.5), (3, 2)])
 def test_stacked_kernel_matches_on_wide_slices(role):
     # 9 entries per row or column: numpy sums 8 or more contiguous entries pairwise
     rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,9 +177,10 @@ def test_block_torus_upper_matches_scalar_loop():
             space = SpaceSpec(r, 3, weights, "complex")
             X = field_normal(rng, (3, n), True)
             lip = space.norm_cols(X)[1:]
-            # budget 2^14: n = 4 takes 25^3 points, four grid blocks
-            block = torus_certified_upper(lambda Z: space.norm_cols(X @ Z.T), lip, n, cfg, budget=2**14)
-            scalar = torus_certified_upper(lambda Z: np.array([space.norm(X @ z) for z in Z]), lip, n, cfg, budget=2**14)
+            # max_enum 2^14: n = 4 takes 25^3 points, four grid blocks
+            small = replace(cfg, max_enum=2**14)
+            block = torus_certified_upper(lambda Z: space.norm_cols(X @ Z.T), lip, n, small)
+            scalar = torus_certified_upper(lambda Z: np.array([space.norm(X @ z) for z in Z]), lip, n, small)
             assert abs(block - scalar) <= 1e-12 * scalar
             found = mn.torus_supremum(lambda Z: space.norm_cols(X @ Z.T), n, cfg)
             # at n = 1 both sides are the one column's norm, from two summation orders

@@ -1,6 +1,7 @@
 """Property tests: certificates stay ordered, exact values are homogeneous and phase-blind."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import multinorm as mn
 from multinorm.multinorms import is_exact_path
-from multinorm.spaces import delta_tuple
+from multinorm.optim import field_normal
+from multinorm.spaces import conjugate_index, delta_tuple, lp_norm
+from multinorm.summing import mu_scale
 
 S = mn.MultiNormSpec
 INF = math.inf
@@ -177,6 +180,56 @@ def test_numerical_dual_lower_within_exact_closed_form_dual(base, closed, data):
     exact = mn.evaluate(closed, t, LIGHT)
     assert exact.kind == "exact"
     _below(mn.evaluate(S.numerical_dual(base), t, LIGHT).lower, exact.lower)
+
+
+# every search lower bound comes from its witness: the witness is feasible and attains the bound
+
+
+def _witness_value(spec, space, X, witness, cfg):
+    """(the value witness attains in spec's search on the tuple X, whether witness is feasible there)."""
+    v = spec.variant
+    if v == "weak_summing":
+        ((key, c),) = witness.items()
+        if key == "phases":
+            return space.norm(X @ c), np.allclose(np.abs(c), 1.0, rtol=0.0, atol=1e-12)
+        return space.norm(X @ c), lp_norm(c, conjugate_index(spec.p)) <= 1 + 1e-12
+    if v in ("pq", "max"):
+        L = witness["functionals"]
+        p, q = (1.0, 1.0) if v == "max" else (spec.p, spec.q)
+        return lp_norm((space.w[:, None] * X * L).sum(axis=0), q), mu_scale(p, L, space.dual(), cfg)[0] <= 1 + 1e-12
+    if v == "hilbert":
+        alpha = witness["alpha"]
+        value = np.linalg.svd(np.sqrt(space.w)[:, None] * X * alpha, compute_uv=False).sum()
+        return value, np.linalg.norm(alpha) <= 1 + 1e-12
+    if v == "numerical_dual":
+        primal = space.dual()
+        membership = mn.evaluate(spec.base, mn.VectorTuple(witness, primal), cfg)
+        return abs((primal.w[:, None] * witness * X).sum()), membership.kind == "exact" and membership.lower <= 1 + 1e-12
+    assert v == "standard_q"
+    owner = witness["assignment"]
+    return lp_norm([space.norm(np.where(owner == j, X[:, j], 0.0)) for j in range(X.shape[1])], spec.q), True
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("name", list(SEARCH))
+def test_search_witness_attains_its_lower_bound(name, field):
+    rng = np.random.default_rng(41)
+    for trial in range(12):
+        r = RS[trial % len(RS)]
+        m, n = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        space = mn.SpaceSpec(r, m, tuple(rng.uniform(0.5, 2.0, m)) if trial % 2 else (), field)
+        spec = SEARCH[name](space)
+        if spec is None:
+            continue
+        # the small budget sends real mu_1 and standard_q past their enumerations, onto the search
+        cfg = LIGHT if trial % 4 < 2 else replace(LIGHT, max_enum=4)
+        X = field_normal(rng, (m, n), space.is_complex)
+        res = mn.evaluate(spec, mn.VectorTuple(X, space), cfg)
+        if res.kind == "exact":
+            continue
+        value, feasible = _witness_value(spec, space, X, res.witness, cfg)
+        assert feasible, (trial, res)
+        assert res.lower - value <= 1e-12 * max(1.0, res.lower), (trial, res.lower, value, res.method)
 
 
 @settings(max_examples=200)

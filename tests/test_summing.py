@@ -239,6 +239,26 @@ def test_mu_scale_matches_mu_weak():
     assert cases == 180
 
 
+def test_real_mu1_point_value_is_mu_weak_up_to_the_last_bits():
+    # exact_evaluator's named exception: real mu_1 point values take mu1_phase_guidance's sign grid, mu_weak(1) the p->q kernel
+    from multinorm.multinorms import point_value
+
+    rng = np.random.default_rng(4800)
+    cfg = OptimConfig(seed=8, restarts=2, grid_points=16)
+    spec = mn.MultiNormSpec.weak_summing(1)
+    for r in (1.5, 2.0, 3.0):
+        for weighted in (False, True):
+            for m in range(2, 6):
+                for n in range(1, 6):
+                    for _ in range(2):
+                        space = SpaceSpec(r, m, tuple(rng.uniform(0.5, 2.0, m)) if weighted else ())
+                        X = rng.standard_normal((m, n))
+                        grid = point_value(spec, space, X, cfg)
+                        res = mn.mu_weak(1, VectorTuple(X, space), cfg)
+                        assert res.kind == "exact"
+                        assert abs(grid - res.lower) <= 1e-15 * res.lower, (r, weighted, m, n)
+
+
 def test_weak_summing_2_point_value_equals_mu_weak():
     # exact_evaluator and mu_weak give one exact value for weak_summing(2), alone and stacked
     from multinorm.multinorms import point_value
