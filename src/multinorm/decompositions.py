@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BudgetError, HermitianError, SpecError
 from .multinorms import MultiNormSpec, _point_values, _stack_values, _trial_chunks
 from .optim import COUNTS, NORMALS, UNIFORMS, OptimConfig, _first_max, field_normal_block
-from .partitions import GRID_BLOCK, set_partitions, slot_assignments, unit_grid
+from .partitions import GRID_BLOCK, grid_fits, set_partitions, slot_assignments, unit_grid
 from .spaces import SpaceSpec, VectorTuple, _as_value, delta_tuple, lp_norm, matrix_from_json, matrix_to_json
 
 _PROJ_TOL = 1e-10
@@ -159,10 +159,8 @@ def is_hermitian(
     worst_gap, witness = 0.0, None
 
     levels = max(8, cfg.grid_points // 4) if space.is_complex else 2
-    try:
-        (grid,) = unit_grid(k, levels, GRID_BLOCK)
-    except BudgetError:
-        grid = np.ones((0, k))  # too many phase combinations: sampled points only
+    # the phase grid when it fits one block, else (too many phase combinations) sampled points only
+    grid = next(unit_grid(k, levels, GRID_BLOCK)) if grid_fits(k, levels, GRID_BLOCK) else np.ones((0, k))
 
     normals, uniforms = cfg.stream("hermitian", NORMALS), cfg.stream("hermitian", UNIFORMS)
     for chunk in chunks:

@@ -27,6 +27,7 @@ from .optim import (
     ball_linear_max,
     field_normal_block,
     gaussian_starts,
+    polish,
     seeded_ascent,
 )
 from .partitions import GRID_BLOCK, digit_rows, slot_assignments
@@ -363,13 +364,11 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
 
     if p == 2 and space.p == 2:
         seeds += list(gaussian_starts(cfg, "ascent.starts", (space.dim, n), space.is_complex))
-        val, L = max((_pq_spectral_polish(space, X, q, s) for s in seeds), key=lambda vL: vL[0])
+        val, L = _pq_spectral_polish(space, X, q, np.array(seeds, dtype=complex))
         method = "pq_spectral_polish"
     else:
-        inner_cfg = replace(cfg, restarts=2, refine_passes=1)
-
         def project(Ls):
-            scale, _ = summing.mu_scale(p, Ls, dual, inner_cfg)
+            scale, _ = summing.mu_scale(p, Ls, dual, cfg)
             ok = (scale > 0) & np.isfinite(scale)
             out = Ls.copy()
             out[ok] = Ls[ok] / scale[ok][:, None, None]
@@ -387,42 +386,38 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
 
 
 def _pq_spectral_polish(space: SpaceSpec, X: np.ndarray, q: float, L0: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """Linearize-and-maximize iteration for the (2,q)-norm on index-2 spaces.
+    """Linearize-and-maximize iteration for the (2,q)-norm on index-2 spaces, from every start of the complex (S, m, n) stack L0 at once.
 
     The feasible set {mu_{2,n}(L) <= 1} is {||D L||_2 <= 1} with D the
     square-root weight matrix; maximizing a real-linear functional over it
     is a nuclear-norm step (one SVD).  The objective is 1-homogeneous and
-    convex, so each step is nondecreasing; it stops once a step gains at
-    most 1e-14.  Convergence is linear and slow starts have taken ~270
-    steps, so the 500-step cap is only a guard.
+    convex, so each step is nondecreasing; a start stops once a step gains
+    at most 1e-14.  Convergence is linear and slow starts have taken ~270
+    steps, so the 500-step cap is only a guard.  Returns the first best
+    (value, functionals); a start whose top singular value is 0 never wins.
     """
-    D = np.sqrt(space.w)
-    B = D[:, None] * np.asarray(L0, dtype=complex)
-    sv = np.linalg.svd(B, compute_uv=False)
-    if sv[0] <= 0:
-        return 0.0, None
-    B = B / sv[0]
+    D = np.sqrt(space.w)[:, None]
+    B = D * L0
+    top = np.linalg.svd(B, compute_uv=False)[:, 0]
+    B = B / np.where(top > 0, top, 1.0)[:, None, None]
 
-    def value_of(Bmat):
-        L = Bmat / D[:, None]
-        return lp_norm(np.abs(_pairings(space, X, L)), q), L
+    def value_of(B):
+        return lp_norm(np.abs(_pairings(space, X, B / D)), q)
 
-    val, L = value_of(B)
-    for _ in range(500):
-        c = _pairings(space, X, B / D[:, None])
+    def step(B):
+        c = _pairings(space, X, B / D)
         ac = np.abs(c)
         coef = ac ** (q - 1.0) if q != 1 else (ac > 0).astype(float)
-        G = (space.w[:, None] * X) * (phase(np.conj(c)) * coef)[None, :]
-        M = np.conj(G) / D[:, None]
-        U, s, Vh = np.linalg.svd(M, full_matrices=False)
+        G = (space.w[:, None] * X) * (phase(np.conj(c)) * coef)[:, None, :]
+        U, _, Vh = np.linalg.svd(np.conj(G) / D, full_matrices=False)
         Bn = U @ Vh
-        vn, Ln = value_of(Bn)
-        if vn <= val + 1e-14:
-            break
-        val, L, B = vn, Ln, Bn
-    if not space.is_complex:
-        L = np.real(L)
-    return val, L
+        return Bn, value_of(Bn)
+
+    val, B = polish(step, B, np.where(top > 0, value_of(B), np.nan), 500, 1e-14)
+    if val == -INF:
+        return 0.0, None
+    L = B / D
+    return val, L if space.is_complex else np.real(L)
 
 
 def _roots_upper(space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> float:
@@ -476,78 +471,62 @@ def _max_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
 
 
 def _standard_q_search(t: VectorTuple, q: float, cfg: OptimConfig) -> NormValue:
-    """Lower bound past the enumeration budget: one-row moves, each row's n moves scored in one kernel call."""
+    """Lower bound past the enumeration budget: rounds of one-row moves from every start at once, each row's moves scored in one kernel call."""
     space = t.space
     X = t.columns
     m, n = X.shape
     contrib = space.w[:, None] * np.abs(X) ** space.p
 
-    def climb(assign):
-        val = float(_standard_q_values(space, contrib, assign[None], q)[0])
-        improved = True
-        while improved:
-            improved = False
-            for k in range(m):
-                moves = np.repeat(assign[None], n, axis=0)
-                moves[:, k] = np.arange(n)
-                for j, v in enumerate(_standard_q_values(space, contrib, moves, q).tolist()):
-                    if v > val + 1e-15:
-                        val, assign[k], improved = v, j, True
-        return val, assign
+    def round_of_moves(A):
+        # row k takes, in move order, each move clearing the running best by 1e-15
+        A, val = A.copy(), _standard_q_values(space, contrib, A, q)
+        for k in range(m):
+            moves = np.repeat(A[:, None], n, axis=1)
+            moves[..., k] = np.arange(n)
+            v = _standard_q_values(space, contrib, moves.reshape(-1, m), q).reshape(-1, n)
+            for j in range(n):
+                up = v[:, j] > val + 1e-15
+                val[up], A[up, k] = v[up, j], j
+        return A, val
 
-    best, best_assign = climb(np.abs(X).argmax(axis=1).astype(int))
-    for start in cfg.stream("standard_q.starts").integers(0, n, size=(min(cfg.restarts, 16), m)):
-        val, assign = climb(start)
-        if val > best:
-            best, best_assign = val, assign
-    return NormValue.lower_bound(best, {"assignment": best_assign}, "partition_local_search")
+    starts = np.concatenate([np.abs(X).argmax(axis=1)[None], cfg.stream("standard_q.starts").integers(0, n, size=(min(cfg.restarts, 16), m))])
+    # an improving round raises the value strictly, so at most n^m rounds run
+    best, assign = polish(round_of_moves, starts, _standard_q_values(space, contrib, starts, q), n**m, 1e-15)
+    return NormValue.lower_bound(best, {"assignment": assign}, "partition_local_search")
 
 
 def _hilbert_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
     space = t.space
     X = t.columns
-    m, n = X.shape
+    n = X.shape[1]
     Xt = np.sqrt(space.w)[:, None] * X
 
-    def nuclear(alpha):
-        return float(np.linalg.svd(Xt * alpha[None, :], compute_uv=False).sum())
+    def nuclear(alphas):
+        return np.linalg.svd(Xt * alphas[:, None, :], compute_uv=False).sum(axis=-1)
 
-    def alternate(alpha):
-        na = np.linalg.norm(alpha)
-        if na == 0:
-            return 0.0, alpha
-        alpha = alpha / na
-        val = nuclear(alpha)
-        for _ in range(80):
-            M = Xt * alpha[None, :]
-            U, s, Vh = np.linalg.svd(M, full_matrices=False)
-            G = U @ Vh
-            c = np.einsum("ki,ki->i", np.conj(G), Xt)
-            nc = np.linalg.norm(c)
-            if nc == 0:
-                break
-            new_alpha = np.conj(c) / nc
-            new_val = nuclear(new_alpha)
-            if new_val <= val + 1e-14:
-                break
-            alpha, val = new_alpha, new_val
-        return val, alpha
+    def normalized(alphas):
+        na = lp_norm(alphas, 2)
+        return alphas / np.where(na == 0, 1.0, na)[:, None], na == 0
+
+    def alternate(alphas):
+        U, _, Vh = np.linalg.svd(Xt * alphas[:, None, :], full_matrices=False)
+        c = np.einsum("...ki,ki->...i", np.conj(U @ Vh), Xt)
+        new, stuck = normalized(np.conj(c))
+        return new, np.where(stuck, np.nan, nuclear(new))
 
     dt = complex if space.is_complex else float
     seeds = [np.ones(n, dtype=dt) / math.sqrt(n)]
     col = space.norm_cols(X)
     if col.max() > 0:
-        seeds.append((col / np.linalg.norm(col)).astype(dt))
+        seeds.append((col / lp_norm(col, 2)).astype(dt))
     seeds += list(np.eye(n, dtype=dt)[: min(n, 4)])
     seeds += list(gaussian_starts(cfg, "hilbert.starts", (n,), space.is_complex))
-
-    best, best_alpha = 0.0, None
-    for s in seeds:
-        val, alpha = alternate(np.asarray(s, dtype=dt))
-        if val > best:
-            best, best_alpha = val, alpha
+    alphas, zero = normalized(np.array(seeds, dtype=dt))
+    best, alpha = polish(alternate, alphas, np.where(zero, np.nan, nuclear(alphas)), 80, 1e-14)
+    if not best > 0:
+        best, alpha = 0.0, None
     upper = min(lp_norm(space.norm_cols(X), 2), _roots_upper(space, X, cfg))
-    return NormValue.bracket(min(best, upper), upper, {"alpha": best_alpha}, "nuclear_alt_ascent")
+    return NormValue.bracket(min(best, upper), upper, {"alpha": alpha}, "nuclear_alt_ascent")
 
 
 def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValue:

@@ -53,8 +53,11 @@ class MBNormResult:
         }
 
 
-def _delta_tuples(dim: int, n: int, is_complex: bool, cap: int = 2048):
-    """Tuples of distinct standard basis vectors, exhaustive under a cap."""
+_DELTA_TUPLES_CAP = 2048  # most tuples of distinct basis vectors _delta_tuples lists
+
+
+def _delta_tuples(dim: int, n: int, is_complex: bool):
+    """Tuples of distinct standard basis vectors, exhaustive under _DELTA_TUPLES_CAP."""
     from itertools import permutations
 
     dt = complex if is_complex else float
@@ -62,7 +65,7 @@ def _delta_tuples(dim: int, n: int, is_complex: bool, cap: int = 2048):
     for i in range(dim, dim - min(n, dim), -1):
         total *= i
     out = []
-    if n <= dim and total <= cap:
+    if n <= dim and total <= _DELTA_TUPLES_CAP:
         for idx in permutations(range(dim), n):
             cols = np.zeros((dim, n), dtype=dt)
             for j, k in enumerate(idx):

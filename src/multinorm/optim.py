@@ -440,6 +440,30 @@ def ball_linear_max(
     return NormValue.lower_bound(val, pt, "ball_ascent")
 
 
+def polish(step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], X: np.ndarray, vals: np.ndarray, cap: int, gain: float) -> tuple[float, np.ndarray]:
+    """The first best end point of a monotone climb from every start of the (S, *shape) stack X at once.
+
+    vals holds the starts' (S,) values, NaN where a start cannot climb.
+    step(P) -> (Q, v) maps a (L, *shape) stack of live points to their
+    next iterates and (L,) values, NaN where a point cannot step.  A start
+    stops, keeping its point, at its first step that gains at most gain,
+    or after cap steps; the others go on.  Returns (value, point) of the
+    first maximum over the starts, NaN never winning (value -inf where
+    every start is NaN).
+    """
+    X, vals = X.copy(), np.array(vals, dtype=float)
+    live = np.flatnonzero(~np.isnan(vals))
+    for _ in range(cap):
+        if live.size == 0:
+            break
+        Q, v = step(X[live])
+        up = v > vals[live] + gain
+        live = live[up]
+        X[live], vals[live] = Q[up], v[up]
+    i, best = _first_max(vals)
+    return best, X[i]
+
+
 # ---------------------------------------------------------------------------
 # p -> q operator norms
 
@@ -450,55 +474,37 @@ def _holder_upper(S: np.ndarray, p: float, q: float):
     return _as_value(np.minimum(lp_norm(lp_norm(S, q, axis=-2), pp), lp_norm(lp_norm(S, pp), q)))
 
 
-def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool) -> tuple[float, np.ndarray]:
-    """Nonlinear power iteration for sup ||Ax||_q / ||x||_p, with restarts."""
+def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool) -> tuple[float, np.ndarray | None]:
+    """Nonlinear power iteration for sup ||Ax||_q / ||x||_p from every start at once; (0.0, None) unless some start is positive."""
     n = A.shape[1]
     pp = conjugate_index(p)
+    AH = A.conj().T
 
-    def normalize(x):
-        nx = lp_norm(x, p)
-        return None if nx == 0 else x / nx
+    def image(M, X):
+        # one gemv per start, so each row's bits are those of M @ x
+        return (M @ X[..., None])[..., 0]
 
-    def iterate(x):
-        x = normalize(x)
-        if x is None:
-            return 0.0, None
-        val = lp_norm(A @ x, q)
-        for _ in range(60):
-            y = A @ x
-            ny = lp_norm(y, q)
-            if ny == 0:
-                break
-            ay = np.abs(y)
-            z = phase(y) * ay ** (q - 1.0) if q > 1 else phase(y) * (ay > 0)
-            g = A.conj().T @ z
-            if p == INF:
-                xn = phase(g)
-                if not complex_field:
-                    xn = np.sign(g) + (g == 0)
-            else:
-                ag = np.abs(g)
-                xn = phase(g) * ag ** (pp - 1.0) if pp != INF else phase(g) * (ag >= ag.max())
-            xn = normalize(xn)
-            if xn is None:
-                break
-            v = lp_norm(A @ xn, q)
-            if v <= val + 1e-15:
-                break
-            x, val = xn, v
-        return val, x
+    def normalized(X):
+        nx = lp_norm(X, p)
+        return X / np.where(nx == 0, 1.0, nx)[:, None], nx == 0
 
-    dt = complex if complex_field else float
-    seeds = list(np.eye(n, dtype=dt)[: min(n, 8)])
-    seeds.append(np.ones(n, dtype=dt))
-    seeds += list(gaussian_starts(cfg, "power_ascent.starts", (n,), complex_field))
+    def step(X):
+        Y = image(A, X)
+        ay = np.abs(Y)
+        G = image(AH, phase(Y) * ay ** (q - 1.0) if q > 1 else phase(Y) * (ay > 0))
+        if p == INF:
+            Xn = phase(G) if complex_field else np.sign(G) + (G == 0)
+        else:
+            ag = np.abs(G)
+            Xn = phase(G) * (ag ** (pp - 1.0) if pp != INF else ag >= ag.max(axis=-1, keepdims=True))
+        Xn, stuck = normalized(Xn)
+        return Xn, np.where(stuck | (lp_norm(Y, q) == 0), np.nan, lp_norm(image(A, Xn), q))
 
-    best, best_x = 0.0, None
-    for s in seeds:
-        val, x = iterate(s)
-        if val > best:
-            best, best_x = val, x
-    return best, best_x
+    dt = np.result_type(complex if complex_field else float, A)
+    seeds = [*np.eye(n, dtype=dt)[: min(n, 8)], np.ones(n, dtype=dt), *gaussian_starts(cfg, "power_ascent.starts", (n,), complex_field)]
+    X, zero = normalized(np.array(seeds, dtype=dt))
+    val, x = polish(step, X, np.where(zero, np.nan, lp_norm(image(A, X), q)), 60, 1e-15)
+    return (val, x) if val > 0 else (0.0, None)
 
 
 def op_norm_pq(a: MatrixOp, cfg: OptimConfig, field: str | None = None) -> NormValue:

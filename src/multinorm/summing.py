@@ -225,14 +225,12 @@ def pi_summing(
             candidates.append(padded)
     upper = n ** (1.0 / q) * op_norm_upper
 
-    inner = replace(cfg, restarts=2, refine_passes=1)
-
     def q_sum(Y: np.ndarray) -> np.ndarray:
         return lp_norm(tgt.norm_cols(Y), q)
 
     _, cols = seeded_ascent(
         project=unconstrained,
-        value=_scaled_score(lambda C: mu_scale(p, C, space, inner)[0], lambda C, s: T @ C / s, q_sum),
+        value=_scaled_score(lambda C: mu_scale(p, C, space, cfg)[0], lambda C, s: T @ C / s, q_sum),
         seeds=[delta_tuple(space.dim, n, space.is_complex)],
         shape=(space.dim, n),
         cfg=cfg,

@@ -5,6 +5,8 @@ import pytest
 
 import multinorm as mn
 from multinorm import INF, MultiNormSpec as Spec, OptimConfig, SpaceSpec, VectorTuple
+from multinorm.optim import NORMALS, UNIFORMS, field_normal_block
+from multinorm.spaces import lp_norm
 
 CFG = OptimConfig(seed=2025)
 
@@ -48,6 +50,36 @@ def test_hermitian_examples():
     d = mn.Decomposition((np.eye(3),))
     rep = mn.is_hermitian(d, SpaceSpec(2, 3, field="complex"), trials=8, cfg=CFG)
     assert rep.verdict
+
+
+def _sampled_only_hermitian_gap(d, space, trials, cfg):
+    # frozen copy of is_hermitian past its one-block phase grid: each trial's 8 sampled interior points alone
+    k, Ps = d.length, d.projections
+    worst_gap, witness = 0.0, None
+    normals, uniforms = cfg.stream("hermitian", NORMALS), cfg.stream("hermitian", UNIFORMS)
+    xs = field_normal_block(normals, trials, (space.dim,), True)
+    U = uniforms.random((trials, 8, 2, k))
+    for x, Z in zip(xs, U[:, :, 0] * np.exp(2j * np.pi * U[:, :, 1])):
+        nx = space.norm(x)
+        vals = lp_norm(sum(Z[:, i, None] * (P @ x) for i, P in enumerate(Ps)), space.p, w=space.w)
+        b = int(np.argmax(vals - nx))
+        if vals[b] - nx > worst_gap:
+            worst_gap, witness = float(vals[b] - nx), {"x": x, "zeta": Z[b], "lhs": float(vals[b]), "rhs": nx}
+    return worst_gap, witness
+
+
+def test_hermitian_past_the_phase_grid_uses_the_sampled_points_alone():
+    # 5 complex blocks at the default cfg: 16^4 grid rows pass one 4096-row block
+    s = SpaceSpec(1, 5, (1.0, 2.0, 0.5, 1.5, 1.0), field="complex")
+    S = np.eye(5) + 0.3 * np.random.default_rng(8).standard_normal((5, 5))
+    Si = np.linalg.inv(S)
+    d = mn.Decomposition(tuple(S[:, [i]] @ Si[[i], :] for i in range(5)))
+    cfg = OptimConfig()
+    rep = mn.is_hermitian(d, s, trials=40, cfg=cfg)
+    gap, witness = _sampled_only_hermitian_gap(d, s, 40, cfg)
+    assert not rep.verdict and rep.gap == gap
+    assert rep.witness["lhs"] == witness["lhs"] and rep.witness["rhs"] == witness["rhs"]
+    assert np.array_equal(rep.witness["x"], witness["x"]) and np.array_equal(rep.witness["zeta"], witness["zeta"])
 
 
 def test_oblique_real_l2_rotation_not_hermitian_for_p_not_2():
