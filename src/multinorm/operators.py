@@ -3,7 +3,11 @@
 The multi-bounded norm of T between two multi-normed structures is the
 supremum over n of p_n(T) = ||T^(n)|| computed tuple-wise.  At finite
 horizon we report the truncated sequence with lower-bound certificates
-and exact fast paths where the theory collapses the supremum.
+and exact fast paths where the theory collapses the supremum.  Each level
+is capped by n*||T|| (when ||T|| is exact) and by a bound that holds for
+every n where one is proved (lattice -> lattice, or a coordinate
+permutation between equal partition multi-norms); a level whose seed
+meets its cap is exact and runs no ascent.
 
 Multi-continuity (multi-null sequences map to multi-null sequences) is
 equivalent to multi-boundedness, and at a finite horizon it is implied by
@@ -17,18 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SpecError
+from .errors import DimensionError, FieldError, SpecError
 from .multinorms import MultiNormSpec, evaluate, exact_evaluator, point_evaluator
-from .optim import INF, NormValue, OptimConfig, seeded_ascent, unconstrained
+from .optim import INF, NormValue, OptimConfig, meets, seeded_ascent, unconstrained
 from .spaces import MatrixOp, SpaceSpec, VectorTuple, delta_tuple
 from .summing import _scaled_score, op_norm_between
 
 
 def amplify(T, t: VectorTuple, target: SpaceSpec) -> VectorTuple:
-    """Apply T to every entry of the tuple: (Tx_1, ..., Tx_n)."""
-    T = np.asarray(T.entries if isinstance(T, MatrixOp) else T)
-    if T.shape[1] != t.space.dim or T.shape[0] != target.dim:
-        raise DimensionError("operator shape incompatible with source/target spaces")
+    """Apply T to every entry of the tuple: (Tx_1, ..., Tx_n); a genuinely complex T on a real space raises FieldError."""
+    T = _operator(T.entries if isinstance(T, MatrixOp) else T, t.space, target)
     return VectorTuple(T @ t.columns, target)
 
 
@@ -76,6 +78,40 @@ def _delta_tuples(dim: int, n: int, is_complex: bool):
     return out
 
 
+def _operator(T, source: SpaceSpec, target: SpaceSpec) -> np.ndarray:
+    """T as a (target.dim, source.dim) array, else DimensionError; genuinely complex entries need complex scalars on both sides, else FieldError."""
+    T = np.asarray(T)
+    if T.shape != (target.dim, source.dim):
+        raise DimensionError("operator shape incompatible with source/target spaces")
+    if np.iscomplexobj(T) and np.any(T.imag != 0) and not (source.is_complex and target.is_complex):
+        raise FieldError("complex operator on a real space")
+    return T
+
+
+def _permutation(T: np.ndarray) -> list[int] | None:
+    """sigma with T[k, sigma[k]] = 1 where the square T is a 0/1 permutation matrix, i.e. (T f)(k) = f(sigma(k)); else None."""
+    if not np.all((T == 0) | (T == 1)) or np.any(T.sum(axis=0) != 1) or np.any(T.sum(axis=1) != 1):
+        return None
+    return [int(k) for k in (T == 1).argmax(axis=1)]
+
+
+def _uniform_bound(T, source, spec_source, target, spec_target, cfg) -> float:
+    """A certified U with p_n(T) <= U for every n, or INF where none is proved.
+
+    lattice -> lattice: |T x_j| <= |T| (max_k |x_k|) entrywise, and both
+    lattice norms are monotone, so U = || |T| : source -> target ||
+    (weighted or complex spaces alike).  partition -> partition: see
+    partition_permutation_bound for when it applies.
+    """
+    if spec_source.variant == spec_target.variant == "lattice":
+        return op_norm_between(np.abs(T), source, target, cfg).upper
+    if spec_source.variant == spec_target.variant == "partition" and spec_source.blocks == spec_target.blocks and source == target:
+        sigma = _permutation(T)
+        if sigma is not None and np.array_equal(source.w[sigma], source.w):
+            return partition_permutation_bound(spec_source.blocks, sigma, source.p)[1]
+    return INF
+
+
 def _source_scale(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig):
     """(scale, heuristic): scale maps a stack of tuples to their source norms.
 
@@ -111,11 +147,22 @@ def mb_norm(
     the maximum one, every p_n equals the operator norm ||T||.  Otherwise
     each level is an ascent over normalized tuples, seeded with delta
     tuples and the previous level's witness (repeated last entry), which
-    keeps the reported sequence nondecreasing.  Upper bound n*||T|| per
-    level; levels are marked exact when the two sides meet.
+    keeps the reported sequence nondecreasing.
+
+    Each level's cap is the smaller of n*||T|| (where ||T|| is exact) and
+    U, a certified bound on every p_n (_uniform_bound): || |T| || for
+    lattice -> lattice, partition_permutation_bound for a permutation
+    between equal partition multi-norms, else none.  A level whose best
+    seed meets its cap is exact at the cap and runs no ascent; once a level
+    meets U, its padded witness meets U at every later level.
+    sup_estimate is then exact at U, the multi-bounded norm over all n
+    (method meets_uniform_bound_at_n=k).  Otherwise it is exact when
+    every level met n*||T||, a bracket [max p_n, U] when U is finite, and
+    a lower bound else (method truncated_at_n=n_max).  A genuinely complex
+    T on a real space raises FieldError.
     """
     cfg = cfg or OptimConfig()
-    T = np.asarray(T)
+    T = _operator(T, source, target)
     opn = op_norm_between(T, source, target, cfg)
 
     if spec_target.variant == "min" or spec_source.variant == "max":
@@ -125,20 +172,25 @@ def mb_norm(
 
     src_scale, heuristic_scale = _source_scale(spec_source, source, cfg)
     score = _scaled_score(src_scale, lambda C, s: T @ C / s, point_evaluator(spec_target, target, cfg))
+    U = _uniform_bound(T, source, spec_source, target, spec_target, cfg)
 
     p_seq: list[float] = []
     prev_witness = None
     all_exact = True
+    met_at = None
     best_witness = None
     for n in range(1, n_max + 1):
         seeds = _delta_tuples(source.dim, n, source.is_complex)
         if prev_witness is not None:
             seeds.append(np.concatenate([prev_witness, prev_witness[:, -1:]], axis=1))
-        val, cols = seeded_ascent(unconstrained, score, seeds, (source.dim, n), cfg, source.is_complex)
         upper_n = n * (opn.lower if opn.kind == "exact" else opn.upper)
+        cap = min(n * opn.lower if opn.kind == "exact" else INF, U)
+        val, cols = seeded_ascent(unconstrained, score, seeds, (source.dim, n), cfg, source.is_complex, ceiling=cap)
         val = max(val, p_seq[-1] if p_seq else 0.0)
-        if abs(val - upper_n) <= 1e-9 * max(1.0, upper_n) and opn.kind == "exact":
-            p_seq.append(upper_n)
+        if meets(val, cap):
+            p_seq.append(cap)
+            if met_at is None and meets(val, U):
+                met_at = n
         else:
             p_seq.append(min(val, upper_n))
             all_exact = False
@@ -146,9 +198,16 @@ def mb_norm(
         best_witness = {"tuple": cols}
 
     sup_val = max(p_seq)
-    certified_exact = all_exact and not heuristic_scale[0]
-    method = f"truncated_at_n={n_max}" + ("_heuristic_source_norm" if heuristic_scale[0] else "")
-    sup = NormValue("exact" if certified_exact else "lower", sup_val, sup_val if certified_exact else INF, best_witness, method)
+    heuristic = heuristic_scale[0]
+    method = f"truncated_at_n={n_max}" + ("_heuristic_source_norm" if heuristic else "")
+    if heuristic or not (all_exact or U < INF):
+        sup = NormValue.lower_bound(sup_val, best_witness, method)
+    elif met_at is not None:
+        sup = NormValue.exact(U, best_witness, f"meets_uniform_bound_at_n={met_at}")
+    elif all_exact:
+        sup = NormValue.exact(sup_val, best_witness, method)
+    else:
+        sup = NormValue.bracket(sup_val, U, best_witness, method)
     monotone = all(p_seq[i] <= p_seq[i + 1] + 1e-12 for i in range(len(p_seq) - 1))
     return MBNormResult(p_seq, sup, monotone, n_max)
 
@@ -169,7 +228,7 @@ def mb_tuple_norm(
     this collapses to max_i ||T_i|| exactly.
     """
     cfg = cfg or OptimConfig()
-    Ts = [np.asarray(T) for T in Ts]
+    Ts = [_operator(T, source, target) for T in Ts]
     if not Ts:
         raise SpecError("need at least one operator")
 
@@ -201,7 +260,12 @@ def partition_permutation_bound(blocks: list, sigma: list, p: float) -> tuple[in
     m_sigma = max over blocks P of the number of blocks Q whose image
     under sigma meets P; it equals the multi-bounded norm of the
     permutation operator f -> f o sigma under the partition multi-norm,
-    raised to the p-th power.
+    raised to the p-th power.  The bound needs weights invariant under
+    sigma (w[sigma(k)] = w[k]), so that f -> f o sigma moves block masses
+    without rescaling them.  mb_norm uses it as every level's cap when T
+    is a 0/1 permutation matrix (T[k, sigma(k)] = 1), source and target
+    are the same space with sigma-invariant weights, and both sides carry
+    the partition multi-norm of the same blocks.
     """
     ground = sorted(i for b in blocks for i in b)
     if ground != list(range(len(ground))):

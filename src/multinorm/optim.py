@@ -15,7 +15,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateNormError
+from .errors import DegenerateNormError, FieldError
 from .partitions import grid_fits, unit_grid, unit_roots
 from .spaces import COMPLEX, INF, REAL, MatrixOp, _as_value, conjugate_index, lp_norm, phase, vector_to_json
 
@@ -305,6 +305,11 @@ def torus_certified_upper(
 # generic projected ascent
 
 
+def meets(value: float, bound: float) -> bool:
+    """Whether value reaches the finite certified upper bound within 1e-9 * max(1, bound), so bound is the exact sup."""
+    return bound < INF and value >= bound - 1e-9 * max(1.0, bound)
+
+
 def unconstrained(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The projection of an ascent without constraints: every point is feasible."""
     return S, np.ones(len(S), dtype=bool)
@@ -318,6 +323,7 @@ def seeded_ascent(
     cfg: OptimConfig,
     complex_field: bool = False,
     iters: int = _ASCENT_ITERS,
+    ceiling: float = INF,
 ) -> tuple[float, np.ndarray | None]:
     """Maximize value over the feasible set reached by project.
 
@@ -341,6 +347,11 @@ def seeded_ascent(
     K = min(iters, max(1, 2**16 // (L0 * prod(shape)))): the pool holds at
     most 2**16 entries, or one tick's directions where L0 * prod(shape)
     exceeds that.
+
+    ceiling is a certified upper bound of value, if the caller has one.
+    Where the first maximum over the valued starts already meets it (see
+    meets), that start is returned at once and nothing climbs; the default
+    INF always climbs.
     """
     dt = complex if complex_field else float
     starts = [np.asarray(s) for s in seeds] + list(gaussian_starts(cfg, "ascent.starts", shape, complex_field))
@@ -350,6 +361,10 @@ def seeded_ascent(
         return -INF, None
     pts = pts[ids]
     vals = np.asarray(value(pts), dtype=float)
+    if ceiling != INF:
+        i, best = _first_max(vals)
+        if meets(best, ceiling):
+            return best, pts[i].copy()
 
     # per-restart state of the live restarts; a restart whose step underflows leaves the arrays
     final_vals, final_pts = vals.copy(), pts.copy()
@@ -511,11 +526,17 @@ def op_norm_pq(a: MatrixOp, cfg: OptimConfig, field: str | None = None) -> NormV
     """Operator norm of a : l^p_n -> l^q_m with a certificate.
 
     Exact where _op_norm_exact is; other roles return a bracket:
-    power-iteration lower bound plus Holder upper bounds.
+    power-iteration lower bound plus Holder upper bounds.  field=REAL
+    takes the sup over real vectors, so a matrix with a nonzero imaginary
+    part raises FieldError there.
     """
     A = np.asarray(a.entries)
     if field is None:
         field = COMPLEX if np.iscomplexobj(A) else REAL
+    elif field == REAL and np.iscomplexobj(A):
+        if np.any(A.imag != 0):
+            raise FieldError("complex matrix on a real field")
+        A = A.real
     p, q, complex_field = a.in_index, a.out_index, field == COMPLEX
     values, witnesses, methods = _op_norm_exact(A[None], p, q, cfg, complex_field)
     if methods[0]:

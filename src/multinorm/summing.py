@@ -202,7 +202,9 @@ def pi_summing(
     ||T|| padded with zeros, (x, 0, ..., 0), is normalized the same way and
     gives pi >= ||T|| (up to the op-norm search); the larger of the two
     lower bounds is kept with its witness.  Upper bound attached:
-    n^(1/q) * ||T||.
+    n^(1/q) * ||T||; it is also the ascent's ceiling, so where the delta
+    seed meets it (l^inf_n, (2,2)) nothing climbs.  A genuinely complex
+    operator on a real space raises FieldError.
     """
     cfg = cfg or OptimConfig()
     if not (1 <= p <= q):
@@ -235,6 +237,7 @@ def pi_summing(
         shape=(space.dim, n),
         cfg=cfg,
         complex_field=space.is_complex,
+        ceiling=upper,
     )
     lower, witness, scale_exact = 0.0, None, False
     for cols in [cols] + candidates:

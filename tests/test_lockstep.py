@@ -216,3 +216,38 @@ def test_direction_pool_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("proj, obj", [("unit_columns", "bumpy"), ("half_space", "negative")])
+def test_unmet_ceiling_climbs_as_without_one(is_complex, proj, obj):
+    # a ceiling no start meets changes nothing: same value and point, bit for bit
+    shape = (3, 2)
+    cfg = OptimConfig(seed=23, restarts=3)
+    project, value = _stacked(PROJECTIONS[proj], OBJECTIVES[obj])
+    seeds = _seeds(shape, is_complex)
+    want_val, want_pt = seeded_ascent(project, value, seeds, shape, cfg, is_complex)
+    got_val, got_pt = seeded_ascent(project, value, seeds, shape, cfg, is_complex, ceiling=want_val + 1.0)
+    assert got_val == want_val
+    assert np.array_equal(got_pt, want_pt)
+
+
+def test_met_ceiling_returns_the_first_maximal_start_without_climbing():
+    shape = (2, 1)
+    cfg = OptimConfig(seed=4, restarts=3)
+    seeds = [np.array([[0.5], [0.0]]), np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])]
+    calls = []
+
+    def value(P):
+        calls.append(len(P))
+        return np.minimum(np.abs(P).max(axis=(1, 2)), 1.0)
+
+    # seeds 1 and 2 both reach the ceiling 1; the first of them is returned after one value call
+    val, pt = seeded_ascent(unconstrained, value, seeds, shape, cfg, ceiling=1.0)
+    assert val == 1.0
+    assert np.array_equal(pt, seeds[1])
+    assert calls == [len(seeds) + cfg.restarts]
+    # within the tolerance 1e-9 * max(1, ceiling) a start still meets the ceiling
+    val, pt = seeded_ascent(unconstrained, value, seeds, shape, cfg, ceiling=1.0 + 5e-10)
+    assert val == 1.0 and np.array_equal(pt, seeds[1])
+    assert len(calls) == 2

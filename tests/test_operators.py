@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import multinorm as mn
-from multinorm import INF, MultiNormSpec as Spec, OptimConfig, SpaceSpec, VectorTuple
+from multinorm import INF, MultiNormSpec as Spec, OptimConfig, SpaceSpec, VectorTuple, operators
+from multinorm.cli import main
+from multinorm.optim import meets, seeded_ascent, unconstrained
+from multinorm.summing import op_norm_between
 
 CFG = OptimConfig(seed=77)
 
@@ -133,3 +136,224 @@ def test_monotone_p_seq():
         T = rng.standard_normal((3, 3))
         res = mn.mb_norm(T, s, Spec.min_spec(), s, Spec.lattice(), 3, CFG)
         assert res.monotone
+
+
+# ---------------------------------------------------------------------------
+# uniform bounds on every level, and the seed-first exit
+
+
+def _weighted(rng, r, m, field):
+    return SpaceSpec(r, m, tuple(float(w) for w in rng.uniform(0.5, 2.0, m)), field)
+
+
+def _ratio(src_norm, tgt_norm):
+    """Stack objective tgt_norm(X) / src_norm(X) of the (B, m, n) tuples X, 0 where the source norm vanishes."""
+
+    def value(X):
+        s = src_norm(X)
+        return np.where(s > 0, tgt_norm(X) / np.where(s > 0, s, 1.0), 0.0)
+
+    return value
+
+
+def _lattice_norm(sp):
+    # || max_j |x_j| ||_{r,w}, in plain numpy
+    return lambda X: (sp.w * np.abs(X).max(axis=-1) ** sp.p).sum(axis=-1) ** (1.0 / sp.p)
+
+
+def _partition_norm(sp, blocks):
+    # (sum over blocks b of max_j sum_{k in b} w_k |x_jk|^p)^(1/p), in plain numpy
+    def norm(X):
+        contrib = sp.w[:, None] * np.abs(X) ** sp.p
+        return sum(contrib[..., list(b), :].sum(axis=-2).max(axis=-1) for b in blocks) ** (1.0 / sp.p)
+
+    return norm
+
+
+def _dense_levels(value, m, n_max, is_complex, seed):
+    """Best values of a 64-restart ascent plus 4000 random tuples at every level n <= n_max."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in range(1, n_max + 1):
+        val, _ = seeded_ascent(unconstrained, value, [], (m, n), OptimConfig(seed=seed + n, restarts=64), is_complex)
+        X = rng.standard_normal((4000, m, n))
+        if is_complex:
+            X = X + 1j * rng.standard_normal((4000, m, n))
+        out.append(max(val, float(value(X).max())))
+    return out
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("r", [1.0, 1.5, 3.0])
+def test_regular_norm_bounds_every_lattice_level(field, r):
+    # |T x_j| <= |T| max_k |x_k| entrywise, so p_n(T) <= || |T| || for every n, on weighted and complex spaces
+    rng = np.random.default_rng(int(10 * r) + (field == "complex"))
+    sp = _weighted(rng, r, 3, field)
+    T = rng.standard_normal((3, 3))
+    if field == "complex":
+        T = T + 1j * rng.standard_normal((3, 3))
+    U = op_norm_between(np.abs(T), sp, sp, CFG).upper
+    lattice = _lattice_norm(sp)
+    dense = _dense_levels(_ratio(lattice, lambda X: lattice(T @ X)), 3, 3, field == "complex", 101)
+    assert max(dense) <= U * (1 + 1e-12)
+    assert dense[0] >= 0.99 * op_norm_between(T, sp, sp, CFG).lower  # the search is not idle
+
+    res = mn.mb_norm(T, sp, Spec.lattice(), sp, Spec.lattice(), 3, CFG)
+    assert max(res.p_seq) <= U * (1 + 1e-12)
+    sup = res.sup_estimate
+    assert sup.upper == U and sup.kind in ("bracket", "exact")
+    if sup.kind == "bracket":
+        assert sup.method == "truncated_at_n=3" and sup.lower == max(res.p_seq)
+    else:
+        assert sup.method.startswith("meets_uniform_bound_at_n=")
+
+
+def _cyclic_permutation(rng, m):
+    """A random sigma, the 0/1 matrix T with T[k, sigma[k]] = 1, and weights constant on sigma's cycles."""
+    sigma = [int(k) for k in rng.permutation(m)]
+    w, seen = np.zeros(m), set()
+    for k in range(m):
+        if k not in seen:
+            c = float(rng.uniform(0.5, 2.0))
+            while k not in seen:
+                seen.add(k)
+                w[k] = c
+                k = sigma[k]
+    return sigma, np.eye(m)[sigma], tuple(float(x) for x in w)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_permutation_bound_holds_with_invariant_weights(p):
+    rng = np.random.default_rng(int(p) + 40)
+    for _ in range(3):
+        m = 5
+        sigma, T, w = _cyclic_permutation(rng, m)
+        assert all(w[sigma[k]] == w[k] for k in range(m))
+        sp = SpaceSpec(p, m, w)
+        labels = rng.integers(0, 3, size=m)
+        blocks = [[int(k) for k in np.flatnonzero(labels == b)] for b in range(3) if np.any(labels == b)]
+        m_sigma, bound = mn.partition_permutation_bound(blocks, sigma, p)
+        part = _partition_norm(sp, blocks)
+        dense = _dense_levels(_ratio(part, lambda X: part(T @ X)), m, m_sigma + 1, False, 7)
+        assert max(dense) <= bound * (1 + 1e-12)
+
+        spec = Spec.partition(blocks)
+        res = mn.mb_norm(T, sp, spec, sp, spec, m_sigma + 1, CFG)
+        assert max(res.p_seq) <= bound
+        assert res.sup_estimate.upper == bound
+
+
+def test_permutation_bound_needs_invariant_weights():
+    # swapping two singleton blocks with weights 1 and 100 stretches by 100^(1/p): m_sigma = 1 is no bound
+    sp = SpaceSpec(2.0, 2, (1.0, 100.0))
+    T = np.array([[0.0, 1.0], [1.0, 0.0]])
+    spec = Spec.partition([[0], [1]])
+    _, bound = mn.partition_permutation_bound(spec.blocks, [1, 0], 2.0)
+    res = mn.mb_norm(T, sp, spec, sp, spec, 2, CFG)
+    assert res.p_seq[0] == pytest.approx(10.0, rel=1e-12) and bound == 1.0
+    assert res.sup_estimate.kind == "lower" and res.sup_estimate.method == "truncated_at_n=2"
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("m", [3, 4])
+def test_permutation_lattice_levels_are_exactly_one(r, m):
+    # the seeds reach || |P| || = 1 within the last bits; every level reports 1.0 itself, never 1.0000000000000002
+    sp = SpaceSpec(r, m)
+    n_max = 4 if m == 3 else 3
+    for seed in range(6):
+        T = np.eye(m)[np.random.default_rng(seed).permutation(m)]
+        res = mn.mb_norm(T, sp, Spec.lattice(), sp, Spec.lattice(), n_max, OptimConfig(seed=seed, restarts=2))
+        assert res.p_seq == [1.0] * n_max
+        sup = res.sup_estimate
+        assert (sup.kind, sup.lower, sup.upper, sup.method) == ("exact", 1.0, 1.0, "meets_uniform_bound_at_n=1")
+
+
+def test_partition_permutation_sup_names_the_level_that_met_the_bound():
+    sp = SpaceSpec(1.0, 4)
+    blocks = [[0, 1], [2], [3]]
+    sigma = [2, 3, 0, 1]
+    T = np.eye(4)[sigma]
+    spec = Spec.partition(blocks)
+    res = mn.mb_norm(T, sp, spec, sp, spec, 3, CFG)
+    assert res.p_seq == [1.0, 2.0, 2.0]
+    sup = res.sup_estimate
+    assert (sup.kind, sup.lower, sup.upper, sup.method) == ("exact", 2.0, 2.0, "meets_uniform_bound_at_n=2")
+    # without a uniform bound the supremum stays a truncation
+    res = mn.mb_norm(np.ones((4, 4)), sp, spec, sp, spec, 2, CFG)
+    assert res.sup_estimate.method == "truncated_at_n=2"
+
+
+def test_unmet_level_caps_change_no_level(monkeypatch):
+    # every level either climbs exactly as without a cap, or its seed met the cap
+    outcomes = []
+
+    def checked(project, value, seeds, shape, cfg, complex_field=False, ceiling=INF):
+        got = seeded_ascent(project, value, seeds, shape, cfg, complex_field, ceiling=ceiling)
+        want = seeded_ascent(project, value, seeds, shape, cfg, complex_field)
+        if meets(got[0], ceiling):
+            assert want[0] >= got[0]
+            outcomes.append("met")
+        else:
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+            outcomes.append("unmet")
+        return got
+
+    monkeypatch.setattr(operators, "seeded_ascent", checked)
+    rng = np.random.default_rng(8)
+    sp = _weighted(rng, 1.5, 3, "real")
+    mn.mb_norm(rng.standard_normal((3, 3)), sp, Spec.lattice(), sp, Spec.lattice(), 3, CFG)
+    mn.mb_norm(np.eye(3), sp, Spec.min_spec(), sp, Spec.dual_lattice(), 3, CFG)
+    assert "unmet" in outcomes and "met" in outcomes
+
+
+def test_complex_operator_on_a_real_field_raises():
+    # over real x, |x_1 + i x_2| = ||x||_2 <= ||x||_1.5, so the real-input norm is 1, not the complex 2^(1/3)
+    A = np.array([[1, 1j], [0, 0]])
+    with pytest.raises(mn.FieldError):
+        mn.op_norm_pq(mn.MatrixOp(A, 1.5, 3), OptimConfig(restarts=2), field="real")
+    # a complex dtype with zero imaginary part is a real matrix
+    res = mn.op_norm_pq(mn.MatrixOp(np.array([[1, 0j], [0, 0]]), 1.5, 3), CFG, field="real")
+    assert (res.kind, res.lower) == ("exact", 1.0) and not np.iscomplexobj(res.witness)
+    real, cplx = SpaceSpec(2, 2), SpaceSpec(2, 2, (), "complex")
+    with pytest.raises(mn.FieldError):
+        op_norm_between(A, real, real, CFG)
+    with pytest.raises(mn.FieldError):
+        mn.pi_summing(2, 1, real, 2, CFG, operator=A)
+    for source, target in ((real, real), (real, cplx), (cplx, real)):
+        with pytest.raises(mn.FieldError):
+            mn.mb_norm(A, source, Spec.lattice(), target, Spec.lattice(), 2, CFG)
+        with pytest.raises(mn.FieldError):
+            mn.mb_tuple_norm([A], source, Spec.lattice(), target, Spec.lattice(), 2, CFG)
+        with pytest.raises(mn.FieldError):
+            mn.amplify(A, VectorTuple.of(source, [1, 0]), target)
+    # on complex spaces the operator is fine
+    assert mn.mb_norm(A, cplx, Spec.lattice(), cplx, Spec.lattice(), 1, CFG).p_seq[0] == pytest.approx(math.sqrt(2), rel=1e-12)
+
+
+def test_cli_complex_operator_on_a_real_space_exits_2(capsys):
+    doc = (
+        '{"source": {"p": 2, "dim": 2}, "target": {"p": 2, "dim": 2}, "spec_source": {"variant": "lattice"},'
+        ' "spec_target": {"variant": "lattice"}, "matrix": [[1, [0, 1]], [0, 0]], "n_max": 2}'
+    )
+    code = main(["mbnorm", doc])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "FieldError" in captured.err and "Traceback" not in captured.err
+
+
+def test_operator_of_the_wrong_shape_raises_dimension_error(capsys):
+    s2, s3 = SpaceSpec(2, 2), SpaceSpec(2, 3)
+    T = np.ones((2, 3))
+    with pytest.raises(mn.DimensionError):
+        mn.mb_norm(T, s2, Spec.lattice(), s2, Spec.lattice(), 2, CFG)
+    with pytest.raises(mn.DimensionError):
+        mn.mb_tuple_norm([np.eye(2), T], s2, Spec.lattice(), s2, Spec.lattice(), 2, CFG)
+    assert mn.mb_norm(T, s3, Spec.lattice(), s2, Spec.lattice(), 1, CFG).p_seq[0] > 0
+    doc = (
+        '{"source": {"p": 2, "dim": 2}, "target": {"p": 2, "dim": 2}, "spec_source": {"variant": "lattice"},'
+        ' "spec_target": {"variant": "lattice"}, "matrix": [[1, 0, 0], [0, 1, 0]], "n_max": 2}'
+    )
+    code = main(["mbnorm", doc])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "DimensionError" in captured.err and "Traceback" not in captured.err
