@@ -14,11 +14,11 @@ from typing import Any
 
 import numpy as np
 
-from .errors import FieldError, SpecError
+from .errors import SpecError
 from .multinorms import MultiNormSpec, _point_values, _stack_values, _trial_chunks
 from .optim import COUNTS, NORMALS, UNIFORMS, OptimConfig, _holder_upper, _op_norm_exact, field_normal_block
 from .partitions import set_partitions
-from .spaces import INF, MatrixOp, SpaceSpec
+from .spaces import INF, MatrixOp, SpaceSpec, real_entries
 
 
 @dataclass(frozen=True)
@@ -172,9 +172,7 @@ def check_multinorm_matrix_law(
     violations: list[LawViolation] = []
     mdim = space.dim
     fixed = [np.asarray(M) for M in (fixed_matrices or [])]
-    if not space.is_complex and any(np.iscomplexobj(A) and np.any(A.imag != 0) for A in fixed):
-        raise FieldError("complex fixed matrix in a law on a real space")
-    fixed = [A.astype(complex) if space.is_complex and np.iscomplexobj(A) else np.real(A).astype(float) for A in fixed]
+    fixed = [A.astype(complex) if space.is_complex and np.iscomplexobj(A) else real_entries(A).astype(float) for A in fixed]
     for A in fixed or [np.zeros((1, 1))]:
         MatrixOp(A, p_role, p_role)  # the role, shape and finiteness checks, once per matrix
 

@@ -21,15 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FieldError, SpecError
+from .errors import DimensionError, SpecError
 from .multinorms import MultiNormSpec, evaluate, exact_evaluator, point_evaluator
 from .optim import INF, NormValue, OptimConfig, meets, seeded_ascent, unconstrained
-from .spaces import MatrixOp, SpaceSpec, VectorTuple, delta_tuple
+from .spaces import MatrixOp, SpaceSpec, VectorTuple, delta_tuple, real_entries
 from .summing import _scaled_score, op_norm_between
 
 
 def amplify(T, t: VectorTuple, target: SpaceSpec) -> VectorTuple:
-    """Apply T to every entry of the tuple: (Tx_1, ..., Tx_n); a genuinely complex T on a real space raises FieldError."""
+    """Apply T to every entry of the tuple: (Tx_1, ..., Tx_n); a genuinely complex T into a real target raises FieldError."""
     T = _operator(T.entries if isinstance(T, MatrixOp) else T, t.space, target)
     return VectorTuple(T @ t.columns, target)
 
@@ -79,13 +79,11 @@ def _delta_tuples(dim: int, n: int, is_complex: bool):
 
 
 def _operator(T, source: SpaceSpec, target: SpaceSpec) -> np.ndarray:
-    """T as a (target.dim, source.dim) array, else DimensionError; genuinely complex entries need complex scalars on both sides, else FieldError."""
+    """T as a (target.dim, source.dim) array, else DimensionError; a real target takes real_entries(T), so genuinely complex entries raise FieldError there."""
     T = np.asarray(T)
     if T.shape != (target.dim, source.dim):
         raise DimensionError("operator shape incompatible with source/target spaces")
-    if np.iscomplexobj(T) and np.any(T.imag != 0) and not (source.is_complex and target.is_complex):
-        raise FieldError("complex operator on a real space")
-    return T
+    return T if target.is_complex else real_entries(T)
 
 
 def _permutation(T: np.ndarray) -> list[int] | None:
@@ -159,7 +157,8 @@ def mb_norm(
     (method meets_uniform_bound_at_n=k).  Otherwise it is exact when
     every level met n*||T||, a bracket [max p_n, U] when U is finite, and
     a lower bound else (method truncated_at_n=n_max).  A genuinely complex
-    T on a real space raises FieldError.
+    T raises FieldError on a real target, and on a real source through
+    op_norm_between (the real-input norm of a complex matrix is not searched).
     """
     cfg = cfg or OptimConfig()
     T = _operator(T, source, target)

@@ -15,9 +15,9 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateNormError, FieldError
+from .errors import DegenerateNormError
 from .partitions import grid_fits, unit_grid, unit_roots
-from .spaces import COMPLEX, INF, REAL, MatrixOp, _as_value, conjugate_index, lp_norm, phase, vector_to_json
+from .spaces import COMPLEX, INF, REAL, MatrixOp, _as_value, conjugate_index, lp_norm, phase, real_entries, vector_to_json
 
 _ASCENT_ITERS = 200
 _TORUS_UPPER_POINTS = 2**18  # grid budget of torus_certified_upper, within cfg.max_enum
@@ -306,8 +306,12 @@ def torus_certified_upper(
 
 
 def meets(value: float, bound: float) -> bool:
-    """Whether value reaches the finite certified upper bound within 1e-9 * max(1, bound), so bound is the exact sup."""
-    return bound < INF and value >= bound - 1e-9 * max(1.0, bound)
+    """Whether value reaches the finite certified upper bound bound >= 0 within 1e-9 relative, so bound is the exact sup.
+
+    The tolerance scales with bound, so meets(c * value, c * bound) is
+    meets(value, bound) for every c > 0 (up to rounding).
+    """
+    return bound < INF and value >= bound * (1.0 - 1e-9)
 
 
 def unconstrained(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -533,10 +537,8 @@ def op_norm_pq(a: MatrixOp, cfg: OptimConfig, field: str | None = None) -> NormV
     A = np.asarray(a.entries)
     if field is None:
         field = COMPLEX if np.iscomplexobj(A) else REAL
-    elif field == REAL and np.iscomplexobj(A):
-        if np.any(A.imag != 0):
-            raise FieldError("complex matrix on a real field")
-        A = A.real
+    elif field == REAL:
+        A = real_entries(A)
     p, q, complex_field = a.in_index, a.out_index, field == COMPLEX
     values, witnesses, methods = _op_norm_exact(A[None], p, q, cfg, complex_field)
     if methods[0]:

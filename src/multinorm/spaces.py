@@ -31,6 +31,16 @@ def conjugate_index(p: float) -> float:
     return p / (p - 1.0)
 
 
+def real_entries(A) -> np.ndarray:
+    """A as an array on the real field: a complex A whose imaginary parts are all 0 gives its real part; any other complex A raises FieldError."""
+    A = np.asarray(A)
+    if np.iscomplexobj(A):
+        if np.any(A.imag != 0):
+            raise FieldError("complex entries on a real field")
+        A = A.real
+    return A
+
+
 _TINY = np.finfo(float).tiny  # smallest normal float; below it 1 / |v| may overflow
 
 
@@ -109,14 +119,7 @@ class SpaceSpec:
         x = np.asarray(x, dtype=complex if self.is_complex else None)
         if x.shape != (self.dim,):
             raise DimensionError(f"vector shape {x.shape} != ({self.dim},)")
-        if not self.is_complex:
-            x = np.asarray(x)
-            if np.iscomplexobj(x):
-                if np.any(np.abs(x.imag) > 0):
-                    raise FieldError("complex entries in a real space")
-                x = x.real
-            x = x.astype(float)
-        return x
+        return x if self.is_complex else real_entries(x).astype(float)
 
     def norm(self, x) -> float:
         return lp_norm(self.check_vector(x), self.p, w=self.w)
@@ -206,14 +209,7 @@ class VectorTuple:
             raise DimensionError(f"tuple array shape {X.shape} incompatible with dim {self.space.dim}")
         if X.shape[1] < 1:
             raise DimensionError("tuple must be non-empty")
-        if self.space.is_complex:
-            X = X.astype(complex)
-        elif np.iscomplexobj(X):
-            if np.any(np.abs(X.imag) > 0):
-                raise FieldError("complex entries in a real space")
-            X = X.real.astype(float)
-        else:
-            X = X.astype(float)
+        X = X.astype(complex) if self.space.is_complex else real_entries(X).astype(float)
         object.__setattr__(self, "columns", X)
 
     @property
@@ -295,11 +291,7 @@ def lattice_abs(space: SpaceSpec, x) -> np.ndarray:
 def _require_real(space: SpaceSpec, *vecs) -> list[np.ndarray]:
     out = []
     for x in vecs:
-        x = np.asarray(x)
-        if np.iscomplexobj(x):
-            if np.any(np.abs(x.imag) > 0):
-                raise FieldError("lattice sup/inf need real-valued vectors")
-            x = x.real
+        x = real_entries(x)
         if x.shape != (space.dim,):
             raise DimensionError("dimension mismatch")
         out.append(x.astype(float))

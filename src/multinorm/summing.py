@@ -18,6 +18,7 @@ from .optim import (
     OptimConfig,
     _holder_upper,
     _op_norm_exact,
+    meets,
     op_norm_pq,
     seeded_ascent,
     torus_certified_upper,
@@ -25,7 +26,7 @@ from .optim import (
     unconstrained,
 )
 from .partitions import unit_grid
-from .spaces import INF, MatrixOp, SpaceSpec, VectorTuple, _as_value, conjugate_index, delta, delta_tuple, lp_norm, roots_tuple
+from .spaces import INF, MatrixOp, SpaceSpec, VectorTuple, _as_value, conjugate_index, delta, delta_tuple, lp_norm, real_entries, roots_tuple
 
 
 def _weight_root(space: SpaceSpec) -> np.ndarray:
@@ -203,8 +204,10 @@ def pi_summing(
     gives pi >= ||T|| (up to the op-norm search); the larger of the two
     lower bounds is kept with its witness.  Upper bound attached:
     n^(1/q) * ||T||; it is also the ascent's ceiling, so where the delta
-    seed meets it (l^inf_n, (2,2)) nothing climbs.  A genuinely complex
-    operator on a real space raises FieldError.
+    seed meets it (l^inf_n, (2,2)) nothing climbs.  The result is exact at
+    the upper bound when a witness with an exact mu meets it (optim.meets,
+    the ascent's own test).  A genuinely complex operator raises FieldError
+    on a real source or target.
     """
     cfg = cfg or OptimConfig()
     if not (1 <= p <= q):
@@ -213,6 +216,8 @@ def pi_summing(
     tgt = target or space
     if T.shape != (tgt.dim, space.dim):
         raise SpecError("operator shape incompatible with spaces")
+    if not tgt.is_complex:
+        T = real_entries(T)
 
     candidates = []
     if operator is None:
@@ -250,7 +255,7 @@ def pi_summing(
             val = min(lp_norm(tgt.norm_cols(T @ cols / scale), q), upper)
             if witness is None or val > lower:
                 lower, witness, scale_exact = val, {"tuple": cols / scale}, exact
-    if abs(upper - lower) <= 1e-12 * max(1.0, upper) and scale_exact:
+    if scale_exact and meets(lower, upper):
         return NormValue.exact(upper, witness, "delta_witness_meets_definitional_upper")
     return NormValue.bracket(lower, upper, witness, "tuple_ascent")
 

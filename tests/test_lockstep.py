@@ -247,7 +247,14 @@ def test_met_ceiling_returns_the_first_maximal_start_without_climbing():
     assert val == 1.0
     assert np.array_equal(pt, seeds[1])
     assert calls == [len(seeds) + cfg.restarts]
-    # within the tolerance 1e-9 * max(1, ceiling) a start still meets the ceiling
+    # within 1e-9 of the ceiling, relative, a start still meets it
     val, pt = seeded_ascent(unconstrained, value, seeds, shape, cfg, ceiling=1.0 + 5e-10)
     assert val == 1.0 and np.array_equal(pt, seeds[1])
     assert len(calls) == 2
+    # the match is relative below 1 too: values and ceiling scaled by 1e-10 give the same verdicts
+    tiny = lambda P: 1e-10 * value(P)
+    val, pt = seeded_ascent(unconstrained, tiny, seeds, shape, cfg, ceiling=1e-10 * (1.0 + 5e-10))
+    assert val == 1e-10 and np.array_equal(pt, seeds[1])
+    assert len(calls) == 3
+    val, pt = seeded_ascent(unconstrained, tiny, seeds, shape, cfg, ceiling=1e-10 * (1.0 + 2e-9))
+    assert len(calls) > 4  # unmet: it climbs

@@ -306,6 +306,27 @@ def test_unmet_level_caps_change_no_level(monkeypatch):
     assert "unmet" in outcomes and "met" in outcomes
 
 
+def test_a_tiny_operator_scales_its_levels_and_keeps_their_kinds():
+    # p_n(cT) = c p_n(T): a cap is met relative to its size, so a tiny T is no nearer its bounds than T
+    rng = np.random.default_rng(5)
+    sp = SpaceSpec(1.5, 3)
+    G = rng.standard_normal((3, 3))
+    c = 1e-10
+    big = mn.mb_norm(G, sp, Spec.lattice(), sp, Spec.lattice(), 3, CFG)
+    small = mn.mb_norm(c * G, sp, Spec.lattice(), sp, Spec.lattice(), 3, CFG)
+    assert big.sup_estimate.kind == "bracket"  # || |G| || is a Holder bound here, above every level
+    # the ascent's acceptance margin has an absolute 1e-15 term, so the tiny levels climb a little less far
+    assert small.p_seq == pytest.approx([c * v for v in big.p_seq], rel=1e-6)
+    a, b = big.sup_estimate, small.sup_estimate
+    assert (b.kind, b.method) == (a.kind, a.method)
+    assert b.lower == pytest.approx(c * a.lower, rel=1e-6) and b.upper == pytest.approx(c * a.upper, rel=1e-12)
+    # pi_summing's ceiling and its exact test use the same relative match
+    for q, p in ((2, 1), (2, 2), (3, 1.5)):
+        a, b = (mn.pi_summing(q, p, sp, 3, CFG, operator=T) for T in (G, c * G))
+        assert a.kind == "bracket" and (b.kind, b.method) == (a.kind, a.method)
+        assert b.lower == pytest.approx(c * a.lower, rel=1e-6) and b.upper == pytest.approx(c * a.upper, rel=1e-12)
+
+
 def test_complex_operator_on_a_real_field_raises():
     # over real x, |x_1 + i x_2| = ||x||_2 <= ||x||_1.5, so the real-input norm is 1, not the complex 2^(1/3)
     A = np.array([[1, 1j], [0, 0]])
@@ -317,15 +338,22 @@ def test_complex_operator_on_a_real_field_raises():
     real, cplx = SpaceSpec(2, 2), SpaceSpec(2, 2, (), "complex")
     with pytest.raises(mn.FieldError):
         op_norm_between(A, real, real, CFG)
-    with pytest.raises(mn.FieldError):
-        mn.pi_summing(2, 1, real, 2, CFG, operator=A)
+    for source, target in ((real, real), (real, cplx), (cplx, real)):
+        with pytest.raises(mn.FieldError):
+            mn.pi_summing(2, 1, source, 2, CFG, operator=A, target=target)
+    # mb_norm needs ||T|| over the real source, which op_norm_pq does not search for a complex T
     for source, target in ((real, real), (real, cplx), (cplx, real)):
         with pytest.raises(mn.FieldError):
             mn.mb_norm(A, source, Spec.lattice(), target, Spec.lattice(), 2, CFG)
+    # a real target cannot hold T x
+    for source in (real, cplx):
         with pytest.raises(mn.FieldError):
-            mn.mb_tuple_norm([A], source, Spec.lattice(), target, Spec.lattice(), 2, CFG)
+            mn.mb_tuple_norm([A], source, Spec.lattice(), real, Spec.lattice(), 2, CFG)
         with pytest.raises(mn.FieldError):
-            mn.amplify(A, VectorTuple.of(source, [1, 0]), target)
+            mn.amplify(A, VectorTuple.of(source, [1, 0]), real)
+    # real tuples into a complex target need neither: |x_1 + i x_2| <= max_j ||x_j||_2, met by the deltas
+    assert mn.amplify(A, VectorTuple.of(real, [0, 1]), cplx).columns.tolist() == [[1j], [0]]
+    assert mn.mb_tuple_norm([A], real, Spec.lattice(), cplx, Spec.lattice(), 2, CFG).lower == pytest.approx(1.0, rel=1e-12)
     # on complex spaces the operator is fine
     assert mn.mb_norm(A, cplx, Spec.lattice(), cplx, Spec.lattice(), 1, CFG).p_seq[0] == pytest.approx(math.sqrt(2), rel=1e-12)
 
