@@ -71,12 +71,22 @@ def _spec(doc: dict, key: str = "spec", default: dict | None = None) -> MultiNor
 
 def _tuple(doc: dict, space: SpaceSpec, key: str = "tuple") -> VectorTuple:
     try:
-        vecs = [vector_from_json(v, space) for v in doc[key]]
+        cols = np.stack([vector_from_json(v, space) for v in doc[key]], axis=1)
     except KeyError as e:
         raise SchemaError(f"missing {key!r}") from e
     except (TypeError, ValueError, IndexError) as e:
         raise SchemaError(f"bad {key!r}: {e}") from e
-    return VectorTuple(np.stack(vecs, axis=1), space)
+    return VectorTuple(cols, space)
+
+
+def _count(doc: dict, key: str, default: int | None = None) -> int | None:
+    """doc[key], or default where it is absent; a value that is not a JSON integer (true and false included) is a SchemaError."""
+    if key not in doc:
+        return default
+    x = doc[key]
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise SchemaError(f"{key!r} must be an integer, got {json.dumps(x)}")
+    return x
 
 
 def _cfg(doc: dict, args) -> OptimConfig:
@@ -92,6 +102,8 @@ def _cfg(doc: dict, args) -> OptimConfig:
         merged["tol"] = args.tol
     if args.max_enum is not None:
         merged["max_enum"] = args.max_enum
+    for key in ("seed", "restarts", "grid_points", "max_enum"):
+        _count(merged, key)
     try:
         return OptimConfig.from_json(merged)
     except (TypeError, ValueError) as e:
@@ -113,10 +125,9 @@ def cmd_eval(doc: dict, cfg: OptimConfig) -> dict:
 def cmd_axioms(doc: dict, cfg: OptimConfig) -> dict:
     space = _space(doc)
     spec = _spec(doc)
-    n_max = int(doc.get("n_max", 4))
-    if "trials" in doc:
-        trials = int(doc["trials"])
-    else:
+    n_max = _count(doc, "n_max", 4)
+    trials = _count(doc, "trials")
+    if trials is None:
         # search-backed evaluators are orders of magnitude slower per call
         trials = 200 if is_exact_path(spec, space, n_max + 1, cfg) else 12
     rep = check_axioms(spec, space, n_max=n_max, trials=trials, cfg=cfg)
@@ -126,7 +137,7 @@ def cmd_axioms(doc: dict, cfg: OptimConfig) -> dict:
 def cmd_growth(doc: dict, cfg: OptimConfig) -> dict:
     space = _space(doc)
     spec = _spec(doc)
-    n_max = int(doc.get("n_max", 4))
+    n_max = _count(doc, "n_max", 4)
     rows = []
     for n in range(1, n_max + 1):
         res = rate_of_growth(spec, space, n, cfg)
@@ -165,7 +176,7 @@ def cmd_mbnorm(doc: dict, cfg: OptimConfig) -> dict:
         T = matrix_from_json(doc["matrix"])
     except KeyError as e:
         raise SchemaError("missing 'matrix'") from e
-    n_max = int(doc.get("n_max", 4))
+    n_max = _count(doc, "n_max", 4)
     res = mb_norm(T, source, spec_source, target, spec_target, n_max, cfg)
     return {"mb_norm": res.to_json()}
 
@@ -178,7 +189,7 @@ def cmd_decomp(doc: dict, cfg: OptimConfig) -> dict:
         raise SchemaError("missing 'decomposition'") from e
     except (TypeError, ValueError) as e:
         raise SchemaError(f"bad decomposition: {e}") from e
-    trials = int(doc.get("trials", 40))
+    trials = _count(doc, "trials", 40)
     out = {"hermitian": is_hermitian(d, space, trials=trials, cfg=cfg).to_json()}
     if "spec" in doc:
         spec = _spec(doc)

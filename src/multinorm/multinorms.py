@@ -535,7 +535,7 @@ def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig)
     base = spec.base
     L = t.columns
     m, n = L.shape
-    membership = point_evaluator(base, primal, replace(cfg, restarts=min(cfg.restarts, 4), refine_passes=1))
+    membership = point_evaluator(base, primal, replace(cfg, restarts=min(cfg.restarts, 4)))
 
     def objective(Xs):
         return _pairings(primal, Xs, L).sum(axis=-1)
@@ -820,6 +820,8 @@ def rate_of_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConf
     """phi_n = sup of the multi-norm over n-tuples of unit-ball vectors."""
     cfg = cfg or OptimConfig()
     validate(spec, space)
+    if n < 1:
+        raise SpecError("n must be >= 1")
     m = space.dim
     v = spec.variant
 

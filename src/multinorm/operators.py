@@ -161,6 +161,8 @@ def mb_norm(
     op_norm_between (the real-input norm of a complex matrix is not searched).
     """
     cfg = cfg or OptimConfig()
+    if n_max < 1:
+        raise SpecError("n must be >= 1")
     T = _operator(T, source, target)
     opn = op_norm_between(T, source, target, cfg)
 
@@ -230,6 +232,8 @@ def mb_tuple_norm(
     Ts = [_operator(T, source, target) for T in Ts]
     if not Ts:
         raise SpecError("need at least one operator")
+    if k_max < 1:
+        raise SpecError("n must be >= 1")
 
     if spec_target.variant == "min":
         vals = [op_norm_between(T, source, target, cfg) for T in Ts]

@@ -1,4 +1,4 @@
-"""Search kernels: sign/torus enumeration, ball ascent, p->q operator norms.
+"""Search kernels: sign/torus grid enumeration, ball ascent, p->q operator norms.
 
 Every result is a NormValue carrying a certificate: an exact value, a
 bracket [lower, upper], or a certified lower bound with the witness that
@@ -16,7 +16,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateNormError
-from .partitions import grid_fits, unit_grid, unit_roots
+from .partitions import grid_fits, unit_grid
 from .spaces import COMPLEX, INF, REAL, MatrixOp, _as_value, conjugate_index, lp_norm, phase, real_entries, vector_to_json
 
 _ASCENT_ITERS = 200
@@ -29,7 +29,7 @@ SITE_ID = {
     "ascent.starts": 1,
     "ascent.directions": 2,
     "power_ascent.starts": 3,
-    "torus_sweep.starts": 4,
+    # 4 is retired (the torus sweep's starts): never reuse it
     "roots_upper.perms": 5,
     "standard_q.starts": 6,
     "hilbert.starts": 7,
@@ -51,12 +51,11 @@ class OptimConfig:
     seed: int = 2024
     restarts: int = 32
     grid_points: int = 64
-    refine_passes: int = 3
     max_enum: int = 2**20
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.restarts < 1 or self.grid_points < 8 or self.refine_passes < 0:
+        if self.restarts < 1 or self.grid_points < 8:
             raise ValueError("invalid OptimConfig")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
@@ -169,24 +168,26 @@ def sign_supremum(f: Callable[[np.ndarray], np.ndarray], n: int, cfg: OptimConfi
     pins the first sign to +1, halving the work.  Ties go to the first
     sign vector in grid order; NaN values never win.
     """
-    vals, signs = _sign_scan(lambda E: np.asarray(f(E))[None], 1, n, cfg, symmetric)
+    vals, signs = _grid_scan(lambda E: np.asarray(f(E))[None], 1, n, 2, cfg, symmetric)
     return NormValue.exact(vals[0], signs[0] if vals[0] > -INF else None, "sign_enum")
 
 
-def _sign_scan(f, B: int, n: int, cfg: OptimConfig, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row first maxima over {+-1}^n of the (B, G) values f gives each (G, n) unit_grid block.
+def _grid_scan(f, B: int, n: int, levels: int, cfg: OptimConfig, pinned: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row first maxima over the grid of levels-th roots of unity that the (B, G) values f gives each (G, n) block.
 
-    Returns the (B,) maxima and their (B, n) sign vectors; ties go to the
-    first sign vector in grid order, NaN never wins, and a row that
-    nothing wins keeps -inf.
+    The grid is unit_grid(n, levels, cfg.max_enum), first coordinate
+    pinned to 1, or with pinned=False all of U_levels^n (one more free
+    coordinate).  Returns the (B,) maxima and their (B, n) grid points;
+    ties go to the first point in grid order, NaN never wins, and a row
+    that nothing wins keeps -inf.  Raises BudgetError past cfg.max_enum.
     """
-    best, signs = np.full(B, -INF), np.zeros((B, n))
-    for block in unit_grid(n if symmetric else n + 1, 2, cfg.max_enum):
-        E = block if symmetric else block[:, 1:]
-        i, val = _first_max(f(E))
+    best, points = np.full(B, -INF), np.zeros((B, n), dtype=float if levels == 2 else complex)
+    for block in unit_grid(n if pinned else n + 1, levels, cfg.max_enum):
+        Z = block if pinned else block[:, 1:]
+        i, val = _first_max(f(Z))
         win = val > best
-        best[win], signs[win] = val[win], E[i[win]]
-    return best, signs
+        best[win], points[win] = val[win], Z[i[win]]
+    return best, points
 
 
 def _first_max(vals):
@@ -203,76 +204,23 @@ def torus_supremum(
     cfg: OptimConfig,
     field: str = COMPLEX,
 ) -> NormValue:
-    """Lower bound for sup f over the n-torus (first phase pinned to 1).
+    """The first best point of f over the pinned grid unit_grid(n, L, cfg.max_enum).
 
-    f takes a (B, n) block of phase vectors and returns its B values.
-    Callers must pass f invariant under a common phase rotation, which is
-    what pins the first coordinate.  For real scalars the torus collapses
-    to {+-1} and the search enumerates signs when the budget allows.
-    Exact for n <= 1.
+    L is 2 over the reals and cfg.grid_points over C.  f takes a (B, n)
+    block of grid points and returns its B values; callers must pass f
+    invariant under a common phase rotation, which is what pins the first
+    coordinate.  Over R the grid holds every sign vector up to a common
+    sign, so the value is exact, as sign_supremum's is; over C it is a lower bound for sup f
+    over the n-torus, exact for n <= 1.  Raises BudgetError past
+    cfg.max_enum.  Ties go to the first grid point; NaN never wins.
     """
     if field == REAL:
-        if not grid_fits(n, 2, cfg.max_enum):
-            return _torus_sweep(f, n, cfg, real=True)
-        res = sign_supremum(f, n, cfg, symmetric=True)
-        kind = "exact" if n <= 1 else "lower"
-        return NormValue(kind, res.lower, res.lower if n <= 1 else INF, res.witness, "sign_enum")
-    res = _torus_sweep(f, n, cfg, real=False)
-    if grid_fits(n, 2, min(cfg.max_enum, 4096)):
-        se = sign_supremum(lambda E: f(E.astype(complex)), n, cfg, symmetric=True)
-        if se.lower > res.lower:
-            res = NormValue("lower", se.lower, INF, se.witness.astype(complex), "torus_sign_grid")
+        return sign_supremum(f, n, cfg, symmetric=True)
+    vals, points = _grid_scan(lambda Z: np.asarray(f(Z))[None], 1, n, cfg.grid_points, cfg)
+    witness = points[0] if vals[0] > -INF else None
     if n <= 1:
-        return NormValue.exact(res.lower, res.witness, res.method)
-    return res
-
-
-def _torus_sweep(f, n, cfg, real: bool) -> NormValue:
-    candidates0 = unit_roots(2 if real else cfg.grid_points)
-
-    def sweep(zeta, cands_for):
-        improved = True
-        val = float(f(zeta[None])[0])
-        guard = 0
-        while improved and guard < 12:
-            improved = False
-            guard += 1
-            for j in range(1, n):
-                cands = cands_for(j, zeta)
-                Z = np.repeat(zeta[None], len(cands), axis=0)
-                Z[:, j] = cands
-                best_c, best_v = zeta[j], val
-                # first candidate clearing the threshold over the running best, in order
-                for c, v in zip(cands.tolist(), np.asarray(f(Z), dtype=float).tolist()):
-                    if v > best_v + 1e-15:
-                        best_c, best_v = c, v
-                zeta[j] = best_c
-                if best_v > val + 1e-15:
-                    val = best_v
-                    improved = True
-        return val, zeta
-
-    U = cfg.stream("torus_sweep.starts").random((min(cfg.restarts, 8) - 1, n))
-    starts = np.concatenate([np.ones((1, n)), np.where(U < 0.5, 1.0, -1.0) if real else np.exp(2j * np.pi * U)])
-    starts[:, 0] = 1.0
-
-    best, best_z = -INF, None
-    for z0 in starts:
-        val, z = sweep(z0.copy(), lambda j, zeta: candidates0)
-        if not real:
-            width = 2 * 2 * np.pi / cfg.grid_points
-            for _ in range(cfg.refine_passes):
-                base = np.angle(z)
-
-                def local(j, zeta, b=base, w=width):
-                    offs = np.linspace(-w / 2, w / 2, 9)
-                    return np.exp(1j * (b[j] + offs))
-
-                val, z = sweep(z, local)
-                width /= 2.0
-        if val > best:
-            best, best_z = val, z.copy()
-    return NormValue.lower_bound(best, best_z, "sign_enum" if real else "torus_ascent")
+        return NormValue.exact(vals[0], witness, "torus_grid")
+    return NormValue.lower_bound(vals[0], witness, "torus_grid")
 
 
 def torus_certified_upper(
@@ -611,10 +559,10 @@ def _op_norm_exact(S: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_
     T = S if rest.size == B else S[rest]
 
     if rule == "sign_enum_inputs":
-        vals, W = _sign_scan(lambda E: lp_norm(E @ np.swapaxes(T, -1, -2), q), rest.size, n, cfg, symmetric=True)
+        vals, W = _grid_scan(lambda E: lp_norm(E @ np.swapaxes(T, -1, -2), q), rest.size, n, 2, cfg)
     else:
         pp = conjugate_index(p)
-        vals, signs = _sign_scan(lambda E: lp_norm(E @ T, pp), rest.size, m, cfg, symmetric=True)
+        vals, signs = _grid_scan(lambda E: lp_norm(E @ T, pp), rest.size, m, 2, cfg)
         G = (np.swapaxes(T, -1, -2) @ signs[..., None])[..., 0]
         W = _dual_unit_vectors(G, lp_norm(G, pp), p, pp, np.sign(G) + (G == 0))
     values[rest], witnesses[rest] = vals, W

@@ -22,7 +22,6 @@ from .optim import (
     op_norm_pq,
     seeded_ascent,
     torus_certified_upper,
-    torus_supremum,
     unconstrained,
 )
 from .partitions import unit_grid
@@ -80,6 +79,9 @@ def mu_weak(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormVal
     Exact whenever op_norm_pq is exact on the reduced (p' -> r) matrix: a
     rule of optim._op_norm_rule (closed forms for p' = 1, r = inf and
     p' = r = 2; real sign enumerations for p = 1 or r = 1) or disjoint supports.
+    Otherwise a bracket: the larger of op_norm_pq's power ascent and the
+    largest column below, the smaller of the sandwich and Holder bounds
+    above, and at p = 1 also torus_certified_upper's grid bound.
     """
     cfg = cfg or OptimConfig()
     if p < 1:
@@ -95,18 +97,9 @@ def mu_weak(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormVal
     if res.kind == "exact":
         return NormValue.exact(res.lower, {"coefficients": res.witness}, "op_norm_" + res.method)
 
-    if p == 1:
-        def combos(Z):
-            return space.norm_cols(X @ Z.T)
-
-        ts = torus_supremum(combos, t.n, cfg, field=space.field)
-        lower = max(ts.lower, res.lower, lo_sand)
-        torus_upper = torus_certified_upper(combos, space.norm_cols(X)[1:], t.n, cfg)
-        upper = min(up_sand, res.upper, torus_upper)
-        witness = {"coefficients": res.witness} if res.lower > ts.lower else {"phases": ts.witness}
-        return NormValue.bracket(min(lower, upper), upper, witness, "torus_ascent")
-
     upper = min(up_sand, res.upper)
+    if p == 1:
+        upper = min(upper, torus_certified_upper(lambda Z: space.norm_cols(X @ Z.T), space.norm_cols(X)[1:], t.n, cfg))
     lower = min(max(res.lower, lo_sand), upper)
     return NormValue.bracket(lower, upper, {"coefficients": res.witness}, res.method)
 
@@ -212,6 +205,8 @@ def pi_summing(
     cfg = cfg or OptimConfig()
     if not (1 <= p <= q):
         raise SpecError("need q >= p >= 1")
+    if n < 1:
+        raise SpecError("n must be >= 1")
     T = np.eye(space.dim) if operator is None else np.asarray(operator)
     tgt = target or space
     if T.shape != (tgt.dim, space.dim):

@@ -227,3 +227,37 @@ def test_closed_stdout_exits_without_a_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_bad_counts_and_empty_tuples_exit_2(capsys):
+    # "x" ended in a ValueError traceback, 1.7 and true were read as 1 (a float restarts or seed in cfg raised TypeError),
+    # n_max 0 crashed mb_norm, an empty tuple failed np.stack
+    space, lattice = {"p": 2, "dim": 2}, {"variant": "lattice"}
+    eye = [[1, 0], [0, 1]]
+    decomposition = {"projections": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}
+    mbnorm = {"source": space, "target": space, "spec_source": lattice, "spec_target": lattice, "matrix": eye}
+    schema = []
+    for bad in ("x", 1.7, True, None, [2]):
+        schema += [
+            ("mbnorm", {**mbnorm, "n_max": bad}),
+            ("axioms", {"space": space, "spec": lattice, "n_max": bad}),
+            ("growth", {"space": space, "spec": lattice, "n_max": bad}),
+            ("axioms", {"space": space, "spec": lattice, "trials": bad}),
+            ("decomp", {"space": space, "decomposition": decomposition, "trials": bad}),
+        ]
+    for key, bad in (("restarts", 1.7), ("grid_points", 8.5), ("max_enum", True), ("seed", 1.5)):
+        schema.append(("eval", {"space": space, "spec": {"variant": "min"}, "tuple": [[1, 0]], "cfg": {key: bad}}))
+    schema += [
+        ("eval", {"space": space, "spec": {"variant": "min"}, "tuple": []}),
+        ("dual", {"space": space, "base": {"variant": "min"}, "tuple": []}),
+    ]
+    for command, doc in schema:
+        code = main([command, json.dumps(doc)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", (command, doc)
+        assert captured.err.startswith("schema error: ") and captured.err.count("\n") == 1, captured.err
+    for n_max in (0, -1):
+        code = main(["mbnorm", json.dumps({**mbnorm, "n_max": n_max})])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "SpecError: n must be >= 1\n"

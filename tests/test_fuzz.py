@@ -6,7 +6,7 @@ import pytest
 import multinorm as mn
 from multinorm import INF, MultiNormSpec as Spec, OptimConfig, SpaceSpec, VectorTuple
 
-LIGHT = OptimConfig(seed=1234, restarts=2, refine_passes=1)
+LIGHT = OptimConfig(seed=1234, restarts=2)
 
 
 def spaces():

@@ -428,3 +428,12 @@ def test_only_weak_summing_1_is_a_dual_multinorm():
     rep = mn.check_axioms(Spec.weak_summing(1), s, n_max=4, trials=100, cfg=CFG)
     assert rep.checked[-1] == "B4" and rep.ok
     assert Spec.numerical_dual(Spec.weak_summing(INF)).is_dual_multinorm()
+
+
+def test_rate_of_growth_below_one_raises():
+    # n = 0 gave exact 1.0 for min, ZeroDivisionError for partition and ValueError for lattice
+    s = SpaceSpec(2, 3)
+    for spec in (Spec.min_spec(), Spec.partition([[0, 1], [2]]), Spec.lattice(), Spec.pq_spec(1, 2)):
+        for n in (0, -2):
+            with pytest.raises(mn.SpecError, match="n must be >= 1"):
+                mn.rate_of_growth(spec, s, n, CFG)

@@ -385,3 +385,14 @@ def test_operator_of_the_wrong_shape_raises_dimension_error(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "DimensionError" in captured.err and "Traceback" not in captured.err
+
+
+def test_sizes_below_one_raise():
+    # n_max = 0 failed in max() of an empty sequence; k_max = 0 returned lower 0.0 with no witness
+    s = SpaceSpec(2, 2)
+    for size in (0, -1):
+        for target in (Spec.min_spec(), Spec.lattice()):
+            with pytest.raises(mn.SpecError, match="n must be >= 1"):
+                mn.mb_norm(np.eye(2), s, Spec.lattice(), s, target, size, CFG)
+            with pytest.raises(mn.SpecError, match="n must be >= 1"):
+                mn.mb_tuple_norm([np.eye(2)], s, Spec.lattice(), s, target, size, CFG)

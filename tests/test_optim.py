@@ -45,6 +45,17 @@ def test_torus_supremum_examples():
     assert res.kind == "exact"
 
 
+def test_torus_supremum_budget():
+    # 2^(n-1) signs over R, grid_points^(n-1) phases over C, against max_enum = 64
+    small = OptimConfig(max_enum=64, grid_points=8)
+    f = lambda Z: np.abs(Z.sum(axis=1))
+    assert mn.torus_supremum(f, 7, small, field="real").kind == "exact"
+    assert mn.torus_supremum(f, 3, small).lower == pytest.approx(3.0)
+    for n, field in ((8, "real"), (4, "complex")):
+        with pytest.raises(mn.BudgetError):
+            mn.torus_supremum(f, n, small, field=field)
+
+
 def test_torus_matches_signs_on_real_field():
     rng = np.random.default_rng(17)
     for trial in range(100):

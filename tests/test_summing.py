@@ -229,7 +229,7 @@ def test_mu_scale_matches_mu_weak():
                         assert exact == (res.kind == "exact")
                         if exact:
                             assert value == res.lower
-                        elif res.method == "torus_ascent":
+                        elif p == 1:
                             assert value >= res.upper
                         else:
                             # the same sandwich and Holder bounds that make mu_weak's upper side
@@ -299,3 +299,12 @@ def test_mu_weak_sign_enumeration_at_budget_edge():
     res = mn.mu_weak(1, VectorTuple(X, space), cfg)
     assert res.kind == "exact" and res.method == "op_norm_sign_enum_inputs"
     assert mu_scale(1, X, space, cfg) == (res.lower, True)
+
+
+def test_pi_summing_below_one_raises():
+    # n = 0 failed a reshape
+    for n in (0, -1):
+        with pytest.raises(mn.SpecError, match="n must be >= 1"):
+            mn.pi_summing(1, 1, SpaceSpec(2, 2), n, CFG)
+        with pytest.raises(mn.SpecError, match="n must be >= 1"):
+            mn.pi_summing(2, 1, SpaceSpec(2, 2), n, CFG, operator=np.eye(2))
