@@ -3,7 +3,8 @@
 One entry point, evaluate(spec, tuple, cfg), covers every supported
 multi-norm variant.  Exact variants return kind="exact"; search-backed
 variants return certified lower bounds or brackets whose upper side comes
-from closed inequalities (root averages, q-sum bounds).
+from closed inequalities (root averages, q-sum bounds), and are exact at
+that upper side where a feasible witness meets it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .optim import (
     ball_linear_max,
     field_normal_block,
     gaussian_starts,
+    meets,
     polish,
     seeded_ascent,
 )
@@ -353,7 +355,10 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
     With p = 2 on an index-2 space the mu_{2,n} ball is a spectral ball, and
     the spectral polish from the seeds and cfg.restarts Gaussian starts
     (the starts seeded_ascent would draw) is the whole search.  Other
-    (p,q) pairs climb with seeded_ascent.
+    (p,q) pairs climb with seeded_ascent, whose ceiling is the upper bound:
+    a projected seed that meets it ends the search.  Every witness is
+    feasible, so a lower bound that meets the upper one (optim.meets) makes
+    the result exact at the upper bound.
     """
     space = t.space
     X = t.columns
@@ -361,6 +366,7 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
     p, q = spec.p, spec.q
     dual = space.dual()
     seeds = _pq_seeds(space, X)
+    upper = min(lp_norm(space.norm_cols(X), q), _roots_upper(space, X, cfg))
 
     if p == 2 and space.p == 2:
         seeds += list(gaussian_starts(cfg, "ascent.starts", (space.dim, n), space.is_complex))
@@ -377,10 +383,11 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
         def value(Ls):
             return lp_norm(np.abs(_pairings(space, X, Ls)), q)
 
-        val, L = seeded_ascent(project, value, seeds, (space.dim, n), cfg, space.is_complex)
+        val, L = seeded_ascent(project, value, seeds, (space.dim, n), cfg, space.is_complex, ceiling=upper)
         method = "pq_ball_ascent"
 
-    upper = min(lp_norm(space.norm_cols(X), q), _roots_upper(space, X, cfg))
+    if meets(val, upper):
+        return NormValue.exact(upper, {"functionals": L}, method)
     val = max(val, 0.0)
     return NormValue.bracket(min(val, upper), upper, {"functionals": L}, method)
 
@@ -456,7 +463,8 @@ def _max_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
     ||(x1, x2)||^max = (||x1 + x2|| + ||x1 - x2||) / 2.  The functionals
     ((a + b)/2, (a - b)/2), with a and b norming x1 + x2 and x1 - x2,
     attain it and have mu_1 = max(||a||, ||b||) <= 1.  Other tuples get
-    the (1,1) ascent from below and the root averages from above.
+    the (1,1) ascent from below and the root averages from above, exact
+    where the (1,1) value is.
     """
     space = t.space
     X = t.columns
@@ -466,6 +474,8 @@ def _max_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
         val = (space.norm(plus) + space.norm(minus)) / 2
         return NormValue.exact(val, {"functionals": np.stack([a + b, a - b], axis=1) / 2}, "real_pair_closed_form")
     inner = _pq_value(MultiNormSpec.pq_spec(1, 1), t, cfg)
+    if inner.kind == "exact":
+        return NormValue.exact(inner.upper, inner.witness, "pq11_ascent_roots_upper")
     lower = max(inner.lower, float(space.norm_cols(X).max()))
     return NormValue.bracket(min(lower, inner.upper), inner.upper, inner.witness, "pq11_ascent_roots_upper")
 
@@ -526,16 +536,49 @@ def _hilbert_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
     if not best > 0:
         best, alpha = 0.0, None
     upper = min(lp_norm(space.norm_cols(X), 2), _roots_upper(space, X, cfg))
+    if meets(best, upper):
+        return NormValue.exact(upper, {"alpha": alpha}, "nuclear_alt_ascent")
     return NormValue.bracket(min(best, upper), upper, {"alpha": alpha}, "nuclear_alt_ascent")
 
 
+def _dominates_min(spec: MultiNormSpec) -> bool:
+    """Whether spec's exact evaluator is >= max_j ||x_j|| on every tuple, so sum_j ||lambda_j|| bounds its numerical dual.
+
+    Every multi-norm and dual multi-norm has ||(0, .., x_j, .., 0)|| =
+    ||x_j|| by (A1) and (A3), and (A2) with alpha = e_j bounds that by
+    ||x||; the min multi-norm is max_j ||x_j|| itself.  So min, max (whose
+    exact path is the lattice formula), lattice, dual_lattice and
+    weak_summing qualify, and so do standard_q (its assignments include
+    every coordinate in slot j) and partition (each block's max over the
+    slots is at least slot j's block sum).  lp_sum(p) fails (A4) for p > 1
+    but its l^p sum is still at least its largest term.  generated starts
+    its maximum at the trivial decompositions, max_j ||x_j|| bit for bit.
+    extended qualifies over a base that does, its family containing I.
+    """
+    if spec.variant == "extended":
+        return _dominates_min(spec.base)
+    return spec.variant in ("min", "max", "lattice", "dual_lattice", "lp_sum", "weak_summing", "partition", "standard_q", "generated")
+
+
 def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValue:
+    """Lower bound on sup{ |sum_j <x_j, lambda_j>| : N(x) <= 1 } by a climb over the unit sphere of the base N.
+
+    |sum_j <x_j, lambda_j>| <= max_j ||x_j|| sum_j ||lambda_j||, so where
+    N(x) >= max_j ||x_j|| (_dominates_min) and N is evaluated exactly, the
+    climb's points are feasible and sum_j ||lambda_j|| is the ascent's
+    ceiling: a seed that meets it makes the result exact there (it does
+    for the min multi-norm, whose numerical dual is that sum).  Unmet, the
+    result is a lower bound, as it is for a base off its exact path, whose
+    membership is a search's lower bound and so certifies no seed.
+    """
     dual_space = t.space
     primal = dual_space.dual()
     base = spec.base
     L = t.columns
     m, n = L.shape
+    exact_membership = is_exact_path(base, primal, n, cfg)
     membership = point_evaluator(base, primal, replace(cfg, restarts=min(cfg.restarts, 4)))
+    ceiling = lp_norm(dual_space.norm_cols(L), 1) if exact_membership and _dominates_min(base) else INF
 
     def objective(Xs):
         return _pairings(primal, Xs, L).sum(axis=-1)
@@ -555,8 +598,10 @@ def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig)
     seeds.append(masked)
     seeds += _slot_norming_seeds(dual_space, L)
 
-    res = ball_linear_max(membership, objective, (m, n), cfg, seeds=seeds, complex_field=primal.is_complex)
-    method = "numerical_dual_ascent" + ("" if is_exact_path(base, primal, n, cfg) else "_heuristic_membership")
+    res = ball_linear_max(membership, objective, (m, n), cfg, seeds=seeds, complex_field=primal.is_complex, ceiling=ceiling)
+    method = "numerical_dual_ascent" + ("" if exact_membership else "_heuristic_membership")
+    if meets(res.lower, ceiling):
+        return NormValue.exact(ceiling, res.witness, method)
     return NormValue.lower_bound(res.lower, res.witness, method)
 
 

@@ -10,6 +10,7 @@ in whole blocks, so results are bit-identical across runs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Sequence
 
@@ -57,8 +58,8 @@ class OptimConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.grid_points < 8:
             raise ValueError("invalid OptimConfig")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) or not 0 < self.tol < INF:
+            raise ValueError(f"tol must be a finite positive number, got {self.tol!r}")
 
     def stream(self, site: str, index: int = 0) -> np.random.Generator:
         """The generator of (seed, site, index); the seed is taken mod 2**64, so any integer seed works."""
@@ -380,13 +381,17 @@ def ball_linear_max(
     cfg: OptimConfig,
     seeds: Sequence[np.ndarray] = (),
     complex_field: bool = False,
+    ceiling: float = INF,
 ) -> NormValue:
     """Approximate sup{ |objective(x)| : membership(x) <= 1 }.
 
     membership must be a norm (positively homogeneous, zero only at zero on
     the directions explored); points are radially projected onto its unit
     sphere before climbing.  Both callbacks take a (B, *shape) stack and
-    return its (B,) values, as seeded_ascent's do.
+    return its (B,) values, as seeded_ascent's do.  ceiling, a certified
+    upper bound of the sup if the caller has one, goes to seeded_ascent:
+    a start that meets it ends the search.  The result is always of kind
+    lower; the caller decides what a met ceiling certifies.
     """
 
     def project(P):
@@ -401,7 +406,7 @@ def ball_linear_max(
     def value(P):
         return np.abs(objective(P))
 
-    val, pt = seeded_ascent(project, value, seeds, shape, cfg, complex_field)
+    val, pt = seeded_ascent(project, value, seeds, shape, cfg, complex_field, ceiling=ceiling)
     if val == -INF:
         val, pt = 0.0, None
     return NormValue.lower_bound(val, pt, "ball_ascent")

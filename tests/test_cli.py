@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -261,3 +262,29 @@ def test_bad_counts_and_empty_tuples_exit_2(capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "SpecError: n must be >= 1\n"
+
+
+def test_bad_tol_exits_2(capsys):
+    # true was read as tol 1.0 and echoed as true, and --tol nan ended as a "non-finite result" error
+    doc = {"space": {"p": 2, "dim": 2}, "spec": {"variant": "pq", "p": 1, "q": 2}, "tuple": [[1, 0], [0.5, 1]]}
+    runs = [["eval", json.dumps({**doc, "cfg": {"tol": bad}})] for bad in (True, "x", 0, -1e-9)]
+    runs += [["eval", '{"space": {"p": 2, "dim": 2}, "spec": {"variant": "min"}, "tuple": [[1, 0]], "cfg": {"tol": %s}}' % bad] for bad in ("NaN", "Infinity", "1e999")]
+    runs += [["eval", json.dumps(doc), f"--tol={bad}"] for bad in ("true", "x", "nan", "inf", "-inf", "0")]
+    for argv in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("schema error: ") and captured.err.count("\n") == 1, captured.err
+    for good in (["--tol", "1e-6"], ["--tol", "2"]):
+        code = main(["eval", json.dumps(doc), *good])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["cfg"]["tol"] == float(good[1])
+
+
+def test_optim_config_tol_must_be_finite_and_positive():
+    from multinorm import OptimConfig
+
+    for bad in (True, False, "x", None, math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be a finite positive number"):
+            OptimConfig(tol=bad)
+    assert OptimConfig(tol=1).tol == 1 and OptimConfig(tol=np.float64(1e-6)).tol == 1e-6

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from multinorm.multinorms import _hilbert_value, _pairings, _pq_seeds, _pq_spectral_polish, _roots_upper, _standard_q_search, _standard_q_values
-from multinorm.optim import INF, OptimConfig, _power_ascent, field_normal, gaussian_starts, polish
+from multinorm.optim import INF, OptimConfig, _power_ascent, field_normal, gaussian_starts, meets, polish
 from multinorm.spaces import COMPLEX, REAL, SpaceSpec, VectorTuple, conjugate_index, lp_norm, phase
 
 RESTARTS = (1, 2, 5)
@@ -160,6 +160,11 @@ def _hilbert_loop(t, cfg, log):
             best, best_alpha = val, alpha
     upper = min(lp_norm(space.norm_cols(X), 2), _roots_upper(space, X, cfg))
     return min(best, upper), upper, best_alpha
+
+
+def _reported(lower, upper):
+    """The (kind, lower, upper) _hilbert_value reports for the loop's bracket: exact at upper where the climb meets it."""
+    return ("exact", upper, upper) if meets(lower, upper) else ("bracket", lower, upper)
 
 
 def _standard_q_loop(t, q, cfg, log):
@@ -308,8 +313,8 @@ def test_hilbert_is_the_per_start_loop():
                 cfg = OptimConfig(seed=restarts, restarts=restarts)
                 got = _hilbert_value(t, cfg)
                 lower, upper, alpha = _hilbert_loop(t, cfg, log)
-                assert (got.lower, got.upper) == (lower, upper)
-                _assert_same((got.lower, got.witness["alpha"]), (lower, alpha))
+                assert (got.kind, got.lower, got.upper) == _reported(lower, upper)
+                _assert_same((got.lower, got.witness["alpha"]), (_reported(lower, upper)[1], alpha))
     assert 0 in log and max(log) > 1
 
 
@@ -328,7 +333,7 @@ def test_hilbert_reaches_its_cap():
         cfg = OptimConfig(seed=3, restarts=5)
         got = _hilbert_value(t, cfg)
         lower, upper, alpha = _hilbert_loop(t, cfg, log)
-        _assert_same((got.lower, got.witness["alpha"]), (lower, alpha))
+        _assert_same((got.lower, got.witness["alpha"]), (_reported(lower, upper)[1], alpha))
     assert max(log) == 80
 
 
