@@ -352,6 +352,9 @@ def _pq_seeds(space: SpaceSpec, X: np.ndarray) -> list[np.ndarray]:
 def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValue:
     """Lower bound from a climb over mu_{p,n}-unit functional tuples; upper from the q-sum and root bounds.
 
+    A 2-tuple in an l^1 space takes _pq_l1_pair instead, whose bound is
+    within 1e-10 of its witness, so its result is exact.
+
     With p = 2 on an index-2 space the mu_{2,n} ball is a spectral ball, and
     the spectral polish from the seeds and cfg.restarts Gaussian starts
     (the starts seeded_ascent would draw) is the whole search.  Other
@@ -365,11 +368,14 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
     n = t.n
     p, q = spec.p, spec.q
     dual = space.dual()
-    seeds = _pq_seeds(space, X)
     upper = min(lp_norm(space.norm_cols(X), q), _roots_upper(space, X, cfg))
 
-    if p == 2 and space.p == 2:
-        seeds += list(gaussian_starts(cfg, "ascent.starts", (space.dim, n), space.is_complex))
+    if space.p == 1 and n == 2:
+        val, bound, L = _pq_l1_pair(space, X, p, q)
+        upper = min(upper, bound)
+        method = "l1_pair_arc_bisection"
+    elif p == 2 and space.p == 2:
+        seeds = _pq_seeds(space, X) + list(gaussian_starts(cfg, "ascent.starts", (space.dim, n), space.is_complex))
         val, L = _pq_spectral_polish(space, X, q, np.array(seeds, dtype=complex))
         method = "pq_spectral_polish"
     else:
@@ -383,13 +389,99 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
         def value(Ls):
             return lp_norm(np.abs(_pairings(space, X, Ls)), q)
 
-        val, L = seeded_ascent(project, value, seeds, (space.dim, n), cfg, space.is_complex, ceiling=upper)
+        val, L = seeded_ascent(project, value, _pq_seeds(space, X), (space.dim, n), cfg, space.is_complex, ceiling=upper)
         method = "pq_ball_ascent"
 
     if meets(val, upper):
         return NormValue.exact(upper, {"functionals": L}, method)
     val = max(val, 0.0)
     return NormValue.bracket(min(val, upper), upper, {"functionals": L}, method)
+
+
+ARC_PIECES = 32  # initial pieces of the quarter arc in _pq_l1_pair
+ARC_LEVELS = 40  # halvings before _pq_l1_pair settles for a bracket
+ARC_OPEN_MAX = 1024  # open pieces past which it settles for a bracket too
+ARC_GAP = 1e-10  # relative gap at which a piece is closed, well inside optim.meets' 1e-9
+
+
+def _pq_l1_pair(space: SpaceSpec, X: np.ndarray, p: float, q: float) -> tuple[float, float, np.ndarray]:
+    """(lower, upper, functionals) for the (p,q)-multi-norm of a 2-tuple in an l^1 space, by halving pieces of the dual arc.
+
+    The unit ball of l^1_w has the extreme points zeta e_k / w_k, so
+    mu_{p,2}(L) <= 1 says ||(L_1k, L_2k)||_p <= 1 for every coordinate k,
+    and dualizing the q-sum gives the norm as the maximum over the quarter
+    arc {mu >= 0, ||mu||_{q'} = 1} of
+
+        F(mu) = sum_k w_k ||(mu_1 |x_1k|, mu_2 |x_2k|)||_{p'},
+
+    which is convex and nondecreasing in each mu_j.  Between two arc points
+    P_a and P_b the arc lies in the triangle of P_a, P_b and the meeting
+    point T of their tangent lines (the l^{q'} ball is convex), and below
+    the corner C = (P_a1, P_b2); so min(F(C), max(F(P_a), F(P_b), F(T)))
+    bounds F on that piece, within O(width^2) of its maximum.  A piece whose
+    bound is within ARC_GAP of the best arc point is closed, the others are
+    halved; upper is the largest bound of a closed or last open piece.  At
+    q = 1 the arc is the corner (1, 1) itself.  The functionals norm
+    (mu_j |x_jk|)_j in l^{p'} coordinate by coordinate at the best point, so
+    their value is at least F there.
+    """
+    a = np.abs(X)
+    pd, qd = conjugate_index(p), conjugate_index(q)
+
+    def F(M):
+        return lp_norm(M[:, None, :] * a, pd) @ space.w
+
+    if qd == INF:
+        mu = np.ones(2)
+        upper = float(F(mu[None])[0])
+    else:
+        def arc(theta):
+            P = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+            return P / lp_norm(P, qd)[:, None]
+
+        theta = np.linspace(0.0, np.pi / 2, ARC_PIECES + 1)
+        P = arc(theta)
+        Fp = F(P)
+        i = int(np.argmax(Fp))
+        best, mu = Fp[i], P[i]
+        lo, hi, Pa, Pb, Fa, Fb = theta[:-1], theta[1:], P[:-1], P[1:], Fp[:-1], Fp[1:]
+        closed = 0.0
+        for level in range(ARC_LEVELS + 1):
+            Na, Nb = Pa ** (qd - 1.0), Pb ** (qd - 1.0)
+            ca, cb = (Na * Pa).sum(axis=1), (Nb * Pb).sum(axis=1)
+            det = Na[:, 0] * Nb[:, 1] - Na[:, 1] * Nb[:, 0]
+            ok = det > 0
+            d = np.where(ok, det, 1.0)[:, None]
+            T = np.stack([ca * Nb[:, 1] - Na[:, 1] * cb, Na[:, 0] * cb - ca * Nb[:, 0]], axis=1) / d
+            FT = np.where(ok, F(T), INF)
+            U = np.minimum(F(np.stack([Pa[:, 0], Pb[:, 1]], axis=1)), np.maximum(np.maximum(Fa, Fb), FT))
+            open_ = U > best * (1.0 + ARC_GAP)
+            closed = max(closed, float(U[~open_].max(initial=0.0)))
+            if not open_.any() or level == ARC_LEVELS or open_.sum() > ARC_OPEN_MAX:
+                break
+            lo, hi, Pa, Pb, Fa, Fb = lo[open_], hi[open_], Pa[open_], Pb[open_], Fa[open_], Fb[open_]
+            mid = (lo + hi) / 2
+            Pm = arc(mid)
+            Fm = F(Pm)
+            j = int(np.argmax(Fm))
+            if Fm[j] > best:
+                best, mu = Fm[j], Pm[j]
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+            Pa, Pb = np.concatenate([Pa, Pm]), np.concatenate([Pm, Pb])
+            Fa, Fb = np.concatenate([Fa, Fm]), np.concatenate([Fm, Fb])
+        upper = max(closed, float(U[open_].max(initial=0.0)))
+
+    V = mu * a
+    if pd == INF:
+        t = np.zeros_like(V)
+        t[np.arange(len(V)), V.argmax(axis=1)] = 1.0
+    else:
+        nv = lp_norm(V, pd)
+        t = (V / np.where(nv > 0, nv, 1.0)[:, None]) ** (pd - 1.0)
+    L = t * phase(np.conj(X))
+    if not space.is_complex:
+        L = np.real(L)
+    return float(lp_norm(np.abs(_pairings(space, X, L)), q)), upper, L
 
 
 def _pq_spectral_polish(space: SpaceSpec, X: np.ndarray, q: float, L0: np.ndarray) -> tuple[float, np.ndarray | None]:

@@ -67,7 +67,7 @@ def test_delta_tuples_are_exact_at_the_q_sum(field, weights):
         sp = SpaceSpec(r, 3, weights, field)
         for n in (2, 3):
             res = mn.evaluate(S.pq_spec(p, q), VectorTuple(_delta(sp, rng, n), sp), CFG)
-            method = "pq_spectral_polish" if p == 2 and r == 2 else "pq_ball_ascent"
+            method = "l1_pair_arc_bisection" if r == 1 and n == 2 else "pq_spectral_polish" if p == 2 and r == 2 else "pq_ball_ascent"
             assert (res.kind, res.method) == ("exact", method), (r, p, q, n)
             assert res.lower == res.upper == pytest.approx(n ** (1.0 / q), rel=1e-12)
     # the maximum multi-norm of a delta tuple is n^(1/r): the (1,1) ascent meets the root averages

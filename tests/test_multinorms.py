@@ -223,6 +223,46 @@ def test_standard_q_equals_pq1q_on_l1():
             assert search.lower >= exact.lower - 2e-2
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_pq_of_an_l1_pair_is_exact(field):
+    # on l^1 a 2-tuple's (p,q)-norm is the max over the l^q' arc of F(mu) = sum_k w_k ||(mu_j |x_jk|)_j||_p'
+    rng = np.random.default_rng([18, field == "complex"])
+    s = SpaceSpec(1, 3, (1.0, 2.0, 0.5), field)
+    theta = np.linspace(0.0, np.pi / 2, 20001)
+    for p, q in ((1, 1), (1, 2), (1, 3.5), (1.5, 1.5), (1.5, 3), (2, 2), (2, 3), (3, 6)):
+        for _ in range(4):
+            X = rng.standard_normal((3, 2)) + (1j * rng.standard_normal((3, 2)) if field == "complex" else 0)
+            res = mn.evaluate(Spec.pq_spec(p, q), VectorTuple(X, s), CFG)
+            assert (res.kind, res.method) == ("exact", "l1_pair_arc_bisection"), (p, q)
+            # the functionals are feasible (||(L_1k, L_2k)||_p <= 1 at each k) and attain the value
+            L = res.witness["functionals"]
+            assert np.all(np.linalg.norm(L, p, axis=1) <= 1 + 1e-12)
+            pair = (s.w[:, None] * X * L).sum(axis=0)
+            assert np.linalg.norm(np.abs(pair), q) == pytest.approx(res.lower, rel=1e-9)
+            # no point of a dense arc exceeds the value
+            mu = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+            if q > 1:
+                mu = mu / np.linalg.norm(mu, q / (q - 1), axis=1)[:, None]
+            pd = INF if p == 1 else p / (p - 1)
+            F = np.linalg.norm(mu[:, None, :] * np.abs(X), pd, axis=2) @ s.w
+            assert F.max() <= res.upper * (1 + 1e-12)
+            # a zero third slot leaves the norm alone and sends it to the ascent, which stays inside
+            padded = mn.evaluate(Spec.pq_spec(p, q), VectorTuple(np.concatenate([X, 0 * X[:, :1]], axis=1), s), CFG)
+            assert padded.method == "pq_ball_ascent"
+            assert padded.lower <= res.upper * (1 + 1e-9) and res.lower <= padded.upper * (1 + 1e-12)
+            if p == 1:  # standard_q(q) is the (1,q)-multi-norm on l^1, enumerated exactly; exact means within optim.meets' 1e-9
+                assert res.lower == pytest.approx(mn.evaluate(Spec.standard_q(q), VectorTuple(X, s), CFG).lower, rel=1e-9)
+    # (x, -x) with p = q makes F constant on the arc: no piece closes, the open-piece cap ends the halving with a
+    # valid but loose bound, and the root average ||x|| makes the result exact
+    x = rng.standard_normal(3) + (1j * rng.standard_normal(3) if field == "complex" else 0)
+    X = np.stack([x, -x], axis=1)
+    for p in (1.5, 3):
+        lower, upper, _ = mn.multinorms._pq_l1_pair(s, X, p, p)
+        assert lower == pytest.approx(s.norm(x), rel=1e-12) and upper > s.norm(x) * (1 + 1e-9)
+        res = mn.evaluate(Spec.pq_spec(p, p), VectorTuple(X, s), CFG)
+        assert res.kind == "exact" and res.lower == pytest.approx(s.norm(x), rel=1e-12)
+
+
 def test_hilbert_agrees_with_pq22():
     rng = np.random.default_rng(16)
     s = SpaceSpec(2, 3)
