@@ -34,7 +34,7 @@ from .optim import (
     sign_supremum,
     torus_supremum,
 )
-from .summing import c_n, mu_weak, mu_weak_dual, pi_summing
+from .summing import c_n, mu_weak, pi_summing
 from .multinorms import (
     AxiomReport,
     MultiNormSpec,

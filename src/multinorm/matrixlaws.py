@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SpecError
 from .multinorms import MultiNormSpec, _point_values, _stack_values, _trial_chunks
-from .optim import COUNTS, NORMALS, UNIFORMS, OptimConfig, _holder_upper, _op_norm_exact, field_normal_block
+from .optim import COUNTS, NORMALS, UNIFORMS, OptimConfig, _op_norm_upper, field_normal_block
 from .partitions import set_partitions
 from .spaces import INF, MatrixOp, SpaceSpec, real_entries
 
@@ -129,17 +129,13 @@ class MatrixLawReport:
 def _law_norms(mats: list, p: float, cfg: OptimConfig) -> list[float]:
     """||A : l^p -> l^p|| for each matrix, in list order, one stack per (shape, dtype) group.
 
-    _op_norm_exact's value where it has one, else the Holder upper bound.
+    optim._op_norm_upper's values: exact where _op_norm_exact has one, else the Holder upper bound.
     """
 
     def norms(S):
         if not np.all(np.isfinite(S)):
             raise ValueError("matrix entries must be finite")
-        values = _op_norm_exact(S, p, p, cfg, np.iscomplexobj(S))[0]
-        bound = np.isnan(values)
-        if bound.any():
-            values[bound] = _holder_upper(S[bound], p, p)
-        return values
+        return _op_norm_upper(S, p, p, cfg, np.iscomplexobj(S))[0]
 
     return _stack_values(norms, mats)
 

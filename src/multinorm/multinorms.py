@@ -262,9 +262,8 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimCon
     enumerates its n^m slot assignments, and generated the n^k of each
     length-k member, within cfg.max_enum.  weak_summing
     is exact where optim._op_norm_rule covers its (p' -> r) matrices, by
-    mu_weak's kernel summing.mu_scale; real mu_1 on a space of finite index
-    keeps mu1_phase_guidance's sign grid (equal to mu_weak(1) up to the last
-    bits).  A spec the space cannot carry raises SpecError.
+    mu_weak's kernel summing.mu_scale, so its values equal mu_weak's bit
+    for bit for every p.  A spec the space cannot carry raises SpecError.
     """
     validate(spec, space)
     v = spec.variant
@@ -294,10 +293,7 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimCon
 
         return part
     if v == "weak_summing":
-        rule = _op_norm_rule(conjugate_index(spec.p), p, space.is_complex, space.dim, n, cfg.max_enum)
-        if rule == "sign_enum_inputs":
-            return lambda X: summing.mu1_phase_guidance(space, X, cfg)
-        if rule is not None:
+        if _op_norm_rule(conjugate_index(spec.p), p, space.is_complex, space.dim, n, cfg.max_enum) is not None:
             return lambda X: summing.mu_scale(spec.p, X, space, cfg)[0]
     if v == "generated" and all(n**d.length <= cfg.max_enum for d in spec.family.members):
         from .decompositions import generated_value

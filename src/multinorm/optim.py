@@ -56,8 +56,9 @@ class OptimConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.restarts < 1 or self.grid_points < 8:
-            raise ValueError("invalid OptimConfig")
+        for name, least in (("restarts", 1), ("grid_points", 8), ("max_enum", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
         if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) or not 0 < self.tol < INF:
             raise ValueError(f"tol must be a finite positive number, got {self.tol!r}")
 
@@ -348,7 +349,8 @@ def seeded_ascent(
             if cok.any():
                 v[cok] = value(cand[cok])
 
-        better = v > vals * grow + 1e-15
+        # the larger of vals * grow and vals / grow lies above vals for either sign of vals
+        better = v > np.maximum(vals * grow, vals / grow) + 1e-15
         vals = np.where(better, v, vals)
         pts = np.where(better.reshape(bcast), cand, pts)
         misses = np.where(better, 0, misses + fresh)
@@ -447,7 +449,10 @@ def _holder_upper(S: np.ndarray, p: float, q: float):
 
 
 def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool) -> tuple[float, np.ndarray | None]:
-    """Nonlinear power iteration for sup ||Ax||_q / ||x||_p from every start at once; (0.0, None) unless some start is positive."""
+    """Nonlinear power iteration for sup ||Ax||_q / ||x||_p from every start at once; (0.0, None) unless some start is positive.
+
+    The starts include every basis vector, so the value is at least A's largest column q-norm.
+    """
     n = A.shape[1]
     pp = conjugate_index(p)
     AH = A.conj().T
@@ -473,7 +478,7 @@ def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_f
         return Xn, np.where(stuck | (lp_norm(Y, q) == 0), np.nan, lp_norm(image(A, Xn), q))
 
     dt = np.result_type(complex if complex_field else float, A)
-    seeds = [*np.eye(n, dtype=dt)[: min(n, 8)], np.ones(n, dtype=dt), *gaussian_starts(cfg, "power_ascent.starts", (n,), complex_field)]
+    seeds = [*np.eye(n, dtype=dt), np.ones(n, dtype=dt), *gaussian_starts(cfg, "power_ascent.starts", (n,), complex_field)]
     X, zero = normalized(np.array(seeds, dtype=dt))
     val, x = polish(step, X, np.where(zero, np.nan, lp_norm(image(A, X), q)), 60, 1e-15)
     return (val, x) if val > 0 else (0.0, None)
@@ -572,6 +577,15 @@ def _op_norm_exact(S: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_
         W = _dual_unit_vectors(G, lp_norm(G, pp), p, pp, np.sign(G) + (G == 0))
     values[rest], witnesses[rest] = vals, W
     return values, witnesses, methods
+
+
+def _op_norm_upper(S: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(values, exact) of a (B, m, n) stack: _op_norm_exact's value where it has one, else the Holder upper bound."""
+    values = _op_norm_exact(S, p, q, cfg, complex_field)[0]
+    exact = ~np.isnan(values)
+    if not exact.all():
+        values[~exact] = _holder_upper(S[~exact], p, q)
+    return values, exact
 
 
 def _dual_unit_vectors(R: np.ndarray, norms: np.ndarray, p: float, pp: float, directions: np.ndarray) -> np.ndarray:

@@ -16,16 +16,15 @@ from .errors import SpecError
 from .optim import (
     NormValue,
     OptimConfig,
-    _holder_upper,
-    _op_norm_exact,
+    _grid_scan,
+    _op_norm_upper,
     meets,
     op_norm_pq,
     seeded_ascent,
     torus_certified_upper,
     unconstrained,
 )
-from .partitions import unit_grid
-from .spaces import INF, MatrixOp, SpaceSpec, VectorTuple, _as_value, conjugate_index, delta, delta_tuple, lp_norm, real_entries, roots_tuple
+from .spaces import INF, MatrixOp, SpaceSpec, VectorTuple, conjugate_index, delta, delta_tuple, lp_norm, real_entries, roots_tuple
 
 
 def _weight_root(space: SpaceSpec) -> np.ndarray:
@@ -38,26 +37,6 @@ def _weight_root(space: SpaceSpec) -> np.ndarray:
 def _reduced(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
     """The matrix whose (p' -> r) operator norm is mu_{p,n} of X's columns."""
     return _weight_root(space)[:, None] * X
-
-
-def tuple_sandwich(t: VectorTuple, p: float) -> tuple[float, float]:
-    """max_j ||x_j||  <=  mu_{p,n}  <=  (sum_j ||x_j||^p)^(1/p)."""
-    norms = t.space.norm_cols(t.columns)
-    return float(norms.max()), lp_norm(norms, p)
-
-
-def mu1_phase_guidance(space: SpaceSpec, X: np.ndarray, cfg: OptimConfig):
-    """Grid estimate of mu_{1,n} for a tuple or a (..., dim, n) stack; exact over real scalars.
-
-    The grid has levels^(n-1) rows, budgeted by cfg.max_enum.
-    """
-    n = X.shape[-1]
-    levels = (16 if n <= 3 else 8) if space.is_complex else 2
-    best = None
-    for Z in unit_grid(n, levels, cfg.max_enum):
-        block = space.norm_cols(X @ Z.T).max(axis=-1)
-        best = block if best is None else np.maximum(best, block)
-    return _as_value(best)
 
 
 def unit_columns(space: SpaceSpec):
@@ -79,29 +58,29 @@ def mu_weak(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormVal
     Exact whenever op_norm_pq is exact on the reduced (p' -> r) matrix: a
     rule of optim._op_norm_rule (closed forms for p' = 1, r = inf and
     p' = r = 2; real sign enumerations for p = 1 or r = 1) or disjoint supports.
-    Otherwise a bracket: the larger of op_norm_pq's power ascent and the
-    largest column below, the smaller of the sandwich and Holder bounds
-    above, and at p = 1 also torus_certified_upper's grid bound.
+    Otherwise op_norm_pq's bracket.  Its lower side, the power ascent,
+    starts from every basis vector, so it is at least max_j ||x_j||; its
+    upper side, the Holder bound, is at most (sum_j ||x_j||^p)^(1/p), and
+    at p = 1 it is intersected with torus_certified_upper's grid bound.
+    A tuple in a dual space gives the weak p-summing norm of its functionals.
     """
     cfg = cfg or OptimConfig()
     if p < 1:
         raise SpecError("summing index p must be >= 1")
     space = t.space
     X = t.columns
-    lo_sand, up_sand = tuple_sandwich(t, p)
     if p == INF:
-        j = int(np.argmax(space.norm_cols(X)))
-        return NormValue.exact(lo_sand, {"column": j}, "max_column")
+        norms = space.norm_cols(X)
+        j = int(np.argmax(norms))
+        return NormValue.exact(norms[j], {"column": j}, "max_column")
 
     res = op_norm_pq(MatrixOp(_reduced(space, X), conjugate_index(p), space.p), cfg, field=space.field)
     if res.kind == "exact":
         return NormValue.exact(res.lower, {"coefficients": res.witness}, "op_norm_" + res.method)
-
-    upper = min(up_sand, res.upper)
+    upper = res.upper
     if p == 1:
         upper = min(upper, torus_certified_upper(lambda Z: space.norm_cols(X @ Z.T), space.norm_cols(X)[1:], t.n, cfg))
-    lower = min(max(res.lower, lo_sand), upper)
-    return NormValue.bracket(lower, upper, {"coefficients": res.witness}, res.method)
+    return NormValue.bracket(min(res.lower, upper), upper, {"coefficients": res.witness}, res.method)
 
 
 def mu_scale(p: float, X: np.ndarray, space: SpaceSpec, cfg: OptimConfig) -> tuple:
@@ -110,49 +89,19 @@ def mu_scale(p: float, X: np.ndarray, space: SpaceSpec, cfg: OptimConfig) -> tup
     The raw-array form of mu_weak for search loops that rescale onto the
     mu ball: X is an already validated (dim, n) array of the space's field
     (or a (..., dim, n) stack, giving (...) value and flag arrays equal to
-    the per-tuple results bit for bit) and p >= 1.  The value is _op_norm_exact's
-    value, or where that is NaN the smaller of the sandwich and Holder upper
-    bounds; no ascent, torus or phase-grid work is done.
+    the per-tuple results bit for bit) and p >= 1.  The value is the largest
+    column norm at p = inf, else optim._op_norm_upper's: _op_norm_exact's
+    value, or where that has none the Holder upper bound of mu_weak's
+    bracket; no ascent, torus or grid work is done.
     """
     S = X.reshape(-1, *X.shape[-2:])
-    norms = space.norm_cols(S)
     if p == INF:
-        values, exact = norms.max(axis=-1), np.ones(len(S), dtype=bool)
+        values, exact = space.norm_cols(S).max(axis=-1), np.ones(len(S), dtype=bool)
     else:
-        A, pp = _reduced(space, S), conjugate_index(p)
-        values = _op_norm_exact(A, pp, space.p, cfg, space.is_complex)[0]
-        exact = ~np.isnan(values)
-        if not exact.all():
-            values[~exact] = np.minimum(lp_norm(norms[~exact], p), _holder_upper(A[~exact], pp, space.p))
+        values, exact = _op_norm_upper(_reduced(space, S), conjugate_index(p), space.p, cfg, space.is_complex)
     if X.ndim == 2:
         return float(values[0]), bool(exact[0])
     return values.reshape(X.shape[:-2]), exact.reshape(X.shape[:-2])
-
-
-def mu_weak_dual(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormValue:
-    """The same weak p-summing functional for a tuple living in a dual space.
-
-    Computed from the primal side: sup over the primal unit ball of the
-    l^p norm of the pairing sequence, i.e. an (r -> p) matrix norm for the
-    transposed, weight-absorbed matrix.  Agrees with mu_weak evaluated on
-    the dual space within tolerance.
-    """
-    cfg = cfg or OptimConfig()
-    if p < 1:
-        raise SpecError("summing index p must be >= 1")
-    dual_space = t.space
-    primal = dual_space.dual()
-    # <x, lam_j> = sum_k w_k x_k lam_j(k): rows indexed by j, columns by k.
-    B = (primal.w[None, :] * t.columns.T).astype(t.columns.dtype)
-    if primal.p != INF:
-        B = B / _weight_root(primal)[None, :]
-    res = op_norm_pq(MatrixOp(B, primal.p, p), cfg, field=primal.field)
-    lo_sand, up_sand = tuple_sandwich(t, p)
-    if res.kind == "exact":
-        return NormValue.exact(res.lower, {"primal_point": res.witness}, "op_norm_" + res.method)
-    upper = min(res.upper, up_sand)
-    lower = min(max(res.lower, lo_sand), upper)
-    return NormValue.bracket(lower, upper, {"primal_point": res.witness}, res.method)
 
 
 def op_norm_between(T: np.ndarray, source: SpaceSpec, target: SpaceSpec, cfg: OptimConfig) -> NormValue:
@@ -278,10 +227,11 @@ def c_n(space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
     if np.all(norms > 0):
         seeds.append(roots / norms[None, :])
 
-    # descent guidance: exact over real scalars, grid estimate over complex
+    # descent guidance: mu_{1,n} over the sign grid (exact over R), over C a phase grid estimate
+    levels = (16 if n <= 3 else 8) if space.is_complex else 2
     _, cols = seeded_ascent(
         project=unit_columns(space),
-        value=lambda C: -mu1_phase_guidance(space, C, cfg),
+        value=lambda C: -_grid_scan(lambda Z: space.norm_cols(C @ Z.T), len(C), n, levels, cfg)[0],
         seeds=seeds,
         shape=(m, n),
         cfg=cfg,

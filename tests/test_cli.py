@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from multinorm import OptimConfig
 from multinorm.cli import main
 
 
@@ -288,3 +289,17 @@ def test_optim_config_tol_must_be_finite_and_positive():
         with pytest.raises(ValueError, match="tol must be a finite positive number"):
             OptimConfig(tol=bad)
     assert OptimConfig(tol=1).tol == 1 and OptimConfig(tol=np.float64(1e-6)).tol == 1e-6
+
+
+def test_max_enum_below_one_exits_2(capsys):
+    # --max-enum -3 ended in a TypeError traceback: the torus bound took a fractional power of a negative budget
+    for field, bad, message in (("max_enum", 0, "max_enum must be >= 1"), ("max_enum", -3, "max_enum must be >= 1"),
+                                ("restarts", 0, "restarts must be >= 1"), ("grid_points", 4, "grid_points must be >= 8")):
+        with pytest.raises(ValueError, match=message):
+            OptimConfig(**{field: bad})
+    doc = {"space": {"p": 2, "dim": 3}, "spec": {"variant": "weak_summing", "p": 1}, "tuple": [[1, 0, 0], [0, 1, 0], [1, 1, 1]]}
+    for argv in (["eval", json.dumps(doc), "--max-enum", "-3"], ["eval", json.dumps({**doc, "cfg": {"max_enum": 0}})]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("schema error: ") and "max_enum" in captured.err and captured.err.count("\n") == 1, captured.err

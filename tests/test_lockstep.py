@@ -7,7 +7,9 @@ from cfg.stream("ascent.starts"), and restart i's fresh direction at its
 t-th step is row i of the t-th field_normal(rng, (L0, *shape)) draw from
 cfg.stream("ascent.directions"), L0 being the number of starts.  The
 lockstep engine gets the same callbacks lifted to stacks, and must return
-the same (value, point) bit for bit.
+the same (value, point) bit for bit.  A step is accepted when it beats
+max(val * (1 + tol), val / (1 + tol)) + 1e-15, which lies above val for
+either sign of val.
 """
 
 import math
@@ -49,7 +51,7 @@ def _sequential_ascent(project, value, seeds, shape, cfg, complex_field=False, i
             budget -= 1
             cand = project(pt + step * direction)
             v = value(cand) if cand is not None else -INF
-            if v > val * (1 + cfg.tol) + 1e-15:
+            if v > max(val * (1 + cfg.tol), val / (1 + cfg.tol)) + 1e-15:
                 val, pt = v, cand
                 misses = 0
                 boost = 2.0 * step
@@ -57,7 +59,7 @@ def _sequential_ascent(project, value, seeds, shape, cfg, complex_field=False, i
                     budget -= 1
                     cand = project(pt + boost * direction)
                     v = value(cand) if cand is not None else -INF
-                    if v > val * (1 + cfg.tol) + 1e-15:
+                    if v > max(val * (1 + cfg.tol), val / (1 + cfg.tol)) + 1e-15:
                         val, pt = v, cand
                         boost *= 2.0
                     else:
@@ -258,3 +260,9 @@ def test_met_ceiling_returns_the_first_maximal_start_without_climbing():
     assert len(calls) == 3
     val, pt = seeded_ascent(unconstrained, tiny, seeds, shape, cfg, ceiling=1e-10 * (1.0 + 2e-9))
     assert len(calls) > 4  # unmet: it climbs
+
+
+def test_negative_objective_never_accepts_a_worse_point():
+    # vals * (1 + tol) lies below vals < 0, so the old rule took steps down: this returned -1.0000000019847433
+    val, pt = seeded_ascent(unconstrained, lambda S: -(1 + 1e-12 * (S**2).sum(axis=(1, 2))), [np.zeros((2, 2))], (2, 2), OptimConfig(seed=3, restarts=2))
+    assert val == -1.0 and not pt.any()

@@ -67,7 +67,7 @@ def _power_ascent_loop(A, p, q, cfg, complex_field, log):
         return val, x
 
     dt = complex if complex_field else float
-    seeds = list(np.eye(n, dtype=dt)[: min(n, 8)])
+    seeds = list(np.eye(n, dtype=dt))
     seeds.append(np.ones(n, dtype=dt))
     seeds += list(gaussian_starts(cfg, "power_ascent.starts", (n,), complex_field))
 
@@ -212,7 +212,7 @@ def _power_cases():
     rng = np.random.default_rng(15)
     for complex_field in (False, True):
         for p, q in [(1.2, 1.0), (1.5, 2.0), (2.0, 3.0), (3.0, 1.5), (INF, 2.0), (INF, 1.0), (1.0, 2.0), (1.0, 1.5), (3.0, 2.0)]:
-            for m, n in [(3, 3), (4, 2), (2, 5)]:
+            for m, n in [(3, 3), (4, 2), (2, 5), (2, 10)]:
                 yield field_normal(rng, (m, n), complex_field), p, q, complex_field
             A = field_normal(rng, (3, 4), complex_field)
             A[:, 1] = 0

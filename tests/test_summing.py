@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import multinorm as mn
-from multinorm import INF, OptimConfig, SpaceSpec, VectorTuple
+from multinorm import INF, OptimConfig, SpaceSpec, VectorTuple, lp_norm
 
 CFG = OptimConfig(seed=42)
 
@@ -37,39 +37,21 @@ def test_mu_weak_sup_space_closed_form():
 
 
 def test_mu_weak_dual_examples():
-    # primal l1_2, functionals live in linf
+    # a tuple in a dual space: the weak summing norm of the functionals
     s1 = SpaceSpec(1, 2)
     td = VectorTuple.of(s1.dual(), [1, 0], [0, 1])
-    res = mn.mu_weak_dual(1, td, CFG)
+    res = mn.mu_weak(1, td, CFG)
     assert res.lower == pytest.approx(1.0, abs=1e-9)
 
     sinf = SpaceSpec(INF, 2)
     td = VectorTuple.of(sinf.dual(), [1, 0], [0, 1])
-    res = mn.mu_weak_dual(1, td, CFG)
+    res = mn.mu_weak(1, td, CFG)
     assert res.lower == pytest.approx(2.0, abs=1e-9)
 
     s2 = SpaceSpec(2, 2)
     td = VectorTuple.of(s2.dual(), [1, 0], [1, 0])
-    res = mn.mu_weak_dual(2, td, CFG)
+    res = mn.mu_weak(2, td, CFG)
     assert res.lower == pytest.approx(math.sqrt(2), abs=1e-9)
-
-
-def test_mu_weak_dual_agrees_with_primal_computation():
-    rng = np.random.default_rng(19)
-    for p_space in (1, 2, INF):
-        space = SpaceSpec(p_space, 3, (1.0, 2.0, 0.5))
-        dual = space.dual()
-        for p in (1, 2):
-            for _ in range(20):
-                L = rng.standard_normal((3, 2))
-                t = VectorTuple(L, dual)
-                a = mn.mu_weak_dual(p, t, CFG)
-                b = mn.mu_weak(p, t, CFG)
-                if a.kind == "exact" and b.kind == "exact":
-                    assert a.lower == pytest.approx(b.lower, abs=1e-9)
-                else:
-                    assert a.lower <= b.upper + 1e-9
-                    assert b.lower <= a.upper + 1e-9
 
 
 def test_monotone_in_p():
@@ -232,31 +214,36 @@ def test_mu_scale_matches_mu_weak():
                         elif p == 1:
                             assert value >= res.upper
                         else:
-                            # the same sandwich and Holder bounds that make mu_weak's upper side
+                            # the Holder bound that is mu_weak's upper side
                             assert value == res.upper
                         assert value >= res.lower
                         cases += 1
     assert cases == 180
 
 
-def test_real_mu1_point_value_is_mu_weak_up_to_the_last_bits():
-    # exact_evaluator's named exception: real mu_1 point values take mu1_phase_guidance's sign grid, mu_weak(1) the p->q kernel
+def test_real_mu1_point_value_is_mu_weak_bit_for_bit():
+    # point_value, evaluate and mu_weak(1) all take the p->q kernel, alone and stacked
     from multinorm.multinorms import point_value
 
     rng = np.random.default_rng(4800)
     cfg = OptimConfig(seed=8, restarts=2, grid_points=16)
     spec = mn.MultiNormSpec.weak_summing(1)
-    for r in (1.5, 2.0, 3.0):
+    cases = 0
+    for r in (1.0, 1.5, 2.0, 3.0):
         for weighted in (False, True):
             for m in range(2, 6):
                 for n in range(1, 6):
-                    for _ in range(2):
-                        space = SpaceSpec(r, m, tuple(rng.uniform(0.5, 2.0, m)) if weighted else ())
-                        X = rng.standard_normal((m, n))
-                        grid = point_value(spec, space, X, cfg)
-                        res = mn.mu_weak(1, VectorTuple(X, space), cfg)
-                        assert res.kind == "exact"
-                        assert abs(grid - res.lower) <= 1e-15 * res.lower, (r, weighted, m, n)
+                    space = SpaceSpec(r, m, tuple(rng.uniform(0.5, 2.0, m)) if weighted else ())
+                    stack = rng.standard_normal((3, m, n))
+                    values = point_value(spec, space, stack, cfg)
+                    for X, stacked in zip(stack, values.tolist()):
+                        t = VectorTuple(X, space)
+                        res = mn.mu_weak(1, t, cfg)
+                        ev = mn.evaluate(spec, t, cfg)
+                        assert res.kind == ev.kind == "exact"
+                        assert point_value(spec, space, X, cfg) == stacked == ev.lower == res.lower, (r, weighted, m, n)
+                        cases += 1
+    assert cases == 480
 
 
 def test_weak_summing_2_point_value_equals_mu_weak():
@@ -280,13 +267,39 @@ def test_weak_summing_2_point_value_equals_mu_weak():
 
 
 def test_one_column_brackets_keep_lower_below_upper():
-    # the sandwich lower side max_j ||x_j|| can round one ulp above the Holder upper side
+    # the power ascent's basis start, the column norm, can round one ulp above the Holder upper side
     X = np.array([[-1.0845999438342624], [-1.4339955619182034]])
     res = mn.mu_weak(1.5, VectorTuple(X, SpaceSpec(1.5, 2)), OptimConfig())
     assert res.kind == "bracket" and res.lower <= res.upper
     X = np.array([[0.42113113746240616], [-1.054840662577835], [-1.2720782100976422]])
-    res = mn.mu_weak_dual(3, VectorTuple(X, SpaceSpec(1.5, 3)), OptimConfig())
+    res = mn.mu_weak(3, VectorTuple(X, SpaceSpec(1.5, 3).dual()), OptimConfig())
     assert res.kind == "bracket" and res.lower <= res.upper
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_mu_weak_brackets_lie_in_the_column_bounds(field):
+    # max_j ||x_j|| <= mu_{p,n} <= (sum_j ||x_j||^p)^(1/p): the power ascent starts from every basis
+    # vector, and the Holder bound's first term is the column sum, so both hold within rounding
+    from multinorm.optim import field_normal
+
+    rng = np.random.default_rng(5150)
+    cfg = OptimConfig(seed=5, restarts=2, grid_points=16)
+    ulps = 4 * np.finfo(float).eps
+    kinds = set()
+    for n in range(1, 11):
+        for r in (1.0, 1.5, 2.0, 3.0, INF):
+            for weighted in (False, True):
+                m = int(rng.integers(2, 5))
+                space = SpaceSpec(r, m, tuple(rng.uniform(0.5, 2.0, m)) if weighted else (), field)
+                X = field_normal(rng, (m, n), space.is_complex)
+                norms = space.norm_cols(X)
+                for p in (1.0, 1.5, 2.0, 3.0):
+                    res = mn.mu_weak(p, VectorTuple(X, space), cfg)
+                    kinds.add(res.kind)
+                    assert res.lower >= norms.max() * (1 - ulps), (n, r, weighted, p)
+                    assert res.upper <= lp_norm(norms, p) * (1 + ulps), (n, r, weighted, p)
+                    assert res.lower <= res.upper
+    assert kinds == {"exact", "bracket"}
 
 
 def test_mu_weak_sign_enumeration_at_budget_edge():
