@@ -321,10 +321,15 @@ def _pairings(space: SpaceSpec, X: np.ndarray, L: np.ndarray) -> np.ndarray:
     return np.einsum("k,...kj,...kj->...j", space.w, X, L)
 
 
+def _column_norming(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
+    """The (m, n) functionals norming X's columns (unit_ball_norming), 0 for a zero column."""
+    return np.stack([space.unit_ball_norming(X[:, j]) for j in range(X.shape[1])], axis=1)
+
+
 def _slot_norming_seeds(space: SpaceSpec, X: np.ndarray) -> list[np.ndarray]:
-    """The functionals norming X's columns (unit_ball_norming), then one tuple per slot keeping only that slot's."""
+    """The functionals norming X's columns, then one tuple per slot keeping only that slot's."""
     m, n = X.shape
-    norming = np.stack([space.unit_ball_norming(X[:, j]) for j in range(n)], axis=1)
+    norming = _column_norming(space, X)
     singles = np.zeros((n, m, n), dtype=norming.dtype)
     singles[np.arange(n), :, np.arange(n)] = norming.T
     return [norming, *singles]
@@ -345,11 +350,59 @@ def _pq_seeds(space: SpaceSpec, X: np.ndarray) -> list[np.ndarray]:
     return seeds
 
 
+def _disjoint(X: np.ndarray) -> bool:
+    """Whether every row of the (m, n) tuple X holds at most one nonzero entry: its columns have disjoint supports."""
+    return bool(((np.abs(X) > 0).sum(axis=-1) <= 1).all())
+
+
+def _pq_disjoint(space: SpaceSpec, X: np.ndarray, p: float, q: float) -> tuple[float, np.ndarray]:
+    """(value, functionals) of the (p,q)-multi-norm of a tuple with disjointly supported columns, in closed form.
+
+    With b_j = ||x_j||, r the space index, 1/t = max(1/p - 1/r, 0) and
+    1/u = max(1/q - 1/t, 0), the value is ||b||_u (max_j b_j where
+    1/u = 0); at t = inf (p >= r) it is lp_norm(b, q), the q-sum upper
+    bound of _pq_value bit for bit.
+
+    Proof.  Let P_k be the band projection onto supp x_k and M_eps =
+    sum_k eps_k P_k for signs eps.  Then |M_eps y| <= |y| and
+    avg_eps eps_j M_eps = P_j, so sum_j c_j P_j lambda_j =
+    avg_eps M_eps(sum_j eps_j c_j lambda_j): restricting each lambda_j to
+    supp x_j keeps every pairing <x_j, lambda_j> and does not raise
+    mu_{p,n}, over R and C.  For disjoint lambda, sum_j c_j lambda_j has
+    norm ||(c_j ||lambda_j||)_j||_{r'}, so mu_{p,n}(lambda) =
+    sup_{||c||_{p'} <= 1} ||(c_j ||lambda_j||)_j||_{r'} =
+    ||(||lambda_j||)_j||_t, and the norm is sup{ ||(b_j s_j)_j||_q :
+    ||s||_t <= 1 } = ||b||_u by Holder with 1/q = 1/t + 1/u.
+
+    The functionals lambda_j = a_j phi_j attain it, with phi_j norming
+    x_j (unit_ball_norming) and zeroed off supp x_j (at r = 1
+    unit_ball_norming puts phase 1 on the zero coordinates too), and with
+    a = s / ||s||_t, s_j = (b_j / max b)^(u/t): a_j = 1 at t = inf, and
+    a = e_argmax where 1/u = 0.  Scaling by max b keeps b^u finite for a
+    large u.
+    """
+    b = space.norm_cols(X)
+    top = b.max()
+    inv_t = max(1.0 / p - 1.0 / space.p, 0.0)
+    inv_u = 1.0 / q - 1.0 / p + 1.0 / space.p  # 1/q - 1/t where t < inf; exactly 1/r at p = q
+    if inv_t == 0.0:
+        value, a = lp_norm(b, q), np.ones_like(b)
+    elif inv_u <= 0.0 or top == 0.0:
+        value, a = top, np.eye(len(b))[int(np.argmax(b))]
+    else:
+        s = (b / top) ** (inv_t / inv_u)
+        value, a = top * lp_norm(b / top, 1.0 / inv_u), s / lp_norm(s, 1.0 / inv_t)
+    L = np.where(np.abs(X) > 0, _column_norming(space, X), 0.0) * a
+    return value, L
+
+
 def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValue:
     """Lower bound from a climb over mu_{p,n}-unit functional tuples; upper from the q-sum and root bounds.
 
-    A 2-tuple in an l^1 space takes _pq_l1_pair instead, whose bound is
-    within 1e-10 of its witness, so its result is exact.
+    A tuple with disjointly supported columns (_disjoint) takes the closed
+    form _pq_disjoint, exact with method disjoint_closed_form, before any
+    bound or search.  A 2-tuple in an l^1 space takes _pq_l1_pair, whose
+    bound is within 1e-10 of its witness, so its result is exact.
 
     With p = 2 on an index-2 space the mu_{2,n} ball is a spectral ball, and
     the spectral polish from the seeds and cfg.restarts Gaussian starts
@@ -363,6 +416,9 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
     X = t.columns
     n = t.n
     p, q = spec.p, spec.q
+    if _disjoint(X):
+        val, L = _pq_disjoint(space, X, p, q)
+        return NormValue.exact(val, {"functionals": L}, "disjoint_closed_form")
     dual = space.dual()
     upper = min(lp_norm(space.norm_cols(X), q), _roots_upper(space, X, cfg))
 
@@ -550,9 +606,11 @@ def _max_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
     isometrically, so on a real 2-tuple the tensor norm is the l^1_2 one:
     ||(x1, x2)||^max = (||x1 + x2|| + ||x1 - x2||) / 2.  The functionals
     ((a + b)/2, (a - b)/2), with a and b norming x1 + x2 and x1 - x2,
-    attain it and have mu_1 = max(||a||, ||b||) <= 1.  Other tuples get
-    the (1,1) ascent from below and the root averages from above, exact
-    where the (1,1) value is.
+    attain it and have mu_1 = max(||a||, ||b||) <= 1.  Other tuples take
+    the (1,1) value: a disjointly supported tuple its closed form
+    ||(||x_j||)_j||_r (method disjoint_closed_form, as no ascent runs),
+    the rest the (1,1) ascent from below and the root averages from
+    above, exact where the (1,1) value is.
     """
     space = t.space
     X = t.columns
@@ -563,7 +621,8 @@ def _max_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
         return NormValue.exact(val, {"functionals": np.stack([a + b, a - b], axis=1) / 2}, "real_pair_closed_form")
     inner = _pq_value(MultiNormSpec.pq_spec(1, 1), t, cfg)
     if inner.kind == "exact":
-        return NormValue.exact(inner.upper, inner.witness, "pq11_ascent_roots_upper")
+        method = "disjoint_closed_form" if inner.method == "disjoint_closed_form" else "pq11_ascent_roots_upper"
+        return NormValue.exact(inner.upper, inner.witness, method)
     lower = max(inner.lower, float(space.norm_cols(X).max()))
     return NormValue.bracket(min(lower, inner.upper), inner.upper, inner.witness, "pq11_ascent_roots_upper")
 
@@ -648,6 +707,19 @@ def _dominates_min(spec: MultiNormSpec) -> bool:
     return spec.variant in ("min", "max", "lattice", "dual_lattice", "lp_sum", "weak_summing", "partition", "standard_q", "generated")
 
 
+def _dominates_lattice(spec: MultiNormSpec) -> bool:
+    """Whether spec's exact evaluator is >= the lattice multi-norm ||V_j |x_j| || on every tuple, so ||sum_j |lambda_j| || bounds its numerical dual.
+
+    lattice is that norm itself; dual_lattice is ||sum_j |x_j| ||, and
+    sum_j |x_j| >= V_j |x_j| in the lattice; max is the largest
+    multi-norm.  extended qualifies over a base that does, its family
+    containing I.
+    """
+    if spec.variant == "extended":
+        return _dominates_lattice(spec.base)
+    return spec.variant in ("lattice", "dual_lattice", "max")
+
+
 def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValue:
     """Lower bound on sup{ |sum_j <x_j, lambda_j>| : N(x) <= 1 } by a climb over the unit sphere of the base N.
 
@@ -655,9 +727,18 @@ def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig)
     N(x) >= max_j ||x_j|| (_dominates_min) and N is evaluated exactly, the
     climb's points are feasible and sum_j ||lambda_j|| is the ascent's
     ceiling: a seed that meets it makes the result exact there (it does
-    for the min multi-norm, whose numerical dual is that sum).  Unmet, the
-    result is a lower bound, as it is for a base off its exact path, whose
-    membership is a search's lower bound and so certifies no seed.
+    for the min multi-norm, whose numerical dual is that sum).  Where
+    N(x) >= ||V_j |x_j| || (_dominates_lattice), also
+
+        |sum_j <x_j, lambda_j>| <= sum_k w_k max_j |x_jk| sum_j |lambda_jk|
+                                <= ||V_j |x_j| || ||sum_j |lambda_j| ||,
+
+    so the ceiling is the smaller of the two; the first seed (the norming
+    functional of sum_j |lambda_j| with lambda's conjugate phases) attains
+    ||sum_j |lambda_j| ||, the numerical dual of the lattice multi-norm.
+    Unmet, the result is a lower bound, as it is for a base off its exact
+    path, whose membership is a search's lower bound and so certifies no
+    seed.
     """
     dual_space = t.space
     primal = dual_space.dual()
@@ -667,6 +748,8 @@ def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig)
     exact_membership = is_exact_path(base, primal, n, cfg)
     membership = point_evaluator(base, primal, replace(cfg, restarts=min(cfg.restarts, 4)))
     ceiling = lp_norm(dual_space.norm_cols(L), 1) if exact_membership and _dominates_min(base) else INF
+    if exact_membership and _dominates_lattice(base):
+        ceiling = min(ceiling, dual_space.norm(np.abs(L).sum(axis=1)))
 
     def objective(Xs):
         return _pairings(primal, Xs, L).sum(axis=-1)

@@ -1,10 +1,14 @@
-"""Seed-first certified exit of the search-backed evaluators.
+"""Closed forms and the seed-first certified exit of the search-backed evaluators.
 
+A tuple with disjointly supported columns gets its (p,q) and max norms
+from the closed form _pq_disjoint, before any bound or search.  Otherwise
 _pq_value, _max_value (through the (1,1) value) and _numerical_dual_value
 hand their certified upper bounds to seeded_ascent as its ceiling: a
 projected seed that meets the bound ends the search, and the result is
-exact at the bound.  A ceiling no seed meets changes nothing, so every
-other result is the one the ascent gives without a ceiling.
+exact at the bound.  The numerical dual of a base that dominates the
+lattice multi-norm takes ||sum_j |lambda_j| || as its ceiling.  A ceiling
+no seed meets changes nothing, so every other result is the one the
+ascent gives without a ceiling.
 """
 
 import numpy as np
@@ -13,9 +17,9 @@ import pytest
 import multinorm as mn
 from multinorm import INF, MultiNormSpec as S, OptimConfig, SpaceSpec, VectorTuple
 from multinorm import multinorms, optim
-from multinorm.multinorms import _dominates_min, exact_evaluator
+from multinorm.multinorms import _disjoint, _dominates_lattice, _dominates_min, _pq_disjoint, exact_evaluator
 from multinorm.optim import field_normal
-from multinorm.spaces import lp_norm
+from multinorm.spaces import conjugate_index, lp_norm
 
 CFG = OptimConfig(seed=11, restarts=2, grid_points=32)
 RS = (1.0, 1.5, 2.0, 3.0)
@@ -46,13 +50,21 @@ def _cases():
                     yield sp, S.max_spec(), _delta(sp, rng, 3)
                 yield sp, S.numerical_dual(S.min_spec()), field_normal(rng, (3, 3), sp.is_complex)
                 yield sp, S.numerical_dual(S.lattice()), field_normal(rng, (3, 2), sp.is_complex)
+                yield sp, S.numerical_dual(S.lp_sum(2)), field_normal(rng, (3, 2), sp.is_complex)
             sp = SpaceSpec(2.0, 3, weights, field)
             yield sp, S.hilbert(), field_normal(rng, (3, 3), sp.is_complex) * np.eye(3)[:, [2, 0, 1]]
             yield sp, S.hilbert(), field_normal(rng, (3, 2), sp.is_complex)
 
 
+def _without_closed_forms(monkeypatch):
+    """No tuple counts as disjoint and no base as dominating the lattice multi-norm: the evaluators search as they did before the closed forms."""
+    monkeypatch.setattr(multinorms, "_disjoint", lambda X: False)
+    monkeypatch.setattr(multinorms, "_dominates_lattice", lambda spec: False)
+
+
 def _without_exit(monkeypatch):
-    """No bound is ever met: the evaluators climb and report as they did before the exit."""
+    """No closed form, and no bound is ever met: the evaluators climb and report as they did before the exit."""
+    _without_closed_forms(monkeypatch)
     never = lambda value, bound: False  # noqa: E731
     monkeypatch.setattr(optim, "meets", never)
     monkeypatch.setattr(multinorms, "meets", never)
@@ -61,20 +73,19 @@ def _without_exit(monkeypatch):
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("weights", WEIGHTS)
 def test_delta_tuples_are_exact_at_the_q_sum(field, weights):
-    # for p >= r a delta tuple attains n^(1/q); the ascent's own seed does, so nothing climbs
+    # for p >= r a delta tuple's (p,q) norm is n^(1/q), given by the disjoint closed form with no search
     rng = np.random.default_rng(3)
     for r, p, q in ((1.0, 1, 2), (1.0, 2, 3), (1.5, 2, 2), (1.5, 1.5, 3), (2.0, 2, 2), (2.0, 2, 3), (3.0, 3, 4)):
         sp = SpaceSpec(r, 3, weights, field)
         for n in (2, 3):
             res = mn.evaluate(S.pq_spec(p, q), VectorTuple(_delta(sp, rng, n), sp), CFG)
-            method = "l1_pair_arc_bisection" if r == 1 and n == 2 else "pq_spectral_polish" if p == 2 and r == 2 else "pq_ball_ascent"
-            assert (res.kind, res.method) == ("exact", method), (r, p, q, n)
+            assert (res.kind, res.method) == ("exact", "disjoint_closed_form"), (r, p, q, n)
             assert res.lower == res.upper == pytest.approx(n ** (1.0 / q), rel=1e-12)
-    # the maximum multi-norm of a delta tuple is n^(1/r): the (1,1) ascent meets the root averages
+    # the maximum multi-norm of a delta tuple is n^(1/r), the (1,1) closed form
     for r in (1.5, 2.0):
         sp = SpaceSpec(r, 3, weights, field)
         res = mn.evaluate(S.max_spec(), VectorTuple(_delta(sp, rng, 3), sp), CFG)
-        assert (res.kind, res.method) == ("exact", "pq11_ascent_roots_upper")
+        assert (res.kind, res.method) == ("exact", "disjoint_closed_form")
         assert res.lower == pytest.approx(3 ** (1.0 / r), rel=1e-12)
 
 
@@ -93,10 +104,17 @@ def test_met_ceiling_runs_no_ascent(monkeypatch):
     monkeypatch.setattr(multinorms, "seeded_ascent", counted)
     sp = SpaceSpec(1.5, 3, (0.5, 2.0, 1.25), "complex")
     rng = np.random.default_rng(4)
-    for spec, X in ((S.pq_spec(1.5, 3), _delta(sp, rng, 3)), (S.numerical_dual(S.min_spec()), field_normal(rng, (3, 3), True))):
+    x = field_normal(rng, (3, 1), True)
+    # (x, -x) has (2,3) norm ||x||: the root averages give that bound and a slot-norming seed meets it
+    rank_one = np.concatenate([x, -x], axis=1)
+    for spec, X in ((S.pq_spec(2, 3), rank_one), (S.numerical_dual(S.min_spec()), field_normal(rng, (3, 3), True))):
         calls.clear()
         assert mn.evaluate(spec, VectorTuple(X, sp), CFG).kind == "exact"
         assert calls == [1]
+    # a disjointly supported tuple takes its closed form and no ascent at all
+    for spec in (S.pq_spec(1.5, 3), S.max_spec()):
+        calls.clear()
+        assert (mn.evaluate(spec, VectorTuple(_delta(sp, rng, 3), sp), CFG).method, calls) == ("disjoint_closed_form", [])
     calls.clear()
     assert mn.evaluate(S.pq_spec(1.5, 3), VectorTuple(field_normal(rng, (3, 3), True), sp), CFG).kind == "bracket"
     assert calls[0] > 1
@@ -115,6 +133,21 @@ def test_numerical_dual_of_min_is_exact_at_the_sum_of_norms(field, weights):
             assert (res.kind, res.method) == ("exact", "numerical_dual_ascent")
             assert res.lower == res.upper == lp_norm(sp.norm_cols(L), 1)
             assert res.lower == pytest.approx(sum(sp.norm(L[:, j]) for j in range(n)), rel=1e-14)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("weights", WEIGHTS)
+def test_numerical_dual_of_lattice_is_exact_at_the_norm_of_the_sum(field, weights):
+    # the numerical dual of the lattice multi-norm is ||sum_j |lambda_j| ||, which the first seed attains
+    rng = np.random.default_rng([6, field == "complex", len(weights)])
+    for r in (*RS, INF):
+        sp = SpaceSpec(r, 3, weights, field)
+        for n in (1, 2, 3, 4):
+            L = field_normal(rng, (3, n), sp.is_complex)
+            res = mn.evaluate(S.numerical_dual(S.lattice()), VectorTuple(L, sp), CFG)
+            assert (res.kind, res.method) == ("exact", "numerical_dual_ascent")
+            assert res.lower == res.upper == min(lp_norm(sp.norm_cols(L), 1), sp.norm(np.abs(L).sum(axis=1)))
+            assert res.lower == pytest.approx(sp.norm(np.abs(L).sum(axis=1)), rel=1e-14)
 
 
 def test_heuristic_membership_is_never_exact():
@@ -223,6 +256,121 @@ def test_bases_with_a_ceiling_dominate_the_minimum_multinorm(field, r):
         assert not _dominates_min(spec)
 
 
+def _lattice_dominating_specs(sp):
+    specs = [
+        S.lattice(),
+        S.dual_lattice(),
+        S.extended(S.lattice(), [np.eye(3), np.ones((3, 3)) / 3]),
+        S.extended(S.dual_lattice(), [np.eye(3), np.diag([1.0, -1.0, 0.5])]),
+    ]
+    if sp.p == 1:
+        specs.append(S.max_spec())
+    return specs
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, INF])
+def test_bases_with_a_lattice_ceiling_dominate_the_lattice_multinorm(field, r):
+    # ||sum_j |lambda_j| || bounds the numerical dual only where N(x) >= ||V_j |x_j| ||
+    sp = SpaceSpec(r, 3, (1.0, 2.0, 0.5), field)
+    rng = np.random.default_rng([int(min(r, 9) * 10), field == "complex", 1])
+
+    def stack(n):
+        return field_normal(rng, (16, 3, n), sp.is_complex) * rng.uniform(0.01, 10.0, (16, 1, n))
+
+    for spec in _lattice_dominating_specs(sp):
+        assert _dominates_lattice(spec) and _dominates_min(spec), spec.variant
+        for n in (1, 2, 3):
+            fn, lattice = exact_evaluator(spec, sp, n, CFG), exact_evaluator(S.lattice(), sp, n, CFG)
+            X = stack(n)
+            assert np.all(fn(X) >= lattice(X) * (1 - 1e-14)), (spec.variant, n)
+    # bases off the list get no lattice ceiling; below l^inf the min multi-norm of the basis falls below the lattice one
+    for spec in (S.min_spec(), S.lp_sum(2), S.weak_summing(2), S.pq_spec(1, 2), S.hilbert(), S.extended(S.min_spec(), [np.eye(3)])):
+        assert not _dominates_lattice(spec)
+    if r != INF:
+        assert exact_evaluator(S.min_spec(), sp, 3, CFG)(np.eye(3)) < exact_evaluator(S.lattice(), sp, 3, CFG)(np.eye(3))
+
+
+def _disjoint_tuple(sp, rng, n):
+    """A random tuple with disjointly supported columns: each coordinate belongs to one column or to none."""
+    owner = rng.integers(0, n + 1, sp.dim)
+    return np.where(owner[:, None] == np.arange(n), field_normal(rng, (sp.dim, n), sp.is_complex), 0)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_disjoint_closed_form_lies_in_the_ascent_bracket(field, monkeypatch):
+    # the closed form against the same call with it switched off: inside the search's bracket, up to rounding
+    rng = np.random.default_rng([21, field == "complex"])
+    cases = []
+    for r in (1.0, 1.5, 2.0, 3.0, INF):
+        for weights in ((), (0.5, 2.0, 1.25, 0.8)):
+            sp = SpaceSpec(r, 4, weights, field)
+            for spec in (S.pq_spec(1, 1.2), S.pq_spec(1, 2), S.pq_spec(1.5, 3), S.pq_spec(2, 2), S.max_spec()):
+                cases.append((sp, spec, _disjoint_tuple(sp, rng, int(rng.integers(1, 5)))))
+    new = [mn.evaluate(spec, VectorTuple(X, sp), CFG) for sp, spec, X in cases]
+    _without_closed_forms(monkeypatch)
+    old = [mn.evaluate(spec, VectorTuple(X, sp), CFG) for sp, spec, X in cases]
+    ulps = 1 + 4 * np.finfo(float).eps
+    for (sp, spec, X), a, b in zip(cases, old, new):
+        assert b.kind == "exact"
+        if spec.variant == "pq":
+            assert b.method == "disjoint_closed_form"
+        assert a.lower <= b.lower * ulps and b.upper <= a.upper * ulps, (spec.to_json(), sp.to_json(), a, b)
+
+
+def _mu_on_a_grid(space, L, p, rng):
+    """max ||sum_j c_j lambda_j|| over 4000 random c and the corners of the unit l^p' ball: a lower estimate of mu_{p,n}(L)."""
+    n = L.shape[1]
+    C = np.concatenate([field_normal(rng, (4000, n), space.is_complex), np.eye(n), np.ones((1, n))])
+    C = C / lp_norm(C, conjugate_index(p))[:, None]
+    return space.dual().norm_cols(L @ C.T).max()
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, INF])
+def test_disjoint_witness_attains_the_value_in_the_unit_ball(field, r):
+    # the functionals' pairings give the value back, and no c on a dense grid takes them past mu_{p,n} = 1
+    sp = SpaceSpec(r, 4, (0.5, 2.0, 1.25, 0.8), field)
+    rng = np.random.default_rng([22, int(min(r, 9) * 10), field == "complex"])
+    for p, q in ((1, 1), (1, 2), (1.2, 1.5), (1.5, 3), (2, 2), (2, 5), (3, 3)):
+        for n in (1, 2, 3, 4):
+            X = _disjoint_tuple(sp, rng, n)
+            value, L = _pq_disjoint(sp, X, p, q)
+            assert L.dtype == (complex if sp.is_complex else float)
+            assert lp_norm(np.abs(multinorms._pairings(sp, X, L)), q) == pytest.approx(value, rel=1e-13)
+            assert _mu_on_a_grid(sp, L, p, rng) <= 1 + 1e-12, (p, q, n)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("weights", ((), (0.5, 2.0, 1.25)))
+def test_disjoint_closed_form_at_its_edges(field, weights):
+    rng = np.random.default_rng([23, field == "complex", len(weights)])
+    for r in (1.0, 1.5, 2.0, 3.0, INF):
+        sp = SpaceSpec(r, 3, weights, field)
+        X = _disjoint_tuple(sp, rng, 3)
+        while not X.any():
+            X = _disjoint_tuple(sp, rng, 3)
+        b = sp.norm_cols(X)
+        # p >= r: the q-sum upper bound bit for bit
+        for p, q in ((r, r + 1), (3, 4)) if r <= 3 else ():
+            res = mn.evaluate(S.pq_spec(p, q), VectorTuple(X, sp), CFG)
+            assert (res.kind, res.method, res.upper) == ("exact", "disjoint_closed_form", lp_norm(b, q)), (r, p, q)
+        # q >= t (1/u = 0): the largest column norm, which the (1,1) norm on l^inf is
+        for p, q in {INF: ((1, 1), (1.5, 1.5), (2, 3)), 3.0: ((1, 2),), 2.0: ((1, 2), (1, 3)), 1.5: ((1, 4),)}.get(r, ()):
+            assert _pq_disjoint(sp, X, p, q)[0] == b.max(), (r, p, q)
+        # n = 1: ||x|| for every (p,q), the max multi-norm included
+        x = X[:, [int(np.argmax(b))]]
+        for spec in (S.pq_spec(1, 1), S.pq_spec(1, 3), S.pq_spec(2, 2), S.max_spec()):
+            res = mn.evaluate(spec, VectorTuple(x, sp), CFG)
+            assert res.kind == "exact" and res.lower == pytest.approx(b.max(), rel=1e-15), (r, spec.to_json())
+        # an all-zero tuple is 0, with zero functionals
+        for p, q in ((1, 1), (1, 2), (1.5, 3), (3, 3)):
+            value, L = _pq_disjoint(sp, np.zeros_like(X), p, q)
+            assert value == 0.0 and not L.any()
+        res = mn.evaluate(S.max_spec(), VectorTuple(np.zeros_like(X), sp), CFG)
+        assert (res.kind, res.lower) == ("exact", 0.0)
+
+
 def _same_witness(a, b):
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(_same_witness(a[k], b[k]) for k in a)
@@ -230,17 +378,20 @@ def _same_witness(a, b):
 
 
 def test_no_lower_bound_falls(monkeypatch):
-    # each result against the same call with the exit switched off: the lower bound never falls (an exact value is
-    # the proven bound, which a climb passes by rounding only), the upper never rises, and a kind changes only to exact
+    # each result against the same call with the exit and the closed forms switched off: the lower bound never falls
+    # (an exact value is the proven bound, which a climb passes by rounding only), the upper never rises (a closed form
+    # is a different formula from the bound it replaces, so by rounding only), a kind changes only to exact, and only a
+    # disjointly supported tuple changes its method, to its closed form
     cases = list(_cases())
     new = [mn.evaluate(spec, VectorTuple(X, sp), CFG) for sp, spec, X in cases]
+    closed = [spec.variant in ("pq", "max") and _disjoint(X) for sp, spec, X in cases]
     _without_exit(monkeypatch)
     old = [mn.evaluate(spec, VectorTuple(X, sp), CFG) for sp, spec, X in cases]
     exact = 0
-    for (sp, spec, X), a, b in zip(cases, old, new):
+    for (sp, spec, X), a, b, disjoint in zip(cases, old, new, closed):
         assert a.kind != "exact"
-        assert b.upper <= a.upper
-        assert b.method == a.method
+        assert b.upper <= a.upper * (1 + 4 * np.finfo(float).eps if disjoint else 1.0), (spec.to_json(), a, b)
+        assert b.method == ("disjoint_closed_form" if disjoint else a.method)
         if b.kind == "exact":
             exact += 1
             assert b.lower >= a.lower or a.lower <= b.upper * (1 + 4 * np.finfo(float).eps), (spec.to_json(), a, b)
