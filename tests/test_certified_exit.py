@@ -11,6 +11,8 @@ no seed meets changes nothing, so every other result is the one the
 ascent gives without a ceiling.
 """
 
+import decimal
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,15 @@ def _cases():
             sp = SpaceSpec(2.0, 3, weights, field)
             yield sp, S.hilbert(), field_normal(rng, (3, 3), sp.is_complex) * np.eye(3)[:, [2, 0, 1]]
             yield sp, S.hilbert(), field_normal(rng, (3, 2), sp.is_complex)
+    # random disjointly supported tuples, zero columns among them, on weighted spaces up to l^inf
+    rng = np.random.default_rng(21)
+    for field in FIELDS:
+        for r in (*RS, INF):
+            sp = SpaceSpec(r, 4, (0.5, 2.0, 1.25, 0.8), field)
+            for spec in (S.pq_spec(1, 1.2), S.pq_spec(1.5, 3), S.pq_spec(2, 2)):
+                yield sp, spec, _disjoint_tuple(sp, rng, int(rng.integers(2, 5)))
+            if r != 1:
+                yield sp, S.max_spec(), _disjoint_tuple(sp, rng, 3)
 
 
 def _without_closed_forms(monkeypatch):
@@ -297,25 +308,19 @@ def _disjoint_tuple(sp, rng, n):
     return np.where(owner[:, None] == np.arange(n), field_normal(rng, (sp.dim, n), sp.is_complex), 0)
 
 
-@pytest.mark.parametrize("field", FIELDS)
-def test_disjoint_closed_form_lies_in_the_ascent_bracket(field, monkeypatch):
-    # the closed form against the same call with it switched off: inside the search's bracket, up to rounding
-    rng = np.random.default_rng([21, field == "complex"])
-    cases = []
-    for r in (1.0, 1.5, 2.0, 3.0, INF):
-        for weights in ((), (0.5, 2.0, 1.25, 0.8)):
-            sp = SpaceSpec(r, 4, weights, field)
-            for spec in (S.pq_spec(1, 1.2), S.pq_spec(1, 2), S.pq_spec(1.5, 3), S.pq_spec(2, 2), S.max_spec()):
-                cases.append((sp, spec, _disjoint_tuple(sp, rng, int(rng.integers(1, 5)))))
-    new = [mn.evaluate(spec, VectorTuple(X, sp), CFG) for sp, spec, X in cases]
-    _without_closed_forms(monkeypatch)
-    old = [mn.evaluate(spec, VectorTuple(X, sp), CFG) for sp, spec, X in cases]
-    ulps = 1 + 4 * np.finfo(float).eps
-    for (sp, spec, X), a, b in zip(cases, old, new):
-        assert b.kind == "exact"
-        if spec.variant == "pq":
-            assert b.method == "disjoint_closed_form"
-        assert a.lower <= b.lower * ulps and b.upper <= a.upper * ulps, (spec.to_json(), sp.to_json(), a, b)
+def _decimal_closed_form(space, X, p, q):
+    """||(||x_j||)_j||_u, with 1/t = max(1/p - 1/r, 0) and 1/u = max(1/q - 1/t, 0), from X's entries in 40-digit decimal
+    arithmetic: a reference free of the float rounding in norm_cols, lp_norm and the exponents."""
+    D = decimal.Decimal
+    with decimal.localcontext(prec=40):
+        r = D(space.p) if space.p != INF else None
+        b = []
+        for j in range(X.shape[1]):
+            moduli = [(D(z.real) ** 2 + D(z.imag) ** 2).sqrt() for z in map(complex, X[:, j])]
+            b.append(max(moduli) if r is None else sum(D(w) * a**r for w, a in zip(space.w, moduli)) ** (1 / r))
+        inv_t = max(1 / D(p) - (0 if r is None else 1 / r), D(0))
+        inv_u = max(1 / D(q) - inv_t, D(0))
+        return float(max(b) if inv_u == 0 else sum(c ** (1 / inv_u) for c in b) ** inv_u)
 
 
 def _mu_on_a_grid(space, L, p, rng):
@@ -379,9 +384,10 @@ def _same_witness(a, b):
 
 def test_no_lower_bound_falls(monkeypatch):
     # each result against the same call with the exit and the closed forms switched off: the lower bound never falls
-    # (an exact value is the proven bound, which a climb passes by rounding only), the upper never rises (a closed form
-    # is a different formula from the bound it replaces, so by rounding only), a kind changes only to exact, and only a
-    # disjointly supported tuple changes its method, to its closed form
+    # (an exact value is the proven bound, which a climb passes by rounding only), a kind changes only to exact, and
+    # a search keeps its method and never raises its upper bound.  A disjointly supported tuple replaces the search's
+    # bounds with its closed form, whose rounding differs from theirs, so its value is checked against its own
+    # references: the q-sum bit for bit where p >= r, and the value in 40-digit decimal arithmetic up to 4 eps of rounding
     cases = list(_cases())
     new = [mn.evaluate(spec, VectorTuple(X, sp), CFG) for sp, spec, X in cases]
     closed = [spec.variant in ("pq", "max") and _disjoint(X) for sp, spec, X in cases]
@@ -390,8 +396,15 @@ def test_no_lower_bound_falls(monkeypatch):
     exact = 0
     for (sp, spec, X), a, b, disjoint in zip(cases, old, new, closed):
         assert a.kind != "exact"
-        assert b.upper <= a.upper * (1 + 4 * np.finfo(float).eps if disjoint else 1.0), (spec.to_json(), a, b)
-        assert b.method == ("disjoint_closed_form" if disjoint else a.method)
+        if disjoint:
+            p, q = (1, 1) if spec.variant == "max" else (spec.p, spec.q)
+            assert (b.kind, b.method, b.lower) == ("exact", "disjoint_closed_form", b.upper)
+            assert p < sp.p or b.upper == lp_norm(sp.norm_cols(X), q)
+            ref = _decimal_closed_form(sp, X, p, q)
+            assert abs(b.upper - ref) <= 4 * np.finfo(float).eps * ref, (spec.to_json(), sp.to_json(), b.upper, ref)
+        else:
+            assert b.upper <= a.upper
+            assert b.method == a.method
         if b.kind == "exact":
             exact += 1
             assert b.lower >= a.lower or a.lower <= b.upper * (1 + 4 * np.finfo(float).eps), (spec.to_json(), a, b)
