@@ -18,7 +18,7 @@ class BudgetError(RuntimeError):
 
 
 class DegenerateNormError(ValueError):
-    """Membership oracle vanished on a direction with nonzero objective."""
+    """Membership oracle vanished on a direction with nonzero objective, or a result is NaN or an exact infinity."""
 
 
 class HermitianError(ValueError):

@@ -263,7 +263,9 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimCon
     length-k member, within cfg.max_enum.  weak_summing
     is exact where optim._op_norm_rule covers its (p' -> r) matrices, by
     mu_weak's kernel summing.mu_scale, so its values equal mu_weak's bit
-    for bit for every p.  A spec the space cannot carry raises SpecError.
+    for bit for every p.  numerical_dual is exact where its base has a
+    dual in _dual_spec's table and that dual is exact.  A spec the space
+    cannot carry raises SpecError.
     """
     validate(spec, space)
     v = spec.variant
@@ -305,6 +307,9 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimCon
             return None
         ops = [np.asarray(T) for T in spec.ops]
         return lambda X: _as_value(np.max([base_fn(T @ X) for T in ops], axis=0))
+    if v == "numerical_dual":
+        dual = _dual_spec(spec.base)
+        return None if dual is None else exact_evaluator(dual, space, n, cfg)
     return None
 
 
@@ -688,92 +693,105 @@ def _hilbert_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
     return NormValue.bracket(min(best, upper), upper, {"alpha": alpha}, "nuclear_alt_ascent")
 
 
-def _dominates_min(spec: MultiNormSpec) -> bool:
-    """Whether spec's exact evaluator is >= max_j ||x_j|| on every tuple, so sum_j ||lambda_j|| bounds its numerical dual.
+def _dual_spec(base: MultiNormSpec) -> MultiNormSpec | None:
+    """The variant whose value on lambda's space is the numerical dual of base (the norm dual to it under sum_j <x_j, lambda_j>), or None.
 
-    Every multi-norm and dual multi-norm has ||(0, .., x_j, .., 0)|| =
-    ||x_j|| by (A1) and (A3), and (A2) with alpha = e_j bounds that by
-    ||x||; the min multi-norm is max_j ||x_j|| itself.  So min, max (whose
-    exact path is the lattice formula), lattice, dual_lattice and
-    weak_summing qualify, and so do standard_q (its assignments include
-    every coordinate in slot j) and partition (each block's max over the
-    slots is at least slot j's block sum).  lp_sum(p) fails (A4) for p > 1
-    but its l^p sum is still at least its largest term.  generated starts
-    its maximum at the trivial decompositions, max_j ||x_j|| bit for bit.
-    extended qualifies over a base that does, its family containing I.
+    min <-> lp_sum(1) and lp_sum(p) <-> lp_sum(p') by Holder on the column
+    norms; lattice <-> dual_lattice, as |sum_j <x_j, lambda_j>| <=
+    <V_j |x_j|, sum_j |lambda_j|> in the Banach lattice, with equality at
+    x_j = u conj(phase(lambda_j)); max -> weak_summing(1), since the dual
+    of the projective norm on l^inf_n (x)_pi E is the injective norm on
+    l^1_n (x)_eps E', which is mu_{1,n} (Defant-Floret, Tensor Norms and
+    Operator Ideals, 1993); numerical_dual(B) -> B, a finite-dimensional
+    norm being its own bidual.
     """
-    if spec.variant == "extended":
-        return _dominates_min(spec.base)
-    return spec.variant in ("min", "max", "lattice", "dual_lattice", "lp_sum", "weak_summing", "partition", "standard_q", "generated")
+    v = base.variant
+    if v == "numerical_dual":
+        return base.base
+    if v == "lp_sum":
+        return MultiNormSpec.min_spec() if base.p == 1 else MultiNormSpec.lp_sum(conjugate_index(base.p))
+    return {"min": MultiNormSpec.lp_sum(1), "lattice": MultiNormSpec.dual_lattice(), "dual_lattice": MultiNormSpec.lattice(), "max": MultiNormSpec.weak_summing(1)}.get(v)
 
 
-def _dominates_lattice(spec: MultiNormSpec) -> bool:
-    """Whether spec's exact evaluator is >= the lattice multi-norm ||V_j |x_j| || on every tuple, so ||sum_j |lambda_j| || bounds its numerical dual.
+def _source_scale(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig):
+    """(scale, heuristic): scale maps a stack of tuples to their norms, exact or certified from above.
 
-    lattice is that norm itself; dual_lattice is ||sum_j |x_j| ||, and
-    sum_j |x_j| >= V_j |x_j| in the lattice; max is the largest
-    multi-norm.  extended qualifies over a base that does, its family
-    containing I.
+    A width with an exact path gives the norm; otherwise each tuple's upper
+    bound, or its lower bound where it has none, which sets heuristic[0].
+    mb_norm, mb_tuple_norm and the numerical dual's climb share it.
     """
-    if spec.variant == "extended":
-        return _dominates_lattice(spec.base)
-    return spec.variant in ("lattice", "dual_lattice", "max")
+    heuristic = [False]
+    exact_at = functools.cache(lambda n: exact_evaluator(spec, space, n, cfg))
+
+    def scale(C):
+        fast = exact_at(C.shape[-1])
+        if fast is not None:
+            return fast(C)
+        res = [evaluate(spec, VectorTuple(cols, space), cfg) for cols in C]
+        heuristic[0] = heuristic[0] or any(r.upper == INF for r in res)
+        return np.array([r.lower if r.upper == INF else r.upper for r in res])
+
+    return scale, heuristic
 
 
 def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValue:
-    """Lower bound on sup{ |sum_j <x_j, lambda_j>| : N(x) <= 1 } by a climb over the unit sphere of the base N.
+    """The numerical dual sup{ |sum_j <x_j, lambda_j>| : N(x) <= 1 } of the base N at the tuple lambda = t.
 
-    |sum_j <x_j, lambda_j>| <= max_j ||x_j|| sum_j ||lambda_j||, so where
-    N(x) >= max_j ||x_j|| (_dominates_min) and N is evaluated exactly, the
-    climb's points are feasible and sum_j ||lambda_j|| is the ascent's
-    ceiling: a seed that meets it makes the result exact there (it does
-    for the min multi-norm, whose numerical dual is that sum).  Where
-    N(x) >= ||V_j |x_j| || (_dominates_lattice), also
+    A base in _dual_spec's table returns its dual variant's own result on
+    lambda's space, method duality_table: exact where that variant is, a
+    bracket for complex mu_1 past its budget.  Other bases climb
+    (_numerical_dual_climb).
+    """
+    dual = _dual_spec(spec.base)
+    if dual is None:
+        return _numerical_dual_climb(spec, t, cfg)
+    return replace(evaluate(dual, t, cfg), method="duality_table")
 
-        |sum_j <x_j, lambda_j>| <= sum_k w_k max_j |x_jk| sum_j |lambda_jk|
-                                <= ||V_j |x_j| || ||sum_j |lambda_j| ||,
 
-    so the ceiling is the smaller of the two; the first seed (the norming
-    functional of sum_j |lambda_j| with lambda's conjugate phases) attains
-    ||sum_j |lambda_j| ||, the numerical dual of the lattice multi-norm.
-    Unmet, the result is a lower bound, as it is for a base off its exact
-    path, whose membership is a search's lower bound and so certifies no
-    seed.
+def _numerical_dual_climb(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValue:
+    """Certified lower bound on the numerical dual of spec.base at t, climbing over the base's unit sphere.
+
+    Membership is _source_scale's (at most 4 restarts per search): an exact
+    value or a certified upper bound, so every climbed point is feasible.
+    Every multi-norm is >= max_j ||x_j||, so sum_j ||lambda_j|| is a
+    ceiling for every base; for B or extended(B, ops) with B in
+    _dual_spec's table (extended >= B), so is the upper bound of B's dual.
+    A seed that meets the smaller makes the result exact.  Where a
+    membership value had no finite upper bound, the result is kind lower
+    with method suffix _heuristic_membership, as mb_norm's
+    _heuristic_source_norm.  The first seed (the norming functional of
+    sum_j |lambda_j| with lambda's conjugate phases) attains the lattice
+    dual, and the first slot-norming seed the min dual.
     """
     dual_space = t.space
     primal = dual_space.dual()
     base = spec.base
     L = t.columns
     m, n = L.shape
-    exact_membership = is_exact_path(base, primal, n, cfg)
-    membership = point_evaluator(base, primal, replace(cfg, restarts=min(cfg.restarts, 4)))
-    ceiling = lp_norm(dual_space.norm_cols(L), 1) if exact_membership and _dominates_min(base) else INF
-    if exact_membership and _dominates_lattice(base):
-        ceiling = min(ceiling, dual_space.norm(np.abs(L).sum(axis=1)))
+    membership, heuristic = _source_scale(base, primal, replace(cfg, restarts=min(cfg.restarts, 4)))
+    ceiling = size = lp_norm(dual_space.norm_cols(L), 1)
+    while base.variant == "extended":
+        base = base.base
+    if (tabled := _dual_spec(base)) is not None:
+        ceiling = min(ceiling, evaluate(tabled, t, cfg).upper)
+
+    # the climb sees lambda / sum_j ||lambda_j||, so the ascent's absolute 1e-15 acceptance term is the same at every scale
+    unit = size or 1.0
 
     def objective(Xs):
-        return _pairings(primal, Xs, L).sum(axis=-1)
+        return _pairings(primal, Xs, L / unit).sum(axis=-1)
 
-    # canonical near-optimal directions for the closed-form bases
-    dt = complex if primal.is_complex else float
     absL = np.abs(L)
-    phases = phase(np.conj(L))
-    seeds = []
-    s = absL.sum(axis=1)
-    u = dual_space.unit_ball_norming(s)
-    seeds.append((u[:, None] * phases).astype(dt))
-    owner = absL.argmax(axis=1)
-    masked = np.zeros((m, n), dtype=dt)
-    for k in range(m):
-        masked[k, owner[k]] = u[k] * phases[k, owner[k]]
-    seeds.append(masked)
-    seeds += _slot_norming_seeds(dual_space, L)
+    first = (dual_space.unit_ball_norming(absL.sum(axis=1))[:, None] * phase(np.conj(L))).astype(complex if primal.is_complex else float)
+    # the first seed, kept on each coordinate's largest slot only
+    masked = np.where(np.arange(n) == absL.argmax(axis=1)[:, None], first, 0.0)
+    seeds = [first, masked, *_slot_norming_seeds(dual_space, L)]
 
-    res = ball_linear_max(membership, objective, (m, n), cfg, seeds=seeds, complex_field=primal.is_complex, ceiling=ceiling)
-    method = "numerical_dual_ascent" + ("" if exact_membership else "_heuristic_membership")
-    if meets(res.lower, ceiling):
+    res = ball_linear_max(membership, objective, (m, n), cfg, seeds=seeds, complex_field=primal.is_complex, ceiling=ceiling / unit)
+    method = "numerical_dual_ascent" + ("_heuristic_membership" if heuristic[0] else "")
+    if not heuristic[0] and meets(res.lower, ceiling / unit):
         return NormValue.exact(ceiling, res.witness, method)
-    return NormValue.lower_bound(res.lower, res.witness, method)
+    return NormValue.lower_bound(res.lower * unit, res.witness, method)
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +806,8 @@ def evaluate(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig | None = None
     v = spec.variant
 
     fast = exact_evaluator(spec, space, X.shape[1], cfg)  # validates spec against the space
+    if v == "numerical_dual":
+        return _numerical_dual_value(spec, t, cfg)
     if fast is not None and v == "standard_q" and spec.q != space.p:
         value, assign = _standard_q_enum(space, X, spec.q)
         return NormValue.exact(value, {"assignment": assign}, "partition_enum")
@@ -822,8 +842,6 @@ def evaluate(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig | None = None
         return _hilbert_value(t, cfg)
     if v == "weak_summing":
         return summing.mu_weak(spec.p, t, cfg)
-    if v == "numerical_dual":
-        return _numerical_dual_value(spec, t, cfg)
     if v == "extended":
         results = [evaluate(spec.base, VectorTuple(np.asarray(T) @ X, space), cfg) for T in spec.ops]
         lower = max(r.lower for r in results)

@@ -16,13 +16,12 @@ the p_n bounds computed here, so no separate continuity checker exists.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, SpecError
-from .multinorms import MultiNormSpec, evaluate, exact_evaluator, point_evaluator
+from .multinorms import MultiNormSpec, _source_scale, evaluate, point_evaluator
 from .optim import INF, NormValue, OptimConfig, meets, seeded_ascent, unconstrained
 from .spaces import MatrixOp, SpaceSpec, VectorTuple, delta_tuple, real_entries
 from .summing import _scaled_score, op_norm_between
@@ -108,26 +107,6 @@ def _uniform_bound(T, source, spec_source, target, spec_target, cfg) -> float:
         if sigma is not None and np.array_equal(source.w[sigma], source.w):
             return partition_permutation_bound(spec_source.blocks, sigma, source.p)[1]
     return INF
-
-
-def _source_scale(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig):
-    """(scale, heuristic): scale maps a stack of tuples to their source norms.
-
-    A width with an exact path gives the norm; otherwise each tuple's upper
-    bound, or its lower bound where it has none, which sets heuristic[0].
-    """
-    heuristic = [False]
-    exact_at = functools.cache(lambda n: exact_evaluator(spec, space, n, cfg))
-
-    def scale(C):
-        fast = exact_at(C.shape[-1])
-        if fast is not None:
-            return fast(C)
-        res = [evaluate(spec, VectorTuple(cols, space), cfg) for cols in C]
-        heuristic[0] = heuristic[0] or any(r.upper == INF for r in res)
-        return np.array([r.lower if r.upper == INF else r.upper for r in res])
-
-    return scale, heuristic
 
 
 def mb_norm(

@@ -76,7 +76,7 @@ class OptimConfig:
 
 @dataclass(frozen=True)
 class NormValue:
-    """A certified numeric result: lower <= true value <= upper."""
+    """A certified numeric result: lower <= true value <= upper; a NaN bound or an exact +-inf raises DegenerateNormError."""
 
     kind: str  # "exact" | "bracket" | "lower"
     lower: float
@@ -87,6 +87,8 @@ class NormValue:
     def __post_init__(self):
         if self.kind not in ("exact", "bracket", "lower"):
             raise ValueError(f"bad kind {self.kind!r}")
+        if math.isnan(self.lower) or math.isnan(self.upper) or (self.kind == "exact" and math.isinf(self.lower)):
+            raise DegenerateNormError(f"{self.method or 'result'} is not a finite number: [{self.lower}, {self.upper}]")
         if self.lower > self.upper + 1e-12 * max(1.0, abs(self.upper)):
             raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
 

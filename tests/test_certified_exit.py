@@ -2,13 +2,13 @@
 
 A tuple with disjointly supported columns gets its (p,q) and max norms
 from the closed form _pq_disjoint, before any bound or search.  Otherwise
-_pq_value, _max_value (through the (1,1) value) and _numerical_dual_value
+_pq_value, _max_value (through the (1,1) value) and _numerical_dual_climb
 hand their certified upper bounds to seeded_ascent as its ceiling: a
 projected seed that meets the bound ends the search, and the result is
-exact at the bound.  The numerical dual of a base that dominates the
-lattice multi-norm takes ||sum_j |lambda_j| || as its ceiling.  A ceiling
-no seed meets changes nothing, so every other result is the one the
-ascent gives without a ceiling.
+exact at the bound.  A numerical dual whose base is in the duality table
+(_dual_spec) takes the dual variant's value and climbs not at all.  A
+ceiling no seed meets changes nothing, so every other result is the one
+the ascent gives without a ceiling.
 """
 
 import decimal
@@ -18,8 +18,9 @@ import pytest
 
 import multinorm as mn
 from multinorm import INF, MultiNormSpec as S, OptimConfig, SpaceSpec, VectorTuple
-from multinorm import multinorms, optim
-from multinorm.multinorms import _disjoint, _dominates_lattice, _dominates_min, _pq_disjoint, exact_evaluator
+from multinorm import multinorms, optim, summing
+from multinorm.errors import DegenerateNormError
+from multinorm.multinorms import _disjoint, _dual_spec, _numerical_dual_climb, _pq_disjoint, exact_evaluator
 from multinorm.optim import field_normal
 from multinorm.spaces import conjugate_index, lp_norm
 
@@ -27,6 +28,7 @@ CFG = OptimConfig(seed=11, restarts=2, grid_points=32)
 RS = (1.0, 1.5, 2.0, 3.0)
 FIELDS = ("real", "complex")
 WEIGHTS = ((), (0.5, 2.0, 1.25))
+PAIR_SUMS = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
 
 
 def _delta(space, rng, n):
@@ -53,6 +55,9 @@ def _cases():
                 yield sp, S.numerical_dual(S.min_spec()), field_normal(rng, (3, 3), sp.is_complex)
                 yield sp, S.numerical_dual(S.lattice()), field_normal(rng, (3, 2), sp.is_complex)
                 yield sp, S.numerical_dual(S.lp_sum(2)), field_normal(rng, (3, 2), sp.is_complex)
+                yield sp, S.numerical_dual(S.dual_lattice()), field_normal(rng, (3, 2), sp.is_complex)
+                # off the table: a climb with the lattice table's ceiling, which the sums of pairs keep it below
+                yield sp, S.numerical_dual(S.extended(S.lattice(), [np.eye(3), PAIR_SUMS])), field_normal(rng, (3, 2), sp.is_complex)
             sp = SpaceSpec(2.0, 3, weights, field)
             yield sp, S.hilbert(), field_normal(rng, (3, 3), sp.is_complex) * np.eye(3)[:, [2, 0, 1]]
             yield sp, S.hilbert(), field_normal(rng, (3, 2), sp.is_complex)
@@ -68,9 +73,9 @@ def _cases():
 
 
 def _without_closed_forms(monkeypatch):
-    """No tuple counts as disjoint and no base as dominating the lattice multi-norm: the evaluators search as they did before the closed forms."""
+    """No tuple counts as disjoint and no base has a tabled dual: the evaluators search, and every numerical dual climbs with the ceiling sum_j ||lambda_j||."""
     monkeypatch.setattr(multinorms, "_disjoint", lambda X: False)
-    monkeypatch.setattr(multinorms, "_dominates_lattice", lambda spec: False)
+    monkeypatch.setattr(multinorms, "_dual_spec", lambda base: None)
 
 
 def _without_exit(monkeypatch):
@@ -118,10 +123,15 @@ def test_met_ceiling_runs_no_ascent(monkeypatch):
     x = field_normal(rng, (3, 1), True)
     # (x, -x) has (2,3) norm ||x||: the root averages give that bound and a slot-norming seed meets it
     rank_one = np.concatenate([x, -x], axis=1)
-    for spec, X in ((S.pq_spec(2, 3), rank_one), (S.numerical_dual(S.min_spec()), field_normal(rng, (3, 3), True))):
+    # the numerical dual of extended(min, [I]) climbs with the min table's ceiling sum_j ||lambda_j||, which a slot-norming seed meets
+    off_table = S.numerical_dual(S.extended(S.min_spec(), [np.eye(3)]))
+    for spec, X in ((S.pq_spec(2, 3), rank_one), (off_table, field_normal(rng, (3, 3), True))):
         calls.clear()
         assert mn.evaluate(spec, VectorTuple(X, sp), CFG).kind == "exact"
         assert calls == [1]
+    # a tabled numerical dual is its dual variant's value, with no ascent at all
+    calls.clear()
+    assert (mn.evaluate(S.numerical_dual(S.min_spec()), VectorTuple(field_normal(rng, (3, 3), True), sp), CFG).kind, calls) == ("exact", [])
     # a disjointly supported tuple takes its closed form and no ascent at all
     for spec in (S.pq_spec(1.5, 3), S.max_spec()):
         calls.clear()
@@ -141,39 +151,119 @@ def test_numerical_dual_of_min_is_exact_at_the_sum_of_norms(field, weights):
         for n in (1, 2, 3, 4):
             L = field_normal(rng, (3, n), sp.is_complex)
             res = mn.evaluate(S.numerical_dual(S.min_spec()), VectorTuple(L, sp), CFG)
-            assert (res.kind, res.method) == ("exact", "numerical_dual_ascent")
-            assert res.lower == res.upper == lp_norm(sp.norm_cols(L), 1)
+            assert (res.kind, res.method) == ("exact", "duality_table")
+            assert res.lower == res.upper == lp_norm(sp.norm_cols(L), 1) == mn.evaluate(S.lp_sum(1), VectorTuple(L, sp), CFG).lower
             assert res.lower == pytest.approx(sum(sp.norm(L[:, j]) for j in range(n)), rel=1e-14)
 
 
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("weights", WEIGHTS)
 def test_numerical_dual_of_lattice_is_exact_at_the_norm_of_the_sum(field, weights):
-    # the numerical dual of the lattice multi-norm is ||sum_j |lambda_j| ||, which the first seed attains
+    # the numerical dual of the lattice multi-norm is ||sum_j |lambda_j| ||, the dual lattice multi-norm bit for bit
     rng = np.random.default_rng([6, field == "complex", len(weights)])
     for r in (*RS, INF):
         sp = SpaceSpec(r, 3, weights, field)
         for n in (1, 2, 3, 4):
             L = field_normal(rng, (3, n), sp.is_complex)
             res = mn.evaluate(S.numerical_dual(S.lattice()), VectorTuple(L, sp), CFG)
-            assert (res.kind, res.method) == ("exact", "numerical_dual_ascent")
-            assert res.lower == res.upper == min(lp_norm(sp.norm_cols(L), 1), sp.norm(np.abs(L).sum(axis=1)))
+            assert (res.kind, res.method) == ("exact", "duality_table")
+            assert res.lower == res.upper == mn.evaluate(S.dual_lattice(), VectorTuple(L, sp), CFG).lower
             assert res.lower == pytest.approx(sp.norm(np.abs(L).sum(axis=1)), rel=1e-14)
 
 
 def test_heuristic_membership_is_never_exact():
-    # past max_enum weak_summing(1) is a search, whose lower bounds certify no seed: no ceiling, kind lower
+    # past its n^m budget standard_q(3) is a local search with no upper bound, so its membership values certify no
+    # point: the numerical dual is kind lower with the suffix, even for a one-slot tuple whose seed meets ||lambda_1||
     sp = SpaceSpec(2.0, 3)
-    tiny = OptimConfig(seed=5, restarts=2, max_enum=2)
     rng = np.random.default_rng(3)
     one_slot = np.zeros((3, 3))
     one_slot[:, 0] = rng.standard_normal(3)
-    for L in (rng.standard_normal((3, 3)), one_slot):
-        res = mn.evaluate(S.numerical_dual(S.weak_summing(1)), VectorTuple(L, sp), tiny)
+    L = rng.standard_normal((3, 3))
+    for X in (L, one_slot):
+        res = mn.evaluate(S.numerical_dual(S.standard_q(3)), VectorTuple(X, sp), OptimConfig(seed=5, restarts=2, max_enum=8))
         assert (res.kind, res.method) == ("lower", "numerical_dual_ascent_heuristic_membership")
-    # with an exact membership the one-slot tuple meets ||lambda_1||, its numerical dual
-    res = mn.evaluate(S.numerical_dual(S.weak_summing(1)), VectorTuple(one_slot, sp), CFG)
-    assert (res.kind, res.lower) == ("exact", sp.norm(one_slot[:, 0]))
+    # past its sign budget weak_summing(1) is a bracket, whose certified upper side keeps every climbed point feasible:
+    # no suffix, a lower bound under the max multi-norm's upper bound, and exact where a seed meets the ceiling
+    tiny = OptimConfig(seed=5, restarts=2, max_enum=2)
+    res = mn.evaluate(S.numerical_dual(S.weak_summing(1)), VectorTuple(L, sp), tiny)
+    assert (res.kind, res.method) == ("lower", "numerical_dual_ascent")
+    assert res.lower <= mn.evaluate(S.max_spec(), VectorTuple(L, sp), CFG).upper
+    # the witness lies in the unit ball: within the default budget its mu_1 is exact, and at most 1
+    mu = mn.evaluate(S.weak_summing(1), VectorTuple(res.witness, sp.dual()), CFG)
+    assert mu.kind == "exact" and mu.lower <= 1 + 1e-12
+    res = mn.evaluate(S.numerical_dual(S.weak_summing(1)), VectorTuple(one_slot, sp), tiny)
+    assert (res.kind, res.method, res.lower) == ("exact", "numerical_dual_ascent", sp.norm(one_slot[:, 0]))
+
+
+def test_numerical_dual_of_max_is_mu_1():
+    # the dual of l^inf_n (x)_pi E is l^1_n (x)_eps E', mu_{1,n}: exact over R, and over C mu_1's bracket, whose
+    # certified upper bound the lower one never passes (a climb's lower bound did, by up to 16 %, on these complex draws)
+    rng = np.random.default_rng(3)
+    cfg = OptimConfig(seed=1, restarts=2, grid_points=32)
+    for r in RS:
+        real, cplx = rng.standard_normal((3, 3)), field_normal(rng, (3, 3), True)
+        for field, L in (("real", real), ("complex", cplx)):
+            t = VectorTuple(L, SpaceSpec(r, 3, (), field))
+            res, mu = mn.evaluate(S.numerical_dual(S.max_spec()), t, cfg), summing.mu_weak(1, t, cfg)
+            assert res.lower <= mu.upper
+            assert (res.kind, res.lower, res.upper, res.method) == (mu.kind, mu.lower, mu.upper, "duality_table")
+            assert res.kind == ("exact" if field == "real" else "bracket")
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("weights", WEIGHTS)
+def test_numerical_dual_of_dual_lattice_is_exact_at_the_norm_of_the_max(field, weights):
+    # the numerical dual of ||sum_j |x_j| || is ||V_j |lambda_j| ||, the lattice multi-norm bit for bit
+    rng = np.random.default_rng([7, field == "complex", len(weights)])
+    for r in (*RS, INF):
+        sp = SpaceSpec(r, 3, weights, field)
+        for n in (1, 2, 3, 4):
+            L = field_normal(rng, (3, n), sp.is_complex)
+            res = mn.evaluate(S.numerical_dual(S.dual_lattice()), VectorTuple(L, sp), CFG)
+            assert (res.kind, res.method) == ("exact", "duality_table")
+            assert res.lower == res.upper == mn.evaluate(S.lattice(), VectorTuple(L, sp), CFG).lower
+            assert res.lower == pytest.approx(sp.norm(np.abs(L).max(axis=1)), rel=1e-14)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_numerical_dual_of_lp_sum_is_the_conjugate_sum(field):
+    # the dual of the l^p sum of norms is the l^p' sum: lp_sum(p'), and for p = 1 the min multi-norm
+    rng = np.random.default_rng([8, field == "complex"])
+    for r in RS:
+        sp = SpaceSpec(r, 3, (0.5, 2.0, 1.25), field)
+        L = field_normal(rng, (3, 3), sp.is_complex)
+        t = VectorTuple(L, sp)
+        for p in (1, 1.5, 2, 2.5, INF):
+            res = mn.evaluate(S.numerical_dual(S.lp_sum(p)), t, CFG)
+            dual = S.min_spec() if p == 1 else S.lp_sum(conjugate_index(p))
+            assert (res.kind, res.method, res.lower) == ("exact", "duality_table", mn.evaluate(dual, t, CFG).lower)
+            assert res.lower == pytest.approx(lp_norm(sp.norm_cols(L), conjugate_index(p)), rel=1e-14)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_numerical_dual_of_a_numerical_dual_is_the_base(field):
+    # a finite-dimensional norm is its own bidual: numerical_dual(numerical_dual(B)) evaluates B, search bases included
+    rng = np.random.default_rng([9, field == "complex"])
+    sp = SpaceSpec(2.0, 3, (0.5, 2.0, 1.25), field)
+    t = VectorTuple(field_normal(rng, (3, 3), sp.is_complex), sp)
+    for base in (S.pq_spec(1, 2), S.hilbert(), S.standard_q(3), S.max_spec(), S.weak_summing(1.5), S.extended(S.lattice(), [np.eye(3), PAIR_SUMS])):
+        got, want = mn.evaluate(S.numerical_dual(S.numerical_dual(base)), t, CFG), mn.evaluate(base, t, CFG)
+        assert (got.kind, got.lower, got.upper, got.method) == (want.kind, want.lower, want.upper, "duality_table"), base.variant
+        fn = exact_evaluator(S.numerical_dual(S.numerical_dual(base)), sp, 3, CFG)
+        assert (fn is None) == (exact_evaluator(base, sp, 3, CFG) is None)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_climbed_points_lie_in_the_unit_ball(field):
+    # off the table a search base scales each point by its certified upper bound, so the witness's own upper bound is
+    # at most 1 and the climb's lower bound is certified (scaling by the search's lower bound, as the climb once did,
+    # left the complex witness here outside the ball)
+    sp = SpaceSpec(2.0, 3, (0.5, 2.0, 1.25), field)
+    L = field_normal(np.random.default_rng(12), (3, 2), sp.is_complex)
+    res = mn.evaluate(S.numerical_dual(S.hilbert()), VectorTuple(L, sp), CFG)
+    assert (res.kind, res.method) == ("lower", "numerical_dual_ascent")
+    assert mn.evaluate(S.hilbert(), VectorTuple(res.witness, sp.dual()), CFG).upper <= 1 + 1e-12
+    assert abs(np.sum(sp.w[:, None] * res.witness * L)) == pytest.approx(res.lower, rel=1e-12)
 
 
 def test_a_tiny_tuple_keeps_its_kind_and_method():
@@ -221,7 +311,7 @@ def test_ball_linear_max_with_an_unmet_ceiling_is_bit_identical(is_complex):
     assert np.allclose(met.witness, argmax, rtol=1e-12)
 
 
-def _dominating_specs(sp):
+def _exact_bases(sp):
     fam = mn.band_family(sp)
     specs = [
         S.min_spec(),
@@ -248,12 +338,12 @@ def _dominating_specs(sp):
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, INF])
 def test_bases_with_a_ceiling_dominate_the_minimum_multinorm(field, r):
-    # sum_j ||lambda_j|| bounds the numerical dual only where N(x) >= max_j ||x_j||
+    # every base is >= max_j ||x_j||, so sum_j ||lambda_j|| bounds every numerical dual: its exact values do, and so do
+    # the certified upper bounds that scale a search base's tuples into its unit ball
     sp = SpaceSpec(r, 3, (1.0, 2.0, 0.5), field)
     rng = np.random.default_rng([int(min(r, 9) * 10), field == "complex"])
     seen = 0
-    for spec in _dominating_specs(sp):
-        assert _dominates_min(spec), spec.variant
+    for spec in _exact_bases(sp):
         for n in (1, 2, 3):
             fn = exact_evaluator(spec, sp, n, CFG)
             if fn is None:
@@ -262,44 +352,31 @@ def test_bases_with_a_ceiling_dominate_the_minimum_multinorm(field, r):
             X = field_normal(rng, (16, 3, n), sp.is_complex) * rng.uniform(0.01, 10.0, (16, 1, n))
             assert np.all(fn(X) >= sp.norm_cols(X).max(axis=-1) * (1 - 1e-14)), (spec.variant, n)
     assert seen >= 30
-    # bases off the list, which have no exact path anyway, get no ceiling
-    for spec in (S.pq_spec(1, 2), S.hilbert(), S.numerical_dual(S.min_spec()), S.extended(S.pq_spec(1, 2), [np.eye(3)])):
-        assert not _dominates_min(spec)
-
-
-def _lattice_dominating_specs(sp):
-    specs = [
-        S.lattice(),
-        S.dual_lattice(),
-        S.extended(S.lattice(), [np.eye(3), np.ones((3, 3)) / 3]),
-        S.extended(S.dual_lattice(), [np.eye(3), np.diag([1.0, -1.0, 0.5])]),
-    ]
-    if sp.p == 1:
-        specs.append(S.max_spec())
-    return specs
+    for spec in (S.pq_spec(1, 2), S.max_spec()):
+        scale, heuristic = multinorms._source_scale(spec, sp, CFG)
+        X = field_normal(rng, (2, 3, 3), sp.is_complex)
+        assert np.all(scale(X) >= sp.norm_cols(X).max(axis=-1) * (1 - 1e-14)) and not heuristic[0]
 
 
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, INF])
 def test_bases_with_a_lattice_ceiling_dominate_the_lattice_multinorm(field, r):
-    # ||sum_j |lambda_j| || bounds the numerical dual only where N(x) >= ||V_j |x_j| ||
+    # extended(B, ops) >= B, its family containing I, so the climb also bounds its numerical dual by B's tabled dual:
+    # ||sum_j |lambda_j| || over a lattice base, sum_j ||lambda_j|| over a min base, mu_1 over a max base
     sp = SpaceSpec(r, 3, (1.0, 2.0, 0.5), field)
     rng = np.random.default_rng([int(min(r, 9) * 10), field == "complex", 1])
-
-    def stack(n):
-        return field_normal(rng, (16, 3, n), sp.is_complex) * rng.uniform(0.01, 10.0, (16, 1, n))
-
-    for spec in _lattice_dominating_specs(sp):
-        assert _dominates_lattice(spec) and _dominates_min(spec), spec.variant
+    ops = [np.eye(3), PAIR_SUMS / 2, np.diag([1.0, -1.0, 0.5])]
+    for base in [S.min_spec(), S.lattice(), S.dual_lattice(), S.lp_sum(1), S.lp_sum(2.5)] + [S.max_spec()] * (r == 1):
+        assert _dual_spec(base) is not None
         for n in (1, 2, 3):
-            fn, lattice = exact_evaluator(spec, sp, n, CFG), exact_evaluator(S.lattice(), sp, n, CFG)
-            X = stack(n)
-            assert np.all(fn(X) >= lattice(X) * (1 - 1e-14)), (spec.variant, n)
-    # bases off the list get no lattice ceiling; below l^inf the min multi-norm of the basis falls below the lattice one
-    for spec in (S.min_spec(), S.lp_sum(2), S.weak_summing(2), S.pq_spec(1, 2), S.hilbert(), S.extended(S.min_spec(), [np.eye(3)])):
-        assert not _dominates_lattice(spec)
-    if r != INF:
-        assert exact_evaluator(S.min_spec(), sp, 3, CFG)(np.eye(3)) < exact_evaluator(S.lattice(), sp, 3, CFG)(np.eye(3))
+            fn, ext = exact_evaluator(base, sp, n, CFG), exact_evaluator(S.extended(base, ops), sp, n, CFG)
+            X = field_normal(rng, (16, 3, n), sp.is_complex) * rng.uniform(0.01, 10.0, (16, 1, n))
+            assert np.all(ext(X) >= fn(X) * (1 - 1e-14)), (base.variant, n)
+    # the first seed meets the lattice table's ceiling, and a slot-norming seed the min table's
+    t = VectorTuple(field_normal(rng, (3, 3), sp.is_complex), sp.dual())
+    for base, dual in ((S.lattice(), S.dual_lattice()), (S.min_spec(), S.lp_sum(1))):
+        res = _numerical_dual_climb(S.numerical_dual(S.extended(base, [np.eye(3)])), t, CFG)
+        assert (res.kind, res.method, res.lower) == ("exact", "numerical_dual_ascent", mn.evaluate(dual, t, CFG).upper)
 
 
 def _disjoint_tuple(sp, rng, n):
@@ -383,18 +460,20 @@ def _same_witness(a, b):
 
 
 def test_no_lower_bound_falls(monkeypatch):
-    # each result against the same call with the exit and the closed forms switched off: the lower bound never falls
-    # (an exact value is the proven bound, which a climb passes by rounding only), a kind changes only to exact, and
-    # a search keeps its method and never raises its upper bound.  A disjointly supported tuple replaces the search's
+    # each result against the same call with the exit, the closed forms and the duality table switched off: the lower
+    # bound never falls (an exact value is the proven bound, which a climb passes by rounding only: so no tabled dual
+    # lies below the certified lower bound of the climb it replaces), a kind changes only to exact, and a search keeps
+    # its method (a tabled dual takes duality_table) and never raises its upper bound.  A disjointly supported tuple replaces the search's
     # bounds with its closed form, whose rounding differs from theirs, so its value is checked against its own
     # references: the q-sum bit for bit where p >= r, and the value in 40-digit decimal arithmetic up to 4 eps of rounding
     cases = list(_cases())
     new = [mn.evaluate(spec, VectorTuple(X, sp), CFG) for sp, spec, X in cases]
     closed = [spec.variant in ("pq", "max") and _disjoint(X) for sp, spec, X in cases]
+    tabled = [spec.variant == "numerical_dual" and _dual_spec(spec.base) is not None for sp, spec, X in cases]
     _without_exit(monkeypatch)
     old = [mn.evaluate(spec, VectorTuple(X, sp), CFG) for sp, spec, X in cases]
     exact = 0
-    for (sp, spec, X), a, b, disjoint in zip(cases, old, new, closed):
+    for (sp, spec, X), a, b, disjoint, table in zip(cases, old, new, closed, tabled):
         assert a.kind != "exact"
         if disjoint:
             p, q = (1, 1) if spec.variant == "max" else (spec.p, spec.q)
@@ -404,7 +483,7 @@ def test_no_lower_bound_falls(monkeypatch):
             assert abs(b.upper - ref) <= 4 * np.finfo(float).eps * ref, (spec.to_json(), sp.to_json(), b.upper, ref)
         else:
             assert b.upper <= a.upper
-            assert b.method == a.method
+            assert b.method == ("duality_table" if table else a.method)
         if b.kind == "exact":
             exact += 1
             assert b.lower >= a.lower or a.lower <= b.upper * (1 + 4 * np.finfo(float).eps), (spec.to_json(), a, b)

@@ -227,6 +227,21 @@ def test_norm_value_validation():
     nv = mn.NormValue.lower_bound(1.0, np.array([1.0, 2.0]), "m")
     doc = nv.to_json()
     assert doc["upper"] is None and doc["witness"] == [1.0, 2.0]
+    # a NaN bound and an exact infinity are no certificates
+    for kind, lower, upper in (("exact", math.nan, math.nan), ("bracket", math.nan, 1.0), ("lower", 1.0, math.nan), ("exact", INF, INF), ("exact", -INF, -INF)):
+        with pytest.raises(mn.DegenerateNormError):
+            mn.NormValue(kind, lower, upper, None, "m")
+    assert mn.NormValue("bracket", 1.0, INF, None, "m").upper == INF
+
+
+def test_overflowing_norms_raise_instead_of_certifying():
+    # ||(1e308, 1e308)|| = 1.41e308 is finite, but the norms below overflow on the way: max's closed form gave an exact
+    # NaN and the others an exact inf; each now raises the error the command line maps to exit 2
+    t = mn.VectorTuple(np.array([[1e308], [1e308]]), SpaceSpec(2.0, 2))
+    S = mn.MultiNormSpec
+    for spec in (S.max_spec(), S.min_spec(), S.lattice(), S.pq_spec(2, 2), S.weak_summing(1)):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(mn.DegenerateNormError):
+            mn.evaluate(spec, t, CFG)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,11 @@ def _specs(sp, rng):
         S.weak_summing(INF),
         S.extended(S.lattice(), ops),
         S.extended(S.partition(blocks), ops),
+        # numerical duals through the duality table: lp_sum(1), dual_lattice, lattice, lp_sum(2.5') and real mu_1
+        S.numerical_dual(S.min_spec()),
+        S.numerical_dual(S.lattice()),
+        S.numerical_dual(S.dual_lattice()),
+        S.numerical_dual(S.lp_sum(2.5)),
     ]
     if sp.p == INF:
         specs.append(S.weak_summing(1.5))
@@ -44,7 +49,7 @@ def _specs(sp, rng):
     if sp.p == 1:
         specs.append(S.max_spec())
     if not sp.is_complex:
-        specs.append(S.weak_summing(1))
+        specs += [S.weak_summing(1), S.numerical_dual(S.max_spec())]
     if sp.p == 1 and not sp.is_complex:
         specs.append(S.weak_summing(1.5))
     if m <= 3:
@@ -163,7 +168,8 @@ def test_budgeted_weak_summing_1_audits_and_sources_do_not_raise():
     assert len(res.p_seq) == 3 and all(math.isfinite(v) for v in res.p_seq)
     L = _draw(np.random.default_rng(3), (3, 3), False)
     dual = mn.evaluate(S.numerical_dual(spec), mn.VectorTuple(L, sp), tiny)
-    assert dual.kind == "lower" and dual.method == "numerical_dual_ascent_heuristic_membership"
+    # past the budget mu_1's bracket still gives a certified upper bound, so the climb keeps certified membership
+    assert dual.kind == "lower" and dual.method == "numerical_dual_ascent"
     fits = mn.evaluate(S.numerical_dual(spec), mn.VectorTuple(L[:, :2], sp), tiny)
     assert fits.method == "numerical_dual_ascent"
 
