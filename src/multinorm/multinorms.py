@@ -23,6 +23,7 @@ from .optim import (
     UNIFORMS,
     NormValue,
     OptimConfig,
+    _dual_unit_vectors,
     _first_max,
     _op_norm_rule,
     ball_linear_max,
@@ -355,6 +356,11 @@ def _pq_seeds(space: SpaceSpec, X: np.ndarray) -> list[np.ndarray]:
     return seeds
 
 
+def _pq_starts(space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> list[np.ndarray]:
+    """_pq_seeds, then the cfg.restarts Gaussian starts seeded_ascent draws for them: every start of a (p,q) search."""
+    return _pq_seeds(space, X) + list(gaussian_starts(cfg, "ascent.starts", X.shape, space.is_complex))
+
+
 def _disjoint(X: np.ndarray) -> bool:
     """Whether every row of the (m, n) tuple X holds at most one nonzero entry: its columns have disjoint supports."""
     return bool(((np.abs(X) > 0).sum(axis=-1) <= 1).all())
@@ -386,23 +392,31 @@ def _pq_disjoint(space: SpaceSpec, X: np.ndarray, p: float, q: float) -> tuple[f
     a = e_argmax where 1/u = 0.  Scaling by max b keeps b^u finite for a
     large u.
     """
-    b = space.norm_cols(X)
-    top = b.max()
-    inv_t = max(1.0 / p - 1.0 / space.p, 0.0)
-    inv_u = 1.0 / q - 1.0 / p + 1.0 / space.p  # 1/q - 1/t where t < inf; exactly 1/r at p = q
-    if inv_t == 0.0:
-        value, a = lp_norm(b, q), np.ones_like(b)
-    elif inv_u <= 0.0 or top == 0.0:
-        value, a = top, np.eye(len(b))[int(np.argmax(b))]
-    else:
-        s = (b / top) ** (inv_t / inv_u)
-        value, a = top * lp_norm(b / top, 1.0 / inv_u), s / lp_norm(s, 1.0 / inv_t)
+    # 1/u = 1/q - 1/t where t < inf, written so that it is exactly 1/r at p = q
+    value, a = _holder_sup(space.norm_cols(X), q, max(1.0 / p - 1.0 / space.p, 0.0), 1.0 / q - 1.0 / p + 1.0 / space.p)
     L = np.where(np.abs(X) > 0, _column_norming(space, X), 0.0) * a
     return value, L
 
 
+def _holder_sup(b: np.ndarray, q: float, inv_t: float, inv_u: float) -> tuple[float, np.ndarray]:
+    """(value, a): sup{ ||(a_j b_j)_j||_q : a >= 0, ||a||_t <= 1 } = ||b||_u for b >= 0, and the first maximizer a.
+
+    inv_t is 1/t and inv_u is 1/q - 1/t.  At inv_t = 0 the value is
+    lp_norm(b, q) at a = 1; where inv_u <= 0 (or b = 0) it is max_j b_j
+    at the first e_argmax; otherwise a = s / ||s||_t with
+    s_j = (b_j / max b)^(u/t), by Holder with 1/q = 1/t + 1/u.
+    """
+    top = b.max()
+    if inv_t == 0.0:
+        return lp_norm(b, q), np.ones_like(b)
+    if inv_u <= 0.0 or top == 0.0:
+        return top, np.eye(len(b))[int(np.argmax(b))]
+    s = (b / top) ** (inv_t / inv_u)
+    return top * lp_norm(b / top, 1.0 / inv_u), s / lp_norm(s, 1.0 / inv_t)
+
+
 def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValue:
-    """Lower bound from a climb over mu_{p,n}-unit functional tuples; upper from the q-sum and root bounds.
+    """Lower bound from mu_{p,n}-unit functional tuples; upper from the q-sum and root bounds (_pq_upper).
 
     A tuple with disjointly supported columns (_disjoint) takes the closed
     form _pq_disjoint, exact with method disjoint_closed_form, before any
@@ -411,11 +425,34 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
 
     With p = 2 on an index-2 space the mu_{2,n} ball is a spectral ball, and
     the spectral polish from the seeds and cfg.restarts Gaussian starts
-    (the starts seeded_ascent would draw) is the whole search.  Other
-    (p,q) pairs climb with seeded_ascent, whose ceiling is the upper bound:
-    a projected seed that meets it ends the search.  Every witness is
-    feasible, so a lower bound that meets the upper one (optim.meets) makes
-    the result exact at the upper bound.
+    (the starts seeded_ascent would draw) is the whole search.  Where
+    optim._op_norm_rule gives mu_{p,n} of every functional tuple exactly,
+    the tuple climbs with seeded_ascent (pq_ball_ascent), whose ceiling is
+    the upper bound: a projected seed that meets it ends the search.
+
+    The other roles take pq_holder_alternation.  There the projection
+    summing.mu_scale divides lambda by the Holder bound H = min(A, B) >= mu,
+    with A = ||(||lambda_j||_E')_j||_p and B = ||k -> ||(lambda_jk)_j||_p||
+    in L^{r'}(w), except on a generalized permutation slice, whose mu is
+    exact.  So every projected point other than such a seed lies in the
+    union of the balls {A <= 1} and {B <= 1}, and no climb of those points
+    passes max(sup_A, sup_B) of the value V(lambda) = ||(<x_j, lambda_j>)_j||_q:
+      - sup_A = ||b||_u with b_j = ||x_j|| and 1/u = max(1/q - 1/p, 0)
+        (_holder_sup), attained by lambda_j = a_j phi_j, phi_j norming x_j;
+      - sup_B = max G(mu) over mu >= 0 with ||mu||_{q'} = 1, where
+        G(mu) = ||k -> ||(mu_j |x_jk|)_j||_{p'}||_{L^r(w)}, by dualizing the
+        q-sum and then B coordinate by coordinate.
+    _pq_holder_alternation climbs G: at mu, lambda(mu) has B = 1 and
+    nonnegative pairings c with <mu, c> = G(mu), and the next mu' norms c
+    in l^{q'}, so G(mu) <= ||c||_q = <mu', c> <= G(mu'): each step is
+    monotone.  The result is the first best of the projected seeds and
+    cfg.restarts Gaussian starts (the starts seeded_ascent would project,
+    and its exit: one that meets the upper bound ends the evaluation), then
+    of the sup_A witness and the alternation's witness, each divided by its
+    own mu_scale, so every witness is feasible.
+
+    A lower bound that meets the upper one (optim.meets) makes the result
+    exact at the upper bound.
     """
     space = t.space
     X = t.columns
@@ -425,15 +462,14 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
         val, L = _pq_disjoint(space, X, p, q)
         return NormValue.exact(val, {"functionals": L}, "disjoint_closed_form")
     dual = space.dual()
-    upper = min(lp_norm(space.norm_cols(X), q), _roots_upper(space, X, cfg))
+    upper = _pq_upper(space, X, q, cfg)
 
     if space.p == 1 and n == 2:
         val, bound, L = _pq_l1_pair(space, X, p, q)
         upper = min(upper, bound)
         method = "l1_pair_arc_bisection"
     elif p == 2 and space.p == 2:
-        seeds = _pq_seeds(space, X) + list(gaussian_starts(cfg, "ascent.starts", (space.dim, n), space.is_complex))
-        val, L = _pq_spectral_polish(space, X, q, np.array(seeds, dtype=complex))
+        val, L = _pq_spectral_polish(space, X, q, np.array(_pq_starts(space, X, cfg), dtype=complex))
         method = "pq_spectral_polish"
     else:
         def project(Ls):
@@ -446,13 +482,90 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
         def value(Ls):
             return lp_norm(np.abs(_pairings(space, X, Ls)), q)
 
-        val, L = seeded_ascent(project, value, _pq_seeds(space, X), (space.dim, n), cfg, space.is_complex, ceiling=upper)
-        method = "pq_ball_ascent"
+        if _op_norm_rule(conjugate_index(p), dual.p, space.is_complex, space.dim, n, cfg.max_enum) is not None:
+            val, L = seeded_ascent(project, value, _pq_seeds(space, X), (space.dim, n), cfg, space.is_complex, ceiling=upper)
+            method = "pq_ball_ascent"
+        else:
+            val, L = _best_projected(project, value, np.array(_pq_starts(space, X, cfg), dtype=X.dtype))
+            if not meets(val, upper):
+                a = _holder_sup(space.norm_cols(X), q, 1.0 / p, max(1.0 / q - 1.0 / p, 0.0))[1]
+                witnesses = np.array([_column_norming(space, X) * a, _pq_holder_alternation(space, X, p, q, cfg)], dtype=X.dtype)
+                val_b, L_b = _best_projected(project, value, witnesses)
+                if val_b > val:
+                    val, L = val_b, L_b
+            method = "pq_holder_alternation"
 
     if meets(val, upper):
         return NormValue.exact(upper, {"functionals": L}, method)
     val = max(val, 0.0)
     return NormValue.bracket(min(val, upper), upper, {"functionals": L}, method)
+
+
+def _best_projected(project, value, points: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """(value, point) of the first best projection of a stack of points, as seeded_ascent values its starts; (-inf, None) if none projects."""
+    P, ok = project(points)
+    if not ok.any():
+        return -INF, None
+    P = P[ok]
+    i, best = _first_max(np.asarray(value(P), dtype=float))
+    return best, P[i].copy()
+
+
+PQ_ALTERNATION_STEPS = 200  # cap on _pq_holder_alternation's steps per start
+PQ_ALTERNATION_GAIN = 1e-13  # gain at unit scale at or below which a start stops
+
+
+def _pq_holder_alternation(space: SpaceSpec, X: np.ndarray, p: float, q: float, cfg: OptimConfig) -> np.ndarray:
+    """The functionals lambda(mu) at the first best end point of the monotone climb of G over {mu >= 0, ||mu||_{q'} = 1}.
+
+    See _pq_value for G and the step.  It runs in the reduced coordinates
+    of summing._reduced, where E and E' are unweighted (y = w^(1/r) x pairs
+    with w^(1/r') lambda), on |y| / max_j ||y_j||, so a start's stopping
+    gain is relative to the tuple's size.  The starts, as one stack, are
+    every e_j, the uniform vector and cfg.restarts moduli of Gaussian draws
+    from cfg.stream("pq_alternation.starts"); polish climbs them at most
+    PQ_ALTERNATION_STEPS steps.  For p = q = 1, mu = 1 at once and G(1) is
+    the lattice norm ||V_j |x_j| ||.  Returns an (m, n) array of X's field
+    with B(lambda) = 1 (0 if the climb found nothing).
+    """
+    n = X.shape[1]
+    r, pd, qd, rd = space.p, conjugate_index(p), conjugate_index(q), conjugate_index(space.p)
+    Y = np.abs(summing._weight_root(space)[:, None] * X)
+    top = lp_norm(Y, r, axis=0).max()
+    if top == 0:
+        return np.zeros_like(X)
+    Y = Y / top
+
+    def moduli(M):
+        # (S, m, n) entries mu_j |y_kj| and their (S, m) row norms g_k in l^{p'}
+        V = M[:, None, :] * Y
+        return V, lp_norm(V, pd)
+
+    def G(M):
+        return lp_norm(moduli(M)[1], r)
+
+    def functionals(M):
+        # rows z_k of unit l^p norm with <V_k, z_k> = g_k, scaled by s of unit l^{r'} norm with <g, s> = G
+        V, g = moduli(M)
+        z = _dual_unit_vectors(V.reshape(-1, n), g.reshape(-1), p, pd, np.ones((V.size // n, n))).reshape(V.shape)
+        s = _dual_unit_vectors(g, lp_norm(g, r), rd, r, np.ones_like(g))
+        F = s[:, :, None] * z
+        return F, (Y * F).sum(axis=-2)
+
+    def step(M):
+        c = functionals(M)[1]
+        nc = lp_norm(c, q)
+        Mn = _dual_unit_vectors(c, nc, qd, q, np.ones_like(c))
+        return Mn, np.where(nc > 0, G(Mn), np.nan)
+
+    starts = np.concatenate([np.eye(n), np.ones((1, n)), np.abs(gaussian_starts(cfg, "pq_alternation.starts", (n,), False))])
+    starts = starts / lp_norm(starts, qd)[:, None]
+    g0 = G(starts)
+    best, mu = polish(step, starts, np.where(g0 > 0, g0, np.nan), PQ_ALTERNATION_STEPS, PQ_ALTERNATION_GAIN)
+    if best == -INF:
+        return np.zeros_like(X)
+    L = functionals(mu[None])[0][0] * np.conj(phase(X)) / summing._weight_root(space.dual())[:, None]
+    return L if space.is_complex else np.real(L)
 
 
 ARC_PIECES = 32  # initial pieces of the quarter arc in _pq_l1_pair
@@ -576,6 +689,33 @@ def _pq_spectral_polish(space: SpaceSpec, X: np.ndarray, q: float, L0: np.ndarra
     return val, L if space.is_complex else np.real(L)
 
 
+def _pq_upper(space: SpaceSpec, X: np.ndarray, q: float, cfg: OptimConfig) -> float:
+    """min(q-sum of the column norms, _roots_upper): the upper bound of _pq_value, and at q = 2 of _hilbert_value."""
+    return min(lp_norm(space.norm_cols(X), q), _roots_upper(space, X, cfg))
+
+
+def _search_upper(spec: MultiNormSpec, space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> float:
+    """evaluate(spec, VectorTuple(X, space), cfg).upper bit for bit for a pq, max or hilbert spec, with no search.
+
+    The bounds are the ones the evaluators attach: a closed form (the real
+    max pair, _pq_disjoint), _pq_upper, and for an l^1 2-tuple the arc
+    bisection of _pq_l1_pair.  X is an (m, n) array of the space's field;
+    a width with an exact path (max on l^1) is exact_evaluator's business.
+    """
+    if spec.variant == "hilbert":
+        return _pq_upper(space, X, 2, cfg)
+    if spec.variant == "max":
+        if X.shape[1] == 2 and not space.is_complex:
+            return _real_pair_max(space, X)[0]
+        spec = MultiNormSpec.pq_spec(1, 1)
+    if _disjoint(X):
+        return _pq_disjoint(space, X, spec.p, spec.q)[0]
+    upper = _pq_upper(space, X, spec.q, cfg)
+    if space.p == 1 and X.shape[1] == 2:
+        upper = min(upper, _pq_l1_pair(space, X, spec.p, spec.q)[1])
+    return upper
+
+
 def _roots_upper(space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> float:
     """Average-of-combinations upper bound valid for every multi-norm.
 
@@ -604,6 +744,13 @@ def _roots_upper(space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> float:
     return best
 
 
+def _real_pair_max(space: SpaceSpec, X: np.ndarray) -> tuple[float, np.ndarray]:
+    """(value, functionals) of the maximum multi-norm of a real 2-tuple: (||x1 + x2|| + ||x1 - x2||) / 2 (see _max_value)."""
+    plus, minus = X[:, 0] + X[:, 1], X[:, 0] - X[:, 1]
+    a, b = space.unit_ball_norming(plus), space.unit_ball_norming(minus)
+    return (space.norm(plus) + space.norm(minus)) / 2, np.stack([a + b, a - b], axis=1) / 2
+
+
 def _max_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
     """The maximum multi-norm, the projective tensor norm on l^inf_n (x) E.
 
@@ -613,23 +760,31 @@ def _max_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
     ((a + b)/2, (a - b)/2), with a and b norming x1 + x2 and x1 - x2,
     attain it and have mu_1 = max(||a||, ||b||) <= 1.  Other tuples take
     the (1,1) value: a disjointly supported tuple its closed form
-    ||(||x_j||)_j||_r (method disjoint_closed_form, as no ascent runs),
-    the rest the (1,1) ascent from below and the root averages from
-    above, exact where the (1,1) value is.
+    ||(||x_j||)_j||_r (method disjoint_closed_form, as no search runs),
+    the rest the (1,1) search from below (the ascent where mu_1 is exact,
+    the Holder alternation, whose first step reaches ||V_j |x_j| ||,
+    elsewhere) and the root averages from above, exact where the (1,1)
+    value is.
     """
     space = t.space
     X = t.columns
     if t.n == 2 and not space.is_complex:
-        plus, minus = X[:, 0] + X[:, 1], X[:, 0] - X[:, 1]
-        a, b = space.unit_ball_norming(plus), space.unit_ball_norming(minus)
-        val = (space.norm(plus) + space.norm(minus)) / 2
-        return NormValue.exact(val, {"functionals": np.stack([a + b, a - b], axis=1) / 2}, "real_pair_closed_form")
+        val, L = _real_pair_max(space, X)
+        return NormValue.exact(val, {"functionals": L}, "real_pair_closed_form")
     inner = _pq_value(MultiNormSpec.pq_spec(1, 1), t, cfg)
+    method = _MAX_METHODS[inner.method]
     if inner.kind == "exact":
-        method = "disjoint_closed_form" if inner.method == "disjoint_closed_form" else "pq11_ascent_roots_upper"
         return NormValue.exact(inner.upper, inner.witness, method)
     lower = max(inner.lower, float(space.norm_cols(X).max()))
-    return NormValue.bracket(min(lower, inner.upper), inner.upper, inner.witness, "pq11_ascent_roots_upper")
+    return NormValue.bracket(min(lower, inner.upper), inner.upper, inner.witness, method)
+
+
+# the maximum multi-norm's method for each method of its (1,1) value
+_MAX_METHODS = {
+    "disjoint_closed_form": "disjoint_closed_form",
+    "pq_ball_ascent": "pq11_ascent_roots_upper",
+    "pq_holder_alternation": "pq11_holder_alternation_roots_upper",
+}
 
 
 def _standard_q_search(t: VectorTuple, q: float, cfg: OptimConfig) -> NormValue:
@@ -687,7 +842,7 @@ def _hilbert_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
     best, alpha = polish(alternate, alphas, np.where(zero, np.nan, nuclear(alphas)), 80, 1e-14)
     if not best > 0:
         best, alpha = 0.0, None
-    upper = min(lp_norm(space.norm_cols(X), 2), _roots_upper(space, X, cfg))
+    upper = _pq_upper(space, X, 2, cfg)
     if meets(best, upper):
         return NormValue.exact(upper, {"alpha": alpha}, "nuclear_alt_ascent")
     return NormValue.bracket(min(best, upper), upper, {"alpha": alpha}, "nuclear_alt_ascent")
@@ -717,7 +872,8 @@ def _source_scale(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig):
     """(scale, heuristic): scale maps a stack of tuples to their norms, exact or certified from above.
 
     A width with an exact path gives the norm; otherwise each tuple's upper
-    bound, or its lower bound where it has none, which sets heuristic[0].
+    bound (for pq, max and hilbert _search_upper's, which runs no search),
+    or its lower bound where it has none, which sets heuristic[0].
     mb_norm, mb_tuple_norm and the numerical dual's climb share it.
     """
     heuristic = [False]
@@ -727,6 +883,8 @@ def _source_scale(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig):
         fast = exact_at(C.shape[-1])
         if fast is not None:
             return fast(C)
+        if spec.variant in ("pq", "max", "hilbert"):
+            return np.array([_search_upper(spec, space, cols, cfg) for cols in C])
         res = [evaluate(spec, VectorTuple(cols, space), cfg) for cols in C]
         heuristic[0] = heuristic[0] or any(r.upper == INF for r in res)
         return np.array([r.lower if r.upper == INF else r.upper for r in res])

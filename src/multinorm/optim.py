@@ -42,6 +42,7 @@ SITE_ID = {
     "orthogonal": 13,
     "orthogonal_set": 14,
     "orthogonal_multinorm": 15,
+    "pq_alternation.starts": 16,
 }
 # an audit's one stream per draw kind, as the index of cfg.stream(site, index)
 COUNTS, NORMALS, UNIFORMS = 0, 1, 2
@@ -195,11 +196,16 @@ def _grid_scan(f, B: int, n: int, levels: int, cfg: OptimConfig, pinned: bool = 
 
 
 def _first_max(vals):
-    """(index, value) of the first maximum along the last axis, NaN counting as -inf; arrays for a stack of rows."""
-    vals = np.where(np.isnan(vals), -INF, vals)
-    i = np.argmax(vals, axis=-1)
-    v = np.take_along_axis(vals, i[..., None], axis=-1)[..., 0]
-    return (int(i), float(v)) if vals.ndim == 1 else (i, v)
+    """(index, value) of the first maximum along the last axis, NaN counting as -inf; arrays for a stack of rows.
+
+    The NaN-ignoring maximum and one compare find the first index without
+    copying the block; a row with no number gets value -inf at index 0.
+    """
+    v = np.fmax.reduce(vals, axis=-1)
+    i = np.argmax(vals == v[..., None], axis=-1)
+    if vals.ndim == 1:
+        return int(i), float(v) if v == v else -INF
+    return i, np.where(np.isnan(v), -INF, v)
 
 
 def torus_supremum(

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from multinorm.optim import INF, OptimConfig, sign_supremum, torus_supremum
+from multinorm.optim import INF, OptimConfig, _first_max, sign_supremum, torus_supremum
 from multinorm.partitions import unit_grid
 from multinorm.spaces import SpaceSpec
 
@@ -106,3 +106,18 @@ def test_block_torus_sweep_matches_pointwise_sweep(n, is_complex, restarts):
         res = torus_supremum(_lifted(f), n, cfg, field)
         _assert_same(res, want_val, want_z, name)
         assert res.kind == ("exact" if n == 1 or not is_complex else "lower"), name
+
+
+def test_first_max_takes_the_first_number_and_never_a_nan():
+    # rows of ties, NaN, -inf and all-NaN, as a stack and one by one; the loop is the reference
+    rng = np.random.default_rng(5)
+    V = rng.choice([math.nan, -INF, 0.0, 1.0, 2.0, 2.0], size=(400, 7))
+    V[0], V[1] = math.nan, [math.nan, 3.0, math.nan, 3.0, -INF, 3.0, 1.0]
+    i, v = _first_max(V)
+    for row, got_i, got_v in zip(V, i, v):
+        want_v = max((x for x in row if not math.isnan(x)), default=-INF)
+        assert got_v == want_v
+        if want_v > -INF:
+            assert got_i == next(k for k, x in enumerate(row) if x == want_v)
+        assert _first_max(row) == (int(got_i), float(got_v))
+    assert (i[1], v[1], i[0], v[0]) == (1, 3.0, 0, -INF)

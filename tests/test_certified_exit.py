@@ -106,9 +106,10 @@ def test_delta_tuples_are_exact_at_the_q_sum(field, weights):
 
 
 def test_met_ceiling_runs_no_ascent(monkeypatch):
-    # a seed that meets the ceiling costs one value call: the starts' own
-    calls = []
-    real_ascent = optim.seeded_ascent
+    # a seed that meets the ceiling costs one value call, the starts' own, and no climb: no ascent tick and, where
+    # (p,q) takes the Holder alternation, no alternation step
+    calls, valued, steps = [], [], []
+    real_ascent, real_best, real_polish = optim.seeded_ascent, multinorms._best_projected, multinorms.polish
 
     def counted(project, value, *args, **kwargs):
         seen = []
@@ -116,29 +117,42 @@ def test_met_ceiling_runs_no_ascent(monkeypatch):
         calls.append(len(seen))
         return got
 
+    def best_counted(project, value, points):
+        valued.append(len(points))
+        return real_best(project, value, points)
+
+    def polish_counted(step, *args):
+        return real_polish(lambda P: steps.append(len(P)) or step(P), *args)
+
     monkeypatch.setattr(optim, "seeded_ascent", counted)
     monkeypatch.setattr(multinorms, "seeded_ascent", counted)
+    monkeypatch.setattr(multinorms, "_best_projected", best_counted)
+    monkeypatch.setattr(multinorms, "polish", polish_counted)
     sp = SpaceSpec(1.5, 3, (0.5, 2.0, 1.25), "complex")
     rng = np.random.default_rng(4)
     x = field_normal(rng, (3, 1), True)
-    # (x, -x) has (2,3) norm ||x||: the root averages give that bound and a slot-norming seed meets it
+    # (x, -x) has (2,3) norm ||x||: the root averages give that bound and a slot-norming seed meets it; mu_{2,n} has no
+    # exact rule on complex l^1.5, so the seeds are valued once and the alternation never starts
     rank_one = np.concatenate([x, -x], axis=1)
+    seeds = len(multinorms._pq_seeds(sp, rank_one)) + CFG.restarts
+    assert multinorms._op_norm_rule(2.0, conjugate_index(1.5), True, 3, 2, CFG.max_enum) is None
+    assert (mn.evaluate(S.pq_spec(2, 3), VectorTuple(rank_one, sp), CFG).kind, calls, valued, steps) == ("exact", [], [seeds], [])
     # the numerical dual of extended(min, [I]) climbs with the min table's ceiling sum_j ||lambda_j||, which a slot-norming seed meets
+    valued.clear()
     off_table = S.numerical_dual(S.extended(S.min_spec(), [np.eye(3)]))
-    for spec, X in ((S.pq_spec(2, 3), rank_one), (off_table, field_normal(rng, (3, 3), True))):
-        calls.clear()
-        assert mn.evaluate(spec, VectorTuple(X, sp), CFG).kind == "exact"
-        assert calls == [1]
+    assert mn.evaluate(off_table, VectorTuple(field_normal(rng, (3, 3), True), sp), CFG).kind == "exact"
+    assert (calls, valued, steps) == ([1], [], [])
     # a tabled numerical dual is its dual variant's value, with no ascent at all
     calls.clear()
     assert (mn.evaluate(S.numerical_dual(S.min_spec()), VectorTuple(field_normal(rng, (3, 3), True), sp), CFG).kind, calls) == ("exact", [])
     # a disjointly supported tuple takes its closed form and no ascent at all
     for spec in (S.pq_spec(1.5, 3), S.max_spec()):
         calls.clear()
-        assert (mn.evaluate(spec, VectorTuple(_delta(sp, rng, 3), sp), CFG).method, calls) == ("disjoint_closed_form", [])
-    calls.clear()
-    assert mn.evaluate(S.pq_spec(1.5, 3), VectorTuple(field_normal(rng, (3, 3), True), sp), CFG).kind == "bracket"
-    assert calls[0] > 1
+        assert (mn.evaluate(spec, VectorTuple(_delta(sp, rng, 3), sp), CFG).method, calls, valued, steps) == ("disjoint_closed_form", [], [], [])
+    # a bracket: no seed met the bound, so the alternation climbed
+    res = mn.evaluate(S.pq_spec(1.5, 3), VectorTuple(field_normal(rng, (3, 3), True), sp), CFG)
+    assert (res.kind, res.method, calls, len(valued)) == ("bracket", "pq_holder_alternation", [], 2)
+    assert len(steps) > 0
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -211,7 +211,7 @@ def test_negative_seed_replays(capsys):
         report.pop("timestamp")
         outs.append(report)
     assert outs[0] == outs[1]
-    assert outs[0]["result"]["norm_value"]["method"] == "pq_ball_ascent"
+    assert outs[0]["result"]["norm_value"]["method"] == "pq_holder_alternation"
 
 
 def test_closed_stdout_exits_without_a_traceback(tmp_path):
