@@ -2,9 +2,9 @@
 
 One entry point, evaluate(spec, tuple, cfg), covers every supported
 multi-norm variant.  Exact variants return kind="exact"; search-backed
-variants return certified lower bounds or brackets whose upper side comes
-from closed inequalities (root averages, q-sum bounds), and are exact at
-that upper side where a feasible witness meets it.
+variants return brackets whose upper side comes from closed inequalities
+(root averages, q-sum bounds, a numerical dual's ceiling), and are exact
+at that upper side where a feasible witness meets it.
 """
 
 from __future__ import annotations
@@ -418,7 +418,11 @@ def _holder_sup(b: np.ndarray, q: float, inv_t: float, inv_u: float) -> tuple[fl
 def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValue:
     """Lower bound from mu_{p,n}-unit functional tuples; upper from the q-sum and root bounds (_pq_upper).
 
-    A tuple with disjointly supported columns (_disjoint) takes the closed
+    The (1,1) value is the maximum multi-norm, ell^inf_n (x)_pi E, and
+    evaluate(max) returns it.  On a real 2-tuple it is
+    (||x1 + x2|| + ||x1 - x2||) / 2 (_real_pair_max), exact with method
+    real_pair_closed_form.  A tuple
+    with disjointly supported columns (_disjoint) takes the closed
     form _pq_disjoint, exact with method disjoint_closed_form, before any
     bound or search.  A 2-tuple in an l^1 space takes _pq_l1_pair, whose
     bound is within 1e-10 of its witness, so its result is exact.
@@ -458,6 +462,9 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
     X = t.columns
     n = t.n
     p, q = spec.p, spec.q
+    if p == q == 1 and n == 2 and not space.is_complex:
+        val, L = _real_pair_max(space, X)
+        return NormValue.exact(val, {"functionals": L}, "real_pair_closed_form")
     if _disjoint(X):
         val, L = _pq_disjoint(space, X, p, q)
         return NormValue.exact(val, {"functionals": L}, "disjoint_closed_form")
@@ -695,19 +702,22 @@ def _pq_upper(space: SpaceSpec, X: np.ndarray, q: float, cfg: OptimConfig) -> fl
 
 
 def _search_upper(spec: MultiNormSpec, space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> float:
-    """evaluate(spec, VectorTuple(X, space), cfg).upper bit for bit for a pq, max or hilbert spec, with no search.
+    """evaluate(spec, VectorTuple(X, space), cfg).upper bit for bit for a pq, max, hilbert or standard_q spec, with no search.
 
     The bounds are the ones the evaluators attach: a closed form (the real
-    max pair, _pq_disjoint), _pq_upper, and for an l^1 2-tuple the arc
+    (1,1) pair, _pq_disjoint), _pq_upper, and for an l^1 2-tuple the arc
     bisection of _pq_l1_pair.  X is an (m, n) array of the space's field;
-    a width with an exact path (max on l^1) is exact_evaluator's business.
+    a width with an exact path (max on l^1, standard_q within its budget)
+    is exact_evaluator's business.
     """
     if spec.variant == "hilbert":
         return _pq_upper(space, X, 2, cfg)
+    if spec.variant == "standard_q":
+        return _pq_upper(space, X, spec.q, cfg)
     if spec.variant == "max":
-        if X.shape[1] == 2 and not space.is_complex:
-            return _real_pair_max(space, X)[0]
         spec = MultiNormSpec.pq_spec(1, 1)
+    if spec.p == spec.q == 1 and X.shape[1] == 2 and not space.is_complex:
+        return _real_pair_max(space, X)[0]
     if _disjoint(X):
         return _pq_disjoint(space, X, spec.p, spec.q)[0]
     upper = _pq_upper(space, X, spec.q, cfg)
@@ -724,18 +734,7 @@ def _roots_upper(space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> float:
     of order k in {n, 2n} (roots_tuple).  Real scalars: Sylvester-Hadamard
     sign rows of the next two power-of-two sizes.
     """
-    n = X.shape[1]
-    if space.is_complex:
-        mats = [roots_tuple(k, k, True)[:, :n] for k in (n, 2 * n)]
-    else:
-        H = np.ones((1, 1))
-        mats = []
-        while len(mats) < 2:
-            if len(H) >= n:
-                mats.append(H[:, :n])
-            H = np.block([[H, H], [H, -H]])
-
-    perms = [np.arange(n), *np.argsort(cfg.stream("roots_upper.perms").random((3, n)), axis=1)]
+    mats, perms = _roots_inputs(X.shape[1], space.is_complex, cfg.seed)
     best = float(space.norm_cols(X).sum())
     for perm in perms:
         cols = X[:, perm]
@@ -744,51 +743,45 @@ def _roots_upper(space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> float:
     return best
 
 
+@functools.lru_cache(maxsize=256)
+def _roots_inputs(n: int, is_complex: bool, seed: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """_roots_upper's read-only (matrices, column permutations) for n-tuples: they depend on n, the field and cfg.seed only."""
+    if is_complex:
+        mats = [roots_tuple(k, k, True)[:, :n] for k in (n, 2 * n)]
+    else:
+        H = np.ones((1, 1))
+        mats = []
+        while len(mats) < 2:
+            if len(H) >= n:
+                mats.append(H[:, :n])
+            H = np.block([[H, H], [H, -H]])
+    perms = [np.arange(n), *np.argsort(OptimConfig(seed=seed).stream("roots_upper.perms").random((3, n)), axis=1)]
+    for a in mats + perms:
+        a.setflags(write=False)
+    return tuple(mats), tuple(perms)
+
+
 def _real_pair_max(space: SpaceSpec, X: np.ndarray) -> tuple[float, np.ndarray]:
-    """(value, functionals) of the maximum multi-norm of a real 2-tuple: (||x1 + x2|| + ||x1 - x2||) / 2 (see _max_value)."""
+    """(value, functionals) of the (1,1), that is maximum, multi-norm of a real 2-tuple: (||x1 + x2|| + ||x1 - x2||) / 2.
+
+    Over R, (s, t) -> ((s + t)/2, (s - t)/2) maps l^inf_2 onto l^1_2
+    isometrically, so the projective norm on l^inf_2 (x) E is the l^1_2
+    one.  The functionals ((a + b)/2, (a - b)/2), with a and b norming
+    x1 + x2 and x1 - x2, attain it and have mu_1 = max(||a||, ||b||) <= 1.
+    """
     plus, minus = X[:, 0] + X[:, 1], X[:, 0] - X[:, 1]
     a, b = space.unit_ball_norming(plus), space.unit_ball_norming(minus)
     return (space.norm(plus) + space.norm(minus)) / 2, np.stack([a + b, a - b], axis=1) / 2
 
 
-def _max_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
-    """The maximum multi-norm, the projective tensor norm on l^inf_n (x) E.
-
-    Over R, (s, t) -> ((s + t)/2, (s - t)/2) maps l^inf_2 onto l^1_2
-    isometrically, so on a real 2-tuple the tensor norm is the l^1_2 one:
-    ||(x1, x2)||^max = (||x1 + x2|| + ||x1 - x2||) / 2.  The functionals
-    ((a + b)/2, (a - b)/2), with a and b norming x1 + x2 and x1 - x2,
-    attain it and have mu_1 = max(||a||, ||b||) <= 1.  Other tuples take
-    the (1,1) value: a disjointly supported tuple its closed form
-    ||(||x_j||)_j||_r (method disjoint_closed_form, as no search runs),
-    the rest the (1,1) search from below (the ascent where mu_1 is exact,
-    the Holder alternation, whose first step reaches ||V_j |x_j| ||,
-    elsewhere) and the root averages from above, exact where the (1,1)
-    value is.
-    """
-    space = t.space
-    X = t.columns
-    if t.n == 2 and not space.is_complex:
-        val, L = _real_pair_max(space, X)
-        return NormValue.exact(val, {"functionals": L}, "real_pair_closed_form")
-    inner = _pq_value(MultiNormSpec.pq_spec(1, 1), t, cfg)
-    method = _MAX_METHODS[inner.method]
-    if inner.kind == "exact":
-        return NormValue.exact(inner.upper, inner.witness, method)
-    lower = max(inner.lower, float(space.norm_cols(X).max()))
-    return NormValue.bracket(min(lower, inner.upper), inner.upper, inner.witness, method)
-
-
-# the maximum multi-norm's method for each method of its (1,1) value
-_MAX_METHODS = {
-    "disjoint_closed_form": "disjoint_closed_form",
-    "pq_ball_ascent": "pq11_ascent_roots_upper",
-    "pq_holder_alternation": "pq11_holder_alternation_roots_upper",
-}
-
-
 def _standard_q_search(t: VectorTuple, q: float, cfg: OptimConfig) -> NormValue:
-    """Lower bound past the enumeration budget: rounds of one-row moves from every start at once, each row's moves scored in one kernel call."""
+    """Bracket past the enumeration budget: from below, rounds of one-row moves from every start at once, each row's moves scored in one kernel call.
+
+    From above, _pq_upper: the q-sum of the column norms bounds every
+    assignment's value, as band projections contract, and _roots_upper
+    bounds every multi-norm.  A best assignment that meets it (optim.meets)
+    makes the result exact at the upper bound.
+    """
     space = t.space
     X = t.columns
     m, n = X.shape
@@ -809,7 +802,10 @@ def _standard_q_search(t: VectorTuple, q: float, cfg: OptimConfig) -> NormValue:
     starts = np.concatenate([np.abs(X).argmax(axis=1)[None], cfg.stream("standard_q.starts").integers(0, n, size=(min(cfg.restarts, 16), m))])
     # an improving round raises the value strictly, so at most n^m rounds run
     best, assign = polish(round_of_moves, starts, _standard_q_values(space, contrib, starts, q), n**m, 1e-15)
-    return NormValue.lower_bound(best, {"assignment": assign}, "partition_local_search")
+    upper = _pq_upper(space, X, q, cfg)
+    if meets(best, upper):
+        return NormValue.exact(upper, {"assignment": assign}, "partition_local_search")
+    return NormValue.bracket(min(best, upper), upper, {"assignment": assign}, "partition_local_search")
 
 
 def _hilbert_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
@@ -869,27 +865,24 @@ def _dual_spec(base: MultiNormSpec) -> MultiNormSpec | None:
 
 
 def _source_scale(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig):
-    """(scale, heuristic): scale maps a stack of tuples to their norms, exact or certified from above.
+    """The map from a stack of tuples to their norms, exact or certified from above.
 
     A width with an exact path gives the norm; otherwise each tuple's upper
-    bound (for pq, max and hilbert _search_upper's, which runs no search),
-    or its lower bound where it has none, which sets heuristic[0].
+    bound: _search_upper's for pq, max, hilbert and standard_q, which runs
+    no search, else evaluate's, which every search-backed result carries.
     mb_norm, mb_tuple_norm and the numerical dual's climb share it.
     """
-    heuristic = [False]
     exact_at = functools.cache(lambda n: exact_evaluator(spec, space, n, cfg))
 
     def scale(C):
         fast = exact_at(C.shape[-1])
         if fast is not None:
             return fast(C)
-        if spec.variant in ("pq", "max", "hilbert"):
+        if spec.variant in ("pq", "max", "hilbert", "standard_q"):
             return np.array([_search_upper(spec, space, cols, cfg) for cols in C])
-        res = [evaluate(spec, VectorTuple(cols, space), cfg) for cols in C]
-        heuristic[0] = heuristic[0] or any(r.upper == INF for r in res)
-        return np.array([r.lower if r.upper == INF else r.upper for r in res])
+        return np.array([evaluate(spec, VectorTuple(cols, space), cfg).upper for cols in C])
 
-    return scale, heuristic
+    return scale
 
 
 def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValue:
@@ -907,17 +900,15 @@ def _numerical_dual_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig)
 
 
 def _numerical_dual_climb(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValue:
-    """Certified lower bound on the numerical dual of spec.base at t, climbing over the base's unit sphere.
+    """Bracket on the numerical dual of spec.base at t, climbing over the base's unit sphere.
 
     Membership is _source_scale's (at most 4 restarts per search): an exact
     value or a certified upper bound, so every climbed point is feasible.
     Every multi-norm is >= max_j ||x_j||, so sum_j ||lambda_j|| is a
     ceiling for every base; for B or extended(B, ops) with B in
     _dual_spec's table (extended >= B), so is the upper bound of B's dual.
-    A seed that meets the smaller makes the result exact.  Where a
-    membership value had no finite upper bound, the result is kind lower
-    with method suffix _heuristic_membership, as mb_norm's
-    _heuristic_source_norm.  The first seed (the norming functional of
+    The smaller is the bracket's upper side, and a seed that meets it makes
+    the result exact.  The first seed (the norming functional of
     sum_j |lambda_j| with lambda's conjugate phases) attains the lattice
     dual, and the first slot-norming seed the min dual.
     """
@@ -926,18 +917,15 @@ def _numerical_dual_climb(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig)
     base = spec.base
     L = t.columns
     m, n = L.shape
-    membership, heuristic = _source_scale(base, primal, replace(cfg, restarts=min(cfg.restarts, 4)))
-    ceiling = size = lp_norm(dual_space.norm_cols(L), 1)
+    membership = _source_scale(base, primal, replace(cfg, restarts=min(cfg.restarts, 4)))
+    ceiling = lp_norm(dual_space.norm_cols(L), 1)
     while base.variant == "extended":
         base = base.base
     if (tabled := _dual_spec(base)) is not None:
         ceiling = min(ceiling, evaluate(tabled, t, cfg).upper)
 
-    # the climb sees lambda / sum_j ||lambda_j||, so the ascent's absolute 1e-15 acceptance term is the same at every scale
-    unit = size or 1.0
-
     def objective(Xs):
-        return _pairings(primal, Xs, L / unit).sum(axis=-1)
+        return _pairings(primal, Xs, L).sum(axis=-1)
 
     absL = np.abs(L)
     first = (dual_space.unit_ball_norming(absL.sum(axis=1))[:, None] * phase(np.conj(L))).astype(complex if primal.is_complex else float)
@@ -945,11 +933,10 @@ def _numerical_dual_climb(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig)
     masked = np.where(np.arange(n) == absL.argmax(axis=1)[:, None], first, 0.0)
     seeds = [first, masked, *_slot_norming_seeds(dual_space, L)]
 
-    res = ball_linear_max(membership, objective, (m, n), cfg, seeds=seeds, complex_field=primal.is_complex, ceiling=ceiling / unit)
-    method = "numerical_dual_ascent" + ("_heuristic_membership" if heuristic[0] else "")
-    if not heuristic[0] and meets(res.lower, ceiling / unit):
-        return NormValue.exact(ceiling, res.witness, method)
-    return NormValue.lower_bound(res.lower * unit, res.witness, method)
+    res = ball_linear_max(membership, objective, (m, n), cfg, seeds=seeds, complex_field=primal.is_complex, ceiling=ceiling)
+    if meets(res.lower, ceiling):
+        return NormValue.exact(ceiling, res.witness, "numerical_dual_ascent")
+    return NormValue.bracket(min(res.lower, ceiling), ceiling, res.witness, "numerical_dual_ascent")
 
 
 # ---------------------------------------------------------------------------
@@ -993,7 +980,7 @@ def evaluate(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig | None = None
     if v == "standard_q":
         return _standard_q_search(t, spec.q, cfg)
     if v == "max":
-        return _max_value(t, cfg)
+        return _pq_value(MultiNormSpec.pq_spec(1, 1), t, cfg)
     if v == "pq":
         return _pq_value(spec, t, cfg)
     if v == "hilbert":
@@ -1003,10 +990,9 @@ def evaluate(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig | None = None
     if v == "extended":
         results = [evaluate(spec.base, VectorTuple(np.asarray(T) @ X, space), cfg) for T in spec.ops]
         lower = max(r.lower for r in results)
-        upper = max(r.upper for r in results)
         if all(r.kind == "exact" for r in results):
             return NormValue.exact(lower, None, "family_max")
-        return NormValue("lower" if upper == INF else "bracket", lower, upper, None, "family_max")
+        return NormValue.bracket(lower, max(r.upper for r in results), None, "family_max")
     if v == "generated":  # no exact path: the first member past cfg.max_enum raises BudgetError
         for d in spec.family.members:
             slot_assignments(d.length, X.shape[1], cfg.max_enum)

@@ -150,7 +150,7 @@ def mb_norm(
         sup = NormValue(opn.kind, opn.lower, opn.upper, opn.witness, "collapsed_to_operator_norm")
         return MBNormResult(p_seq, sup, True, n_max)
 
-    src_scale, heuristic_scale = _source_scale(spec_source, source, cfg)
+    src_scale = _source_scale(spec_source, source, cfg)
     score = _scaled_score(src_scale, lambda C, s: T @ C / s, point_evaluator(spec_target, target, cfg))
     U = _uniform_bound(T, source, spec_source, target, spec_target, cfg)
 
@@ -178,9 +178,8 @@ def mb_norm(
         best_witness = {"tuple": cols}
 
     sup_val = max(p_seq)
-    heuristic = heuristic_scale[0]
-    method = f"truncated_at_n={n_max}" + ("_heuristic_source_norm" if heuristic else "")
-    if heuristic or not (all_exact or U < INF):
+    method = f"truncated_at_n={n_max}"
+    if not (all_exact or U < INF):
         sup = NormValue.lower_bound(sup_val, best_witness, method)
     elif met_at is not None:
         sup = NormValue.exact(U, best_witness, f"meets_uniform_bound_at_n={met_at}")
@@ -220,7 +219,7 @@ def mb_tuple_norm(
         kind = "exact" if all(v.kind == "exact" for v in vals) else "lower"
         return NormValue(kind, best.lower, best.lower if kind == "exact" else INF, best.witness, "target_min_collapse")
 
-    src_scale, _ = _source_scale(spec_source, source, cfg)
+    src_scale = _source_scale(spec_source, source, cfg)
     score = _scaled_score(
         src_scale,
         lambda C, s: np.concatenate([T @ C / s for T in Ts], axis=-1),

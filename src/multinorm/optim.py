@@ -358,7 +358,7 @@ def seeded_ascent(
                 v[cok] = value(cand[cok])
 
         # the larger of vals * grow and vals / grow lies above vals for either sign of vals
-        better = v > np.maximum(vals * grow, vals / grow) + 1e-15
+        better = v > np.maximum(vals * grow, vals / grow)
         vals = np.where(better, v, vals)
         pts = np.where(better.reshape(bcast), cand, pts)
         misses = np.where(better, 0, misses + fresh)

@@ -2,7 +2,7 @@
 
 A tuple with disjointly supported columns gets its (p,q) and max norms
 from the closed form _pq_disjoint, before any bound or search.  Otherwise
-_pq_value, _max_value (through the (1,1) value) and _numerical_dual_climb
+_pq_value (the max multi-norm is its (1,1) value) and _numerical_dual_climb
 hand their certified upper bounds to seeded_ascent as its ceiling: a
 projected seed that meets the bound ends the search, and the result is
 exact at the bound.  A numerical dual whose base is in the duality table
@@ -185,28 +185,72 @@ def test_numerical_dual_of_lattice_is_exact_at_the_norm_of_the_sum(field, weight
             assert res.lower == pytest.approx(sp.norm(np.abs(L).sum(axis=1)), rel=1e-14)
 
 
-def test_heuristic_membership_is_never_exact():
-    # past its n^m budget standard_q(3) is a local search with no upper bound, so its membership values certify no
-    # point: the numerical dual is kind lower with the suffix, even for a one-slot tuple whose seed meets ||lambda_1||
+def test_search_membership_keeps_every_witness_feasible():
+    # past its n^m budget standard_q(3) is a local search under the certified bound _pq_upper, which scales each climbed
+    # point into the unit ball: the witness's standard_q value, exact within the default budget, is at most 1.  The
+    # one-slot tuple's seed meets the ceiling ||lambda_1||, so that result is exact
     sp = SpaceSpec(2.0, 3)
     rng = np.random.default_rng(3)
     one_slot = np.zeros((3, 3))
     one_slot[:, 0] = rng.standard_normal(3)
     L = rng.standard_normal((3, 3))
-    for X in (L, one_slot):
-        res = mn.evaluate(S.numerical_dual(S.standard_q(3)), VectorTuple(X, sp), OptimConfig(seed=5, restarts=2, max_enum=8))
-        assert (res.kind, res.method) == ("lower", "numerical_dual_ascent_heuristic_membership")
+    small = OptimConfig(seed=5, restarts=2, max_enum=8)
+    res = mn.evaluate(S.numerical_dual(S.standard_q(3)), VectorTuple(L, sp), small)
+    assert (res.kind, res.method) == ("bracket", "numerical_dual_ascent") and res.upper < INF
+    own = mn.evaluate(S.standard_q(3), VectorTuple(res.witness, sp.dual()), CFG)
+    assert own.kind == "exact" and own.lower <= 1 + 1e-12
+    assert abs(np.sum(sp.w[:, None] * res.witness * L)) == pytest.approx(res.lower, rel=1e-12)
+    res = mn.evaluate(S.numerical_dual(S.standard_q(3)), VectorTuple(one_slot, sp), small)
+    assert (res.kind, res.method, res.lower) == ("exact", "numerical_dual_ascent", sp.norm(one_slot[:, 0]))
     # past its sign budget weak_summing(1) is a bracket, whose certified upper side keeps every climbed point feasible:
-    # no suffix, a lower bound under the max multi-norm's upper bound, and exact where a seed meets the ceiling
+    # a lower bound under the max multi-norm's upper bound, and exact where a seed meets the ceiling
     tiny = OptimConfig(seed=5, restarts=2, max_enum=2)
     res = mn.evaluate(S.numerical_dual(S.weak_summing(1)), VectorTuple(L, sp), tiny)
-    assert (res.kind, res.method) == ("lower", "numerical_dual_ascent")
+    assert (res.kind, res.method) == ("bracket", "numerical_dual_ascent")
     assert res.lower <= mn.evaluate(S.max_spec(), VectorTuple(L, sp), CFG).upper
     # the witness lies in the unit ball: within the default budget its mu_1 is exact, and at most 1
     mu = mn.evaluate(S.weak_summing(1), VectorTuple(res.witness, sp.dual()), CFG)
     assert mu.kind == "exact" and mu.lower <= 1 + 1e-12
     res = mn.evaluate(S.numerical_dual(S.weak_summing(1)), VectorTuple(one_slot, sp), tiny)
     assert (res.kind, res.method, res.lower) == ("exact", "numerical_dual_ascent", sp.norm(one_slot[:, 0]))
+
+
+def _search_backed_cases():
+    """(spec, space, tuple, cfg) for every search-backed variant, each off its exact path."""
+    rng = np.random.default_rng(41)
+    small = OptimConfig(seed=11, restarts=2, grid_points=32, max_enum=4)  # below standard_q's and complex mu_1's needs
+    for field in FIELDS:
+        for r in (1.5, 2.0):
+            sp = SpaceSpec(r, 3, (0.5, 2.0, 1.25), field)
+            for n in (2, 3):
+                X = field_normal(rng, (3, n), sp.is_complex)
+                yield S.pq_spec(1, 2), sp, X, CFG
+                yield S.pq_spec(1.5, 3), sp, X, CFG
+                yield S.max_spec(), sp, X, CFG
+                yield S.standard_q(3), sp, X, small
+                yield S.extended(S.pq_spec(1, 2), [np.eye(3), PAIR_SUMS]), sp, X, CFG
+                if r == 2.0:
+                    yield S.hilbert(), sp, X, CFG
+                if field == "complex":
+                    yield S.weak_summing(1), sp, X, small
+                    yield S.numerical_dual(S.max_spec()), sp, X, small  # tabled: weak_summing(1)
+            L = field_normal(rng, (3, 2), sp.is_complex)
+            for base in (S.pq_spec(1, 2), S.standard_q(3), S.extended(S.lattice(), [np.eye(3), PAIR_SUMS])):
+                yield S.numerical_dual(base), sp, L, small  # off the table: the climb
+
+
+def test_every_search_result_has_a_proven_upper_bound():
+    # a finite upper bound at or above the lower one, and _source_scale (the scale of mb_norm's source tuples and of
+    # the climb's membership) no lower than the result's lower bound
+    variants = set()
+    for spec, sp, X, cfg in _search_backed_cases():
+        assert exact_evaluator(spec, sp, X.shape[1], cfg) is None
+        res = mn.evaluate(spec, VectorTuple(X, sp), cfg)
+        assert res.kind in ("exact", "bracket") and res.upper < INF, (spec.to_json(), sp.to_json())
+        assert res.lower <= res.upper
+        assert multinorms._source_scale(spec, sp, cfg)(X[None])[0] >= res.lower, (spec.to_json(), sp.to_json())
+        variants.add(spec.variant if spec.variant != "numerical_dual" else (spec.variant, _dual_spec(spec.base) is None))
+    assert variants == {"pq", "max", "hilbert", "standard_q", "weak_summing", "extended", ("numerical_dual", True), ("numerical_dual", False)}
 
 
 def test_numerical_dual_of_max_is_mu_1():
@@ -275,7 +319,7 @@ def test_climbed_points_lie_in_the_unit_ball(field):
     sp = SpaceSpec(2.0, 3, (0.5, 2.0, 1.25), field)
     L = field_normal(np.random.default_rng(12), (3, 2), sp.is_complex)
     res = mn.evaluate(S.numerical_dual(S.hilbert()), VectorTuple(L, sp), CFG)
-    assert (res.kind, res.method) == ("lower", "numerical_dual_ascent")
+    assert (res.kind, res.method) == ("bracket", "numerical_dual_ascent")
     assert mn.evaluate(S.hilbert(), VectorTuple(res.witness, sp.dual()), CFG).upper <= 1 + 1e-12
     assert abs(np.sum(sp.w[:, None] * res.witness * L)) == pytest.approx(res.lower, rel=1e-12)
 
@@ -290,14 +334,10 @@ def test_a_tiny_tuple_keeps_its_kind_and_method():
             continue
         big, small = (mn.evaluate(spec, VectorTuple(Y, sp), CFG) for Y in (X, c * X))
         assert (small.kind, small.method) == (big.kind, big.method), (spec.to_json(), sp.to_json())
-        assert small.upper == big.upper == INF or small.upper == pytest.approx(c * big.upper, rel=1e-12)
-        # an exact value is its bound; below one, the ascent's absolute 1e-15 acceptance term stalls a tiny climb early
-        if big.kind == "exact":
-            assert small.lower == pytest.approx(c * big.lower, rel=1e-12)
-        else:
-            assert c * big.lower * (1 - 1e-3) <= small.lower <= small.upper
+        assert small.upper == pytest.approx(c * big.upper, rel=1e-12)
+        assert small.lower == pytest.approx(c * big.lower, rel=1e-12)
         seen.add(big.kind)
-    assert seen == {"exact", "bracket", "lower"}
+    assert seen == {"exact", "bracket"}
 
 
 @pytest.mark.parametrize("is_complex", [False, True])
@@ -367,9 +407,9 @@ def test_bases_with_a_ceiling_dominate_the_minimum_multinorm(field, r):
             assert np.all(fn(X) >= sp.norm_cols(X).max(axis=-1) * (1 - 1e-14)), (spec.variant, n)
     assert seen >= 30
     for spec in (S.pq_spec(1, 2), S.max_spec()):
-        scale, heuristic = multinorms._source_scale(spec, sp, CFG)
+        scale = multinorms._source_scale(spec, sp, CFG)
         X = field_normal(rng, (2, 3, 3), sp.is_complex)
-        assert np.all(scale(X) >= sp.norm_cols(X).max(axis=-1) * (1 - 1e-14)) and not heuristic[0]
+        assert np.all(scale(X) >= sp.norm_cols(X).max(axis=-1) * (1 - 1e-14))
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -502,7 +542,9 @@ def test_no_lower_bound_falls(monkeypatch):
             exact += 1
             assert b.lower >= a.lower or a.lower <= b.upper * (1 + 4 * np.finfo(float).eps), (spec.to_json(), a, b)
         else:
-            assert (b.kind, b.lower, b.upper) == (a.kind, a.lower, a.upper)
+            # a climbed numerical dual's upper side is its ceiling, which a tabled dual of its base lowers
+            assert (b.kind, b.lower) == (a.kind, a.lower)
+            assert b.upper == a.upper or spec.variant == "numerical_dual"
             assert _same_witness(b.witness, a.witness)
     assert 0 < exact < len(cases)
 

@@ -8,8 +8,9 @@ t-th step is row i of the t-th field_normal(rng, (L0, *shape)) draw from
 cfg.stream("ascent.directions"), L0 being the number of starts.  The
 lockstep engine gets the same callbacks lifted to stacks, and must return
 the same (value, point) bit for bit.  A step is accepted when it beats
-max(val * (1 + tol), val / (1 + tol)) + 1e-15, which lies above val for
-either sign of val.
+max(val * (1 + tol), val / (1 + tol)), which lies above val for either
+sign of val: a margin relative to val only, so the climb of c * value is
+the climb of value for every c > 0, up to rounding.
 """
 
 import math
@@ -51,7 +52,7 @@ def _sequential_ascent(project, value, seeds, shape, cfg, complex_field=False, i
             budget -= 1
             cand = project(pt + step * direction)
             v = value(cand) if cand is not None else -INF
-            if v > max(val * (1 + cfg.tol), val / (1 + cfg.tol)) + 1e-15:
+            if v > max(val * (1 + cfg.tol), val / (1 + cfg.tol)):
                 val, pt = v, cand
                 misses = 0
                 boost = 2.0 * step
@@ -59,7 +60,7 @@ def _sequential_ascent(project, value, seeds, shape, cfg, complex_field=False, i
                     budget -= 1
                     cand = project(pt + boost * direction)
                     v = value(cand) if cand is not None else -INF
-                    if v > max(val * (1 + cfg.tol), val / (1 + cfg.tol)) + 1e-15:
+                    if v > max(val * (1 + cfg.tol), val / (1 + cfg.tol)):
                         val, pt = v, cand
                         boost *= 2.0
                     else:

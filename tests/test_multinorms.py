@@ -6,6 +6,7 @@ import pytest
 import multinorm as mn
 from multinorm import INF, MultiNormSpec as Spec, OptimConfig, SpaceSpec, VectorTuple
 from multinorm.multinorms import point_value
+from multinorm.spaces import roots_tuple
 
 CFG = OptimConfig(seed=2024)
 
@@ -198,6 +199,46 @@ def test_inequality_of_roots():
         assert exact_max <= _roots_upper(s1, X, CFG) + 1e-8
 
 
+def _frozen_roots_upper(space, X, cfg):
+    """_roots_upper as it was when it built its matrices and permutations on every call."""
+    n = X.shape[1]
+    if space.is_complex:
+        mats = [roots_tuple(k, k, True)[:, :n] for k in (n, 2 * n)]
+    else:
+        H = np.ones((1, 1))
+        mats = []
+        while len(mats) < 2:
+            if len(H) >= n:
+                mats.append(H[:, :n])
+            H = np.block([[H, H], [H, -H]])
+    perms = [np.arange(n), *np.argsort(cfg.stream("roots_upper.perms").random((3, n)), axis=1)]
+    best = float(space.norm_cols(X).sum())
+    for perm in perms:
+        cols = X[:, perm]
+        for R in mats:
+            best = min(best, float(space.norm_cols(cols @ R.T).mean()))
+    return best
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_roots_upper_builds_its_inputs_once_and_keeps_its_values(field):
+    # the matrices and permutations depend on (n, field, seed) only: built once, read-only, the same bound bit for bit
+    from multinorm.multinorms import _roots_inputs, _roots_upper
+
+    rng = np.random.default_rng([19, field == "complex"])
+    for seed in (2024, -5):
+        cfg = OptimConfig(seed=seed)
+        for r in (1, 1.5, INF):
+            s = SpaceSpec(r, 4, (1.0, 2.0, 0.5, 1.0), field)
+            for n in range(1, 7):
+                for _ in range(3):
+                    X = rng.standard_normal((4, n)) + (1j * rng.standard_normal((4, n)) if s.is_complex else 0)
+                    assert _roots_upper(s, X, cfg) == _frozen_roots_upper(s, X, cfg), (seed, r, n)
+                mats, perms = _roots_inputs(n, s.is_complex, seed)
+                assert _roots_inputs(n, s.is_complex, seed) is _roots_inputs(n, s.is_complex, seed)
+                assert not any(a.flags.writeable for a in (*mats, *perms))
+
+
 def test_standard_one_equals_max_on_l1():
     rng = np.random.default_rng(14)
     s = SpaceSpec(1, 4, (1.0, 2.0, 0.5, 1.0))
@@ -233,7 +274,9 @@ def test_pq_of_an_l1_pair_is_exact(field):
         for _ in range(4):
             X = rng.standard_normal((3, 2)) + (1j * rng.standard_normal((3, 2)) if field == "complex" else 0)
             res = mn.evaluate(Spec.pq_spec(p, q), VectorTuple(X, s), CFG)
-            assert (res.kind, res.method) == ("exact", "l1_pair_arc_bisection"), (p, q)
+            # a real pair's (1,1) value is the closed form (||x1 + x2|| + ||x1 - x2||) / 2
+            method = "real_pair_closed_form" if (p, q) == (1, 1) and field == "real" else "l1_pair_arc_bisection"
+            assert (res.kind, res.method) == ("exact", method), (p, q)
             # the functionals are feasible (||(L_1k, L_2k)||_p <= 1 at each k) and attain the value
             L = res.witness["functionals"]
             assert np.all(np.linalg.norm(L, p, axis=1) <= 1 + 1e-12)

@@ -315,7 +315,6 @@ def test_a_tiny_operator_scales_its_levels_and_keeps_their_kinds():
     big = mn.mb_norm(G, sp, Spec.lattice(), sp, Spec.lattice(), 3, CFG)
     small = mn.mb_norm(c * G, sp, Spec.lattice(), sp, Spec.lattice(), 3, CFG)
     assert big.sup_estimate.kind == "bracket"  # || |G| || is a Holder bound here, above every level
-    # the ascent's acceptance margin has an absolute 1e-15 term, so the tiny levels climb a little less far
     assert small.p_seq == pytest.approx([c * v for v in big.p_seq], rel=1e-6)
     a, b = big.sup_estimate, small.sup_estimate
     assert (b.kind, b.method) == (a.kind, a.method)
@@ -325,6 +324,16 @@ def test_a_tiny_operator_scales_its_levels_and_keeps_their_kinds():
         a, b = (mn.pi_summing(q, p, sp, 3, CFG, operator=T) for T in (G, c * G))
         assert a.kind == "bracket" and (b.kind, b.method) == (a.kind, a.method)
         assert b.lower == pytest.approx(c * a.lower, rel=1e-6) and b.upper == pytest.approx(c * a.upper, rel=1e-12)
+    # the ascent accepts a move by a margin relative to its value only, so over many operators no tiny climb stalls
+    # early: an absolute term in the margin would stop the levels of 1e-10 G short of 1e-10 times those of G
+    cfg = OptimConfig(seed=7, restarts=4, grid_points=32)
+    for seed in range(8):
+        G = np.random.default_rng(seed).standard_normal((3, 3))
+        big, small = (mn.mb_norm(T, sp, Spec.lattice(), sp, Spec.lattice(), 3, cfg) for T in (G, c * G))
+        assert small.p_seq == pytest.approx([c * v for v in big.p_seq], rel=1e-5), seed
+        for q, p in ((2, 1), (2, 2), (3, 1.5)):
+            a, b = (mn.pi_summing(q, p, sp, 3, cfg, operator=T) for T in (G, c * G))
+            assert b.lower == pytest.approx(c * a.lower, rel=1e-5), (seed, q, p)
 
 
 def test_complex_operator_on_a_real_field_raises():

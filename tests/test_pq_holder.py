@@ -145,7 +145,7 @@ def test_complex_max_reaches_the_lattice_norm(r):
             t = VectorTuple(field_normal(rng, (4, n), True), sp)
             res = mn.evaluate(S.max_spec(), t, CFG)
             lattice = mn.evaluate(S.lattice(), t, CFG)
-            assert res.method == "pq11_holder_alternation_roots_upper"
+            assert res.method == "pq_holder_alternation"
             assert res.lower >= lattice.lower * (1 - 1e-15), (r, weights, n, res.lower, lattice.lower)
             assert res.lower >= _frozen_ascent(sp, t.columns, 1, 1, CFG)[0]
 
@@ -163,37 +163,46 @@ def test_a_tiny_tuple_scales_its_result_and_keeps_its_kind():
 
 
 def test_exact_mu_roles_keep_the_climb():
-    # where mu_{p,n} is exact for every functional tuple the climb stays: bit for bit the frozen ascent's result
+    # where mu_{p,n} is exact for every functional tuple the climb stays: bit for bit the frozen ascent's result.  A
+    # real 2-tuple's (1,1) value is the closed form (||x1 + x2|| + ||x1 - x2||) / 2, which the climb never passes
     seen = set()
     for sp, p, q, X in _dense_cases(rule_none=False):
         res = _pq(sp, p, q, X)
         val, L = _frozen_ascent(sp, X, p, q, CFG)
+        if (p, q) == (1, 1) and X.shape[1] == 2 and not sp.is_complex:
+            plus, minus = X[:, 0] + X[:, 1], X[:, 0] - X[:, 1]
+            assert (res.kind, res.method, res.lower) == ("exact", "real_pair_closed_form", (sp.norm(plus) + sp.norm(minus)) / 2)
+            assert val <= res.lower * (1 + 1e-12)
+            seen.add("pair")
+            continue
         assert res.method == "pq_ball_ascent"
         assert np.array_equal(res.witness["functionals"], L)
         assert res.lower == val
         seen.add((sp.p, sp.field))
-    assert {(1.0, "real"), (1.0, "complex"), (INF, "real"), (1.5, "real")} <= seen
+    assert {(1.0, "real"), (1.0, "complex"), (INF, "real"), (1.5, "real"), "pair"} <= seen
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_search_bases_scale_by_their_upper_bound_without_a_search(field, monkeypatch):
-    # _source_scale gives a pq, max or hilbert tuple evaluate's upper bound bit for bit, and runs no evaluate
+    # _source_scale gives a pq, max, hilbert or (past its budget) standard_q tuple evaluate's upper bound bit for bit,
+    # and runs no evaluate
     rng = np.random.default_rng([34, field == "complex"])
     evaluate, ran = multinorms.evaluate, []
     monkeypatch.setattr(multinorms, "evaluate", lambda *a, **k: ran.append(a[0]) or evaluate(*a, **k))
-    specs = [S.pq_spec(1, 2), S.pq_spec(1.5, 3), S.pq_spec(2, 2), S.pq_spec(3, 3), S.max_spec(), S.hilbert()]
+    specs = [S.pq_spec(1, 2), S.pq_spec(1.5, 3), S.pq_spec(2, 2), S.pq_spec(3, 3), S.max_spec(), S.hilbert(), S.standard_q(3)]
+    small = OptimConfig(seed=11, restarts=2, grid_points=32, max_enum=8)  # standard_q's 3^3 assignments exceed it
     for r in RS:
         for weights in ((), (0.5, 2.0, 1.25)):
             sp = SpaceSpec(r, 3, weights, field)
             for spec in specs:
-                if spec.variant == "hilbert" and r != 2:
+                if spec.variant == "hilbert" and r != 2 or spec.variant == "standard_q" and r > 3:
                     continue
+                cfg = small if spec.variant == "standard_q" else CFG
                 for n in (1, 2, 3):
                     C = field_normal(rng, (3, 3, n), sp.is_complex)
                     C[1, rng.integers(3), :] = 0  # a zero coordinate
                     C[2] = 0
                     C[2, np.arange(n) % 3, np.arange(n)] = rng.uniform(0.5, 2.0, n)  # disjoint supports for n <= 3
-                    want = [evaluate(spec, VectorTuple(X, sp), CFG).upper for X in C]
-                    scale, heuristic = multinorms._source_scale(spec, sp, CFG)
-                    assert scale(C).tolist() == want, (spec.to_json(), sp.to_json(), n)
-                    assert ran == [] and not heuristic[0]
+                    want = [evaluate(spec, VectorTuple(X, sp), cfg).upper for X in C]
+                    assert multinorms._source_scale(spec, sp, cfg)(C).tolist() == want, (spec.to_json(), sp.to_json(), n)
+                    assert ran == []

@@ -169,7 +169,7 @@ def test_budgeted_weak_summing_1_audits_and_sources_do_not_raise():
     L = _draw(np.random.default_rng(3), (3, 3), False)
     dual = mn.evaluate(S.numerical_dual(spec), mn.VectorTuple(L, sp), tiny)
     # past the budget mu_1's bracket still gives a certified upper bound, so the climb keeps certified membership
-    assert dual.kind == "lower" and dual.method == "numerical_dual_ascent"
+    assert dual.kind == "bracket" and dual.method == "numerical_dual_ascent"
     fits = mn.evaluate(S.numerical_dual(spec), mn.VectorTuple(L[:, :2], sp), tiny)
     assert fits.method == "numerical_dual_ascent"
 

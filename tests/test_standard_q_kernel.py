@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import multinorm as mn
-from multinorm.multinorms import _standard_q_enum, _standard_q_search, exact_evaluator, point_value
+from multinorm.multinorms import _roots_upper, _standard_q_enum, _standard_q_search, exact_evaluator, point_value
+from multinorm.optim import meets
 from multinorm.partitions import GRID_BLOCK
 from multinorm.spaces import _root, lp_norm
 
@@ -138,16 +139,22 @@ def test_grids_of_more_than_one_block_match_the_loop(field):
 def test_local_search_matches_the_per_move_loop(field):
     rng = np.random.default_rng([9, field == "complex"])
     cfg = mn.OptimConfig(seed=3, restarts=6, max_enum=10)
+    kinds = set()
     for (r, q), (m, n) in zip(((1.0, 2.0), (2.0, 3.0), (1.5, 4.0)), ((4, 3), (6, 4), (5, 5))):
         sp = mn.SpaceSpec(r, m, tuple(rng.uniform(0.5, 2.0, m)), field)
         for X in _cases(rng, m, n, sp.is_complex)[:3]:
             t = mn.VectorTuple(X, sp)
             want, want_assign = _looped_search(t, q, cfg)
             res = _standard_q_search(t, q, cfg)
-            assert (res.kind, res.lower, res.method) == ("lower", want, "partition_local_search")
+            # the bracket's upper side is the (p,q) bound of every multi-norm, exact where the search meets it
+            upper = min(lp_norm(sp.norm_cols(X), q), _roots_upper(sp, X, cfg))
+            kind, lower = ("exact", upper) if meets(want, upper) else ("bracket", want)
+            assert (res.kind, res.lower, res.upper, res.method) == (kind, lower, upper, "partition_local_search")
             assert res.witness["assignment"].tolist() == want_assign.tolist()
+            kinds.add(kind)
             # n^m > 10 assignments: evaluate and point_value take the same search
-            assert mn.evaluate(S.standard_q(q), t, cfg).lower == want == point_value(S.standard_q(q), sp, X, cfg)
+            assert mn.evaluate(S.standard_q(q), t, cfg).lower == lower == point_value(S.standard_q(q), sp, X, cfg)
+    assert "bracket" in kinds
 
 
 def test_standard_q_audit_is_exact_on_stacks():
