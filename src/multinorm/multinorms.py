@@ -869,15 +869,21 @@ def _source_scale(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig):
 
     A width with an exact path gives the norm; otherwise each tuple's upper
     bound: _search_upper's for pq, max, hilbert and standard_q, which runs
-    no search, else evaluate's, which every search-backed result carries.
-    mb_norm, mb_tuple_norm and the numerical dual's climb share it.
+    no search; for extended(B, ops) the largest of B's scale at T x over
+    the ops, evaluate's upper side bit for bit; else evaluate's, which
+    every search-backed result carries.  mb_norm, mb_tuple_norm and the
+    numerical dual's climb share it.
     """
     exact_at = functools.cache(lambda n: exact_evaluator(spec, space, n, cfg))
+    if spec.variant == "extended":
+        base, ops = _source_scale(spec.base, space, cfg), [np.asarray(T) for T in spec.ops]
 
     def scale(C):
         fast = exact_at(C.shape[-1])
         if fast is not None:
             return fast(C)
+        if spec.variant == "extended":
+            return np.max([base(T @ C) for T in ops], axis=0)
         if spec.variant in ("pq", "max", "hilbert", "standard_q"):
             return np.array([_search_upper(spec, space, cols, cfg) for cols in C])
         return np.array([evaluate(spec, VectorTuple(cols, space), cfg).upper for cols in C])
@@ -1194,8 +1200,40 @@ def check_axioms(
 # rate of growth
 
 
+def _lattice_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConfig) -> tuple[float, np.ndarray, float] | None:
+    """(value, witness, upper) for phi_n of lattice or extended(lattice, ops), else None.
+
+    phi_n is the largest p_n(S; min -> lattice) over the operators S (the
+    identity for lattice), each from summing._row_partition_levels; the
+    value is the spec's own at the best witness.  None also where that
+    helper gives none: past its budget, or for a complex operator on a
+    real space.
+    """
+    if spec.variant == "lattice":
+        ops = [np.eye(space.dim)]
+    elif spec.variant == "extended" and spec.base.variant == "lattice":
+        ops = [np.asarray(T) for T in spec.ops]
+    else:
+        return None
+    levels = [summing._row_partition_levels([T], space, space, n, cfg) for T in ops]
+    if None in levels:
+        return None
+    values = [point_value(spec, space, lv[-1][0], cfg) for lv in levels]
+    best = int(np.argmax(values))
+    return values[best], levels[best][-1][0], max(lv[-1][1] for lv in levels)
+
+
 def rate_of_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
-    """phi_n = sup of the multi-norm over n-tuples of unit-ball vectors."""
+    """phi_n = sup of the multi-norm over n-tuples of unit-ball vectors.
+
+    lattice and extended(lattice, ops) take the row-partition closed form
+    (_lattice_growth): exact at its bound, method row_partition, where the
+    witness meets it (every lattice phi_n is min(n, dim)^(1/r), 1 at
+    r = inf), else a bracket under it after the climb.  min is exact, and
+    so are standard_q, max, dual_lattice, weak_summing and lp_sum where
+    their closed forms apply (method closed_form_growth); everything else
+    climbs over unit tuples for a lower bound (method unit_tuple_ascent).
+    """
     cfg = cfg or OptimConfig()
     validate(spec, space)
     if n < 1:
@@ -1207,10 +1245,14 @@ def rate_of_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConf
         x = delta(space, 0) / space.norm(delta(space, 0))
         return NormValue.exact(1.0, {"tuple": np.repeat(x[:, None], n, axis=1)}, "min_growth")
 
+    closed = _lattice_growth(spec, space, n, cfg)
+    if closed is not None and meets(closed[0], closed[2]):
+        return NormValue.exact(closed[2], {"tuple": closed[1]}, "row_partition")
+
     def closed_form() -> tuple[float, np.ndarray] | None:
         dt = complex if space.is_complex else float
-        if v in ("lattice", "standard_q", "max") and space.p != INF and m >= n:
-            q = space.p if v in ("lattice",) else (spec.q if v == "standard_q" else 1.0)
+        if v in ("standard_q", "max") and space.p != INF and m >= n:
+            q = spec.q if v == "standard_q" else 1.0
             if v == "max" and space.p != 1:
                 return None
             cols = np.zeros((m, n), dtype=dt)
@@ -1242,7 +1284,11 @@ def rate_of_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConf
         seeds.append(ends[1])
 
     val, cols = seeded_ascent(project, point_evaluator(spec, space, cfg), seeds, (m, n), cfg, space.is_complex)
-    return NormValue.lower_bound(val, {"tuple": cols}, "unit_tuple_ascent")
+    if closed is None:
+        return NormValue.lower_bound(val, {"tuple": cols}, "unit_tuple_ascent")
+    if closed[0] > val:
+        val, cols = closed[:2]
+    return NormValue.bracket(min(val, closed[2]), closed[2], {"tuple": cols}, "unit_tuple_ascent")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,16 @@ every n where one is proved (lattice -> lattice, or a coordinate
 permutation between equal partition multi-norms); a level whose seed
 meets its cap is exact and runs no ascent.
 
+From the minimum multi-norm into a lattice one on l^r(w) each level has a
+closed form (summing._row_partition_levels): p_n(T)^r is the max over
+partitions of the rows of T into at most n groups G of
+sum_G ||P_G T : E -> l^r(G, w)||^r.  It is at most that, since grouping
+row k by the j that attains max_j |(T x_j)_k| bounds the lattice norm by
+the sum over groups; and at least that, since x_j norming P_{G_j} T gives
+row k of G_j at least its term.  At r = inf every p_n is ||T||.  For an
+operator tuple the row groups also choose, row by row, which operator
+the row comes from.
+
 Multi-continuity (multi-null sequences map to multi-null sequences) is
 equivalent to multi-boundedness, and at a finite horizon it is implied by
 the p_n bounds computed here, so no separate continuity checker exists.
@@ -24,7 +34,7 @@ from .errors import DimensionError, SpecError
 from .multinorms import MultiNormSpec, _source_scale, evaluate, point_evaluator
 from .optim import INF, NormValue, OptimConfig, meets, seeded_ascent, unconstrained
 from .spaces import MatrixOp, SpaceSpec, VectorTuple, delta_tuple, real_entries
-from .summing import _scaled_score, op_norm_between
+from .summing import _row_partition_levels, _scaled_score, op_norm_between
 
 
 def amplify(T, t: VectorTuple, target: SpaceSpec) -> VectorTuple:
@@ -109,6 +119,11 @@ def _uniform_bound(T, source, spec_source, target, spec_target, cfg) -> float:
     return INF
 
 
+def _min_to_lattice(spec_source: MultiNormSpec, spec_target: MultiNormSpec) -> bool:
+    """Whether the levels have summing._row_partition_levels' closed form: the minimum multi-norm into a lattice one."""
+    return spec_source.variant == "min" and spec_target.variant == "lattice"
+
+
 def mb_norm(
     T: np.ndarray,
     source: SpaceSpec,
@@ -129,13 +144,22 @@ def mb_norm(
     Each level's cap is the smaller of n*||T|| (where ||T|| is exact) and
     U, a certified bound on every p_n (_uniform_bound): || |T| || for
     lattice -> lattice, partition_permutation_bound for a permutation
-    between equal partition multi-norms, else none.  A level whose best
-    seed meets its cap is exact at the cap and runs no ascent; once a level
-    meets U, its padded witness meets U at every later level.
-    sup_estimate is then exact at U, the multi-bounded norm over all n
-    (method meets_uniform_bound_at_n=k).  Otherwise it is exact when
-    every level met n*||T||, a bracket [max p_n, U] when U is finite, and
-    a lower bound else (method truncated_at_n=n_max).  A genuinely complex
+    between equal partition multi-norms, else none.  From the minimum
+    multi-norm into a lattice one on l^r(w) the level's row-partition
+    bound lowers the cap: p_n^r is the max over partitions of the rows
+    into at most n groups G of sum_G ||P_G T||^r (grouping row k by the j
+    that attains max_j |(T x_j)_k| gives <=, x_j norming P_{G_j} T gives
+    >=; ||T|| at r = inf).  Its witness, valued by the level's own score,
+    is tried first: where it meets the cap, the level is
+    exact at the cap and no seed is valued.  A level whose best seed meets
+    its cap is exact at the cap and runs no ascent; any other level climbs
+    and keeps the larger of the climb and the witness.  Once a level meets
+    U, its padded witness meets U at every later level.  sup_estimate is
+    then exact at U, the multi-bounded norm over all n (method
+    meets_uniform_bound_at_n=k).  Otherwise it is exact when every level
+    met n*||T|| or U (a level that met only its row-partition bound does
+    not count), a bracket [max p_n, U] when U is finite, and a lower bound
+    else (method truncated_at_n=n_max).  A genuinely complex
     T raises FieldError on a real target, and on a real source through
     op_norm_between (the real-input norm of a complex matrix is not searched).
     """
@@ -153,6 +177,7 @@ def mb_norm(
     src_scale = _source_scale(spec_source, source, cfg)
     score = _scaled_score(src_scale, lambda C, s: T @ C / s, point_evaluator(spec_target, target, cfg))
     U = _uniform_bound(T, source, spec_source, target, spec_target, cfg)
+    closed = _row_partition_levels([T], source, target, n_max, cfg) if _min_to_lattice(spec_source, spec_target) else None
 
     p_seq: list[float] = []
     prev_witness = None
@@ -160,20 +185,27 @@ def mb_norm(
     met_at = None
     best_witness = None
     for n in range(1, n_max + 1):
-        seeds = _delta_tuples(source.dim, n, source.is_complex)
-        if prev_witness is not None:
-            seeds.append(np.concatenate([prev_witness, prev_witness[:, -1:]], axis=1))
         upper_n = n * (opn.lower if opn.kind == "exact" else opn.upper)
         cap = min(n * opn.lower if opn.kind == "exact" else INF, U)
-        val, cols = seeded_ascent(unconstrained, score, seeds, (source.dim, n), cfg, source.is_complex, ceiling=cap)
-        val = max(val, p_seq[-1] if p_seq else 0.0)
-        if meets(val, cap):
-            p_seq.append(cap)
+        level_cap, found, cols = cap, -INF, None
+        if closed is not None:
+            cols, bound = closed[n - 1]
+            upper_n, level_cap, found = min(upper_n, bound), min(cap, bound), float(score(cols[None])[0])
+        if not meets(found, level_cap):
+            seeds = _delta_tuples(source.dim, n, source.is_complex)
+            if prev_witness is not None:
+                seeds.append(np.concatenate([prev_witness, prev_witness[:, -1:]], axis=1))
+            val, climbed = seeded_ascent(unconstrained, score, seeds, (source.dim, n), cfg, source.is_complex, ceiling=level_cap)
+            if val >= found:
+                found, cols = val, climbed
+        val = max(found, p_seq[-1] if p_seq else 0.0)
+        all_exact = all_exact and meets(val, cap)
+        if meets(val, level_cap):
+            p_seq.append(level_cap)
             if met_at is None and meets(val, U):
                 met_at = n
         else:
             p_seq.append(min(val, upper_n))
-            all_exact = False
         prev_witness = cols
         best_witness = {"tuple": cols}
 
@@ -200,11 +232,23 @@ def mb_tuple_norm(
     k_max: int,
     cfg: OptimConfig | None = None,
 ) -> NormValue:
-    """Lower bound for the multi-bounded norm of an operator tuple.
+    """The multi-bounded norm of an operator tuple, truncated at k_max.
 
     sup over k <= k_max and ||(x_1..x_k)||_source <= 1 of the target norm
     of the nk-tuple (T_i x_j).  With the minimum multi-norm on the target
-    this collapses to max_i ||T_i|| exactly.
+    this collapses to max_i ||T_i||: exact where every ||T_i|| is, else
+    the bracket [max lower, max upper] (method target_min_collapse).  From
+    the minimum multi-norm into a lattice one on l^r(w) the value is the
+    row-partition closed form at k_max groups: its r-th power is the max
+    over partitions of the rows into at most k_max groups G of
+    sum_G max_s ||P_G T_s||^r, T_s taking row k from T_s(k) (grouping row
+    k by the (i, j) that attains max_{i,j} |(T_i x_j)_k| gives <=, x_j
+    norming the best P_{G_j} T_s gives >=).  Where the witness meets that
+    bound the result is exact at it (method row_partition) and nothing
+    climbs; otherwise the ascent over k = 1..k_max runs as elsewhere, and
+    the larger of it and the witness is the lower side of a bracket with
+    that bound.  Elsewhere the ascent gives a lower bound (method
+    tuple_ascent_k<=k_max).
     """
     cfg = cfg or OptimConfig()
     Ts = [_operator(T, source, target) for T in Ts]
@@ -216,8 +260,9 @@ def mb_tuple_norm(
     if spec_target.variant == "min":
         vals = [op_norm_between(T, source, target, cfg) for T in Ts]
         best = max(vals, key=lambda r: r.lower)
-        kind = "exact" if all(v.kind == "exact" for v in vals) else "lower"
-        return NormValue(kind, best.lower, best.lower if kind == "exact" else INF, best.witness, "target_min_collapse")
+        if all(v.kind == "exact" for v in vals):
+            return NormValue.exact(best.lower, best.witness, "target_min_collapse")
+        return NormValue.bracket(best.lower, max(v.upper for v in vals), best.witness, "target_min_collapse")
 
     src_scale = _source_scale(spec_source, source, cfg)
     score = _scaled_score(
@@ -226,13 +271,22 @@ def mb_tuple_norm(
         point_evaluator(spec_target, target, cfg),
     )
 
-    best_val, best_witness = 0.0, None
+    best_val, best_witness, upper = 0.0, None, INF
+    closed = _row_partition_levels(Ts, source, target, k_max, cfg) if _min_to_lattice(spec_source, spec_target) else None
+    if closed is not None:
+        cols, upper = closed[-1]
+        best_val, best_witness = float(score(cols[None])[0]), {"tuple": cols, "k": k_max}
+        if meets(best_val, upper):
+            return NormValue.exact(upper, best_witness, "row_partition")
     for k in range(1, k_max + 1):
         seeds = _delta_tuples(source.dim, k, source.is_complex)
         val, cols = seeded_ascent(unconstrained, score, seeds, (source.dim, k), cfg, source.is_complex)
         if val > best_val:
             best_val, best_witness = val, {"tuple": cols, "k": k}
-    return NormValue.lower_bound(best_val, best_witness, f"tuple_ascent_k<={k_max}")
+    method = f"tuple_ascent_k<={k_max}"
+    if upper < INF:
+        return NormValue.bracket(min(best_val, upper), upper, best_witness, method)
+    return NormValue.lower_bound(best_val, best_witness, method)
 
 
 def partition_permutation_bound(blocks: list, sigma: list, p: float) -> tuple[int, float]:

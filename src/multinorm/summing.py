@@ -8,6 +8,7 @@ weights of E are absorbed into a diagonal rescaling.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,10 @@ from .errors import SpecError
 from .optim import (
     NormValue,
     OptimConfig,
+    _dual_unit_vectors,
     _grid_scan,
+    _holder_upper,
+    _op_norm_exact,
     _op_norm_upper,
     meets,
     op_norm_pq,
@@ -24,7 +28,8 @@ from .optim import (
     torus_certified_upper,
     unconstrained,
 )
-from .spaces import INF, MatrixOp, SpaceSpec, VectorTuple, conjugate_index, delta, delta_tuple, lp_norm, real_entries, roots_tuple
+from .partitions import GRID_BLOCK, digit_rows
+from .spaces import INF, MatrixOp, SpaceSpec, VectorTuple, _root, conjugate_index, delta, delta_tuple, lp_norm, phase, real_entries, roots_tuple
 
 
 def _weight_root(space: SpaceSpec) -> np.ndarray:
@@ -104,10 +109,133 @@ def mu_scale(p: float, X: np.ndarray, space: SpaceSpec, cfg: OptimConfig) -> tup
     return values.reshape(X.shape[:-2]), exact.reshape(X.shape[:-2])
 
 
+def _absorbed(T: np.ndarray, source: SpaceSpec, target: SpaceSpec) -> np.ndarray:
+    """T with the weights of both spaces absorbed, so ||T : E -> F|| is its (p -> q) norm between unweighted spaces."""
+    return _weight_root(target)[:, None] * np.asarray(T) / _weight_root(source)[None, :]
+
+
 def op_norm_between(T: np.ndarray, source: SpaceSpec, target: SpaceSpec, cfg: OptimConfig) -> NormValue:
     """||T : E -> F|| with the weights of both spaces absorbed."""
-    A = _weight_root(target)[:, None] * np.asarray(T) / _weight_root(source)[None, :]
-    return op_norm_pq(MatrixOp(A, source.p, target.p), cfg, field=source.field)
+    return op_norm_pq(MatrixOp(_absorbed(T, source, target), source.p, target.p), cfg, field=source.field)
+
+
+@functools.lru_cache(maxsize=8)
+def _row_splits(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, G, starts) over m rows: each nonempty row set S (a bit mask) with each G within S that holds S's lowest row, sorted by S; S's pairs start at starts[S - 1]."""
+    t, S, G = np.arange(3**m), 0, 0
+    for k in range(m):  # digit k of t: 0 puts row k outside S, 1 in S but not G, 2 in G
+        S, G = S | (t % 3 > 0) << k, G | (t % 3 == 2) << k
+        t = t // 3
+    keep = (S & -S & G) > 0
+    order = np.argsort(S[keep], kind="stable")
+    S, G = S[keep][order], G[keep][order]
+    out = (S, G, np.searchsorted(S, np.arange(1, 2**m)))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _row_partition_levels(Ts: list, source: SpaceSpec, target: SpaceSpec, n_max: int, cfg: OptimConfig) -> list | None:
+    """[(witness, upper)] for n = 1..n_max: the closed form of p_n(Ts) from the minimum multi-norm on E into the lattice one on l^r(w).
+
+    p_n(Ts) is the sup of || max_{i,j} |T_i x_j| ||_{r,w} over n-tuples with
+    every ||x_j|| <= 1 (one operator: mb_norm's level n; several:
+    mb_tuple_norm at k = n).  For r < inf,
+        p_n^r = max over partitions of the rows into at most n groups G of sum_G N(G)^r,
+    N(G) = max over row selections s: G -> Ts of ||P_G T_s : E -> l^r(G, w)||,
+    T_s taking row k from T_s(k).  Upper bound: group each row k by the j
+    of the (i, j) that attains max_{i,j} |(T_i x_j)_k|, with s(k) = i;
+    then group G_j's terms sum to ||P_{G_j} T_s x_j||^r, and ||x_j|| <= 1.  Lower bound: x_j
+    norms the best P_{G_j} T_s, so row k of G_j gets at least that term.
+    At r = inf every p_n is the largest dual norm of a row, max_{i,k} ||(T_i)_k||_{E'}.
+
+    Of the (#Ts + 1)^m - 1 slices P_G T_s, a single row takes its dual
+    norm with its norming vector, exact at every r; the others go through
+    optim._op_norm_exact, GRID_BLOCK slices per stacked call, and a slice
+    with no exact rule takes the Holder bound from above and, from below,
+    the best image of the rows' norming vectors.  The partition
+    maximum runs over the (3^m - 1)/2 (group, rest) splits of _row_splits,
+    level by level.  upper is certified (it uses upper bounds of N); the
+    witness is a (source.dim, n) tuple of vectors of norm at most 1 that
+    attains the lower side of the same maximum, each unused slot repeating
+    the last column.  Past cfg.max_enum slices or splits it returns None,
+    and for a genuinely complex T on a real source, whose real-input
+    norms the kernel does not give.  Ts are (target.dim, source.dim) arrays.
+    """
+    A = np.stack([_absorbed(T, source, target) for T in Ts])
+    if not source.is_complex:
+        if np.any(np.imag(A) != 0):
+            return None
+        A = np.real(A)
+    ops, m, d = A.shape
+    slices = (ops + 1) ** m - 1
+    if max(slices, 3**m // 2) > cfg.max_enum:
+        return None
+    p, r, complex_field = source.p, target.p, source.is_complex
+    pp = conjugate_index(p)
+    rows = A.reshape(-1, d)  # row k of T_i at i * m + k
+    rho = lp_norm(rows, pp)
+    X1 = _dual_unit_vectors(rows, rho, p, pp, phase(np.conj(rows)))
+    X1 = X1.astype(complex) if complex_field else np.real(X1)
+
+    def tuple_of(cols, n):
+        # absorbed coordinates back to the source's
+        return np.stack(cols + cols[-1:] * (n - len(cols)), axis=1) / _weight_root(source)[:, None]
+
+    if r == INF:
+        i = int(np.argmax(rho))
+        return [(tuple_of([X1[i]], n), float(rho[i])) for n in range(1, n_max + 1)]
+
+    # per row set G (a bit mask): the upper and lower sides of N(G), and the witness of the lower side
+    up, low = np.zeros(2**m), np.zeros(2**m)
+    W = np.zeros((2**m, d), dtype=X1.dtype)
+    stack = np.concatenate([np.zeros((1, m, d), dtype=A.dtype), A])
+    for start in range(1, slices + 1, GRID_BLOCK):
+        D = digit_rows(m, ops + 1, start, min(start + GRID_BLOCK, slices + 1))
+        mask = (D > 0) @ (1 << np.arange(m))
+        single = (D > 0).sum(axis=1) == 1
+        hi, lo, X = np.empty(len(D)), np.empty(len(D)), np.empty((len(D), d), dtype=X1.dtype)
+        k = (D[single] > 0).argmax(axis=1)
+        ik = (D[single, k] - 1) * m + k
+        hi[single], lo[single], X[single] = rho[ik], rho[ik], X1[ik]
+        multi = np.flatnonzero(~single)
+        S = stack[D[multi], np.arange(m)]
+        values, witnesses, _ = _op_norm_exact(S, p, r, cfg, complex_field)
+        bare = np.isnan(values)
+        if bare.any():
+            images = lp_norm(S[bare] @ X1.T, r, axis=-2)
+            best = images.argmax(axis=1)
+            hi[multi[bare]] = _holder_upper(S[bare], p, r)
+            lo[multi[bare]], witnesses[bare] = images[np.arange(len(best)), best], X1[best]
+        hi[multi[~bare]] = lo[multi[~bare]] = values[~bare]
+        X[multi] = witnesses if complex_field else np.real(witnesses)
+        np.maximum.at(up, mask, hi)
+        order = np.lexsort((-lo, mask))
+        first = order[np.r_[True, mask[order][1:] != mask[order][:-1]]]
+        gain = first[lo[first] > low[mask[first]]]
+        low[mask[gain]], W[mask[gain]] = lo[gain], X[gain]
+
+    # f[S]: the largest sum of N(G)^r over partitions of S into at most n groups, raised one group per level
+    Sx, Gx, starts = _row_splits(m)
+    counts = np.diff(np.r_[starts, len(Sx)])
+    g_up, g_low = up**r, low**r
+    f_up = f_low = np.r_[0.0, np.full(2**m - 1, -INF)]
+    picks, out = [], []
+    for n in range(1, n_max + 1):
+        if n <= m:
+            f_up = np.r_[0.0, np.maximum.reduceat(g_up[Gx] + f_up[Sx ^ Gx], starts)]
+            cand = g_low[Gx] + f_low[Sx ^ Gx]
+            best = np.maximum.reduceat(cand, starts)
+            hit = np.flatnonzero(cand == np.repeat(best, counts))
+            picks.append(np.r_[0, Gx[hit[np.searchsorted(hit, starts)]]])
+            f_low = np.r_[0.0, best]
+        rest, cols = 2**m - 1, []
+        for pick in reversed(picks):
+            if rest:
+                cols.append(W[pick[rest]])
+                rest ^= pick[rest]
+        out.append((tuple_of(cols, n), _root(f_up[-1], r)))
+    return out
 
 
 def _scaled_score(src_scale, image, tgt_value):

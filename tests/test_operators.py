@@ -94,6 +94,17 @@ def test_mb_tuple_norm():
     assert res.lower == pytest.approx(0.0, abs=1e-12)
 
 
+def test_mb_tuple_norm_into_min_keeps_the_operator_norm_bracket():
+    # with a minimum target the tuple norm is max_i ||T_i||; where that norm is a bracket (complex l^1.5 -> l^3 has no
+    # exact rule), the result is the bracket [max lower, max upper], not a lower bound with upper inf
+    T = np.random.default_rng(1).standard_normal((3, 3)) + 1j * np.random.default_rng(2).standard_normal((3, 3))
+    source, target = SpaceSpec(1.5, 3, (), "complex"), SpaceSpec(3, 3, (), "complex")
+    res = mn.mb_tuple_norm([T, T / 2], source, Spec.lattice(), target, Spec.min_spec(), 2, CFG)
+    opn = op_norm_between(T, source, target, CFG)
+    assert (res.kind, res.method, res.lower, res.upper) == ("bracket", "target_min_collapse", opn.lower, opn.upper)
+    assert (round(res.lower, 5), round(res.upper, 5)) == (3.17995, 3.22715)
+
+
 def test_partition_permutation_bound_examples():
     blocks = [[0], [1]]
     m_sigma, bound = mn.partition_permutation_bound(blocks, [0, 1], 1)

@@ -206,3 +206,17 @@ def test_search_bases_scale_by_their_upper_bound_without_a_search(field, monkeyp
                     want = [evaluate(spec, VectorTuple(X, sp), cfg).upper for X in C]
                     assert multinorms._source_scale(spec, sp, cfg)(C).tolist() == want, (spec.to_json(), sp.to_json(), n)
                     assert ran == []
+
+
+def test_extended_search_base_scales_by_its_upper_bound_without_a_search(monkeypatch):
+    # extended(B, ops) over a search base scales a tuple by the largest of B's scale at T x: evaluate's upper bound
+    # bit for bit, with no evaluate (each T x used to run B's whole search for its upper side)
+    rng = np.random.default_rng(35)
+    sp = SpaceSpec(1.5, 3)
+    spec = S.extended(S.pq_spec(1.5, 3), [np.eye(3), np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])])
+    C = rng.standard_normal((20, 3, 3))
+    want = [multinorms.evaluate(spec, VectorTuple(X, sp), CFG).upper for X in C]
+    evaluate, ran = multinorms.evaluate, []
+    monkeypatch.setattr(multinorms, "evaluate", lambda *a, **k: ran.append(a[0]) or evaluate(*a, **k))
+    assert multinorms._source_scale(spec, sp, CFG)(C).tolist() == want
+    assert ran == []
