@@ -243,7 +243,7 @@ def cmd_table(doc: dict, cfg: OptimConfig) -> dict:
         res = summing.pi_summing(1, 1, SpaceSpec(INF, n), n, cfg)
         add(f"(1,1)-summing constant of sup-norm space, n={n}", res.lower, float(n), res.kind)
     res = summing.c_n(SpaceSpec(2, 2), 2, cfg)
-    add("c_2 of the euclidean plane (upper witness)", res.upper, math.sqrt(2), res.kind)
+    add("c_2 of the euclidean plane (orthonormal witness)", res.lower, math.sqrt(2), res.kind)
     space2 = SpaceSpec(2, 3)
     beta = np.array([1.0, 2.0, -2.0])
     res = evaluate(MultiNormSpec.hilbert(), VectorTuple(np.diag(beta), space2), cfg)

@@ -9,6 +9,7 @@ weights of E are absorbed into a diagonal rescaling.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from .optim import (
     NormValue,
     OptimConfig,
     _dual_unit_vectors,
+    _first_max,
     _grid_scan,
     _holder_upper,
     _op_norm_exact,
@@ -29,7 +31,7 @@ from .optim import (
     unconstrained,
 )
 from .partitions import GRID_BLOCK, digit_rows
-from .spaces import INF, MatrixOp, SpaceSpec, VectorTuple, _root, conjugate_index, delta, delta_tuple, lp_norm, phase, real_entries, roots_tuple
+from .spaces import INF, MatrixOp, SpaceSpec, VectorTuple, _root, conjugate_index, delta_tuple, lp_norm, phase, real_entries, roots_tuple
 
 
 def _weight_root(space: SpaceSpec) -> np.ndarray:
@@ -254,6 +256,12 @@ def _scaled_score(src_scale, image, tgt_value):
     return score
 
 
+def _unit_delta_tuple(space: SpaceSpec, n: int) -> np.ndarray:
+    """delta_tuple(dim, n) with each column divided by its norm; orthonormal in l^2(w) for n <= dim."""
+    D = delta_tuple(space.dim, n, space.is_complex)
+    return D / space.norm_cols(D)[None, :]
+
+
 def pi_summing(
     q: float,
     p: float,
@@ -263,21 +271,39 @@ def pi_summing(
     operator: np.ndarray | None = None,
     target: SpaceSpec | None = None,
 ) -> NormValue:
-    """Lower bound for the (q,p)-summing constant at tuple length n.
+    """Bracket of the (q,p)-summing constant at tuple length n, exact where a witness meets its upper bound.
 
     pi_{q,p}^(n)(T) = sup { (sum_j ||T x_j||^q)^(1/q) : mu_{p,n}(x) <= 1 }.
-    operator=None means the identity (the summing constant of the space).
-    The search normalizes sampled tuples by mu's exact value when the mu
-    path is exact, else by a certified upper bound, so the reported lower
-    bound is always sound.  With an operator, the norming vector x of
-    ||T|| padded with zeros, (x, 0, ..., 0), is normalized the same way and
-    gives pi >= ||T|| (up to the op-norm search); the larger of the two
-    lower bounds is kept with its witness.  Upper bound attached:
-    n^(1/q) * ||T||; it is also the ascent's ceiling, so where the delta
-    seed meets it (l^inf_n, (2,2)) nothing climbs.  The result is exact at
-    the upper bound when a witness with an exact mu meets it (optim.meets,
-    the ascent's own test).  A genuinely complex operator raises FieldError
-    on a real source or target.
+    operator=None means the identity (the summing constant of the space;
+    into another target, its norm is computed like any operator's).  The
+    search normalizes sampled tuples by mu's exact value when the mu path
+    is exact, else by a certified upper bound, so the reported lower bound
+    is always sound.
+
+    Upper bound: n^(1/q) ||T||, from ||T x_j|| <= ||T|| max_j ||x_j||.  On a
+    Hilbert source (index 2, any weights, real or complex) and p <= 2 it is
+    the smaller of that and n^max(1/q - 1/2, 0) * kappa * ||T||: the q-sum
+    is at most n^max(1/q - 1/2, 0) ||T|| (sum_j ||x_j||^2)^(1/2), and
+    sum_j ||x_j||^2 <= kappa^2 mu_{p,n}(x)^2 with
+      kappa = 1 at p = 1, by the Rademacher identity
+        sum_j ||x_j||^2 = avg_eps ||sum_j eps_j x_j||^2 <= mu_{1,n}(x)^2;
+      kappa = sqrt(min(n, dim)) at 1 < p <= 2, as sum_j ||x_j||^2 is the
+        squared Hilbert-Schmidt norm of X : l^2_n -> E, at most
+        rank(X) ||X||^2 = rank(X) mu_{2,n}(x)^2, and mu_{2,n} <= mu_{p,n}.
+    Two seeds are scored against the bound first: the weight-normalized
+    delta tuple (columns e_j / ||e_j||) and, with an operator, the norming
+    vector x of ||T|| padded with zeros, (x, 0, ..., 0).  One that meets it
+    (optim.meets) is the witness and nothing climbs: on l^inf_n and at
+    (2,2) the delta seed meets n^(1/q); on a Hilbert source at p = 1 the
+    padded tuple meets ||T|| for q >= 2 and an exact ||T||, and the delta
+    seed meets n^(1/q - 1/2) for q < 2, T the identity and n <= dim.
+    Otherwise seeded_ascent climbs from the delta tuple, and the lower
+    bound is the larger of its result's and the padded tuple's, so it is at
+    least ||T|| (up to the op-norm search).  The result is exact at the
+    upper bound when a witness meets it whose mu is exact or a bracket
+    closed within optim.meets, as the padded tuple's is over C; its method
+    witness_meets_<bound> names definitional_upper or hilbert_bound.  A
+    genuinely complex operator raises FieldError on a real source or target.
     """
     cfg = cfg or OptimConfig()
     if not (1 <= p <= q):
@@ -292,52 +318,93 @@ def pi_summing(
         T = real_entries(T)
 
     candidates = []
-    if operator is None:
+    if operator is None and tgt == space:
         op_norm_upper = 1.0
     else:
         res = op_norm_between(T, space, tgt, cfg)
-        op_norm_upper = res.upper if res.upper != INF else res.lower
+        op_norm_upper = res.upper
         if res.witness is not None:
             padded = np.zeros((space.dim, n), dtype=complex if space.is_complex else float)
             # op_norm_between's witness norms the weight-absorbed matrix; undo the source weights
             padded[:, 0] = np.asarray(res.witness) / _weight_root(space)
             candidates.append(padded)
-    upper = n ** (1.0 / q) * op_norm_upper
+    upper, bound = n ** (1.0 / q) * op_norm_upper, "definitional_upper"
+    if space.p == 2 and p <= 2:
+        kappa = 1.0 if p == 1 else math.sqrt(min(n, space.dim))
+        hilbert = n ** max(1.0 / q - 0.5, 0.0) * kappa * op_norm_upper
+        if hilbert < upper:
+            upper, bound = hilbert, "hilbert_bound"
 
     def q_sum(Y: np.ndarray) -> np.ndarray:
         return lp_norm(tgt.norm_cols(Y), q)
 
-    _, cols = seeded_ascent(
-        project=unconstrained,
-        value=_scaled_score(lambda C: mu_scale(p, C, space, cfg)[0], lambda C, s: T @ C / s, q_sum),
-        seeds=[delta_tuple(space.dim, n, space.is_complex)],
-        shape=(space.dim, n),
-        cfg=cfg,
-        complex_field=space.is_complex,
-        ceiling=upper,
-    )
-    lower, witness, scale_exact = 0.0, None, False
-    for cols in [cols] + candidates:
-        if cols is None:
-            continue
+    score = _scaled_score(lambda C: mu_scale(p, C, space, cfg)[0], lambda C, s: T @ C / s, q_sum)
+    # the seeds are scored here, not passed to the ascent: a start added there re-deals every restart's directions
+    seeds = [_unit_delta_tuple(space, n)] + candidates
+    i, best = _first_max(score(np.stack(seeds)))
+    if meets(best, upper):
+        candidates = [seeds[i]]
+    else:
+        _, cols = seeded_ascent(
+            project=unconstrained,
+            value=score,
+            seeds=[delta_tuple(space.dim, n, space.is_complex)],
+            shape=(space.dim, n),
+            cfg=cfg,
+            complex_field=space.is_complex,
+        )
+        candidates.insert(0, cols)
+    lower, witness, mu_met = 0.0, None, False
+    for cols in candidates:
         res = mu_weak(p, VectorTuple(cols, space), cfg)
-        exact = res.kind == "exact"
-        scale = res.lower if exact else res.upper
+        scale = res.lower if res.kind == "exact" else res.upper
         if scale > 0:
-            val = min(lp_norm(tgt.norm_cols(T @ cols / scale), q), upper)
+            val = min(q_sum(T @ cols / scale), upper)
             if witness is None or val > lower:
-                lower, witness, scale_exact = val, {"tuple": cols / scale}, exact
-    if scale_exact and meets(lower, upper):
-        return NormValue.exact(upper, witness, "delta_witness_meets_definitional_upper")
+                lower, witness, mu_met = val, {"tuple": cols / scale}, meets(res.lower, scale)
+    if mu_met and meets(lower, upper):
+        return NormValue.exact(upper, witness, "witness_meets_" + bound)
     return NormValue.bracket(lower, upper, witness, "tuple_ascent")
 
 
-def c_n(space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
-    """Upper estimate of c_n(E) = inf { mu_{1,n}(x) : x_j unit vectors }.
+def _c_n_lower(space: SpaceSpec, n: int) -> float:
+    """A certified lower bound of c_n on l^r(w), real or complex: max(1, c).
 
-    Returns a bracket [1, found], the 1 coming from max_j ||x_j|| <= mu.
-    The witness tuple attains the reported upper value.  Search restarts
-    default to 64 (minimization landscape is harder than the maxima).
+    For unit x_j, mu_{1,n}(x) >= max_j ||x_j|| = 1, and mu_{1,n}(x)^r is at
+    least the average over real signs eps of ||sum_j eps_j x_j||^r =
+    sum_k w_k avg_eps |sum_j eps_j x_jk|^r.  Coordinate by coordinate:
+      r >= 2: avg_eps |sum_j eps_j a_j|^r >= (avg_eps |sum_j eps_j a_j|^2)^(r/2)
+        = (sum_j |a_j|^2)^(r/2) >= sum_j |a_j|^r (Jensen, then l^2 >= l^r), so
+        mu^r >= sum_j ||x_j||^r = n and c = n^(1/r).  At r = 2 this is the
+        Rademacher identity sum_j ||x_j||^2 = avg_eps ||sum_j eps_j x_j||^2.
+      1 <= r < 2: Khintchine's inequality avg_eps |sum_j eps_j a_j|^r >=
+        A^r (sum_j |a_j|^2)^(r/2) with A = 1/sqrt(2), the best L^1 constant
+        (real a: Szarek, Studia Math. 58, 1976; Haagerup, Studia Math. 70,
+        1981; complex a, as vectors of R^2: Latala and Oleszkiewicz,
+        Studia Math. 109, 1994, in every normed space), and A_r >= A_1 as
+        L^r means dominate L^1 means.  Summed over k, the power mean
+        (||.||_{r/2} is superadditive on nonnegative functions for r <= 2)
+        gives ||(sum_j |x_j|^2)^(1/2)||_r^2 >= sum_j ||x_j||_r^2 = n, so
+        c = sqrt(n / 2).
+    """
+    c = n ** (1.0 / space.p) if space.p >= 2 else math.sqrt(n / 2.0)
+    return max(1.0, c)
+
+
+def c_n(space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
+    """Bracket of c_n(E) = inf { mu_{1,n}(x) : x_j unit vectors }.
+
+    The lower side is _c_n_lower's: sqrt(n) on a Hilbert space (the
+    Rademacher identity), sqrt(n / 2) (Khintchine) on l^r with r < 2,
+    n^(1/r) (Jensen) on l^r with r > 2, and never below 1.  For r >= 2
+    and n <= dim the weight-normalized delta tuple (columns e_j / ||e_j||,
+    disjointly supported, so mu_{1,n} = n^(1/r); orthonormal at r = 2)
+    meets it: exact at n^(1/r), sqrt(n) on a Hilbert space, method
+    unit_delta_tuple_meets_lower_bound, and no descent runs.
+    Otherwise a descent over unit tuples gives the upper side, the exact mu
+    (or its certified upper bound) of the tuple it finds, which is the
+    witness.  Search restarts default to 64 (minimization landscape is
+    harder than the maxima).
     """
     cfg = cfg or OptimConfig()
     if cfg.restarts < 64:
@@ -345,8 +412,14 @@ def c_n(space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
     if n < 1:
         raise SpecError("n must be >= 1")
     if n == 1:
-        x = delta(space, 0) / space.norm(delta(space, 0))
-        return NormValue.exact(1.0, {"tuple": x[:, None]}, "single_vector")
+        return NormValue.exact(1.0, {"tuple": _unit_delta_tuple(space, 1)}, "single_vector")
+
+    lower = _c_n_lower(space, n)
+    if space.p >= 2 and n <= space.dim:
+        cols = _unit_delta_tuple(space, n)
+        res = mu_weak(1.0, VectorTuple(cols, space), cfg)
+        if res.kind == "exact" and meets(lower, res.lower):
+            return NormValue.exact(lower, {"tuple": cols}, "unit_delta_tuple_meets_lower_bound")
 
     m = space.dim
     seeds = [delta_tuple(m, n, space.is_complex)]
@@ -367,4 +440,4 @@ def c_n(space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
     )
     res = mu_weak(1.0, VectorTuple(cols, space), cfg)
     found = res.lower if res.kind == "exact" else res.upper
-    return NormValue.bracket(1.0, max(found, 1.0), {"tuple": cols}, "unit_tuple_descent")
+    return NormValue.bracket(lower, max(found, lower), {"tuple": cols}, "unit_tuple_descent")

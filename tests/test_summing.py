@@ -155,9 +155,10 @@ def test_c_n_values():
     res = mn.c_n(SpaceSpec(2, 2), 1, CFG)
     assert res.kind == "exact" and res.lower == pytest.approx(1.0)
 
+    # the Rademacher identity puts c_n >= sqrt(n) on a Hilbert space, and an orthonormal pair meets it
     res = mn.c_n(SpaceSpec(2, 2), 2, CFG)
     assert res.upper == pytest.approx(math.sqrt(2), abs=1e-9)
-    assert res.lower == 1.0
+    assert res.kind == "exact" and res.lower == math.sqrt(2)
 
     res = mn.c_n(SpaceSpec(1, 2, field="complex"), 2, CFG)
     assert res.upper <= math.sqrt(2) + 0.05
