@@ -4,7 +4,7 @@ One entry point, evaluate(spec, tuple, cfg), covers every supported
 multi-norm variant.  Exact variants return kind="exact"; search-backed
 variants return brackets whose upper side comes from closed inequalities
 (root averages, q-sum bounds, a numerical dual's ceiling), and are exact
-at that upper side where a feasible witness meets it.
+at that upper side where a feasible witness meets it (NormValue.certified).
 """
 
 from __future__ import annotations
@@ -455,8 +455,8 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
     of the sup_A witness and the alternation's witness, each divided by its
     own mu_scale, so every witness is feasible.
 
-    A lower bound that meets the upper one (optim.meets) makes the result
-    exact at the upper bound.
+    NormValue.certified gives the verdict on the best lower bound against
+    the upper one.
     """
     space = t.space
     X = t.columns
@@ -502,10 +502,7 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
                     val, L = val_b, L_b
             method = "pq_holder_alternation"
 
-    if meets(val, upper):
-        return NormValue.exact(upper, {"functionals": L}, method)
-    val = max(val, 0.0)
-    return NormValue.bracket(min(val, upper), upper, {"functionals": L}, method)
+    return NormValue.certified(val, upper, {"functionals": L}, method)
 
 
 def _best_projected(project, value, points: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -779,8 +776,7 @@ def _standard_q_search(t: VectorTuple, q: float, cfg: OptimConfig) -> NormValue:
 
     From above, _pq_upper: the q-sum of the column norms bounds every
     assignment's value, as band projections contract, and _roots_upper
-    bounds every multi-norm.  A best assignment that meets it (optim.meets)
-    makes the result exact at the upper bound.
+    bounds every multi-norm.  NormValue.certified gives the verdict.
     """
     space = t.space
     X = t.columns
@@ -802,10 +798,7 @@ def _standard_q_search(t: VectorTuple, q: float, cfg: OptimConfig) -> NormValue:
     starts = np.concatenate([np.abs(X).argmax(axis=1)[None], cfg.stream("standard_q.starts").integers(0, n, size=(min(cfg.restarts, 16), m))])
     # an improving round raises the value strictly, so at most n^m rounds run
     best, assign = polish(round_of_moves, starts, _standard_q_values(space, contrib, starts, q), n**m, 1e-15)
-    upper = _pq_upper(space, X, q, cfg)
-    if meets(best, upper):
-        return NormValue.exact(upper, {"assignment": assign}, "partition_local_search")
-    return NormValue.bracket(min(best, upper), upper, {"assignment": assign}, "partition_local_search")
+    return NormValue.certified(best, _pq_upper(space, X, q, cfg), {"assignment": assign}, "partition_local_search")
 
 
 def _hilbert_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
@@ -838,10 +831,7 @@ def _hilbert_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
     best, alpha = polish(alternate, alphas, np.where(zero, np.nan, nuclear(alphas)), 80, 1e-14)
     if not best > 0:
         best, alpha = 0.0, None
-    upper = _pq_upper(space, X, 2, cfg)
-    if meets(best, upper):
-        return NormValue.exact(upper, {"alpha": alpha}, "nuclear_alt_ascent")
-    return NormValue.bracket(min(best, upper), upper, {"alpha": alpha}, "nuclear_alt_ascent")
+    return NormValue.certified(best, _pq_upper(space, X, 2, cfg), {"alpha": alpha}, "nuclear_alt_ascent")
 
 
 def _dual_spec(base: MultiNormSpec) -> MultiNormSpec | None:
@@ -940,9 +930,7 @@ def _numerical_dual_climb(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig)
     seeds = [first, masked, *_slot_norming_seeds(dual_space, L)]
 
     res = ball_linear_max(membership, objective, (m, n), cfg, seeds=seeds, complex_field=primal.is_complex, ceiling=ceiling)
-    if meets(res.lower, ceiling):
-        return NormValue.exact(ceiling, res.witness, "numerical_dual_ascent")
-    return NormValue.bracket(min(res.lower, ceiling), ceiling, res.witness, "numerical_dual_ascent")
+    return NormValue.certified(res.lower, ceiling, res.witness, "numerical_dual_ascent")
 
 
 # ---------------------------------------------------------------------------
@@ -995,10 +983,7 @@ def evaluate(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig | None = None
         return summing.mu_weak(spec.p, t, cfg)
     if v == "extended":
         results = [evaluate(spec.base, VectorTuple(np.asarray(T) @ X, space), cfg) for T in spec.ops]
-        lower = max(r.lower for r in results)
-        if all(r.kind == "exact" for r in results):
-            return NormValue.exact(lower, None, "family_max")
-        return NormValue.bracket(lower, max(r.upper for r in results), None, "family_max")
+        return NormValue.certified(max(r.lower for r in results), max(r.upper for r in results), None, "family_max")
     if v == "generated":  # no exact path: the first member past cfg.max_enum raises BudgetError
         for d in spec.family.members:
             slot_assignments(d.length, X.shape[1], cfg.max_enum)
@@ -1229,7 +1214,7 @@ def rate_of_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConf
     lattice and extended(lattice, ops) take the row-partition closed form
     (_lattice_growth): exact at its bound, method row_partition, where the
     witness meets it (every lattice phi_n is min(n, dim)^(1/r), 1 at
-    r = inf), else a bracket under it after the climb.  min is exact, and
+    r = inf), else certified against it after the climb.  min is exact, and
     so are standard_q, max, dual_lattice, weak_summing and lp_sum where
     their closed forms apply (method closed_form_growth); everything else
     climbs over unit tuples for a lower bound (method unit_tuple_ascent).
@@ -1246,8 +1231,10 @@ def rate_of_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConf
         return NormValue.exact(1.0, {"tuple": np.repeat(x[:, None], n, axis=1)}, "min_growth")
 
     closed = _lattice_growth(spec, space, n, cfg)
-    if closed is not None and meets(closed[0], closed[2]):
-        return NormValue.exact(closed[2], {"tuple": closed[1]}, "row_partition")
+    if closed is not None:
+        res = NormValue.certified(closed[0], closed[2], {"tuple": closed[1]}, "row_partition")
+        if res.kind == "exact":
+            return res
 
     def closed_form() -> tuple[float, np.ndarray] | None:
         dt = complex if space.is_complex else float
@@ -1284,11 +1271,12 @@ def rate_of_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConf
         seeds.append(ends[1])
 
     val, cols = seeded_ascent(project, point_evaluator(spec, space, cfg), seeds, (m, n), cfg, space.is_complex)
-    if closed is None:
-        return NormValue.lower_bound(val, {"tuple": cols}, "unit_tuple_ascent")
-    if closed[0] > val:
-        val, cols = closed[:2]
-    return NormValue.bracket(min(val, closed[2]), closed[2], {"tuple": cols}, "unit_tuple_ascent")
+    upper = INF
+    if closed is not None:
+        upper = closed[2]
+        if closed[0] > val:
+            val, cols = closed[:2]
+    return NormValue.certified(val, upper, {"tuple": cols}, "unit_tuple_ascent")
 
 
 # ---------------------------------------------------------------------------

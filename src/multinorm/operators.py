@@ -26,7 +26,7 @@ the p_n bounds computed here, so no separate continuity checker exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -171,8 +171,7 @@ def mb_norm(
 
     if spec_target.variant == "min" or spec_source.variant == "max":
         p_seq = [opn.lower] * n_max
-        sup = NormValue(opn.kind, opn.lower, opn.upper, opn.witness, "collapsed_to_operator_norm")
-        return MBNormResult(p_seq, sup, True, n_max)
+        return MBNormResult(p_seq, replace(opn, method="collapsed_to_operator_norm"), True, n_max)
 
     src_scale = _source_scale(spec_source, source, cfg)
     score = _scaled_score(src_scale, lambda C, s: T @ C / s, point_evaluator(spec_target, target, cfg))
@@ -185,7 +184,7 @@ def mb_norm(
     met_at = None
     best_witness = None
     for n in range(1, n_max + 1):
-        upper_n = n * (opn.lower if opn.kind == "exact" else opn.upper)
+        upper_n = n * opn.upper
         cap = min(n * opn.lower if opn.kind == "exact" else INF, U)
         level_cap, found, cols = cap, -INF, None
         if closed is not None:
@@ -210,15 +209,10 @@ def mb_norm(
         best_witness = {"tuple": cols}
 
     sup_val = max(p_seq)
-    method = f"truncated_at_n={n_max}"
-    if not (all_exact or U < INF):
-        sup = NormValue.lower_bound(sup_val, best_witness, method)
-    elif met_at is not None:
-        sup = NormValue.exact(U, best_witness, f"meets_uniform_bound_at_n={met_at}")
-    elif all_exact:
-        sup = NormValue.exact(sup_val, best_witness, method)
+    if met_at is not None:
+        sup = NormValue.certified(sup_val, U, best_witness, f"meets_uniform_bound_at_n={met_at}")
     else:
-        sup = NormValue.bracket(sup_val, U, best_witness, method)
+        sup = NormValue.certified(sup_val, sup_val if all_exact else U, best_witness, f"truncated_at_n={n_max}")
     monotone = all(p_seq[i] <= p_seq[i + 1] + 1e-12 for i in range(len(p_seq) - 1))
     return MBNormResult(p_seq, sup, monotone, n_max)
 
@@ -246,8 +240,8 @@ def mb_tuple_norm(
     norming the best P_{G_j} T_s gives >=).  Where the witness meets that
     bound the result is exact at it (method row_partition) and nothing
     climbs; otherwise the ascent over k = 1..k_max runs as elsewhere, and
-    the larger of it and the witness is the lower side of a bracket with
-    that bound.  Elsewhere the ascent gives a lower bound (method
+    the larger of it and the witness is certified against that bound
+    (NormValue.certified).  Elsewhere the ascent gives a lower bound (method
     tuple_ascent_k<=k_max).
     """
     cfg = cfg or OptimConfig()
@@ -260,9 +254,7 @@ def mb_tuple_norm(
     if spec_target.variant == "min":
         vals = [op_norm_between(T, source, target, cfg) for T in Ts]
         best = max(vals, key=lambda r: r.lower)
-        if all(v.kind == "exact" for v in vals):
-            return NormValue.exact(best.lower, best.witness, "target_min_collapse")
-        return NormValue.bracket(best.lower, max(v.upper for v in vals), best.witness, "target_min_collapse")
+        return NormValue.certified(best.lower, max(v.upper for v in vals), best.witness, "target_min_collapse")
 
     src_scale = _source_scale(spec_source, source, cfg)
     score = _scaled_score(
@@ -276,17 +268,15 @@ def mb_tuple_norm(
     if closed is not None:
         cols, upper = closed[-1]
         best_val, best_witness = float(score(cols[None])[0]), {"tuple": cols, "k": k_max}
-        if meets(best_val, upper):
-            return NormValue.exact(upper, best_witness, "row_partition")
+        res = NormValue.certified(best_val, upper, best_witness, "row_partition")
+        if res.kind == "exact":
+            return res
     for k in range(1, k_max + 1):
         seeds = _delta_tuples(source.dim, k, source.is_complex)
         val, cols = seeded_ascent(unconstrained, score, seeds, (source.dim, k), cfg, source.is_complex)
         if val > best_val:
             best_val, best_witness = val, {"tuple": cols, "k": k}
-    method = f"tuple_ascent_k<={k_max}"
-    if upper < INF:
-        return NormValue.bracket(min(best_val, upper), upper, best_witness, method)
-    return NormValue.lower_bound(best_val, best_witness, method)
+    return NormValue.certified(best_val, upper, best_witness, f"tuple_ascent_k<={k_max}")
 
 
 def partition_permutation_bound(blocks: list, sigma: list, p: float) -> tuple[int, float]:

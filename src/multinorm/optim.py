@@ -2,9 +2,10 @@
 
 Every result is a NormValue carrying a certificate: an exact value, a
 bracket [lower, upper], or a certified lower bound with the witness that
-attains it.  Every random draw comes from cfg.stream(site, index), a
-generator keyed by (seed, call site, index): one generator per call, drawn
-in whole blocks, so results are bit-identical across runs.
+attains it; NormValue.certified gives a search's verdict.  Every random
+draw comes from cfg.stream(site, index), a generator keyed by (seed, call
+site, index): one generator per call, drawn in whole blocks, so results
+are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -109,6 +110,22 @@ class NormValue:
     @staticmethod
     def lower_bound(lower: float, witness=None, method: str = "") -> "NormValue":
         return NormValue("lower", float(lower), INF, witness, method)
+
+    @staticmethod
+    def certified(lower: float, upper: float, witness=None, method: str = "") -> "NormValue":
+        """The verdict on a supremum from a feasible witness's value lower and a proven bound upper.
+
+        lower is clamped at 0 (a search that projected nothing reports
+        -inf, and certifies 0).  Then: kind lower where upper is inf; exact
+        at upper where lower meets it (see meets); else the bracket
+        [min(lower, upper), upper].
+        """
+        lower = max(float(lower), 0.0)
+        if upper == INF:
+            return NormValue.lower_bound(lower, witness, method)
+        if meets(lower, upper):
+            return NormValue.exact(upper, witness, method)
+        return NormValue.bracket(min(lower, upper), upper, witness, method)
 
     def to_json(self) -> dict:
         return {
@@ -401,7 +418,8 @@ def ball_linear_max(
     return its (B,) values, as seeded_ascent's do.  ceiling, a certified
     upper bound of the sup if the caller has one, goes to seeded_ascent:
     a start that meets it ends the search.  The result is always of kind
-    lower; the caller decides what a met ceiling certifies.
+    lower (0 where nothing projects); the caller certifies it against its
+    bound with NormValue.certified.
     """
 
     def project(P):
@@ -417,9 +435,7 @@ def ball_linear_max(
         return np.abs(objective(P))
 
     val, pt = seeded_ascent(project, value, seeds, shape, cfg, complex_field, ceiling=ceiling)
-    if val == -INF:
-        val, pt = 0.0, None
-    return NormValue.lower_bound(val, pt, "ball_ascent")
+    return NormValue.certified(val, INF, pt, "ball_ascent")
 
 
 def polish(step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], X: np.ndarray, vals: np.ndarray, cap: int, gain: float) -> tuple[float, np.ndarray]:
@@ -495,8 +511,8 @@ def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_f
 def op_norm_pq(a: MatrixOp, cfg: OptimConfig, field: str | None = None) -> NormValue:
     """Operator norm of a : l^p_n -> l^q_m with a certificate.
 
-    Exact where _op_norm_exact is; other roles return a bracket:
-    power-iteration lower bound plus Holder upper bounds.  field=REAL
+    Exact where _op_norm_exact is; other roles certify the power-iteration
+    lower bound against the Holder upper bound.  field=REAL
     takes the sup over real vectors, so a matrix with a nonzero imaginary
     part raises FieldError there.
     """
@@ -509,9 +525,8 @@ def op_norm_pq(a: MatrixOp, cfg: OptimConfig, field: str | None = None) -> NormV
     values, witnesses, methods = _op_norm_exact(A[None], p, q, cfg, complex_field)
     if methods[0]:
         return NormValue.exact(values[0], witnesses[0], str(methods[0]))
-    upper = _holder_upper(A, p, q)
     lower, x = _power_ascent(A, p, q, cfg, complex_field)
-    return NormValue.bracket(min(lower, upper), upper, x, "power_ascent")
+    return NormValue.certified(lower, _holder_upper(A, p, q), x, "power_ascent")
 
 
 def _op_norm_rule(p: float, q: float, complex_field: bool, m: int, n: int, max_enum: int) -> str | None:

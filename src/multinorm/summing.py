@@ -65,10 +65,11 @@ def mu_weak(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormVal
     Exact whenever op_norm_pq is exact on the reduced (p' -> r) matrix: a
     rule of optim._op_norm_rule (closed forms for p' = 1, r = inf and
     p' = r = 2; real sign enumerations for p = 1 or r = 1) or disjoint supports.
-    Otherwise op_norm_pq's bracket.  Its lower side, the power ascent,
+    Otherwise op_norm_pq's certificate.  Its lower side, the power ascent,
     starts from every basis vector, so it is at least max_j ||x_j||; its
     upper side, the Holder bound, is at most (sum_j ||x_j||^p)^(1/p), and
-    at p = 1 it is intersected with torus_certified_upper's grid bound.
+    at p = 1 it is intersected with torus_certified_upper's grid bound
+    before NormValue.certified gives the verdict.
     A tuple in a dual space gives the weak p-summing norm of its functionals.
     """
     cfg = cfg or OptimConfig()
@@ -87,7 +88,7 @@ def mu_weak(p: float, t: VectorTuple, cfg: OptimConfig | None = None) -> NormVal
     upper = res.upper
     if p == 1:
         upper = min(upper, torus_certified_upper(lambda Z: space.norm_cols(X @ Z.T), space.norm_cols(X)[1:], t.n, cfg))
-    return NormValue.bracket(min(res.lower, upper), upper, {"coefficients": res.witness}, res.method)
+    return NormValue.certified(res.lower, upper, {"coefficients": res.witness}, res.method)
 
 
 def mu_scale(p: float, X: np.ndarray, space: SpaceSpec, cfg: OptimConfig) -> tuple:
@@ -291,19 +292,18 @@ def pi_summing(
         squared Hilbert-Schmidt norm of X : l^2_n -> E, at most
         rank(X) ||X||^2 = rank(X) mu_{2,n}(x)^2, and mu_{2,n} <= mu_{p,n}.
     Two seeds are scored against the bound first: the weight-normalized
-    delta tuple (columns e_j / ||e_j||) and, with an operator, the norming
-    vector x of ||T|| padded with zeros, (x, 0, ..., 0).  One that meets it
+    delta tuple (columns e_j / ||e_j||) and (x, 0, ..., 0), x the norming
+    vector of ||T|| (e_1 / ||e_1|| for the identity).  One that meets it
     (optim.meets) is the witness and nothing climbs: on l^inf_n and at
     (2,2) the delta seed meets n^(1/q); on a Hilbert source at p = 1 the
     padded tuple meets ||T|| for q >= 2 and an exact ||T||, and the delta
     seed meets n^(1/q - 1/2) for q < 2, T the identity and n <= dim.
     Otherwise seeded_ascent climbs from the delta tuple, and the lower
     bound is the larger of its result's and the padded tuple's, so it is at
-    least ||T|| (up to the op-norm search).  The result is exact at the
-    upper bound when a witness meets it whose mu is exact or a bracket
-    closed within optim.meets, as the padded tuple's is over C; its method
-    witness_meets_<bound> names definitional_upper or hilbert_bound.  A
-    genuinely complex operator raises FieldError on a real source or target.
+    least ||T|| (up to the op-norm search).  NormValue.certified gives the
+    verdict; an exact one has method witness_meets_<bound>, naming
+    definitional_upper or hilbert_bound.  A genuinely complex operator
+    raises FieldError on a real source or target.
     """
     cfg = cfg or OptimConfig()
     if not (1 <= p <= q):
@@ -317,17 +317,13 @@ def pi_summing(
     if not tgt.is_complex:
         T = real_entries(T)
 
-    candidates = []
     if operator is None and tgt == space:
-        op_norm_upper = 1.0
+        op_norm_upper, x = 1.0, _unit_delta_tuple(space, 1)[:, 0]
     else:
         res = op_norm_between(T, space, tgt, cfg)
-        op_norm_upper = res.upper
-        if res.witness is not None:
-            padded = np.zeros((space.dim, n), dtype=complex if space.is_complex else float)
-            # op_norm_between's witness norms the weight-absorbed matrix; undo the source weights
-            padded[:, 0] = np.asarray(res.witness) / _weight_root(space)
-            candidates.append(padded)
+        # op_norm_between's witness norms the weight-absorbed matrix; undo the source weights
+        op_norm_upper, x = res.upper, None if res.witness is None else np.asarray(res.witness) / _weight_root(space)
+    candidates = [] if x is None else [np.pad(x[:, None], ((0, 0), (0, n - 1)))]
     upper, bound = n ** (1.0 / q) * op_norm_upper, "definitional_upper"
     if space.p == 2 and p <= 2:
         kappa = 1.0 if p == 1 else math.sqrt(min(n, space.dim))
@@ -354,17 +350,15 @@ def pi_summing(
             complex_field=space.is_complex,
         )
         candidates.insert(0, cols)
-    lower, witness, mu_met = 0.0, None, False
+    lower, witness = 0.0, None
     for cols in candidates:
-        res = mu_weak(p, VectorTuple(cols, space), cfg)
-        scale = res.lower if res.kind == "exact" else res.upper
+        scale = mu_weak(p, VectorTuple(cols, space), cfg).upper
         if scale > 0:
             val = min(q_sum(T @ cols / scale), upper)
             if witness is None or val > lower:
-                lower, witness, mu_met = val, {"tuple": cols / scale}, meets(res.lower, scale)
-    if mu_met and meets(lower, upper):
-        return NormValue.exact(upper, witness, "witness_meets_" + bound)
-    return NormValue.bracket(lower, upper, witness, "tuple_ascent")
+                lower, witness = val, {"tuple": cols / scale}
+    res = NormValue.certified(lower, upper, witness, "tuple_ascent")
+    return replace(res, method="witness_meets_" + bound) if res.kind == "exact" else res
 
 
 def _c_n_lower(space: SpaceSpec, n: int) -> float:
@@ -400,7 +394,9 @@ def c_n(space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
     and n <= dim the weight-normalized delta tuple (columns e_j / ||e_j||,
     disjointly supported, so mu_{1,n} = n^(1/r); orthonormal at r = 2)
     meets it: exact at n^(1/r), sqrt(n) on a Hilbert space, method
-    unit_delta_tuple_meets_lower_bound, and no descent runs.
+    unit_delta_tuple_meets_lower_bound, and no descent runs.  So does the
+    pair-sum tuple ((u_1 + u_2)/2, (u_1 - u_2)/2), u_k = e_k / w_k, on real
+    l^1(w) at n = 2: mu_{1,2} = max(||u_1||, ||u_2||) = 1 (over C, sqrt(2)).
     Otherwise a descent over unit tuples gives the upper side, the exact mu
     (or its certified upper bound) of the tuple it finds, which is the
     witness.  Search restarts default to 64 (minimization landscape is
@@ -415,11 +411,17 @@ def c_n(space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
         return NormValue.exact(1.0, {"tuple": _unit_delta_tuple(space, 1)}, "single_vector")
 
     lower = _c_n_lower(space, n)
+    seed = None
     if space.p >= 2 and n <= space.dim:
-        cols = _unit_delta_tuple(space, n)
+        seed = _unit_delta_tuple(space, n), "unit_delta_tuple_meets_lower_bound"
+    elif space.p == 1 and n == 2 and space.dim >= 2 and not space.is_complex:
+        u = _unit_delta_tuple(space, 2)
+        seed = np.stack([u[:, 0] + u[:, 1], u[:, 0] - u[:, 1]], axis=1) / 2, "pair_sum_tuple_meets_lower_bound"
+    if seed is not None:
+        cols, method = seed
         res = mu_weak(1.0, VectorTuple(cols, space), cfg)
         if res.kind == "exact" and meets(lower, res.lower):
-            return NormValue.exact(lower, {"tuple": cols}, "unit_delta_tuple_meets_lower_bound")
+            return NormValue.exact(lower, {"tuple": cols}, method)
 
     m = space.dim
     seeds = [delta_tuple(m, n, space.is_complex)]
@@ -438,6 +440,5 @@ def c_n(space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
         cfg=cfg,
         complex_field=space.is_complex,
     )
-    res = mu_weak(1.0, VectorTuple(cols, space), cfg)
-    found = res.lower if res.kind == "exact" else res.upper
+    found = mu_weak(1.0, VectorTuple(cols, space), cfg).upper
     return NormValue.bracket(lower, max(found, lower), {"tuple": cols}, "unit_tuple_descent")
