@@ -424,15 +424,20 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
     real_pair_closed_form.  A tuple
     with disjointly supported columns (_disjoint) takes the closed
     form _pq_disjoint, exact with method disjoint_closed_form, before any
-    bound or search.  A 2-tuple in an l^1 space takes _pq_l1_pair, whose
-    bound is within 1e-10 of its witness, so its result is exact.
+    bound or search.  _pair_arc covers a 2-tuple in an l^1 space
+    (_pq_l1_pair, method l1_pair_arc_bisection) and any other real 2-tuple
+    with p = 1 (_real_pair_arc, method real_pair_arc_bisection): both
+    maximize a convex F over the l^{q'} arc by _arc_max, whose bound is
+    within 1e-10 of the witness unless the arc is flat, so the result is
+    exact or a tight bracket.
 
     With p = 2 on an index-2 space the mu_{2,n} ball is a spectral ball, and
     the spectral polish from the seeds and cfg.restarts Gaussian starts
     (the starts seeded_ascent would draw) is the whole search.  Where
-    optim._op_norm_rule gives mu_{p,n} of every functional tuple exactly,
-    the tuple climbs with seeded_ascent (pq_ball_ascent), whose ceiling is
-    the upper bound: a projected seed that meets it ends the search.
+    optim._op_norm_rule gives mu_{p,n} of every functional tuple exactly
+    (real p = 1 with n >= 3, among others), the tuple climbs with
+    seeded_ascent (pq_ball_ascent), whose ceiling is the upper bound: a
+    projected seed that meets it ends the search.
 
     The other roles take pq_holder_alternation.  There the projection
     summing.mu_scale divides lambda by the Holder bound H = min(A, B) >= mu,
@@ -471,10 +476,10 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
     dual = space.dual()
     upper = _pq_upper(space, X, q, cfg)
 
-    if space.p == 1 and n == 2:
-        val, bound, L = _pq_l1_pair(space, X, p, q)
+    pair = _pair_arc(space, X, p, q)
+    if pair is not None:
+        val, bound, L, method = pair
         upper = min(upper, bound)
-        method = "l1_pair_arc_bisection"
     elif p == 2 and space.p == 2:
         val, L = _pq_spectral_polish(space, X, q, np.array(_pq_starts(space, X, cfg), dtype=complex))
         method = "pq_spectral_polish"
@@ -572,14 +577,70 @@ def _pq_holder_alternation(space: SpaceSpec, X: np.ndarray, p: float, q: float, 
     return L if space.is_complex else np.real(L)
 
 
-ARC_PIECES = 32  # initial pieces of the quarter arc in _pq_l1_pair
-ARC_LEVELS = 40  # halvings before _pq_l1_pair settles for a bracket
+ARC_PIECES = 32  # initial pieces of the quarter arc in _arc_max
+ARC_LEVELS = 40  # halvings before _arc_max settles for a bracket
 ARC_OPEN_MAX = 1024  # open pieces past which it settles for a bracket too
 ARC_GAP = 1e-10  # relative gap at which a piece is closed, well inside optim.meets' 1e-9
 
 
+def _arc_max(F, qd: float) -> tuple[np.ndarray, float]:
+    """(mu, upper): the first best point found on the quarter arc {mu >= 0, ||mu||_{q'} = 1} of F, and a bound on F's maximum there.
+
+    F maps an (S, 2) stack of points to their S values, and must be
+    convex and nondecreasing in each mu_j.  Between two arc points P_a and
+    P_b the arc lies in the triangle of P_a, P_b and the meeting point T of
+    their tangent lines (the l^{q'} ball is convex), and below the corner
+    C = (P_a1, P_b2); so min(F(C), max(F(P_a), F(P_b), F(T))) bounds F on
+    that piece, within O(width^2) of its maximum.  The arc starts in
+    ARC_PIECES pieces; a piece whose bound is within ARC_GAP of the best arc
+    point is closed, the others are halved; upper is the largest bound of a
+    closed or last open piece.  The halving stops after ARC_LEVELS levels
+    or past ARC_OPEN_MAX open pieces (a flat arc closes none).  At q' = inf
+    the arc is the corner (1, 1) itself.
+    """
+    if qd == INF:
+        mu = np.ones(2)
+        return mu, float(F(mu[None])[0])
+
+    def arc(theta):
+        P = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        return P / lp_norm(P, qd)[:, None]
+
+    theta = np.linspace(0.0, np.pi / 2, ARC_PIECES + 1)
+    P = arc(theta)
+    Fp = F(P)
+    i = int(np.argmax(Fp))
+    best, mu = Fp[i], P[i]
+    lo, hi, Pa, Pb, Fa, Fb = theta[:-1], theta[1:], P[:-1], P[1:], Fp[:-1], Fp[1:]
+    closed = 0.0
+    for level in range(ARC_LEVELS + 1):
+        Na, Nb = Pa ** (qd - 1.0), Pb ** (qd - 1.0)
+        ca, cb = (Na * Pa).sum(axis=1), (Nb * Pb).sum(axis=1)
+        det = Na[:, 0] * Nb[:, 1] - Na[:, 1] * Nb[:, 0]
+        ok = det > 0
+        d = np.where(ok, det, 1.0)[:, None]
+        T = np.stack([ca * Nb[:, 1] - Na[:, 1] * cb, Na[:, 0] * cb - ca * Nb[:, 0]], axis=1) / d
+        FT = np.where(ok, F(T), INF)
+        U = np.minimum(F(np.stack([Pa[:, 0], Pb[:, 1]], axis=1)), np.maximum(np.maximum(Fa, Fb), FT))
+        open_ = U > best * (1.0 + ARC_GAP)
+        closed = max(closed, float(U[~open_].max(initial=0.0)))
+        if not open_.any() or level == ARC_LEVELS or open_.sum() > ARC_OPEN_MAX:
+            break
+        lo, hi, Pa, Pb, Fa, Fb = lo[open_], hi[open_], Pa[open_], Pb[open_], Fa[open_], Fb[open_]
+        mid = (lo + hi) / 2
+        Pm = arc(mid)
+        Fm = F(Pm)
+        j = int(np.argmax(Fm))
+        if Fm[j] > best:
+            best, mu = Fm[j], Pm[j]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        Pa, Pb = np.concatenate([Pa, Pm]), np.concatenate([Pm, Pb])
+        Fa, Fb = np.concatenate([Fa, Fm]), np.concatenate([Fm, Fb])
+    return mu, max(closed, float(U[open_].max(initial=0.0)))
+
+
 def _pq_l1_pair(space: SpaceSpec, X: np.ndarray, p: float, q: float) -> tuple[float, float, np.ndarray]:
-    """(lower, upper, functionals) for the (p,q)-multi-norm of a 2-tuple in an l^1 space, by halving pieces of the dual arc.
+    """(lower, upper, functionals) for the (p,q)-multi-norm of a 2-tuple in an l^1 space, by _arc_max over the dual arc.
 
     The unit ball of l^1_w has the extreme points zeta e_k / w_k, so
     mu_{p,2}(L) <= 1 says ||(L_1k, L_2k)||_p <= 1 for every coordinate k,
@@ -588,63 +649,13 @@ def _pq_l1_pair(space: SpaceSpec, X: np.ndarray, p: float, q: float) -> tuple[fl
 
         F(mu) = sum_k w_k ||(mu_1 |x_1k|, mu_2 |x_2k|)||_{p'},
 
-    which is convex and nondecreasing in each mu_j.  Between two arc points
-    P_a and P_b the arc lies in the triangle of P_a, P_b and the meeting
-    point T of their tangent lines (the l^{q'} ball is convex), and below
-    the corner C = (P_a1, P_b2); so min(F(C), max(F(P_a), F(P_b), F(T)))
-    bounds F on that piece, within O(width^2) of its maximum.  A piece whose
-    bound is within ARC_GAP of the best arc point is closed, the others are
-    halved; upper is the largest bound of a closed or last open piece.  At
-    q = 1 the arc is the corner (1, 1) itself.  The functionals norm
+    which is convex and nondecreasing in each mu_j.  The functionals norm
     (mu_j |x_jk|)_j in l^{p'} coordinate by coordinate at the best point, so
     their value is at least F there.
     """
     a = np.abs(X)
-    pd, qd = conjugate_index(p), conjugate_index(q)
-
-    def F(M):
-        return lp_norm(M[:, None, :] * a, pd) @ space.w
-
-    if qd == INF:
-        mu = np.ones(2)
-        upper = float(F(mu[None])[0])
-    else:
-        def arc(theta):
-            P = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            return P / lp_norm(P, qd)[:, None]
-
-        theta = np.linspace(0.0, np.pi / 2, ARC_PIECES + 1)
-        P = arc(theta)
-        Fp = F(P)
-        i = int(np.argmax(Fp))
-        best, mu = Fp[i], P[i]
-        lo, hi, Pa, Pb, Fa, Fb = theta[:-1], theta[1:], P[:-1], P[1:], Fp[:-1], Fp[1:]
-        closed = 0.0
-        for level in range(ARC_LEVELS + 1):
-            Na, Nb = Pa ** (qd - 1.0), Pb ** (qd - 1.0)
-            ca, cb = (Na * Pa).sum(axis=1), (Nb * Pb).sum(axis=1)
-            det = Na[:, 0] * Nb[:, 1] - Na[:, 1] * Nb[:, 0]
-            ok = det > 0
-            d = np.where(ok, det, 1.0)[:, None]
-            T = np.stack([ca * Nb[:, 1] - Na[:, 1] * cb, Na[:, 0] * cb - ca * Nb[:, 0]], axis=1) / d
-            FT = np.where(ok, F(T), INF)
-            U = np.minimum(F(np.stack([Pa[:, 0], Pb[:, 1]], axis=1)), np.maximum(np.maximum(Fa, Fb), FT))
-            open_ = U > best * (1.0 + ARC_GAP)
-            closed = max(closed, float(U[~open_].max(initial=0.0)))
-            if not open_.any() or level == ARC_LEVELS or open_.sum() > ARC_OPEN_MAX:
-                break
-            lo, hi, Pa, Pb, Fa, Fb = lo[open_], hi[open_], Pa[open_], Pb[open_], Fa[open_], Fb[open_]
-            mid = (lo + hi) / 2
-            Pm = arc(mid)
-            Fm = F(Pm)
-            j = int(np.argmax(Fm))
-            if Fm[j] > best:
-                best, mu = Fm[j], Pm[j]
-            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-            Pa, Pb = np.concatenate([Pa, Pm]), np.concatenate([Pm, Pb])
-            Fa, Fb = np.concatenate([Fa, Fm]), np.concatenate([Fm, Fb])
-        upper = max(closed, float(U[open_].max(initial=0.0)))
-
+    pd = conjugate_index(p)
+    mu, upper = _arc_max(lambda M: lp_norm(M[:, None, :] * a, pd) @ space.w, conjugate_index(q))
     V = mu * a
     if pd == INF:
         t = np.zeros_like(V)
@@ -655,6 +666,48 @@ def _pq_l1_pair(space: SpaceSpec, X: np.ndarray, p: float, q: float) -> tuple[fl
     L = t * phase(np.conj(X))
     if not space.is_complex:
         L = np.real(L)
+    return float(lp_norm(np.abs(_pairings(space, X, L)), q)), upper, L
+
+
+def _pair_arc(space: SpaceSpec, X: np.ndarray, p: float, q: float) -> tuple[float, float, np.ndarray, str] | None:
+    """(lower, upper, functionals, method) of the arc bisection that covers the tuple X, or None.
+
+    A 2-tuple in an l^1 space takes _pq_l1_pair for every (p,q), and another
+    real 2-tuple takes _real_pair_arc at p = 1.
+    """
+    if X.shape[1] != 2:
+        return None
+    if space.p == 1:
+        return (*_pq_l1_pair(space, X, p, q), "l1_pair_arc_bisection")
+    if p == 1 and not space.is_complex:
+        return (*_real_pair_arc(space, X, q), "real_pair_arc_bisection")
+    return None
+
+
+def _real_pair_arc(space: SpaceSpec, X: np.ndarray, q: float) -> tuple[float, float, np.ndarray]:
+    """(lower, upper, functionals) for the (1,q)-multi-norm of a real 2-tuple in any space, by _arc_max over the dual arc.
+
+    Dualizing the q-sum gives the norm as the maximum over the quarter arc
+    {c >= 0, ||c||_{q'} = 1} of the projective norm of c o x on
+    l^inf_2 (x) E, which over R is (_real_pair_max)
+
+        F(c) = (||c_1 x_1 + c_2 x_2|| + ||c_1 x_1 - c_2 x_2||) / 2,
+
+    convex and nondecreasing in each c_j (a sup of
+    sum_j c_j |<x_j, lambda_j>| over mu_{1,2}(lambda) <= 1).  The
+    functionals are _real_pair_max's for c o x at the best point: with a
+    and b norming c_1 x_1 +- c_2 x_2 they are ((a + b)/2, (a - b)/2), whose
+    mu_1 = max(||a||, ||b||) <= 1, and their value is at least F there.
+    """
+
+    first, second = np.stack([X[:, 0], X[:, 0]]), np.stack([X[:, 1], -X[:, 1]])
+
+    def F(M):
+        # (S, 2, m): c_1 x_1 + c_2 x_2 and c_1 x_1 - c_2 x_2 for each of the S points
+        return lp_norm(M[:, :1, None] * first + M[:, 1:, None] * second, space.p, w=space.w).sum(axis=-1) / 2
+
+    mu, upper = _arc_max(F, conjugate_index(q))
+    L = _real_pair_max(space, X * mu)[1]
     return float(lp_norm(np.abs(_pairings(space, X, L)), q)), upper, L
 
 
@@ -702,8 +755,8 @@ def _search_upper(spec: MultiNormSpec, space: SpaceSpec, X: np.ndarray, cfg: Opt
     """evaluate(spec, VectorTuple(X, space), cfg).upper bit for bit for a pq, max, hilbert or standard_q spec, with no search.
 
     The bounds are the ones the evaluators attach: a closed form (the real
-    (1,1) pair, _pq_disjoint), _pq_upper, and for an l^1 2-tuple the arc
-    bisection of _pq_l1_pair.  X is an (m, n) array of the space's field;
+    (1,1) pair, _pq_disjoint), _pq_upper, and for a 2-tuple the arc
+    bisection of _pair_arc.  X is an (m, n) array of the space's field;
     a width with an exact path (max on l^1, standard_q within its budget)
     is exact_evaluator's business.
     """
@@ -718,9 +771,8 @@ def _search_upper(spec: MultiNormSpec, space: SpaceSpec, X: np.ndarray, cfg: Opt
     if _disjoint(X):
         return _pq_disjoint(space, X, spec.p, spec.q)[0]
     upper = _pq_upper(space, X, spec.q, cfg)
-    if space.p == 1 and X.shape[1] == 2:
-        upper = min(upper, _pq_l1_pair(space, X, spec.p, spec.q)[1])
-    return upper
+    pair = _pair_arc(space, X, spec.p, spec.q)
+    return upper if pair is None else min(upper, pair[1])
 
 
 def _roots_upper(space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> float:
