@@ -271,7 +271,7 @@ def crit_12_decomposition_detectors(cfg: OptimConfig) -> CriterionResult:
     si = SpaceSpec(INF, 4)
     t = VectorTuple.of(si, [1, 0, 0, 0.5], [0, 1, 0, 0.5], [0, 0, 1, 0.5])
     # the paper's numbers on the unscaled triple, exactly; the detector's sampled scalings may find larger gaps
-    [(_, blocks, lhs, rhs)] = coagulations_equal(Spec.min_spec(), si, [t.columns], cfg)
+    _, _, blocks, lhs, rhs = coagulations_equal(Spec.min_spec(), si, t.columns[None], cfg)
     exact_ok = blocks == [[0, 1, 2]] and abs(lhs - 1.5) <= 1e-12 and abs(rhs - 1.0) <= 1e-12
     c.check(exact_ok, f"sup-norm triple: merged value {lhs} vs tuple value {rhs}")
     rep = orthogonal_set(Spec.min_spec(), t, trials=10, cfg=cfg)

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetError, HermitianError, SpecError
-from .multinorms import MultiNormSpec, _point_values, _stack_values, _trial_chunks
+from .multinorms import MultiNormSpec, _audit_chunks, _groups, _in_trial_order, _point_values, _stack_values
 from .optim import COUNTS, NORMALS, UNIFORMS, OptimConfig, _first_max, field_normal_block
 from .partitions import GRID_BLOCK, grid_fits, set_partitions, slot_assignments, unit_grid
 from .spaces import SpaceSpec, VectorTuple, _as_value, delta_tuple, lp_norm, matrix_from_json, matrix_to_json
@@ -153,7 +153,7 @@ def is_hermitian(
     UNIFORMS), one block per chunk of trials.
     """
     cfg = cfg or OptimConfig()
-    chunks = _trial_chunks(trials)
+    chunks = _audit_chunks(trials, tol)
     k = d.length
     Ps = d.projections
     worst_gap, witness = 0.0, None
@@ -199,62 +199,59 @@ def is_small(
     Trial t's tuple is row t of cfg.stream("small", NORMALS), drawn one
     block per chunk; trials 0 and 1 test the delta and all-ones tuples
     instead, and every third from trial 4 on its block-supported image.
+    A chunk's tuples are one stack, with one point_value call.
     """
     cfg = cfg or OptimConfig()
     k = d.length
-    Ps = d.projections
     worst_gap, witness = 0.0, None
     normals = cfg.stream("small", NORMALS)
-    for chunk in _trial_chunks(trials):
-        drawn = []
-        for ti, X in zip(chunk, field_normal_block(normals, len(chunk), (space.dim, k), space.is_complex)):
-            if ti == 0:
-                X = delta_tuple(space.dim, k, space.is_complex)
-            elif ti == 1:
-                X = np.ones_like(X)
-            elif ti % 3 == 1:
-                X = np.stack([P @ X[:, i] for i, P in enumerate(Ps)], axis=1)
-            drawn.append((X, space.norm(sum(Ps[i] @ X[:, i] for i in range(k)))))
-        rhs_vals = _point_values(spec, space, [X for X, _ in drawn], cfg)
-        for (X, lhs), rhs in zip(drawn, rhs_vals):
-            gap = lhs - rhs
-            if gap > worst_gap:
-                worst_gap = gap
-                witness = {"tuple": X, "lhs": lhs, "rhs": rhs}
+    for chunk in _audit_chunks(trials, tol):
+        X = field_normal_block(normals, len(chunk), (space.dim, k), space.is_complex)
+        t = np.arange(chunk.start, chunk.stop)
+        X[t == 0] = delta_tuple(space.dim, k, space.is_complex)
+        X[t == 1] = 1.0
+        block = (t % 3 == 1) & (t > 1)
+        X[block] = _apply_blocks(d, X[block])
+        PX = _apply_blocks(d, X)
+        lhs = lp_norm(sum(PX[..., i] for i in range(k)), space.p, w=space.w)
+        [rhs] = _point_values(spec, space, [X], cfg)
+        b, gap = _first_max(lhs - rhs)
+        if gap > worst_gap:
+            worst_gap, witness = gap, {"tuple": X[b], "lhs": float(lhs[b]), "rhs": float(rhs[b])}
     verdict = worst_gap <= tol
     return DetectorReport(verdict, worst_gap, witness, trials, "small-decomposition test")
 
 
-def coagulations_equal(spec: MultiNormSpec, space: SpaceSpec, Xs: list, cfg: OptimConfig) -> list[tuple]:
-    """For each k-slot tuple of Xs, the worst (|coagulated - original|, blocks, coagulated, original).
+def _apply_blocks(d: Decomposition, X: np.ndarray) -> np.ndarray:
+    """The (B, m, k) stack of tuples (P_1 x_1, ..., P_k x_k) of a (B, m, k) stack; each P_i x_i is a stacked matrix-vector product, as alone."""
+    return np.stack([(P @ X[:, :, i, None])[..., 0] for i, P in enumerate(d.projections)], axis=-1)
 
-    Every tuple of Xs has the same k slots; the worst is taken over all set
-    partitions of the slots, the first one on ties.  The tuples and their
-    coagulations are evaluated as stacks of at most about GRID_BLOCK tuples.
+
+def coagulations_equal(spec: MultiNormSpec, space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> tuple:
+    """The largest coagulation gap over a (B, m, k) stack of tuples: (row, gap, blocks, coagulated value, tuple value).
+
+    A row's gaps are |coagulated - original| over the set partitions of its
+    k slots; the first row, then the first partition, wins ties, and NaN
+    gaps count as none; with no positive gap it is (0, 0.0, None, 0.0,
+    0.0).  The rows are taken in batches of about GRID_BLOCK tuples and
+    coagulations, with one point_value call per (width, dtype) per batch.
     """
-    if not Xs:
-        return []
     # the last set partition is all singletons, whose coagulation is the tuple itself
-    partitions = list(set_partitions(Xs[0].shape[1]))[:-1]
-    per = len(partitions) + 1
-    step = max(1, GRID_BLOCK // per)
-    out = []
-    for s in range(0, len(Xs), step):
-        batch = Xs[s : s + step]
-        tuples = []
-        for X in batch:
-            tuples.append(X)
-            tuples += [np.stack([X[:, b].sum(axis=1) for b in blocks], axis=1) for blocks in partitions]
-        vals = _point_values(spec, space, tuples, cfg)
-        for i in range(len(batch)):
-            base = vals[per * i]
-            worst = (0.0, None, base, base)
-            for blocks, val in zip(partitions, vals[per * i + 1 : per * (i + 1)]):
-                gap = abs(val - base)
-                if gap > worst[0]:
-                    worst = (gap, blocks, val, base)
-            out.append(worst)
-    return out
+    partitions = list(set_partitions(X.shape[-1]))[:-1]
+    best = (0, 0.0, None, 0.0, 0.0)
+    if not partitions:
+        return best
+    step = max(1, GRID_BLOCK // (len(partitions) + 1))
+    for s in range(0, len(X), step):
+        S = X[s : s + step]
+        coagulated = [np.stack([S[..., b].sum(axis=-1) for b in blocks], axis=-1) for blocks in partitions]
+        base, *vals = _point_values(spec, space, [S] + coagulated, cfg)
+        vals = np.array(vals)
+        which, gaps = _first_max(np.abs(vals - base).T)
+        r, gap = _first_max(gaps)
+        if gap > best[1]:
+            best = (s + r, gap, partitions[which[r]], float(vals[which[r], r]), float(base[r]))
+    return best
 
 
 def is_orthogonal(
@@ -274,16 +271,13 @@ def is_orthogonal(
     k = d.length
     if k > 8:
         raise BudgetError("coagulation enumeration capped at 8 blocks")
-    Ps = d.projections
     worst_gap, witness = 0.0, None
     normals = cfg.stream("orthogonal", NORMALS)
-    for chunk in _trial_chunks(trials):
-        Zs = field_normal_block(normals, len(chunk), (space.dim, k), space.is_complex)
-        Xs = [np.stack([Ps[i] @ Z[:, i] for i in range(k)], axis=1) for Z in Zs]
-        for X, (gap, blocks, lhs, rhs) in zip(Xs, coagulations_equal(spec, space, Xs, cfg)):
-            if gap > worst_gap:
-                worst_gap = gap
-                witness = {"tuple": X, "partition": blocks, "lhs": lhs, "rhs": rhs}
+    for chunk in _audit_chunks(trials, tol):
+        X = _apply_blocks(d, field_normal_block(normals, len(chunk), (space.dim, k), space.is_complex))
+        r, gap, blocks, lhs, rhs = coagulations_equal(spec, space, X, cfg)
+        if gap > worst_gap:
+            worst_gap, witness = gap, {"tuple": X[r], "partition": blocks, "lhs": lhs, "rhs": rhs}
     verdict = worst_gap <= tol
     return DetectorReport(verdict, worst_gap, witness, trials, "orthogonal-decomposition test")
 
@@ -305,22 +299,20 @@ def orthogonal_set(
     k = t.n
     if k > 8:
         raise BudgetError("coagulation enumeration capped at 8 vectors")
-    chunks = _trial_chunks(trials)
+    chunks = _audit_chunks(trials, tol)
     worst_gap, witness = 0.0, None
 
     normals = cfg.stream("orthogonal_set", NORMALS)
 
     def batches():
-        yield [np.ones(k)]
+        yield np.ones((1, k))
         for chunk in chunks:
-            yield list(field_normal_block(normals, len(chunk), (k,), space.is_complex))
+            yield field_normal_block(normals, len(chunk), (k,), space.is_complex)
 
-    for scalings in batches():
-        Xs = [t.columns * c[None, :] for c in scalings]
-        for c, (gap, blocks, lhs, rhs) in zip(scalings, coagulations_equal(spec, space, Xs, cfg)):
-            if gap > worst_gap:
-                worst_gap = gap
-                witness = {"scalars": c, "partition": blocks, "lhs": lhs, "rhs": rhs}
+    for C in batches():
+        r, gap, blocks, lhs, rhs = coagulations_equal(spec, space, t.columns * C[:, None, :], cfg)
+        if gap > worst_gap:
+            worst_gap, witness = gap, {"scalars": C[r], "partition": blocks, "lhs": lhs, "rhs": rhs}
     verdict = worst_gap <= tol
     return DetectorReport(verdict, worst_gap, witness, trials + 1, "orthogonal-set test")
 
@@ -452,25 +444,24 @@ def is_orthogonal_multinorm(
     of each per chunk.
     """
     cfg = cfg or OptimConfig()
-    chunks = _trial_chunks(trials)
+    chunks = _audit_chunks(trials, tol)
     worst_gap, witness = 0.0, None
     counts, normals = cfg.stream("orthogonal_multinorm", COUNTS), cfg.stream("orthogonal_multinorm", NORMALS)
 
     def batches():
         for chunk in chunks:
-            ns = counts.integers(1, 4, size=len(chunk)).tolist()
-            Zs = field_normal_block(normals, len(chunk), (space.dim, 3), space.is_complex)
-            yield [Z[:, :n] for n, Z in zip(ns, Zs)]
+            yield counts.integers(1, 4, size=len(chunk)), field_normal_block(normals, len(chunk), (space.dim, 3), space.is_complex)
         # canonical delta tuples catch coordinate effects that random draws smear
-        yield [delta_tuple(space.dim, n, space.is_complex) for n in range(1, min(space.dim, 3) + 1)]
+        widths = np.arange(1, min(space.dim, 3) + 1)
+        yield widths, np.repeat(delta_tuple(space.dim, 3, space.is_complex)[None], len(widths), axis=0)
 
-    for Xs in batches():
-        lhs_vals = _point_values(spec, space, Xs, cfg)
-        rhs_vals = _stack_values(lambda S: generated_value(f, space, S, cfg), Xs)
-        for X, lhs, rhs in zip(Xs, lhs_vals, rhs_vals):
-            gap = lhs - rhs
-            if gap > worst_gap:
-                worst_gap = gap
-                witness = {"tuple": X, "spec_value": lhs, "generated_value": rhs}
+    for ns, Zs in batches():
+        groups = _groups(ns)
+        stacks = [Zs[idx, :, :n] for n, idx in groups]
+        lhs = _in_trial_order(groups, _point_values(spec, space, stacks, cfg))
+        rhs = _in_trial_order(groups, _stack_values(lambda S: generated_value(f, space, S, cfg), stacks))
+        b, gap = _first_max(lhs - rhs)
+        if gap > worst_gap:
+            worst_gap, witness = gap, {"tuple": Zs[b, :, : ns[b]], "spec_value": float(lhs[b]), "generated_value": float(rhs[b])}
     verdict = worst_gap <= tol
     return DetectorReport(verdict, worst_gap, witness, trials, "orthogonality of the multi-norm w.r.t. the family")

@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from .errors import SpecError
-from .multinorms import MultiNormSpec, _point_values, _stack_values, _trial_chunks
+from .multinorms import MultiNormSpec, _audit_chunks, _groups, _in_trial_order, _point_values, _stack_values
 from .optim import COUNTS, NORMALS, UNIFORMS, OptimConfig, _op_norm_upper, field_normal_block
 from .partitions import set_partitions
 from .spaces import INF, MatrixOp, SpaceSpec, real_entries
@@ -126,20 +126,6 @@ class MatrixLawReport:
         return not self.violations
 
 
-def _law_norms(mats: list, p: float, cfg: OptimConfig) -> list[float]:
-    """||A : l^p -> l^p|| for each matrix, in list order, one stack per (shape, dtype) group.
-
-    optim._op_norm_upper's values: exact where _op_norm_exact has one, else the Holder upper bound.
-    """
-
-    def norms(S):
-        if not np.all(np.isfinite(S)):
-            raise ValueError("matrix entries must be finite")
-        return _op_norm_upper(S, p, p, cfg, np.iscomplexobj(S))[0]
-
-    return _stack_values(norms, mats)
-
-
 def check_multinorm_matrix_law(
     spec: MultiNormSpec,
     space: SpaceSpec,
@@ -153,18 +139,21 @@ def check_multinorm_matrix_law(
 
     p_role = inf certifies the multi-norm law, p_role = 1 the dual law,
     general p the type-p law.  For roles without a closed form the matrix
-    norm is replaced by its certified upper bound, so every reported
-    violation is genuine.  The first len(fixed_matrices) trials use those
-    matrices in place of random ones.
+    norm is replaced by its certified upper bound (optim._op_norm_upper),
+    so every reported violation is genuine.  The first len(fixed_matrices)
+    trials use those matrices in place of random ones.
 
     Each kind of draw has one stream per call (cfg.stream("matrix_law",
     kind)), drawn per chunk as one block with a fixed-width row per trial:
     the sizes (n, m) in 1..4, X padded to max(4, widest fixed matrix)
     columns, and 33 uniforms (the real and imaginary parts of a padded 4x4
-    matrix, then the coin that makes it complex).
+    matrix, then the coin that makes it complex).  A chunk's trials are
+    grouped by (n, m, coin), each fixed matrix alone; each group's X A^T is
+    one stacked matmul, with one norm call per matrix (shape, dtype) and
+    one point_value call per tuple (width, dtype).
     """
     cfg = cfg or OptimConfig()
-    chunks = _trial_chunks(trials)
+    chunks = _audit_chunks(trials, tol)
     violations: list[LawViolation] = []
     mdim = space.dim
     fixed = [np.asarray(M) for M in (fixed_matrices or [])]
@@ -172,29 +161,35 @@ def check_multinorm_matrix_law(
     for A in fixed or [np.zeros((1, 1))]:
         MatrixOp(A, p_role, p_role)  # the role, shape and finiteness checks, once per matrix
 
+    norms = lambda S: _op_norm_upper(S, p_role, p_role, cfg, np.iscomplexobj(S))[0]
     counts, normals, uniforms = (cfg.stream("matrix_law", kind) for kind in (COUNTS, NORMALS, UNIFORMS))
     width = max([4] + [A.shape[1] for A in fixed])
     for chunk in chunks:
         T = len(chunk)
-        sizes = counts.integers(1, 5, size=(T, 2)).tolist()
+        sizes = counts.integers(1, 5, size=(T, 2))
         Xs = field_normal_block(normals, T, (mdim, width), space.is_complex)
         U = uniforms.random((T, 33))
         entries = 2.0 * U[:, :32].reshape(T, 2, 4, 4) - 1.0
-        drawn = []
-        for trial, (n, m), X, parts, coin in zip(chunk, sizes, Xs, entries, U[:, 32].tolist()):
-            if trial < len(fixed):
-                A = fixed[trial]
+        coins = space.is_complex & (U[:, 32] < 0.5)
+        # a fixed matrix's trial is a group of its own; the others group by (n, m, complex coin)
+        codes = np.where(np.arange(chunk.start, chunk.stop) < len(fixed), -1 - np.arange(T), 8 * sizes[:, 0] + 2 * sizes[:, 1] + coins)
+        groups, mats, tuples = _groups(codes), [], []
+        owner, row = np.empty(T, dtype=int), np.empty(T, dtype=int)
+        for g, (code, idx) in enumerate(groups):
+            if code < 0:
+                A = fixed[chunk.start + idx[0]][None]
             else:
-                A = parts[0, :m, :n]
-                if space.is_complex and coin < 0.5:
-                    A = A + 1j * parts[1, :m, :n]
-            drawn.append((A, X[:, : A.shape[1]]))
-        norms = _law_norms([A for A, _ in drawn], p_role, cfg)
-        vals = _point_values(spec, space, [X @ A.T for A, X in drawn] + [X for _, X in drawn], cfg)
-        for (A, X), anorm, lhs, rhs in zip(drawn, norms, vals, vals[len(drawn) :]):
-            bound = anorm * rhs
-            if lhs > bound + tol * max(1.0, bound):
-                violations.append(LawViolation(lhs, bound, A, X))
+                n, m = sizes[idx[0]].tolist()
+                A = entries[idx, 0, :m, :n] + 1j * entries[idx, 1, :m, :n] if coins[idx[0]] else entries[idx, 0, :m, :n]
+            owner[idx], row[idx] = g, np.arange(len(idx))
+            mats.append(A)
+            tuples.append(Xs[idx, :, : A.shape[-1]])
+        vals = _point_values(spec, space, [X @ np.swapaxes(A, -1, -2) for A, X in zip(mats, tuples)] + tuples, cfg)
+        lhs, rhs = _in_trial_order(groups, vals[: len(groups)]), _in_trial_order(groups, vals[len(groups) :])
+        bound = _in_trial_order(groups, _stack_values(norms, mats)) * rhs
+        for i in np.flatnonzero(lhs > bound + tol * np.maximum(1.0, bound)).tolist():
+            g, r = owner[i], row[i]
+            violations.append(LawViolation(float(lhs[i]), float(bound[i]), mats[g][r], tuples[g][r]))
     return MatrixLawReport(p_role, trials, tol, violations)
 
 
@@ -209,25 +204,27 @@ def check_coagulation_contraction(
 
     Trial t draws n in 2..4, X padded to 4 columns and one uniform that
     picks the set partition, each kind from its own cfg.stream("coagulation",
-    kind) in one block per chunk.
+    kind) in one block per chunk.  A chunk's trials are grouped by (n, set
+    partition), with one point_value call per (width, dtype).
     """
     cfg = cfg or OptimConfig()
-    chunks = _trial_chunks(trials)
+    chunks = _audit_chunks(trials, tol)
     violations: list[LawViolation] = []
     m = space.dim
-    partitions = {n: list(set_partitions(n)) for n in range(2, 5)}
+    partitions = [list(set_partitions(n)) for n in range(5)]
     counts, normals, uniforms = (cfg.stream("coagulation", kind) for kind in (COUNTS, NORMALS, UNIFORMS))
     for chunk in chunks:
         T = len(chunk)
-        ns = counts.integers(2, 5, size=T).tolist()
+        ns = counts.integers(2, 5, size=T)
         Xs = field_normal_block(normals, T, (m, 4), space.is_complex)
-        drawn = []
-        for n, X, u in zip(ns, Xs, uniforms.random(T).tolist()):
-            X, parts = X[:, :n], partitions[n]
-            blocks = parts[int(u * len(parts))]
-            drawn.append((blocks, X, np.stack([X[:, b].sum(axis=1) for b in blocks], axis=1)))
-        vals = _point_values(spec, space, [Y for *_, Y in drawn] + [X for _, X, _ in drawn], cfg)
-        for (blocks, X, _), lhs, rhs in zip(drawn, vals, vals[len(drawn) :]):
-            if lhs > rhs + tol * max(1.0, rhs):
-                violations.append(LawViolation(lhs, rhs, blocks, X))
+        picks = (uniforms.random(T) * [len(partitions[n]) for n in ns.tolist()]).astype(int)
+        groups = _groups(16 * ns + picks)  # a set of at most 4 slots has 15 partitions
+        tuples = [Xs[idx, :, : code // 16] for code, idx in groups]
+        blocks = [partitions[code // 16][code % 16] for code, _ in groups]
+        stacks = [np.stack([X[:, :, b].sum(axis=-1) for b in bl], axis=-1) for X, bl in zip(tuples, blocks)]
+        vals = _point_values(spec, space, stacks + tuples, cfg)
+        lhs, rhs = _in_trial_order(groups, vals[: len(groups)]), _in_trial_order(groups, vals[len(groups) :])
+        for i in np.flatnonzero(lhs > rhs + tol * np.maximum(1.0, rhs)).tolist():
+            n = int(ns[i])
+            violations.append(LawViolation(float(lhs[i]), float(rhs[i]), partitions[n][picks[i]], Xs[i, :, :n]))
     return MatrixLawReport(1.0, trials, tol, violations)

@@ -7,17 +7,20 @@ from the audit's cfg.stream(site, kind), and take trial t's numbers from
 row t.  The library audits draw one block per chunk of trials and
 evaluate the chunk as stacks; their reports (violations, gaps, witnesses)
 must be identical bit for bit, so a trial's numbers do not depend on the
-chunking either.
+chunking either.  The value-map tests also compare every evaluated
+tuple's value, violation or not, and the call-count tests check that a
+chunk makes one evaluation call per (width, dtype).
 """
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import multinorm as mn
-from multinorm import cli, multinorms
+from multinorm import cli, matrixlaws, multinorms
 from multinorm.decompositions import generated_value
 from multinorm.matrixlaws import LawViolation, MatrixLawReport
 from multinorm.multinorms import AxiomReport, AxiomViolation, _stack_values, is_exact_path, point_value
@@ -263,18 +266,20 @@ def _exact_specs(space):
 
 
 def test_stack_values_keeps_list_order_and_refuses_complex_values():
-    tuples = [np.full((2, k), float(i)) for i, k in enumerate((1, 3, 1, 2, 3))]
+    stacks = [np.full((B, 2, k), float(i)) for i, (B, k) in enumerate(((1, 1), (2, 3), (1, 1), (3, 2), (1, 3), (0, 2)))]
     calls = []
 
     def total(S):
         calls.append(S.shape)
         return S.sum(axis=(-2, -1))
 
-    assert _stack_values(total, tuples) == [0.0, 6.0, 4.0, 12.0, 24.0]
-    assert calls == [(2, 2, 1), (2, 2, 3), (1, 2, 2)]
+    got = _stack_values(total, stacks)
+    assert [v.tolist() for v in got] == [[0.0], [6.0, 6.0], [4.0], [12.0] * 3, [24.0], []]
+    # one call per (shape, dtype) group, the group's stacks concatenated in list order
+    assert calls == [(2, 2, 1), (3, 2, 3), (3, 2, 2)]
     # a complex value written into the float result would lose its imaginary part
     with pytest.raises(np.exceptions.ComplexWarning):
-        _stack_values(lambda S: S.sum(axis=(-2, -1)), [np.full((2, 2), 1j)])
+        _stack_values(lambda S: S.sum(axis=(-2, -1)), [np.full((1, 2, 2), 1j)])
 
 
 # ---------------------------------------------------------------------------
@@ -462,3 +467,198 @@ def test_orthogonal_detectors_span_chunks():
     got = mn.is_orthogonal_multinorm(Spec.min_spec(), fam, space, trials, CFG)
     assert math.isfinite(got.gap)
     _same_detector(got, _looped_is_orthogonal_multinorm(Spec.min_spec(), fam, space, trials, CFG))
+
+
+# ---------------------------------------------------------------------------
+# every trial's value, not only the violations
+
+
+def _point_split(args, res):
+    return args[2], res  # point_value(spec, space, X, cfg)
+
+
+def _upper_split(args, res):
+    return args[0], res[0]  # matrixlaws._op_norm_upper(S, p, q, cfg, complex_field)
+
+
+def _pq_split(args, res):
+    return args[0].entries, res.lower if res.kind == "exact" else res.upper  # op_norm_pq(MatrixOp(A, p, p), cfg)
+
+
+def _value_maps(monkeypatch, stacked, looped):
+    """{kind: {tuple or matrix bytes: value}} of every evaluation in the stacked run and in the frozen loop.
+
+    point_value is wrapped where each run looks it up, and so are the
+    law's matrix norms: matrixlaws._op_norm_upper for the stacked run,
+    op_norm_pq for the loop.  A stack records each of its arrays.
+    """
+    this = sys.modules[__name__]
+    runs = (
+        (stacked, [("point", multinorms, "point_value", _point_split), ("norm", matrixlaws, "_op_norm_upper", _upper_split)]),
+        (looped, [("point", this, "point_value", _point_split), ("norm", this, "op_norm_pq", _pq_split)]),
+    )
+    maps = []
+    for run, wraps in runs:
+        seen = {"point": {}, "norm": {}}
+        with monkeypatch.context() as mp:
+            for kind, owner, name, split in wraps:
+
+                def wrapper(*args, _real=getattr(owner, name), _split=split, _seen=seen[kind]):
+                    res = _real(*args)
+                    X, vals = (np.asarray(a) for a in _split(args, res))
+                    for x, v in zip(X.reshape(-1, *X.shape[-2:]), vals.reshape(-1).tolist()):
+                        key = (x.shape, x.dtype.str, x.tobytes())
+                        assert _seen.setdefault(key, v.hex()) == v.hex()
+                    return res
+
+                mp.setattr(owner, name, wrapper)
+            run()
+        maps.append(seen)
+    assert maps[0]["point"]
+    return maps
+
+
+@pytest.mark.parametrize("r,field,weighted", SPACES)
+def test_check_axioms_values_match_loop(monkeypatch, r, field, weighted):
+    space = _space(r, field, weighted)
+    for spec in (Spec.lattice(), Spec.dual_lattice(), Spec.lp_sum(2), Spec.partition([[0, 2], [1]])):
+        got, want = _value_maps(monkeypatch, lambda: mn.check_axioms(spec, space, 4, 40, CFG), lambda: _looped_check_axioms(spec, space, 4, 40, CFG))
+        assert got == want
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("role", [1, 2, INF, 1.5])
+def test_matrix_law_values_match_loop(monkeypatch, field, role):
+    # FIXED mixes shapes and, over C, a complex matrix with the drawn trials' real/complex coin
+    space = _space(1.5, field, True)
+    fixed = FIXED if field == "complex" else [np.real(A) for A in FIXED]
+    for spec in (Spec.lattice(), Spec.dual_lattice()):
+        got, want = _value_maps(
+            monkeypatch,
+            lambda: mn.check_multinorm_matrix_law(spec, space, role, 60, LAW_CFG, 1e-9, fixed),
+            lambda: _looped_matrix_law(spec, space, role, 60, LAW_CFG, 1e-9, fixed),
+        )
+        assert got["norm"] and got == want
+
+
+@pytest.mark.parametrize("r,field,weighted", SPACES)
+def test_coagulation_values_match_loop(monkeypatch, r, field, weighted):
+    space = _space(r, field, weighted)
+    for spec in (Spec.dual_lattice(), Spec.lp_sum(1)):
+        got, want = _value_maps(monkeypatch, lambda: mn.check_coagulation_contraction(spec, space, 40, CFG), lambda: _looped_coagulation(spec, space, 40, CFG))
+        assert got == want
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_detector_values_match_loop(monkeypatch, field):
+    space = _space(1.5, field, True)
+    d = mn.band_family(space).members[1]
+    t = mn.VectorTuple(field_normal(np.random.default_rng(3), (3, 3), space.is_complex), space)
+    for spec in (Spec.lattice(), Spec.min_spec()):
+        runs = (
+            (lambda: mn.is_small(d, spec, space, 30, CFG), lambda: _looped_is_small(d, spec, space, 30, CFG)),
+            (lambda: mn.is_orthogonal(d, spec, space, 12, CFG), lambda: _looped_is_orthogonal(d, spec, space, 12, CFG)),
+            (lambda: mn.orthogonal_set(spec, t, 12, CFG), lambda: _looped_orthogonal_set(spec, t, 12, CFG)),
+        )
+        for stacked, looped in runs:
+            got, want = _value_maps(monkeypatch, stacked, looped)
+            assert got == want
+
+
+# ---------------------------------------------------------------------------
+# one evaluation call per (width, dtype) per chunk
+
+
+def _counting(monkeypatch, owner, name, arg):
+    """The (shape, dtype) of args[arg] of every call to owner.name."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args):
+        calls.append((args[arg].shape, args[arg].dtype))
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _one_per_group(calls):
+    groups = {(shape[1:], dtype) for shape, dtype in calls}
+    assert all(len(shape) == 3 for shape, _ in calls) and len(groups) == len(calls)
+    return len(calls)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_matrix_law_stacks_per_shape(monkeypatch, field):
+    space = _space(2, field, False)
+    points, norms = _counting(monkeypatch, multinorms, "point_value", 2), _counting(monkeypatch, matrixlaws, "_op_norm_upper", 0)
+    for trials in (30, 300):
+        points.clear()
+        norms.clear()
+        mn.check_multinorm_matrix_law(Spec.lattice(), space, INF, trials, CFG)
+        assert sum(s[0] for s, _ in points) == 2 * trials and sum(s[0] for s, _ in norms) == trials
+        counts = (_one_per_group(points), _one_per_group(norms))
+    # at 300 trials: widths 1..4 of X and of X A^T; the 16 matrix shapes, real and, over C, complex
+    assert counts == (4, 32 if field == "complex" else 16)
+    points.clear()
+    norms.clear()
+    mn.check_multinorm_matrix_law(Spec.lattice(), space, INF, 3, CFG, fixed_matrices=FIXED[:2] if field == "complex" else [np.real(A) for A in FIXED[:2]])
+    assert _one_per_group(norms) == 3 and _one_per_group(points) <= 4
+
+
+def test_coagulation_stacks_per_shape(monkeypatch):
+    calls = _counting(monkeypatch, multinorms, "point_value", 2)
+    mn.check_coagulation_contraction(Spec.dual_lattice(), _space(2, "complex", True), 300, CFG)
+    # the coagulations have 1..4 slots, the tuples 2..4
+    assert _one_per_group(calls) == 4 and sum(s[0] for s, _ in calls) == 600
+
+
+def test_is_small_stacks_per_chunk(monkeypatch):
+    calls = _counting(monkeypatch, multinorms, "point_value", 2)
+    space = _space(2, "real", False)
+    d = mn.coordinate_decomposition(space, [[0], [1, 2]])
+    mn.is_small(d, Spec.lattice(), space, GRID_BLOCK + 3, CFG)
+    assert calls == [((GRID_BLOCK, 3, 2), np.dtype(float)), ((3, 3, 2), np.dtype(float))]
+
+
+def test_orthogonal_set_stacks_per_width(monkeypatch):
+    calls = _counting(monkeypatch, multinorms, "point_value", 2)
+    space = _space(2, "complex", False)
+    t = mn.VectorTuple(field_normal(np.random.default_rng(3), (3, 3), True), space)
+    mn.orthogonal_set(Spec.lattice(), t, 40, CFG)
+    # the unscaled set, then the chunk of 40 scalings: each tuple of 3 slots and its 4 coagulations of 1 and 2 slots
+    assert [shape for shape, _ in calls] == [(1, 3, 3), (1, 3, 1), (3, 3, 2), (40, 3, 3), (40, 3, 1), (120, 3, 2)]
+
+
+# ---------------------------------------------------------------------------
+# tolerances
+
+
+BAD_TOLS = [math.nan, math.inf, -math.inf, -1e-9]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_audits_refuse_a_bad_tol(tol):
+    # a NaN tolerance fails every comparison, so lp_sum(2)'s (A4) failures and the law's violations went unreported
+    space = SpaceSpec(2, 3)
+    d = mn.coordinate_decomposition(space, [[0], [1, 2]])
+    t = mn.VectorTuple(np.eye(3), space)
+    calls = [
+        lambda: mn.check_axioms(Spec.lp_sum(2), space, 4, 200, None, tol),
+        lambda: mn.check_multinorm_matrix_law(Spec.lp_sum(2), space, 1, 200, None, tol),
+        lambda: mn.check_coagulation_contraction(Spec.dual_lattice(), space, 20, None, tol),
+        lambda: mn.is_hermitian(d, space, 4, None, tol),
+        lambda: mn.is_small(d, Spec.lattice(), space, 4, None, tol),
+        lambda: mn.is_orthogonal(d, Spec.lattice(), space, 4, None, tol),
+        lambda: mn.orthogonal_set(Spec.lattice(), t, 4, None, tol),
+        lambda: mn.is_orthogonal_multinorm(Spec.lattice(), mn.band_family(space), space, 4, None, tol),
+    ]
+    for call in calls:
+        with pytest.raises(mn.SpecError, match="tol must be"):
+            call()
+
+
+def test_audits_keep_a_zero_tol():
+    space = SpaceSpec(2, 3)
+    assert not mn.check_axioms(Spec.lp_sum(2), space, 4, 200, None, 0.0).ok
+    assert mn.check_axioms(Spec.lattice(), space, 4, 20, None, 0).ok
