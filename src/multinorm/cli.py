@@ -25,7 +25,7 @@ from .errors import BudgetError, DegenerateNormError, DimensionError, FieldError
 from .multinorms import MultiNormSpec, check_axioms, evaluate, is_exact_path, rate_of_growth
 from .operators import mb_norm
 from .optim import INF, OptimConfig
-from .spaces import SpaceSpec, VectorTuple, matrix_from_json, vector_from_json
+from .spaces import MatrixOp, SpaceSpec, VectorTuple, matrix_from_json, vector_from_json
 
 
 class SchemaError(ValueError):
@@ -176,9 +176,11 @@ def cmd_mbnorm(doc: dict, cfg: OptimConfig) -> dict:
     spec_source = _spec(doc, "spec_source", {"variant": "min"})
     spec_target = _spec(doc, "spec_target", {"variant": "min"})
     try:
-        T = matrix_from_json(doc["matrix"])
+        T = MatrixOp(matrix_from_json(doc["matrix"])).entries
     except KeyError as e:
         raise SchemaError("missing 'matrix'") from e
+    except (TypeError, ValueError, IndexError) as e:
+        raise SchemaError(f"bad 'matrix': {e}") from e
     n_max = _count(doc, "n_max", 4)
     res = mb_norm(T, source, spec_source, target, spec_target, n_max, cfg)
     return {"mb_norm": res.to_json()}

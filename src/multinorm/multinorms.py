@@ -16,7 +16,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import DegenerateNormError, SpecError
 from .optim import (
     COUNTS,
     NORMALS,
@@ -1254,9 +1254,9 @@ def _lattice_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimCon
 
     phi_n is the largest p_n(S; min -> lattice) over the operators S (the
     identity for lattice), each from summing._row_partition_levels; the
-    value is the spec's own at the best witness.  None also where that
-    helper gives none: past its budget, or for a complex operator on a
-    real space.
+    value is the spec's own at the best witness, and DegenerateNormError
+    where that value overflows.  None also where that helper gives none:
+    past its budget, or for a complex operator on a real space.
     """
     if spec.variant == "lattice":
         ops = [np.eye(space.dim)]
@@ -1269,6 +1269,8 @@ def _lattice_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimCon
         return None
     values = [point_value(spec, space, lv[-1][0], cfg) for lv in levels]
     best = int(np.argmax(values))
+    if not math.isfinite(values[best]):
+        raise DegenerateNormError(f"phi_{n} of an operator family whose images overflow")
     return values[best], levels[best][-1][0], max(lv[-1][1] for lv in levels)
 
 
@@ -1276,9 +1278,10 @@ def rate_of_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConf
     """phi_n = sup of the multi-norm over n-tuples of unit-ball vectors.
 
     lattice and extended(lattice, ops) take the row-partition closed form
-    (_lattice_growth): exact at its bound, method row_partition, where the
-    witness meets it (every lattice phi_n is min(n, dim)^(1/r), 1 at
-    r = inf), else certified against it after the climb.  min is exact, and
+    (_lattice_growth), method row_partition, and never climb: the witness
+    is certified against its bound, exact where it meets it (every lattice
+    phi_n is min(n, dim)^(1/r), 1 at r = inf), else a bracket; past
+    cfg.max_enum they climb like the rest.  min is exact, and
     so are standard_q, max, dual_lattice, weak_summing and lp_sum where
     their closed forms apply (method closed_form_growth); everything else
     climbs over unit tuples for a lower bound (method unit_tuple_ascent).
@@ -1296,9 +1299,7 @@ def rate_of_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConf
 
     closed = _lattice_growth(spec, space, n, cfg)
     if closed is not None:
-        res = NormValue.certified(closed[0], closed[2], {"tuple": closed[1]}, "row_partition")
-        if res.kind == "exact":
-            return res
+        return NormValue.certified(closed[0], closed[2], {"tuple": closed[1]}, "row_partition")
 
     def closed_form() -> tuple[float, np.ndarray] | None:
         dt = complex if space.is_complex else float
@@ -1335,12 +1336,7 @@ def rate_of_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConf
         seeds.append(ends[1])
 
     val, cols = seeded_ascent(project, point_evaluator(spec, space, cfg), seeds, (m, n), cfg, space.is_complex)
-    upper = INF
-    if closed is not None:
-        upper = closed[2]
-        if closed[0] > val:
-            val, cols = closed[:2]
-    return NormValue.certified(val, upper, {"tuple": cols}, "unit_tuple_ascent")
+    return NormValue.lower_bound(max(val, 0.0), {"tuple": cols}, "unit_tuple_ascent")
 
 
 # ---------------------------------------------------------------------------

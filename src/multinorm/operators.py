@@ -17,7 +17,12 @@ row k by the j that attains max_j |(T x_j)_k| bounds the lattice norm by
 the sum over groups; and at least that, since x_j norming P_{G_j} T gives
 row k of G_j at least its term.  At r = inf every p_n is ||T||.  For an
 operator tuple the row groups also choose, row by row, which operator
-the row comes from.
+the row comes from.  These levels run no ascent: each is its witness,
+valued by the level's own score and certified against its bound (a
+bracket where a dense slice has no exact norm, whose lower side is then
+the power iteration's).  They are homogeneous in T, so T is first scaled
+by a power of two to a largest entry in [0.5, 1), which keeps the r-th
+powers of large and tiny entries in range.
 
 Multi-continuity (multi-null sequences map to multi-null sequences) is
 equivalent to multi-boundedness, and at a finite horizon it is implied by
@@ -33,8 +38,8 @@ import numpy as np
 from .errors import DimensionError, SpecError
 from .multinorms import MultiNormSpec, _source_scale, evaluate, point_evaluator
 from .optim import INF, NormValue, OptimConfig, meets, seeded_ascent, unconstrained
-from .spaces import MatrixOp, SpaceSpec, VectorTuple, delta_tuple, real_entries
-from .summing import _row_partition_levels, _scaled_score, op_norm_between
+from .spaces import MatrixOp, SpaceSpec, VectorTuple, binary_exponent, delta_tuple, pow2_scaled, real_entries
+from .summing import _row_partition_levels, _scaled_score, _unscaled, op_norm_between
 
 
 def amplify(T, t: VectorTuple, target: SpaceSpec) -> VectorTuple:
@@ -136,10 +141,12 @@ def mb_norm(
     """Lower bounds for p_n(T) = sup{ ||T^(n)x||_target : ||x||_source <= 1 }.
 
     Fast path: when the target carries the minimum multi-norm or the source
-    the maximum one, every p_n equals the operator norm ||T||.  Otherwise
-    each level is an ascent over normalized tuples, seeded with delta
-    tuples and the previous level's witness (repeated last entry), which
-    keeps the reported sequence nondecreasing.
+    the maximum one, every p_n equals the operator norm ||T||.  From the
+    minimum multi-norm into a lattice one, each level is the row-partition
+    closed form below.  Otherwise each level is an ascent over normalized
+    tuples, seeded with delta tuples and the previous level's witness
+    (repeated last entry).  Each level keeps the largest value so far, so
+    the reported sequence is nondecreasing.
 
     Each level's cap is the smaller of n*||T|| (where ||T|| is exact) and
     U, a certified bound on every p_n (_uniform_bound): || |T| || for
@@ -149,11 +156,14 @@ def mb_norm(
     bound lowers the cap: p_n^r is the max over partitions of the rows
     into at most n groups G of sum_G ||P_G T||^r (grouping row k by the j
     that attains max_j |(T x_j)_k| gives <=, x_j norming P_{G_j} T gives
-    >=; ||T|| at r = inf).  Its witness, valued by the level's own score,
-    is tried first: where it meets the cap, the level is
-    exact at the cap and no seed is valued.  A level whose best seed meets
-    its cap is exact at the cap and runs no ascent; any other level climbs
-    and keeps the larger of the climb and the witness.  Once a level meets
+    >=; ||T|| at r = inf).  There the level is its witness, valued by the
+    level's own score; no seed is valued and nothing climbs, and where
+    the witness meets the cap the level is exact at the cap.  The closed
+    form is taken for 2^-e T, its largest entry in [0.5, 1), and the
+    levels are scaled back by 2^e (every p_n is homogeneous in T).  Past
+    cfg.max_enum, or for a complex T on a real source, the levels climb
+    as elsewhere.  A level whose best seed meets its cap is exact at the
+    cap and runs no ascent; any other level climbs.  Once a level meets
     U, its padded witness meets U at every later level.  sup_estimate is
     then exact at U, the multi-bounded norm over all n (method
     meets_uniform_bound_at_n=k).  Otherwise it is exact when every level
@@ -167,6 +177,12 @@ def mb_norm(
     if n_max < 1:
         raise SpecError("n must be >= 1")
     T = _operator(T, source, target)
+    closed_form = _min_to_lattice(spec_source, spec_target)
+    e = binary_exponent(T) if closed_form else 0
+    if e:
+        # every p_n is homogeneous in T: the levels of 2^-e T, whose largest entry lies in [0.5, 1), scaled back
+        res = mb_norm(pow2_scaled(T, -e), source, spec_source, target, spec_target, n_max, cfg)
+        return replace(res, p_seq=[_unscaled(v, e) for v in res.p_seq], sup_estimate=_unscaled_value(res.sup_estimate, e))
     opn = op_norm_between(T, source, target, cfg)
 
     if spec_target.variant == "min" or spec_source.variant == "max":
@@ -176,7 +192,7 @@ def mb_norm(
     src_scale = _source_scale(spec_source, source, cfg)
     score = _scaled_score(src_scale, lambda C, s: T @ C / s, point_evaluator(spec_target, target, cfg))
     U = _uniform_bound(T, source, spec_source, target, spec_target, cfg)
-    closed = _row_partition_levels([T], source, target, n_max, cfg) if _min_to_lattice(spec_source, spec_target) else None
+    closed = _row_partition_levels([T], source, target, n_max, cfg) if closed_form else None
 
     p_seq: list[float] = []
     prev_witness = None
@@ -186,17 +202,15 @@ def mb_norm(
     for n in range(1, n_max + 1):
         upper_n = n * opn.upper
         cap = min(n * opn.lower if opn.kind == "exact" else INF, U)
-        level_cap, found, cols = cap, -INF, None
+        level_cap = cap
         if closed is not None:
             cols, bound = closed[n - 1]
             upper_n, level_cap, found = min(upper_n, bound), min(cap, bound), float(score(cols[None])[0])
-        if not meets(found, level_cap):
+        else:
             seeds = _delta_tuples(source.dim, n, source.is_complex)
             if prev_witness is not None:
                 seeds.append(np.concatenate([prev_witness, prev_witness[:, -1:]], axis=1))
-            val, climbed = seeded_ascent(unconstrained, score, seeds, (source.dim, n), cfg, source.is_complex, ceiling=level_cap)
-            if val >= found:
-                found, cols = val, climbed
+            found, cols = seeded_ascent(unconstrained, score, seeds, (source.dim, n), cfg, source.is_complex, ceiling=cap)
         val = max(found, p_seq[-1] if p_seq else 0.0)
         all_exact = all_exact and meets(val, cap)
         if meets(val, level_cap):
@@ -215,6 +229,11 @@ def mb_norm(
         sup = NormValue.certified(sup_val, sup_val if all_exact else U, best_witness, f"truncated_at_n={n_max}")
     monotone = all(p_seq[i] <= p_seq[i + 1] + 1e-12 for i in range(len(p_seq) - 1))
     return MBNormResult(p_seq, sup, monotone, n_max)
+
+
+def _unscaled_value(res: NormValue, e: int) -> NormValue:
+    """res with both bounds multiplied by 2^e (the witness is a tuple of the source's unit ball, which scaling leaves alone)."""
+    return replace(res, lower=_unscaled(res.lower, e), upper=_unscaled(res.upper, e))
 
 
 def mb_tuple_norm(
@@ -237,11 +256,11 @@ def mb_tuple_norm(
     over partitions of the rows into at most k_max groups G of
     sum_G max_s ||P_G T_s||^r, T_s taking row k from T_s(k) (grouping row
     k by the (i, j) that attains max_{i,j} |(T_i x_j)_k| gives <=, x_j
-    norming the best P_{G_j} T_s gives >=).  Where the witness meets that
-    bound the result is exact at it (method row_partition) and nothing
-    climbs; otherwise the ascent over k = 1..k_max runs as elsewhere, and
-    the larger of it and the witness is certified against that bound
-    (NormValue.certified).  Elsewhere the ascent gives a lower bound (method
+    norming the best P_{G_j} T_s gives >=).  Its witness, valued by the
+    score, is certified against that bound (NormValue.certified, method
+    row_partition) and nothing climbs; the operators are first scaled
+    jointly by a power of two, as in mb_norm.  Elsewhere, and past
+    cfg.max_enum, the ascent over k = 1..k_max gives a lower bound (method
     tuple_ascent_k<=k_max).
     """
     cfg = cfg or OptimConfig()
@@ -256,27 +275,29 @@ def mb_tuple_norm(
         best = max(vals, key=lambda r: r.lower)
         return NormValue.certified(best.lower, max(v.upper for v in vals), best.witness, "target_min_collapse")
 
+    closed_form = _min_to_lattice(spec_source, spec_target)
+    e = binary_exponent(np.stack(Ts)) if closed_form else 0
+    if e:
+        # homogeneous in the operators jointly: the value for 2^-e Ts, scaled back
+        return _unscaled_value(mb_tuple_norm([pow2_scaled(T, -e) for T in Ts], source, spec_source, target, spec_target, k_max, cfg), e)
+
     src_scale = _source_scale(spec_source, source, cfg)
     score = _scaled_score(
         src_scale,
         lambda C, s: np.concatenate([T @ C / s for T in Ts], axis=-1),
         point_evaluator(spec_target, target, cfg),
     )
-
-    best_val, best_witness, upper = 0.0, None, INF
-    closed = _row_partition_levels(Ts, source, target, k_max, cfg) if _min_to_lattice(spec_source, spec_target) else None
+    closed = _row_partition_levels(Ts, source, target, k_max, cfg) if closed_form else None
     if closed is not None:
         cols, upper = closed[-1]
-        best_val, best_witness = float(score(cols[None])[0]), {"tuple": cols, "k": k_max}
-        res = NormValue.certified(best_val, upper, best_witness, "row_partition")
-        if res.kind == "exact":
-            return res
+        return NormValue.certified(float(score(cols[None])[0]), upper, {"tuple": cols, "k": k_max}, "row_partition")
+    best_val, best_witness = 0.0, None
     for k in range(1, k_max + 1):
         seeds = _delta_tuples(source.dim, k, source.is_complex)
         val, cols = seeded_ascent(unconstrained, score, seeds, (source.dim, k), cfg, source.is_complex)
         if val > best_val:
             best_val, best_witness = val, {"tuple": cols, "k": k}
-    return NormValue.certified(best_val, upper, best_witness, f"tuple_ascent_k<={k_max}")
+    return NormValue.lower_bound(best_val, best_witness, f"tuple_ascent_k<={k_max}")
 
 
 def partition_permutation_bound(blocks: list, sigma: list, p: float) -> tuple[int, float]:

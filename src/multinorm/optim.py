@@ -23,6 +23,7 @@ from .spaces import COMPLEX, INF, REAL, MatrixOp, _as_value, conjugate_index, lp
 
 _ASCENT_ITERS = 200
 _TORUS_UPPER_POINTS = 2**18  # grid budget of torus_certified_upper, within cfg.max_enum
+_POWER_ENTRIES = 2**18  # most matrix entries a stacked power iteration gathers per step; longer stacks climb in chunks
 
 # The call sites that draw random numbers.  A site's id is part of its
 # generator's key, so the ids are fixed here (never hash(str), which varies
@@ -449,17 +450,23 @@ def polish(step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], X: np.nd
     first maximum over the starts, NaN never winning (value -inf where
     every start is NaN).
     """
+    vals, X = _climb(lambda P, _: step(P), X, vals, cap, gain)
+    i, best = _first_max(vals)
+    return best, X[i]
+
+
+def _climb(step, X: np.ndarray, vals: np.ndarray, cap: int, gain: float) -> tuple[np.ndarray, np.ndarray]:
+    """polish's climb without its scan: the (S,) end values and (S, *shape) end points of every start; step(P, live) also gets the live starts' indices."""
     X, vals = X.copy(), np.array(vals, dtype=float)
     live = np.flatnonzero(~np.isnan(vals))
     for _ in range(cap):
         if live.size == 0:
             break
-        Q, v = step(X[live])
+        Q, v = step(X[live], live)
         up = v > vals[live] + gain
         live = live[up]
         X[live], vals[live] = Q[up], v[up]
-    i, best = _first_max(vals)
-    return best, X[i]
+    return vals, X
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +479,36 @@ def _holder_upper(S: np.ndarray, p: float, q: float):
     return _as_value(np.minimum(lp_norm(lp_norm(S, q, axis=-2), pp), lp_norm(lp_norm(S, pp), q)))
 
 
-def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool) -> tuple[float, np.ndarray | None]:
-    """Nonlinear power iteration for sup ||Ax||_q / ||x||_p from every start at once; (0.0, None) unless some start is positive.
+def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_field: bool):
+    """Nonlinear power iteration (Boyd's) for sup ||Ax||_q / ||x||_p from every start at once.
 
-    The starts include every basis vector, so the value is at least A's largest column q-norm.
+    One (m, n) matrix gives (value, witness), (0.0, None) unless some
+    start is positive.  A (B, m, n) stack gives (B,) values and (B, n)
+    witnesses, value 0 and a NaN row where no start is positive: every
+    start of every slice climbs in one polish, with one gemv per start and
+    the same power_ascent.starts, so each slice gets what it gets alone bit
+    for bit.  The starts include every basis vector, so a value is at least
+    its matrix's largest column q-norm.
     """
-    n = A.shape[1]
+    S = A if A.ndim == 3 else A[None]
+    B, m, n = S.shape
+    dt = np.result_type(complex if complex_field else float, S)
+    seeds = np.array([*np.eye(n, dtype=dt), np.ones(n, dtype=dt), *gaussian_starts(cfg, "power_ascent.starts", (n,), complex_field)], dtype=dt)
+    k = len(seeds)
+    per = max(1, _POWER_ENTRIES // (k * m * n))
+    if B > per:
+        parts = [_power_ascent(S[i : i + per], p, q, cfg, complex_field) for i in range(0, B, per)]
+        return np.concatenate([v for v, _ in parts]), np.concatenate([w for _, w in parts])
     pp = conjugate_index(p)
-    AH = A.conj().T
+    owner = np.repeat(np.arange(B), k)  # start i of slice b sits at b * k + i
+    lone = (S[0], S[0].conj().T)
+
+    def matrices(idx):
+        # each start's matrix and its adjoint, laid out as a lone matrix is
+        if B == 1:
+            return lone
+        M = S[owner[idx]]
+        return M, np.swapaxes(M.conj(), -1, -2)
 
     def image(M, X):
         # one gemv per start, so each row's bits are those of M @ x
@@ -489,23 +518,28 @@ def _power_ascent(A: np.ndarray, p: float, q: float, cfg: OptimConfig, complex_f
         nx = lp_norm(X, p)
         return X / np.where(nx == 0, 1.0, nx)[:, None], nx == 0
 
-    def step(X):
-        Y = image(A, X)
+    def step(X, idx):
+        M, MH = matrices(idx)
+        Y = image(M, X)
         ay = np.abs(Y)
-        G = image(AH, phase(Y) * ay ** (q - 1.0) if q > 1 else phase(Y) * (ay > 0))
+        G = image(MH, phase(Y) * ay ** (q - 1.0) if q > 1 else phase(Y) * (ay > 0))
         if p == INF:
             Xn = phase(G) if complex_field else np.sign(G) + (G == 0)
         else:
             ag = np.abs(G)
             Xn = phase(G) * (ag ** (pp - 1.0) if pp != INF else ag >= ag.max(axis=-1, keepdims=True))
         Xn, stuck = normalized(Xn)
-        return Xn, np.where(stuck | (lp_norm(Y, q) == 0), np.nan, lp_norm(image(A, Xn), q))
+        return Xn, np.where(stuck | (lp_norm(Y, q) == 0), np.nan, lp_norm(image(M, Xn), q))
 
-    dt = np.result_type(complex if complex_field else float, A)
-    seeds = [*np.eye(n, dtype=dt), np.ones(n, dtype=dt), *gaussian_starts(cfg, "power_ascent.starts", (n,), complex_field)]
-    X, zero = normalized(np.array(seeds, dtype=dt))
-    val, x = polish(step, X, np.where(zero, np.nan, lp_norm(image(A, X), q)), 60, 1e-15)
-    return (val, x) if val > 0 else (0.0, None)
+    X, zero = normalized(np.tile(seeds, (B, 1)))
+    vals, X = _climb(step, X, np.where(zero, np.nan, lp_norm(image(matrices(np.arange(B * k))[0], X), q)), 60, 1e-15)
+    i, best = _first_max(vals.reshape(B, k))
+    W = X.reshape(B, k, n)[np.arange(B), i]
+    if A.ndim == 2:
+        return (float(best[0]), W[0]) if best[0] > 0 else (0.0, None)
+    found = best > 0
+    W[~found] = np.nan
+    return np.where(found, best, 0.0), W
 
 
 def op_norm_pq(a: MatrixOp, cfg: OptimConfig, field: str | None = None) -> NormValue:
@@ -634,7 +668,7 @@ def _diagonal_like(D: np.ndarray, p: float, q: float, complex_field: bool) -> tu
     A, M = np.take_along_axis(ad, order, axis=-1), np.take_along_axis(mags, order, axis=-1)
     widths = np.where(counts < 8, min(counts.max(), 7), counts)
     values, norms = np.empty(len(D)), np.empty(len(D))
-    for k in np.unique(widths).tolist():
+    for k in set(widths.tolist()):  # np.unique's first call in a process costs about 20 ms
         g = widths == k
         values[g], norms[g] = lp_norm(A[g, :k], t), lp_norm(M[g, :k], p)
     W = np.where(ad > 0, np.conj(phase(d)), 0.0) if p == INF else mags / np.where(norms == 0, 1.0, norms)[:, None] * np.conj(phase(d))

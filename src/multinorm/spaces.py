@@ -41,6 +41,22 @@ def real_entries(A) -> np.ndarray:
     return A
 
 
+def binary_exponent(A) -> int:
+    """The e with max |A| * 2^-e in [0.5, 1), frexp's exponent of A's largest modulus; 0 where A is all zero."""
+    top = float(np.abs(A).max(initial=0.0))
+    return math.frexp(top)[1] if 0 < top < INF else 0
+
+
+def pow2_scaled(A, e: int) -> np.ndarray:
+    """2^e A by ldexp, exact wherever no entry leaves the normal range (real and imaginary parts apart)."""
+    A = np.asarray(A)
+    if not np.iscomplexobj(A):
+        return np.ldexp(A, e)
+    out = np.empty_like(A)
+    out.real, out.imag = np.ldexp(A.real, e), np.ldexp(A.imag, e)
+    return out
+
+
 _TINY = np.finfo(float).tiny  # smallest normal float; below it 1 / |v| may overflow
 
 

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import DegenerateNormError, SpecError
 from .optim import (
     NormValue,
     OptimConfig,
@@ -24,6 +24,7 @@ from .optim import (
     _holder_upper,
     _op_norm_exact,
     _op_norm_upper,
+    _power_ascent,
     meets,
     op_norm_pq,
     seeded_ascent,
@@ -31,7 +32,7 @@ from .optim import (
     unconstrained,
 )
 from .partitions import GRID_BLOCK, digit_rows
-from .spaces import INF, MatrixOp, SpaceSpec, VectorTuple, _root, conjugate_index, delta_tuple, lp_norm, phase, real_entries, roots_tuple
+from .spaces import INF, MatrixOp, SpaceSpec, VectorTuple, _root, binary_exponent, conjugate_index, delta_tuple, lp_norm, phase, pow2_scaled, real_entries, roots_tuple
 
 
 def _weight_root(space: SpaceSpec) -> np.ndarray:
@@ -152,11 +153,16 @@ def _row_partition_levels(Ts: list, source: SpaceSpec, target: SpaceSpec, n_max:
     norms the best P_{G_j} T_s, so row k of G_j gets at least that term.
     At r = inf every p_n is the largest dual norm of a row, max_{i,k} ||(T_i)_k||_{E'}.
 
-    Of the (#Ts + 1)^m - 1 slices P_G T_s, a single row takes its dual
+    The absorbed operators are scaled by 2^-e, their largest modulus in
+    [0.5, 1), so that no r-th power overflows or underflows; the bounds
+    are scaled back by 2^e (DegenerateNormError where that passes the
+    float range), and the witnesses need no scaling.  Of the
+    (#Ts + 1)^m - 1 slices P_G T_s, a single row takes its dual
     norm with its norming vector, exact at every r; the others go through
     optim._op_norm_exact, GRID_BLOCK slices per stacked call, and a slice
     with no exact rule takes the Holder bound from above and, from below,
-    the best image of the rows' norming vectors.  The partition
+    the larger of the best image of the rows' norming vectors and the
+    power iteration (one stacked optim._power_ascent call).  The partition
     maximum runs over the (3^m - 1)/2 (group, rest) splits of _row_splits,
     level by level.  upper is certified (it uses upper bounds of N); the
     witness is a (source.dim, n) tuple of vectors of norm at most 1 that
@@ -174,6 +180,9 @@ def _row_partition_levels(Ts: list, source: SpaceSpec, target: SpaceSpec, n_max:
     slices = (ops + 1) ** m - 1
     if max(slices, 3**m // 2) > cfg.max_enum:
         return None
+    # every N(G) is homogeneous: work on 2^-e A, whose largest modulus lies in [0.5, 1), and scale the bounds back
+    e = binary_exponent(A)
+    A = pow2_scaled(A, -e)
     p, r, complex_field = source.p, target.p, source.is_complex
     pp = conjugate_index(p)
     rows = A.reshape(-1, d)  # row k of T_i at i * m + k
@@ -187,7 +196,7 @@ def _row_partition_levels(Ts: list, source: SpaceSpec, target: SpaceSpec, n_max:
 
     if r == INF:
         i = int(np.argmax(rho))
-        return [(tuple_of([X1[i]], n), float(rho[i])) for n in range(1, n_max + 1)]
+        return [(tuple_of([X1[i]], n), _unscaled(rho[i], e)) for n in range(1, n_max + 1)]
 
     # per row set G (a bit mask): the upper and lower sides of N(G), and the witness of the lower side
     up, low = np.zeros(2**m), np.zeros(2**m)
@@ -206,10 +215,13 @@ def _row_partition_levels(Ts: list, source: SpaceSpec, target: SpaceSpec, n_max:
         values, witnesses, _ = _op_norm_exact(S, p, r, cfg, complex_field)
         bare = np.isnan(values)
         if bare.any():
+            # from below, the larger of the best image of the rows' norming vectors and the power iteration
             images = lp_norm(S[bare] @ X1.T, r, axis=-2)
-            best = images.argmax(axis=1)
+            power, power_x = _power_ascent(S[bare], p, r, cfg, complex_field)
+            ahead = power > images.max(axis=1)
             hi[multi[bare]] = _holder_upper(S[bare], p, r)
-            lo[multi[bare]], witnesses[bare] = images[np.arange(len(best)), best], X1[best]
+            lo[multi[bare]] = np.where(ahead, power, images.max(axis=1))
+            witnesses[bare] = np.where(ahead[:, None], power_x, X1[images.argmax(axis=1)])
         hi[multi[~bare]] = lo[multi[~bare]] = values[~bare]
         X[multi] = witnesses if complex_field else np.real(witnesses)
         np.maximum.at(up, mask, hi)
@@ -237,8 +249,16 @@ def _row_partition_levels(Ts: list, source: SpaceSpec, target: SpaceSpec, n_max:
             if rest:
                 cols.append(W[pick[rest]])
                 rest ^= pick[rest]
-        out.append((tuple_of(cols, n), _root(f_up[-1], r)))
+        out.append((tuple_of(cols, n), _unscaled(_root(f_up[-1], r), e)))
     return out
+
+
+def _unscaled(bound: float, e: int) -> float:
+    """2^e bound, the bound of the unscaled operators; DegenerateNormError where it passes the float range."""
+    try:
+        return math.ldexp(float(bound), e)
+    except OverflowError:
+        raise DegenerateNormError(f"the row-partition bound 2^{e} * {float(bound)} overflows") from None
 
 
 def _scaled_score(src_scale, image, tgt_value):

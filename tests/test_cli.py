@@ -148,6 +148,28 @@ def test_overflowing_result_exit_2(capsys):
     assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("matrix", ([[1, 2], [3]], "ab", [["nan", 0], [0, 1]], [1, 2], [[1, [2]], [3, 4]]))
+def test_mbnorm_malformed_matrix_is_a_schema_error(capsys, matrix):
+    # ragged, a string, a NaN entry, a flat list and a bad complex pair: exit 2 with one stderr line, no traceback
+    doc = {"source": {"p": 2, "dim": 2}, "target": {"p": 2, "dim": 2}, "spec_target": {"variant": "lattice"}, "matrix": matrix}
+    code = main(["mbnorm", json.dumps(doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("schema error: bad 'matrix'") and len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("scale", (1e150, 1e-170))
+def test_mbnorm_of_large_and_tiny_entries(capsys, scale):
+    # on l^3 the cubes of these entries overflow or underflow; the levels are those of the unscaled matrix, scaled
+    doc = {"source": {"p": 3, "dim": 2}, "target": {"p": 3, "dim": 2}, "spec_target": {"variant": "lattice"}, "n_max": 2}
+    levels = []
+    for c in (scale, 1.0):
+        code, out = run_cli(capsys, "mbnorm", json.dumps({**doc, "matrix": [[c, 2 * c], [c, c]]}))
+        assert code == 0
+        levels.append(json.loads(out)["result"]["mb_norm"]["p_seq"])
+    assert levels[0] == pytest.approx([scale * v for v in levels[1]], rel=1e-12)
+
+
 def test_verify_single_criterion(capsys):
     code, out = run_cli(capsys, "verify", "{}", "--only", "4")
     assert code == 0
