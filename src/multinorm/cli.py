@@ -25,7 +25,7 @@ from .errors import BudgetError, DegenerateNormError, DimensionError, FieldError
 from .multinorms import MultiNormSpec, check_axioms, evaluate, is_exact_path, rate_of_growth
 from .operators import mb_norm
 from .optim import INF, OptimConfig
-from .spaces import MatrixOp, SpaceSpec, VectorTuple, matrix_from_json, vector_from_json
+from .spaces import MatrixOp, SpaceSpec, VectorTuple, _json_number, matrix_from_json, vector_from_json
 
 
 class SchemaError(ValueError):
@@ -83,10 +83,10 @@ def _count(doc: dict, key: str, default: int | None = None) -> int | None:
     """doc[key], or default where it is absent; a value that is not a JSON integer (true and false included) is a SchemaError."""
     if key not in doc:
         return default
-    x = doc[key]
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise SchemaError(f"{key!r} must be an integer, got {json.dumps(x)}")
-    return x
+    try:
+        return _json_number(doc[key], repr(key), integer=True)
+    except ValueError as e:
+        raise SchemaError(str(e)) from None
 
 
 def _cfg(doc: dict, args) -> OptimConfig:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetError, HermitianError, SpecError
+from .errors import BudgetError, DimensionError, HermitianError, SpecError
 from .multinorms import MultiNormSpec, _audit_chunks, _groups, _in_trial_order, _point_values, _stack_values
 from .optim import COUNTS, NORMALS, UNIFORMS, OptimConfig, _first_max, field_normal_block
 from .partitions import GRID_BLOCK, grid_fits, set_partitions, slot_assignments, unit_grid
@@ -75,6 +75,12 @@ class Decomposition:
     @staticmethod
     def from_json(doc: dict) -> "Decomposition":
         return Decomposition(tuple(matrix_from_json(P) for P in doc["projections"]))
+
+
+def _same_dim(d: Decomposition, space: SpaceSpec) -> None:
+    """DimensionError unless the decomposition acts on the space's dimension."""
+    if d.dim != space.dim:
+        raise DimensionError(f"decomposition of dimension {d.dim} on a space of dimension {space.dim}")
 
 
 def coordinate_decomposition(space: SpaceSpec, blocks) -> Decomposition:
@@ -152,6 +158,7 @@ def is_hermitian(
     points' moduli and phases (or signs) from cfg.stream("hermitian",
     UNIFORMS), one block per chunk of trials.
     """
+    _same_dim(d, space)
     cfg = cfg or OptimConfig()
     chunks = _audit_chunks(trials, tol)
     k = d.length
@@ -201,6 +208,7 @@ def is_small(
     instead, and every third from trial 4 on its block-supported image.
     A chunk's tuples are one stack, with one point_value call.
     """
+    _same_dim(d, space)
     cfg = cfg or OptimConfig()
     k = d.length
     worst_gap, witness = 0.0, None
@@ -267,6 +275,7 @@ def is_orthogonal(
     Trial t projects row t of cfg.stream("orthogonal", NORMALS), drawn one
     block per chunk, onto the blocks.
     """
+    _same_dim(d, space)
     cfg = cfg or OptimConfig()
     k = d.length
     if k > 8:
@@ -410,6 +419,7 @@ def dual_family(f: FamilyOfDecompositions, space: SpaceSpec) -> FamilyOfDecompos
     w = space.w
     members = []
     for d in f.members:
+        _same_dim(d, space)
         Ps = tuple((P.T * w[None, :]) / w[:, None] for P in d.projections)
         members.append(Decomposition(Ps))
     return FamilyOfDecompositions(tuple(members), f.closure_flags)
@@ -443,6 +453,8 @@ def is_orthogonal_multinorm(
     and its tuple, padded to 3 columns, from the NORMALS stream, one block
     of each per chunk.
     """
+    for d in f.members:
+        _same_dim(d, space)
     cfg = cfg or OptimConfig()
     chunks = _audit_chunks(trials, tol)
     worst_gap, witness = 0.0, None

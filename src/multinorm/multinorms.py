@@ -5,6 +5,10 @@ multi-norm variant.  Exact variants return kind="exact"; search-backed
 variants return brackets whose upper side comes from closed inequalities
 (root averages, q-sum bounds, a numerical dual's ceiling), and are exact
 at that upper side where a feasible witness meets it (NormValue.certified).
+For pq, max, hilbert and standard_q one function, _search_bounds, applies
+every rule that needs no search (the real (1,1) pair, the disjoint closed
+form, the q-sum capped by the roots bound, the 2-tuple arc bisection), so
+evaluate and _source_scale share one upper bound.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .optim import (
     seeded_ascent,
 )
 from .partitions import GRID_BLOCK, digit_rows, slot_assignments
-from .spaces import INF, SpaceSpec, VectorTuple, _as_value, _root, conjugate_index, delta, delta_tuple, lp_norm, phase, roots_tuple
+from .spaces import INF, SpaceSpec, VectorTuple, _as_value, _json_number, _root, conjugate_index, delta, delta_tuple, lp_norm, phase, roots_tuple
 from . import summing
 
 VARIANTS = (
@@ -159,11 +163,11 @@ class MultiNormSpec:
         variant = doc["variant"]
         kwargs: dict[str, Any] = {}
         if "p" in doc:
-            kwargs["p"] = INF if doc["p"] == "inf" else float(doc["p"])
+            kwargs["p"] = _json_number(doc["p"], "p")
         if "q" in doc:
-            kwargs["q"] = float(doc["q"])
+            kwargs["q"] = _json_number(doc["q"], "q")
         if "blocks" in doc:
-            kwargs["blocks"] = tuple(tuple(int(i) for i in b) for b in doc["blocks"])
+            kwargs["blocks"] = tuple(tuple(_json_number(i, "block index", integer=True) for i in b) for b in doc["blocks"])
         if "base" in doc:
             kwargs["base"] = MultiNormSpec.from_json(doc["base"])
         if "ops" in doc:
@@ -208,9 +212,9 @@ def validate(spec: MultiNormSpec, space: SpaceSpec) -> None:
         if not spec.ops:
             raise SpecError("extended multi-norm needs a non-empty operator family")
         mats = [np.asarray(T) for T in spec.ops]
-        if not any(
-            T.shape == (space.dim, space.dim) and np.allclose(T, np.eye(space.dim), atol=1e-12) for T in mats
-        ):
+        if any(T.shape != (space.dim, space.dim) for T in mats):
+            raise SpecError(f"extended operators must be {space.dim}x{space.dim} on a space of dimension {space.dim}")
+        if not any(np.allclose(T, np.eye(space.dim), atol=1e-12) for T in mats):
             raise SpecError("extended operator family must contain the identity")
         validate(spec.base, space)
     elif v == "numerical_dual":
@@ -218,6 +222,8 @@ def validate(spec: MultiNormSpec, space: SpaceSpec) -> None:
     elif v == "generated":
         if spec.family is None:
             raise SpecError("generated multi-norm needs a family of decompositions")
+        if any(d.dim != space.dim for d in spec.family.members):
+            raise SpecError(f"generated family members must be decompositions of dimension {space.dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -416,20 +422,7 @@ def _holder_sup(b: np.ndarray, q: float, inv_t: float, inv_u: float) -> tuple[fl
 
 
 def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValue:
-    """Lower bound from mu_{p,n}-unit functional tuples; upper from the q-sum and root bounds (_pq_upper).
-
-    The (1,1) value is the maximum multi-norm, ell^inf_n (x)_pi E, and
-    evaluate(max) returns it.  On a real 2-tuple it is
-    (||x1 + x2|| + ||x1 - x2||) / 2 (_real_pair_max), exact with method
-    real_pair_closed_form.  A tuple
-    with disjointly supported columns (_disjoint) takes the closed
-    form _pq_disjoint, exact with method disjoint_closed_form, before any
-    bound or search.  _pair_arc covers a 2-tuple in an l^1 space
-    (_pq_l1_pair, method l1_pair_arc_bisection) and any other real 2-tuple
-    with p = 1 (_real_pair_arc, method real_pair_arc_bisection): both
-    maximize a convex F over the l^{q'} arc by _arc_max, whose bound is
-    within 1e-10 of the witness unless the arc is flat, so the result is
-    exact or a tight bracket.
+    """The (p,q) or max result: _search_bounds's, or a lower bound from mu_{p,n}-unit functional tuples under its upper one.
 
     With p = 2 on an index-2 space the mu_{2,n} ball is a spectral ball, and
     the spectral polish from the seeds and cfg.restarts Gaussian starts
@@ -465,22 +458,13 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
     """
     space = t.space
     X = t.columns
+    upper, settled = _search_bounds(spec, space, X, cfg)
+    if settled is not None:
+        return settled
     n = t.n
-    p, q = spec.p, spec.q
-    if p == q == 1 and n == 2 and not space.is_complex:
-        val, L = _real_pair_max(space, X)
-        return NormValue.exact(val, {"functionals": L}, "real_pair_closed_form")
-    if _disjoint(X):
-        val, L = _pq_disjoint(space, X, p, q)
-        return NormValue.exact(val, {"functionals": L}, "disjoint_closed_form")
+    p, q = _pq_indices(spec)
     dual = space.dual()
-    upper = _pq_upper(space, X, q, cfg)
-
-    pair = _pair_arc(space, X, p, q)
-    if pair is not None:
-        val, bound, L, method = pair
-        upper = min(upper, bound)
-    elif p == 2 and space.p == 2:
+    if p == 2 and space.p == 2:
         val, L = _pq_spectral_polish(space, X, q, np.array(_pq_starts(space, X, cfg), dtype=complex))
         method = "pq_spectral_polish"
     else:
@@ -751,28 +735,42 @@ def _pq_upper(space: SpaceSpec, X: np.ndarray, q: float, cfg: OptimConfig) -> fl
     return min(lp_norm(space.norm_cols(X), q), _roots_upper(space, X, cfg))
 
 
-def _search_upper(spec: MultiNormSpec, space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> float:
-    """evaluate(spec, VectorTuple(X, space), cfg).upper bit for bit for a pq, max, hilbert or standard_q spec, with no search.
+def _pq_indices(spec: MultiNormSpec) -> tuple[float, float]:
+    """(p, q) of a pq spec; the maximum multi-norm is the (1,1) one, ell^inf_n (x)_pi E."""
+    return (1, 1) if spec.variant == "max" else (spec.p, spec.q)
 
-    The bounds are the ones the evaluators attach: a closed form (the real
-    (1,1) pair, _pq_disjoint), _pq_upper, and for a 2-tuple the arc
-    bisection of _pair_arc.  X is an (m, n) array of the space's field;
-    a width with an exact path (max on l^1, standard_q within its budget)
-    is exact_evaluator's business.
+
+def _search_bounds(spec: MultiNormSpec, space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> tuple[float, NormValue | None]:
+    """(upper, settled) of a pq, max, hilbert or standard_q tuple X, an (m, n) array of the space's field, with no search.
+
+    upper is the proven bound evaluate attaches; settled is the whole result
+    where a rule also fixes the value, else None.  hilbert (q = 2) and
+    standard_q take _pq_upper.  (p,q), and max as (1,1), takes the first
+    rule that covers it: a real (1,1) 2-tuple (_real_pair_max, exact, method
+    real_pair_closed_form); disjoint columns (_pq_disjoint, exact, method
+    disjoint_closed_form); else _pq_upper, lowered where _pair_arc covers
+    the tuple by its arc bound, with the arc's witness: a 2-tuple in an l^1
+    space (l1_pair_arc_bisection) or another real 2-tuple with p = 1
+    (real_pair_arc_bisection), exact unless the arc is flat.  A width with
+    an exact path is exact_evaluator's business.
     """
-    if spec.variant == "hilbert":
-        return _pq_upper(space, X, 2, cfg)
-    if spec.variant == "standard_q":
-        return _pq_upper(space, X, spec.q, cfg)
-    if spec.variant == "max":
-        spec = MultiNormSpec.pq_spec(1, 1)
-    if spec.p == spec.q == 1 and X.shape[1] == 2 and not space.is_complex:
-        return _real_pair_max(space, X)[0]
-    if _disjoint(X):
-        return _pq_disjoint(space, X, spec.p, spec.q)[0]
-    upper = _pq_upper(space, X, spec.q, cfg)
-    pair = _pair_arc(space, X, spec.p, spec.q)
-    return upper if pair is None else min(upper, pair[1])
+    if spec.variant in ("hilbert", "standard_q"):
+        return _pq_upper(space, X, 2 if spec.variant == "hilbert" else spec.q, cfg), None
+    p, q = _pq_indices(spec)
+    if p == q == 1 and X.shape[1] == 2 and not space.is_complex:
+        val, L = _real_pair_max(space, X)
+        settled = NormValue.exact(val, {"functionals": L}, "real_pair_closed_form")
+    elif _disjoint(X):
+        val, L = _pq_disjoint(space, X, p, q)
+        settled = NormValue.exact(val, {"functionals": L}, "disjoint_closed_form")
+    else:
+        upper = _pq_upper(space, X, q, cfg)
+        pair = _pair_arc(space, X, p, q)
+        if pair is None:
+            return upper, None
+        val, bound, L, method = pair
+        settled = NormValue.certified(val, min(upper, bound), {"functionals": L}, method)
+    return settled.upper, settled
 
 
 def _roots_upper(space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> float:
@@ -910,10 +908,10 @@ def _source_scale(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig):
     """The map from a stack of tuples to their norms, exact or certified from above.
 
     A width with an exact path gives the norm; otherwise each tuple's upper
-    bound: _search_upper's for pq, max, hilbert and standard_q, which runs
-    no search; for extended(B, ops) the largest of B's scale at T x over
-    the ops, evaluate's upper side bit for bit; else evaluate's, which
-    every search-backed result carries.  mb_norm, mb_tuple_norm and the
+    bound: for pq, max, hilbert and standard_q _search_bounds's, evaluate's
+    own bound step, which runs no search; for extended(B, ops) the largest
+    of B's scale at T x over the ops, evaluate's upper side bit for bit;
+    else evaluate's, which every search-backed result carries.  mb_norm, mb_tuple_norm and the
     numerical dual's climb share it.
     """
     exact_at = functools.cache(lambda n: exact_evaluator(spec, space, n, cfg))
@@ -927,7 +925,7 @@ def _source_scale(spec: MultiNormSpec, space: SpaceSpec, cfg: OptimConfig):
         if spec.variant == "extended":
             return np.max([base(T @ C) for T in ops], axis=0)
         if spec.variant in ("pq", "max", "hilbert", "standard_q"):
-            return np.array([_search_upper(spec, space, cols, cfg) for cols in C])
+            return np.array([_search_bounds(spec, space, cols, cfg)[0] for cols in C])
         return np.array([evaluate(spec, VectorTuple(cols, space), cfg).upper for cols in C])
 
     return scale
@@ -1025,9 +1023,7 @@ def evaluate(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig | None = None
 
     if v == "standard_q":
         return _standard_q_search(t, spec.q, cfg)
-    if v == "max":
-        return _pq_value(MultiNormSpec.pq_spec(1, 1), t, cfg)
-    if v == "pq":
+    if v in ("max", "pq"):
         return _pq_value(spec, t, cfg)
     if v == "hilbert":
         return _hilbert_value(t, cfg)

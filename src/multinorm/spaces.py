@@ -8,8 +8,9 @@ the package is built on top of these primitives.
 
 from __future__ import annotations
 
-import math
 import dataclasses
+import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,10 +193,8 @@ class SpaceSpec:
 
     @staticmethod
     def from_json(doc: dict) -> "SpaceSpec":
-        p = doc["p"]
-        p = INF if p in ("inf", "Infinity") else float(p)
-        weights = tuple(float(w) for w in doc.get("weights", ()) or ())
-        return SpaceSpec(p, int(doc["dim"]), weights, doc.get("field", REAL))
+        weights = tuple(_json_number(w, "weight") for w in doc.get("weights", ()) or ())
+        return SpaceSpec(_json_number(doc["p"], "p"), _json_number(doc["dim"], "dim", integer=True), weights, doc.get("field", REAL))
 
 
 @dataclass(frozen=True)
@@ -340,6 +339,17 @@ def hahn_split(space: SpaceSpec, mu) -> tuple[list[int], list[int]]:
     pos = [int(k) for k in range(space.dim) if mu[k] >= 0.0]
     neg = [int(k) for k in range(space.dim) if mu[k] < 0.0]
     return pos, neg
+
+
+def _json_number(x, name: str, integer: bool = False):
+    """x read from JSON as a number: float(x) ("inf" and "Infinity" included), or where integer a JSON integer.
+
+    A bool, which Python counts as an int, is a ValueError, and so is a
+    non-integer where integer is set (2.7 is not read as 2).
+    """
+    if isinstance(x, (bool, np.bool_)) or (integer and not isinstance(x, (int, np.integer))):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {json.dumps(x, default=repr)}")
+    return int(x) if integer else float(x)
 
 
 def vector_to_json(x: np.ndarray) -> list:

@@ -130,6 +130,12 @@ def test_schema_error_exit_2(capsys):
                    ' "spec_target": {"variant": "lattice"}, "matrix": [[1, 0], [0, 1]], "n_max": 2}'),
         ("decomp", '{"space": {"p": 2, "dim": 2}, "spec": {"variant": "weak_summing"}, "trials": 2,'
                    ' "decomposition": {"projections": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}}'),
+        # operators and projections of the wrong size ended in a numpy matmul traceback and exit 1
+        ("eval", '{"space": {"p": 2, "dim": 3}, "tuple": [[1, 0, 0]], "spec": {"variant": "extended",'
+                 ' "base": {"variant": "lattice"}, "ops": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 2]]]}}'),
+        ("eval", '{"space": {"p": 2, "dim": 3}, "tuple": [[1, 0, 0]], "spec": {"variant": "generated",'
+                 ' "family": {"members": [{"projections": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}]}}}'),
+        ("decomp", '{"space": {"p": 2, "dim": 3}, "trials": 4, "decomposition": {"projections": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}}'),
     ]:
         code = main([command, doc])
         captured = capsys.readouterr()
@@ -271,6 +277,12 @@ def test_bad_counts_and_empty_tuples_exit_2(capsys):
         ]
     for key, bad in (("restarts", 1.7), ("grid_points", 8.5), ("max_enum", True), ("seed", 1.5)):
         schema.append(("eval", {"space": space, "spec": {"variant": "min"}, "tuple": [[1, 0]], "cfg": {key: bad}}))
+    # the space and spec readers took 2.7 and true as dims 2 and 1, true as p, q or a weight 1, and 1.7 as block 1
+    for bad_space, tup in (({**space, "dim": 2.7}, [[1, 0]]), ({**space, "dim": True}, [[1]]), ({**space, "p": True}, [[1, 0]]),
+                           ({**space, "weights": [1, True]}, [[1, 0]])):
+        schema.append(("eval", {"space": bad_space, "spec": {"variant": "min"}, "tuple": tup}))
+    for bad_spec in ({"variant": "pq", "p": True, "q": 2}, {"variant": "pq", "p": 1, "q": True}, {"variant": "partition", "blocks": [[0], [1.7]]}):
+        schema.append(("eval", {"space": space, "spec": bad_spec, "tuple": [[1, 0]]}))
     schema += [
         ("eval", {"space": space, "spec": {"variant": "min"}, "tuple": []}),
         ("dual", {"space": space, "base": {"variant": "min"}, "tuple": []}),

@@ -326,3 +326,14 @@ def test_decomposition_json_round_trip():
     fam = mn.FamilyOfDecompositions((d,))
     back_fam = mn.FamilyOfDecompositions.from_json(fam.to_json())
     assert back_fam.members[0].key() == d.key()
+
+
+def test_detectors_reject_a_decomposition_of_another_dimension():
+    # a 2 x 2 decomposition on a 3-dimensional space ended in a numpy matmul or broadcast ValueError
+    d, space = mn.coordinate_decomposition(SpaceSpec(2, 2), [[0], [1]]), SpaceSpec(2, 3)
+    fam = mn.FamilyOfDecompositions((d,))
+    for detect in (lambda: mn.is_hermitian(d, space, trials=2, cfg=CFG), lambda: mn.is_small(d, Spec.lattice(), space, trials=2, cfg=CFG),
+                   lambda: mn.is_orthogonal(d, Spec.lattice(), space, trials=2, cfg=CFG),
+                   lambda: mn.is_orthogonal_multinorm(Spec.lattice(), fam, space, trials=2, cfg=CFG), lambda: mn.multi_dual(fam, space, CFG)):
+        with pytest.raises(mn.DimensionError, match="decomposition of dimension 2 on a space of dimension 3"):
+            detect()

@@ -55,7 +55,7 @@ def test_real_pairs_are_exact_by_arc_bisection(r, weights):
             X = rng.standard_normal((3, 2))
             res = mn.evaluate(S.pq_spec(1, q), VectorTuple(X, sp), CFG)
             assert (res.kind, res.method) == ("exact", "real_pair_arc_bisection"), (r, q, res)
-            assert multinorms._search_upper(S.pq_spec(1, q), sp, X, CFG) == res.upper
+            assert multinorms._search_bounds(S.pq_spec(1, q), sp, X, CFG)[0] == res.upper
             # the witness is feasible and its pairings give the value
             L = res.witness["functionals"]
             assert L.dtype == float

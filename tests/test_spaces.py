@@ -139,6 +139,7 @@ def test_vector_and_tuple_types():
 def test_space_json_round_trip():
     s = SpaceSpec(INF, 3, (1.0, 2.0, 3.0), "complex")
     assert SpaceSpec.from_json(s.to_json()) == s
+    assert SpaceSpec.from_json({**s.to_json(), "p": "Infinity"}) == s
     x = np.array([1 + 2j, 0, -1j])
     doc = mn.spaces.vector_to_json(x)
     back = mn.spaces.vector_from_json(doc, s)
