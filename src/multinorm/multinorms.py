@@ -5,10 +5,12 @@ multi-norm variant.  Exact variants return kind="exact"; search-backed
 variants return brackets whose upper side comes from closed inequalities
 (root averages, q-sum bounds, a numerical dual's ceiling), and are exact
 at that upper side where a feasible witness meets it (NormValue.certified).
-For pq, max, hilbert and standard_q one function, _search_bounds, applies
-every rule that needs no search (the real (1,1) pair, the disjoint closed
-form, the q-sum capped by the roots bound, the 2-tuple arc bisection), so
-evaluate and _source_scale share one upper bound.
+max is the (1,1)-multi-norm and hilbert, on its index-2 space, the (2,2)
+one, so both take the (p,q) path.  For pq, max, hilbert and standard_q one
+function, _search_bounds, applies every rule that needs no search (the
+real (1,1) pair, the disjoint closed form, the q-sum capped by the roots
+bound, the 2-tuple arc bisection), so evaluate and _source_scale share one
+upper bound.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .optim import (
     seeded_ascent,
 )
 from .partitions import GRID_BLOCK, digit_rows, slot_assignments
-from .spaces import INF, SpaceSpec, VectorTuple, _as_value, _json_number, _root, conjugate_index, delta, delta_tuple, lp_norm, phase, roots_tuple
+from .spaces import INF, SpaceSpec, VectorTuple, _as_value, _json_number, _root, binary_exponent, conjugate_index, delta, delta_tuple, lp_norm, phase, pow2_scaled, roots_tuple
 from . import summing
 
 VARIANTS = (
@@ -422,11 +424,17 @@ def _holder_sup(b: np.ndarray, q: float, inv_t: float, inv_u: float) -> tuple[fl
 
 
 def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValue:
-    """The (p,q) or max result: _search_bounds's, or a lower bound from mu_{p,n}-unit functional tuples under its upper one.
+    """The (p,q), max or hilbert result: _search_bounds's, or a lower bound from mu_{p,n}-unit functional tuples under its upper one.
 
     With p = 2 on an index-2 space the mu_{2,n} ball is a spectral ball, and
     the spectral polish from the seeds and cfg.restarts Gaussian starts
-    (the starts seeded_ascent would draw) is the whole search.  Where
+    (the starts seeded_ascent would draw) is the whole search.  The Hilbert
+    multi-norm is this (2,2) case: sup over ||alpha||_2 <= 1 of the nuclear
+    norm of sqrt(w) X diag(alpha) is, by the duality of the nuclear and
+    operator norms, the sup of ||(<x_j, lambda_j>)_j||_2 over the spectral
+    ball.  The polish runs on 2^-e X, whose largest modulus lies in
+    [0.5, 1), and its value is scaled back by 2^e, so its stop rule (an
+    absolute gain) does not depend on the tuple's scale.  Where
     optim._op_norm_rule gives mu_{p,n} of every functional tuple exactly
     (real p = 1 with n >= 3, among others), the tuple climbs with
     seeded_ascent (pq_ball_ascent), whose ceiling is the upper bound: a
@@ -465,7 +473,10 @@ def _pq_value(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig) -> NormValu
     p, q = _pq_indices(spec)
     dual = space.dual()
     if p == 2 and space.p == 2:
-        val, L = _pq_spectral_polish(space, X, q, np.array(_pq_starts(space, X, cfg), dtype=complex))
+        e = binary_exponent(X)
+        Xs = pow2_scaled(X, -e)
+        val, L = _pq_spectral_polish(space, Xs, q, np.array(_pq_starts(space, Xs, cfg), dtype=complex))
+        val = summing._unscaled(val, e)
         method = "pq_spectral_polish"
     else:
         def project(Ls):
@@ -731,22 +742,22 @@ def _pq_spectral_polish(space: SpaceSpec, X: np.ndarray, q: float, L0: np.ndarra
 
 
 def _pq_upper(space: SpaceSpec, X: np.ndarray, q: float, cfg: OptimConfig) -> float:
-    """min(q-sum of the column norms, _roots_upper): the upper bound of _pq_value, and at q = 2 of _hilbert_value."""
+    """min(q-sum of the column norms, _roots_upper): the upper bound of a (p,q) or standard_q tuple; _search_bounds is its one caller."""
     return min(lp_norm(space.norm_cols(X), q), _roots_upper(space, X, cfg))
 
 
 def _pq_indices(spec: MultiNormSpec) -> tuple[float, float]:
-    """(p, q) of a pq spec; the maximum multi-norm is the (1,1) one, ell^inf_n (x)_pi E."""
-    return (1, 1) if spec.variant == "max" else (spec.p, spec.q)
+    """(p, q) of a pq spec; the maximum multi-norm is the (1,1) one, ell^inf_n (x)_pi E, and the Hilbert one the (2,2) one."""
+    return {"max": (1, 1), "hilbert": (2, 2)}.get(spec.variant, (spec.p, spec.q))
 
 
 def _search_bounds(spec: MultiNormSpec, space: SpaceSpec, X: np.ndarray, cfg: OptimConfig) -> tuple[float, NormValue | None]:
     """(upper, settled) of a pq, max, hilbert or standard_q tuple X, an (m, n) array of the space's field, with no search.
 
     upper is the proven bound evaluate attaches; settled is the whole result
-    where a rule also fixes the value, else None.  hilbert (q = 2) and
-    standard_q take _pq_upper.  (p,q), and max as (1,1), takes the first
-    rule that covers it: a real (1,1) 2-tuple (_real_pair_max, exact, method
+    where a rule also fixes the value, else None.  standard_q takes
+    _pq_upper.  (p,q), max as (1,1) and hilbert as (2,2) take the first
+    rule that covers them: a real (1,1) 2-tuple (_real_pair_max, exact, method
     real_pair_closed_form); disjoint columns (_pq_disjoint, exact, method
     disjoint_closed_form); else _pq_upper, lowered where _pair_arc covers
     the tuple by its arc bound, with the arc's witness: a 2-tuple in an l^1
@@ -754,8 +765,8 @@ def _search_bounds(spec: MultiNormSpec, space: SpaceSpec, X: np.ndarray, cfg: Op
     (real_pair_arc_bisection), exact unless the arc is flat.  A width with
     an exact path is exact_evaluator's business.
     """
-    if spec.variant in ("hilbert", "standard_q"):
-        return _pq_upper(space, X, 2 if spec.variant == "hilbert" else spec.q, cfg), None
+    if spec.variant == "standard_q":
+        return _pq_upper(space, X, spec.q, cfg), None
     p, q = _pq_indices(spec)
     if p == q == 1 and X.shape[1] == 2 and not space.is_complex:
         val, L = _real_pair_max(space, X)
@@ -824,9 +835,9 @@ def _real_pair_max(space: SpaceSpec, X: np.ndarray) -> tuple[float, np.ndarray]:
 def _standard_q_search(t: VectorTuple, q: float, cfg: OptimConfig) -> NormValue:
     """Bracket past the enumeration budget: from below, rounds of one-row moves from every start at once, each row's moves scored in one kernel call.
 
-    From above, _pq_upper: the q-sum of the column norms bounds every
-    assignment's value, as band projections contract, and _roots_upper
-    bounds every multi-norm.  NormValue.certified gives the verdict.
+    From above, _search_bounds's _pq_upper: the q-sum of the column norms
+    bounds every assignment's value, as band projections contract, and
+    _roots_upper bounds every multi-norm.  NormValue.certified gives the verdict.
     """
     space = t.space
     X = t.columns
@@ -848,40 +859,8 @@ def _standard_q_search(t: VectorTuple, q: float, cfg: OptimConfig) -> NormValue:
     starts = np.concatenate([np.abs(X).argmax(axis=1)[None], cfg.stream("standard_q.starts").integers(0, n, size=(min(cfg.restarts, 16), m))])
     # an improving round raises the value strictly, so at most n^m rounds run
     best, assign = polish(round_of_moves, starts, _standard_q_values(space, contrib, starts, q), n**m, 1e-15)
-    return NormValue.certified(best, _pq_upper(space, X, q, cfg), {"assignment": assign}, "partition_local_search")
-
-
-def _hilbert_value(t: VectorTuple, cfg: OptimConfig) -> NormValue:
-    space = t.space
-    X = t.columns
-    n = X.shape[1]
-    Xt = np.sqrt(space.w)[:, None] * X
-
-    def nuclear(alphas):
-        return np.linalg.svd(Xt * alphas[:, None, :], compute_uv=False).sum(axis=-1)
-
-    def normalized(alphas):
-        na = lp_norm(alphas, 2)
-        return alphas / np.where(na == 0, 1.0, na)[:, None], na == 0
-
-    def alternate(alphas):
-        U, _, Vh = np.linalg.svd(Xt * alphas[:, None, :], full_matrices=False)
-        c = np.einsum("...ki,ki->...i", np.conj(U @ Vh), Xt)
-        new, stuck = normalized(np.conj(c))
-        return new, np.where(stuck, np.nan, nuclear(new))
-
-    dt = complex if space.is_complex else float
-    seeds = [np.ones(n, dtype=dt) / math.sqrt(n)]
-    col = space.norm_cols(X)
-    if col.max() > 0:
-        seeds.append((col / lp_norm(col, 2)).astype(dt))
-    seeds += list(np.eye(n, dtype=dt)[: min(n, 4)])
-    seeds += list(gaussian_starts(cfg, "hilbert.starts", (n,), space.is_complex))
-    alphas, zero = normalized(np.array(seeds, dtype=dt))
-    best, alpha = polish(alternate, alphas, np.where(zero, np.nan, nuclear(alphas)), 80, 1e-14)
-    if not best > 0:
-        best, alpha = 0.0, None
-    return NormValue.certified(best, _pq_upper(space, X, 2, cfg), {"alpha": alpha}, "nuclear_alt_ascent")
+    upper = _search_bounds(MultiNormSpec.standard_q(q), space, X, cfg)[0]
+    return NormValue.certified(best, upper, {"assignment": assign}, "partition_local_search")
 
 
 def _dual_spec(base: MultiNormSpec) -> MultiNormSpec | None:
@@ -1023,10 +1002,8 @@ def evaluate(spec: MultiNormSpec, t: VectorTuple, cfg: OptimConfig | None = None
 
     if v == "standard_q":
         return _standard_q_search(t, spec.q, cfg)
-    if v in ("max", "pq"):
+    if v in ("max", "pq", "hilbert"):
         return _pq_value(spec, t, cfg)
-    if v == "hilbert":
-        return _hilbert_value(t, cfg)
     if v == "weak_summing":
         return summing.mu_weak(spec.p, t, cfg)
     if v == "extended":

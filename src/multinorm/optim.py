@@ -35,7 +35,7 @@ SITE_ID = {
     # 4 is retired (the torus sweep's starts): never reuse it
     "roots_upper.perms": 5,
     "standard_q.starts": 6,
-    "hilbert.starts": 7,
+    # 7 is retired (the Hilbert alternation's starts): never reuse it
     "axioms": 8,
     "matrix_law": 9,
     "coagulation": 10,

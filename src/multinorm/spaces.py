@@ -359,32 +359,25 @@ def vector_to_json(x: np.ndarray) -> list:
     return [float(v) for v in x]
 
 
+def _json_entry(item, name: str):
+    """A tuple or matrix entry read from JSON: a number (_json_number), or a [re, im] pair of numbers as a complex."""
+    if isinstance(item, (list, tuple)):
+        if len(item) != 2:
+            raise ValueError(f"{name} must be a number or a [re, im] pair, got {json.dumps(item, default=repr)}")
+        return complex(_json_number(item[0], name), _json_number(item[1], name))
+    return _json_number(item, name)
+
+
 def vector_from_json(doc, space: SpaceSpec) -> np.ndarray:
     if space.is_complex:
-        vals = []
-        for item in doc:
-            if isinstance(item, (list, tuple)):
-                vals.append(complex(item[0], item[1]))
-            else:
-                vals.append(complex(item))
-        return space.check_vector(np.asarray(vals))
-    return space.check_vector(np.asarray([float(v) for v in doc]))
+        return space.check_vector(np.asarray([complex(_json_entry(v, "tuple entry")) for v in doc]))
+    return space.check_vector(np.asarray([_json_number(v, "tuple entry") for v in doc]))
 
 
 def matrix_from_json(doc) -> np.ndarray:
-    rows = []
-    complex_seen = False
-    for row in doc:
-        vals = []
-        for item in row:
-            if isinstance(item, (list, tuple)):
-                vals.append(complex(item[0], item[1]))
-                complex_seen = True
-            else:
-                vals.append(float(item))
-        rows.append(vals)
-    A = np.asarray(rows, dtype=complex if complex_seen else float)
-    return A
+    rows = [[_json_entry(item, "matrix entry") for item in row] for row in doc]
+    complex_seen = any(isinstance(v, complex) for row in rows for v in row)
+    return np.asarray(rows, dtype=complex if complex_seen else float)
 
 
 def matrix_to_json(A: np.ndarray) -> list:

@@ -254,11 +254,11 @@ def _row_partition_levels(Ts: list, source: SpaceSpec, target: SpaceSpec, n_max:
 
 
 def _unscaled(bound: float, e: int) -> float:
-    """2^e bound, the bound of the unscaled operators; DegenerateNormError where it passes the float range."""
+    """2^e bound, a bound computed on 2^-e times its input scaled back; DegenerateNormError where it passes the float range."""
     try:
         return math.ldexp(float(bound), e)
     except OverflowError:
-        raise DegenerateNormError(f"the row-partition bound 2^{e} * {float(bound)} overflows") from None
+        raise DegenerateNormError(f"the bound 2^{e} * {float(bound)} overflows") from None
 
 
 def _scaled_score(src_scale, image, tgt_value):

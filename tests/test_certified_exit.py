@@ -20,7 +20,7 @@ import multinorm as mn
 from multinorm import INF, MultiNormSpec as S, OptimConfig, SpaceSpec, VectorTuple
 from multinorm import multinorms, optim, summing
 from multinorm.errors import DegenerateNormError
-from multinorm.multinorms import _disjoint, _dual_spec, _numerical_dual_climb, _pq_disjoint, exact_evaluator
+from multinorm.multinorms import _disjoint, _dual_spec, _numerical_dual_climb, _pq_disjoint, _pq_indices, exact_evaluator
 from multinorm.optim import field_normal
 from multinorm.spaces import conjugate_index, lp_norm
 
@@ -325,13 +325,11 @@ def test_climbed_points_lie_in_the_unit_ball(field):
 
 
 def test_a_tiny_tuple_keeps_its_kind_and_method():
-    # every bound is 1-homogeneous and met relative to its size, so 1e-10 X is no nearer its bounds than X.  Only the
-    # seeded_ascent searches: the spectral polish and the Hilbert alternation stop on an absolute gain of 1e-14
+    # every bound is 1-homogeneous and met relative to its size, so 1e-10 X is no nearer its bounds than X, and the
+    # spectral polish, which stops on an absolute gain, climbs the tuple scaled to a largest modulus in [0.5, 1)
     c = 1e-10
     seen = set()
     for sp, spec, X in _cases():
-        if spec.variant == "hilbert" or (spec.variant == "pq" and spec.p == 2 and sp.p == 2):
-            continue
         big, small = (mn.evaluate(spec, VectorTuple(Y, sp), CFG) for Y in (X, c * X))
         assert (small.kind, small.method) == (big.kind, big.method), (spec.to_json(), sp.to_json())
         assert small.upper == pytest.approx(c * big.upper, rel=1e-12)
@@ -522,7 +520,7 @@ def test_no_lower_bound_falls(monkeypatch):
     # references: the q-sum bit for bit where p >= r, and the value in 40-digit decimal arithmetic up to 4 eps of rounding
     cases = list(_cases())
     new = [mn.evaluate(spec, VectorTuple(X, sp), CFG) for sp, spec, X in cases]
-    closed = [spec.variant in ("pq", "max") and _disjoint(X) for sp, spec, X in cases]
+    closed = [spec.variant in ("pq", "max", "hilbert") and _disjoint(X) for sp, spec, X in cases]
     tabled = [spec.variant == "numerical_dual" and _dual_spec(spec.base) is not None for sp, spec, X in cases]
     _without_exit(monkeypatch)
     old = [mn.evaluate(spec, VectorTuple(X, sp), CFG) for sp, spec, X in cases]
@@ -530,7 +528,7 @@ def test_no_lower_bound_falls(monkeypatch):
     for (sp, spec, X), a, b, disjoint, table in zip(cases, old, new, closed, tabled):
         assert a.kind != "exact"
         if disjoint:
-            p, q = (1, 1) if spec.variant == "max" else (spec.p, spec.q)
+            p, q = _pq_indices(spec)
             assert (b.kind, b.method, b.lower) == ("exact", "disjoint_closed_form", b.upper)
             assert p < sp.p or b.upper == lp_norm(sp.norm_cols(X), q)
             ref = _decimal_closed_form(sp, X, p, q)

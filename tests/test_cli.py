@@ -136,6 +136,15 @@ def test_schema_error_exit_2(capsys):
         ("eval", '{"space": {"p": 2, "dim": 3}, "tuple": [[1, 0, 0]], "spec": {"variant": "generated",'
                  ' "family": {"members": [{"projections": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}]}}}'),
         ("decomp", '{"space": {"p": 2, "dim": 3}, "trials": 4, "decomposition": {"projections": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}}'),
+        # booleans read as numbers and a complex pair's third part dropped, and each evaluated
+        ("eval", '{"space": {"p": 2, "dim": 2}, "tuple": [[true, false]], "spec": {"variant": "min"}}'),
+        ("eval", '{"space": {"p": 2, "dim": 2, "field": "complex"}, "tuple": [[[1, 0, 5], [0, 0]]], "spec": {"variant": "min"}}'),
+        ("eval", '{"space": {"p": 2, "dim": 2, "field": "complex"}, "tuple": [[[1, 0], [true, 0]]], "spec": {"variant": "min"}}'),
+        ("eval", '{"space": {"p": 2, "dim": 2, "field": "complex"}, "tuple": [[[1, 0, 5], [true, 0]]], "spec": {"variant": "min"}}'),
+        ("mbnorm", '{"source": {"p": 2, "dim": 2}, "target": {"p": 2, "dim": 2}, "spec_target": {"variant": "lattice"},'
+                   ' "matrix": [[true, 0], [0, true]]}'),
+        ("mbnorm", '{"source": {"p": 2, "dim": 2}, "target": {"p": 2, "dim": 2}, "spec_target": {"variant": "lattice"},'
+                   ' "matrix": [[[1, 0, 5], 0], [0, 1]]}'),
     ]:
         code = main([command, doc])
         captured = capsys.readouterr()
