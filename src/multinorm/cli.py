@@ -141,6 +141,8 @@ def cmd_growth(doc: dict, cfg: OptimConfig) -> dict:
     space = _space(doc)
     spec = _spec(doc)
     n_max = _count(doc, "n_max", 4)
+    if n_max < 1:
+        raise SchemaError("n_max must be >= 1")
     rows = []
     for n in range(1, n_max + 1):
         res = rate_of_growth(spec, space, n, cfg)

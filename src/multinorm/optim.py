@@ -326,7 +326,16 @@ def seeded_ascent(
     The draws come K ticks at a time in one (K, L0, *shape) block, with
     K = min(iters, max(1, 2**16 // (L0 * prod(shape)))): the pool holds at
     most 2**16 entries, or one tick's directions where L0 * prod(shape)
-    exceeds that.
+    exceeds that.  The live restarts' rows of a block are gathered once,
+    when it is drawn (the block itself while every start is live), and
+    again only when a restart leaves.
+
+    A tick's work is one project and one value call and about a dozen
+    bookkeeping calls: the acceptance bar max(vals * grow, vals / grow) is
+    kept and moves only on a tick where some restart improves, and a tick
+    where none improves only counts the explorers' misses.  A restart
+    leaves once its step falls below 1e-7, after 31 shrinks of 8 misses
+    each, so not before tick 248; the default 200 ticks never reach it.
 
     ceiling is a certified upper bound of value, if the caller has one.
     Where the first maximum over the valued starts already meets it (see
@@ -356,17 +365,24 @@ def seeded_ascent(
     mult = np.zeros(ids.size)
     misses = np.zeros(ids.size, dtype=int)
     riding = np.zeros(ids.size, dtype=bool)
+    rode = False  # whether any restart rides this tick
     grow = 1 + cfg.tol
+    # the larger of vals * grow and vals / grow lies above vals for either sign of vals; it moves only with vals
+    bar = np.maximum(vals * grow, vals / grow)
     bcast = (-1,) + (1,) * len(shape)
 
     for t in range(iters):
         if t % K == 0:
             pool = field_normal_block(directions, K, (len(starts), *shape), complex_field)
-        fresh = ~riding
-        # a riding restart keeps its direction; an exploring one takes its own row of this tick's draw
-        d = np.where(riding.reshape(bcast), d, pool[t % K, ids[live]])
-        # an exploring restart steps by step; a paying step starts a ride at twice it, and a paying ride doubles
-        mult = np.where(riding, 2.0 * mult, step)
+            # the live restarts' rows of the block: the block itself while every start is live
+            rows = pool if live.size == len(starts) else pool[:, ids[live]]
+        # a riding restart keeps its direction; an exploring one takes its own row of this tick's draw.
+        # An exploring restart steps by step; a paying step starts a ride at twice it, and a paying ride doubles
+        if rode:
+            d = np.where(riding.reshape(bcast), d, rows[t % K])
+            mult = np.where(riding, 2.0 * mult, step)
+        else:
+            d, mult = rows[t % K], step
         cand, cok = project(pts + mult.reshape(bcast) * d)
         if cok.all():
             v = np.asarray(value(cand), dtype=float)
@@ -375,23 +391,29 @@ def seeded_ascent(
             if cok.any():
                 v[cok] = value(cand[cok])
 
-        # the larger of vals * grow and vals / grow lies above vals for either sign of vals
-        better = v > np.maximum(vals * grow, vals / grow)
-        vals = np.where(better, v, vals)
-        pts = np.where(better.reshape(bcast), cand, pts)
-        misses = np.where(better, 0, misses + fresh)
+        better = v > bar
+        if better.any():
+            vals = np.where(better, v, vals)
+            pts = np.where(better.reshape(bcast), cand, pts)
+            misses = np.where(better, 0, misses + ~riding)
+            bar = np.maximum(vals * grow, vals / grow)
+            rode = True
+        else:
+            misses += ~riding if rode else 1
+            rode = False
         riding = better
-        shrink = misses >= 8
-        if shrink.any():
+        if np.maximum.reduce(misses) >= 8:
+            shrink = misses >= 8
             step = np.where(shrink, step * 0.6, step)
             misses[shrink] = 0
             keep = step >= 1e-7
             if not keep.all():
                 gone = ~keep
                 final_vals[live[gone]], final_pts[live[gone]] = vals[gone], pts[gone]
-                live, vals, pts, step, mult, misses, riding, d = (
-                    a[keep] for a in (live, vals, pts, step, mult, misses, riding, d)
+                live, vals, pts, step, mult, misses, riding, d, bar = (
+                    a[keep] for a in (live, vals, pts, step, mult, misses, riding, d, bar)
                 )
+                rows = rows[:, keep]
                 if live.size == 0:
                     break
     final_vals[live], final_pts[live] = vals, pts

@@ -31,7 +31,7 @@ from .optim import (
     torus_certified_upper,
     unconstrained,
 )
-from .partitions import GRID_BLOCK, digit_rows
+from .partitions import GRID_BLOCK, digit_rows, grid_fits, unit_grid
 from .spaces import INF, MatrixOp, SpaceSpec, VectorTuple, _root, binary_exponent, conjugate_index, delta_tuple, lp_norm, phase, pow2_scaled, real_entries, roots_tuple
 
 
@@ -48,11 +48,17 @@ def _reduced(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
 
 
 def unit_columns(space: SpaceSpec):
-    """Stack projection onto tuples of unit vectors; a tuple with a zero column is degenerate."""
+    """Stack projection onto tuples of unit vectors; a tuple with a zero column is degenerate.
+
+    Where every tuple projects, the stack is divided by its column norms in
+    one division; otherwise a copy keeps the degenerate tuples as they are.
+    """
 
     def project(S):
         norms = space.norm_cols(S)
         ok = ~np.any(norms <= 0, axis=-1)
+        if ok.all():
+            return S / norms[:, None, :], ok
         out = S.copy()
         out[ok] = S[ok] / norms[ok][:, None, :]
         return out, ok
@@ -405,6 +411,26 @@ def _c_n_lower(space: SpaceSpec, n: int) -> float:
     return max(1.0, c)
 
 
+def _descent_value(space: SpaceSpec, n: int, levels: int, cfg: OptimConfig):
+    """c_n's descent objective: the (B,) values -mu_{1,n} over the pinned grid of levels-th roots of a (B, m, n) stack.
+
+    Equal bit for bit to -_grid_scan(...)[0] of the columns' images.  Where
+    the grid is one unit_grid block (every real case, complex n <= 5), the
+    block is taken once per call of this function, and each value is the
+    NaN-ignoring maximum over it, -inf where a row has no number, as
+    _first_max's; otherwise each value scans the grid with _grid_scan.
+    """
+    if not (grid_fits(n, levels, cfg.max_enum) and levels ** (n - 1) <= GRID_BLOCK):
+        return lambda C: -_grid_scan(lambda Z: space.norm_cols(C @ Z.T), len(C), n, levels, cfg)[0]
+    ZT = next(unit_grid(n, levels, cfg.max_enum)).T
+
+    def value(C):
+        best = np.fmax.reduce(space.norm_cols(C @ ZT), axis=-1)
+        return -np.where(np.isnan(best), -INF, best)
+
+    return value
+
+
 def c_n(space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
     """Bracket of c_n(E) = inf { mu_{1,n}(x) : x_j unit vectors }.
 
@@ -419,8 +445,10 @@ def c_n(space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
     l^1(w) at n = 2: mu_{1,2} = max(||u_1||, ||u_2||) = 1 (over C, sqrt(2)).
     Otherwise a descent over unit tuples gives the upper side, the exact mu
     (or its certified upper bound) of the tuple it finds, which is the
-    witness.  Search restarts default to 64 (minimization landscape is
-    harder than the maxima).
+    witness.  The descent's objective is _descent_value's, which takes the
+    sign or phase grid once per call where the grid is one block.  Search
+    restarts default to 64 (minimization landscape is harder than the
+    maxima).
     """
     cfg = cfg or OptimConfig()
     if cfg.restarts < 64:
@@ -454,7 +482,7 @@ def c_n(space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
     levels = (16 if n <= 3 else 8) if space.is_complex else 2
     _, cols = seeded_ascent(
         project=unit_columns(space),
-        value=lambda C: -_grid_scan(lambda Z: space.norm_cols(C @ Z.T), len(C), n, levels, cfg)[0],
+        value=_descent_value(space, n, levels, cfg),
         seeds=seeds,
         shape=(m, n),
         cfg=cfg,

@@ -306,6 +306,11 @@ def test_bad_counts_and_empty_tuples_exit_2(capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "SpecError: n must be >= 1\n"
+        # growth exited 0 with an empty list where mbnorm rejects the same count
+        code = main(["growth", json.dumps({"space": space, "spec": lattice, "n_max": n_max})])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "schema error: n_max must be >= 1\n"
 
 
 def test_bad_tol_exits_2(capsys):
