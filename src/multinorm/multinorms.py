@@ -269,13 +269,11 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimCon
     shape (..., m, n) and returns the (...) values; each stacked value
     equals the value of its tuple alone bit for bit.  standard_q(q > p)
     enumerates its n^m slot assignments, and generated the n^k of each
-    length-k member, within cfg.max_enum.  partition resolves its blocks
-    once per evaluator (a block of consecutive rows is read as a slice,
-    the others by a gather; the weight column is built once) and adds each
-    block's rows in row order.  weak_summing is exact where
-    optim._op_norm_rule covers its (p' -> r) matrices, by mu_weak's kernel
-    summing.mu_scale, so its values equal mu_weak's bit for bit for every
-    p.  numerical_dual is exact where its base has a
+    length-k member, within cfg.max_enum.  partition builds its weight
+    column once per evaluator.  weak_summing
+    is exact where optim._op_norm_rule covers its (p' -> r) matrices, by
+    mu_weak's kernel summing.mu_scale, so its values equal mu_weak's bit
+    for bit for every p.  numerical_dual is exact where its base has a
     dual in _dual_spec's table and that dual is exact.  A spec the space
     cannot carry raises SpecError.
     """
@@ -294,21 +292,15 @@ def exact_evaluator(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimCon
     if v == "lp_sum":
         return lambda X: lp_norm(space.norm_cols(X), spec.p)
     if v == "partition":
+        blocks = [np.asarray(b, dtype=int) for b in spec.blocks]
         if p == INF:
-            blocks = [np.asarray(b, dtype=int) for b in spec.blocks]
             return lambda X: _as_value(np.max([np.abs(X[..., b, :]).max(axis=(-2, -1), initial=0.0) for b in blocks], axis=0))
-        # resolved once: a block of fewer than 8 consecutive rows is a slice, read without a gather; numpy adds
-        # fewer than 8 terms in the same order from a view as from a copy, so longer blocks keep the gather
-        rows = [
-            slice(b[0], b[0] + len(b)) if 0 < len(b) < 8 and b == tuple(range(b[0], b[0] + len(b))) else np.asarray(b, dtype=int)
-            for b in spec.blocks
-        ]
         wcol = space.w[:, None]
 
         def part(X):
             contrib = wcol * np.abs(X) ** p
             total = 0.0
-            for b in rows:
+            for b in blocks:
                 total = total + np.maximum.reduce(np.add.reduce(contrib[..., b, :], axis=-2), axis=-1)
             return _root(total, p)
 

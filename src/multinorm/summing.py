@@ -20,7 +20,6 @@ from .optim import (
     OptimConfig,
     _dual_unit_vectors,
     _first_max,
-    _grid_scan,
     _holder_upper,
     _op_norm_exact,
     _op_norm_upper,
@@ -31,7 +30,7 @@ from .optim import (
     torus_certified_upper,
     unconstrained,
 )
-from .partitions import GRID_BLOCK, digit_rows, grid_fits, unit_grid
+from .partitions import GRID_BLOCK, digit_rows, unit_grid
 from .spaces import INF, MatrixOp, SpaceSpec, VectorTuple, _root, binary_exponent, conjugate_index, delta_tuple, lp_norm, phase, pow2_scaled, real_entries, roots_tuple
 
 
@@ -414,19 +413,17 @@ def _c_n_lower(space: SpaceSpec, n: int) -> float:
 def _descent_value(space: SpaceSpec, n: int, levels: int, cfg: OptimConfig):
     """c_n's descent objective: the (B,) values -mu_{1,n} over the pinned grid of levels-th roots of a (B, m, n) stack.
 
-    Equal bit for bit to -_grid_scan(...)[0] of the columns' images.  Where
-    the grid is one unit_grid block (every real case, complex n <= 5), the
-    block is taken once per call of this function, and each value is the
-    NaN-ignoring maximum over it, -inf where a row has no number, as
-    _first_max's; otherwise each value scans the grid with _grid_scan.
+    Equal bit for bit to -_grid_scan(...)[0] of the columns' images: a
+    maximum is the same in any order, so each row folds the NaN-ignoring
+    maximum of every unit_grid block into -inf, and a row with no number
+    keeps -inf.  Raises BudgetError past cfg.max_enum.
     """
-    if not (grid_fits(n, levels, cfg.max_enum) and levels ** (n - 1) <= GRID_BLOCK):
-        return lambda C: -_grid_scan(lambda Z: space.norm_cols(C @ Z.T), len(C), n, levels, cfg)[0]
-    ZT = next(unit_grid(n, levels, cfg.max_enum)).T
 
     def value(C):
-        best = np.fmax.reduce(space.norm_cols(C @ ZT), axis=-1)
-        return -np.where(np.isnan(best), -INF, best)
+        best = -INF
+        for Z in unit_grid(n, levels, cfg.max_enum):
+            best = np.fmax(best, np.fmax.reduce(space.norm_cols(C @ Z.T), axis=-1))
+        return -best
 
     return value
 
@@ -445,10 +442,9 @@ def c_n(space: SpaceSpec, n: int, cfg: OptimConfig | None = None) -> NormValue:
     l^1(w) at n = 2: mu_{1,2} = max(||u_1||, ||u_2||) = 1 (over C, sqrt(2)).
     Otherwise a descent over unit tuples gives the upper side, the exact mu
     (or its certified upper bound) of the tuple it finds, which is the
-    witness.  The descent's objective is _descent_value's, which takes the
-    sign or phase grid once per call where the grid is one block.  Search
-    restarts default to 64 (minimization landscape is harder than the
-    maxima).
+    witness.  The descent's objective is _descent_value's, a value-only
+    maximum over the sign or phase grid.  Search restarts default to 64
+    (minimization landscape is harder than the maxima).
     """
     cfg = cfg or OptimConfig()
     if cfg.restarts < 64:

@@ -266,7 +266,7 @@ def test_partition_evaluator_matches_the_frozen_one(blocks, p, weights, field):
 
 
 def test_partition_evaluator_on_a_long_contiguous_block():
-    # nine consecutive rows keep the gather: from a view numpy would add a width-1 stack's eight or more terms in another order
+    # a block of nine rows: numpy adds a width-1 stack's eight or more gathered terms pairwise, a lone tuple's too
     rng = np.random.default_rng(3)
     space = SpaceSpec(1.5, 10)
     spec = MultiNormSpec.partition([list(range(9)), [9]])
