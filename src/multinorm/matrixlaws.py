@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import DegenerateNormError, DimensionError, SpecError
 from .multinorms import MultiNormSpec, _audit_chunks, _groups, _in_trial_order, _point_values, _stack_values
 from .optim import COUNTS, NORMALS, UNIFORMS, OptimConfig, _op_norm_upper, field_normal_block
 from .partitions import set_partitions
@@ -45,15 +45,20 @@ def row_special_decompose(a: MatrixOp | np.ndarray) -> SpecialDecomposition:
     c_i; with i0 the row minimizing |c_i| (smallest index on ties), remove
     the row-special matrix with entries (c_i/|c_i|)|c_{i0}| at those spots.
     Entries below 1e-14 * ||a|| are snapped to zero so rounding cannot
-    stall the recursion.
+    stall the recursion.  A raw array is checked as a MatrixOp's entries
+    are (2-D, else DimensionError; finite, else ValueError), and a matrix
+    whose norm overflows raises DegenerateNormError.
     """
-    if isinstance(a, MatrixOp):
-        if (a.in_index, a.out_index) != (INF, INF):
-            raise SpecError("row-special decomposition applies to the (inf -> inf) role")
-        A = np.array(a.entries)
-    else:
-        A = np.array(a)
-    threshold = 1e-14 * max(_row_sum_norm(A), 1e-300)
+    if not isinstance(a, MatrixOp):
+        a = MatrixOp(a)  # a 2-D array of finite entries, as a MatrixOp's
+    if (a.in_index, a.out_index) != (INF, INF):
+        raise SpecError("row-special decomposition applies to the (inf -> inf) role")
+    A = np.array(a.entries)
+    with np.errstate(over="ignore"):
+        norm = _row_sum_norm(A)
+    if norm == INF:
+        raise DegenerateNormError("the (inf -> inf) norm of the matrix overflows")
+    threshold = 1e-14 * max(norm, 1e-300)
     R = A.copy()
     R[np.abs(R) <= threshold] = 0
     parts: list[np.ndarray] = []
@@ -84,13 +89,11 @@ def row_special_decompose(a: MatrixOp | np.ndarray) -> SpecialDecomposition:
 
 def column_special_decompose(a: MatrixOp | np.ndarray) -> SpecialDecomposition:
     """Column-special parts whose (1 -> 1) norms sum to ||a||; transpose route."""
-    if isinstance(a, MatrixOp):
-        if (a.in_index, a.out_index) != (1, 1):
-            raise SpecError("column-special decomposition applies to the (1 -> 1) role")
-        A = np.array(a.entries)
-    else:
-        A = np.array(a)
-    dec = row_special_decompose(A.T)
+    if not isinstance(a, MatrixOp):
+        a = MatrixOp(a, 1, 1)  # a 2-D array of finite entries, as a MatrixOp's
+    if (a.in_index, a.out_index) != (1, 1):
+        raise SpecError("column-special decomposition applies to the (1 -> 1) role")
+    dec = row_special_decompose(a.entries.T)
     return SpecialDecomposition(tuple(B.T for B in dec.parts), dec.norms, "column_special")
 
 
@@ -126,6 +129,18 @@ class MatrixLawReport:
         return not self.violations
 
 
+def _padded_draws(entries: np.ndarray, sizes: np.ndarray, coins: np.ndarray, complex_field: bool) -> np.ndarray:
+    """The (T, 4, 4) stack of drawn law matrices: trial t's m x n matrix, (n, m) = sizes[t], zero-padded in the top-left corner.
+
+    entries is the (T, 2, 4, 4) block of real and imaginary parts; over C
+    the stack is complex, and a trial whose coin is False keeps its real
+    part alone (plus 0j, whose moduli are the real part's bit for bit).
+    """
+    A = np.where(coins[:, None, None], entries[:, 0] + 1j * entries[:, 1], entries[:, 0]) if complex_field else entries[:, 0]
+    inside = (np.arange(4)[:, None] < sizes[:, 1, None, None]) & (np.arange(4) < sizes[:, 0, None, None])
+    return np.where(inside, A, 0.0)
+
+
 def check_multinorm_matrix_law(
     spec: MultiNormSpec,
     space: SpaceSpec,
@@ -149,8 +164,12 @@ def check_multinorm_matrix_law(
     columns, and 33 uniforms (the real and imaginary parts of a padded 4x4
     matrix, then the coin that makes it complex).  A chunk's trials are
     grouped by (n, m, coin), each fixed matrix alone; each group's X A^T is
-    one stacked matmul, with one norm call per matrix (shape, dtype) and
-    one point_value call per tuple (width, dtype).
+    one stacked matmul, with one point_value call per tuple (width, dtype).
+    The drawn matrices' norms take one call per chunk on their (T, 4, 4)
+    stack, each matrix zero-padded in the top-left corner (complex over C),
+    except at p_role = 2, which keeps one call per (shape, dtype); each
+    fixed matrix takes a call of its own.  A zero-size fixed matrix raises
+    DimensionError.
     """
     cfg = cfg or OptimConfig()
     chunks = _audit_chunks(trials, tol)
@@ -160,6 +179,8 @@ def check_multinorm_matrix_law(
     fixed = [A.astype(complex) if space.is_complex and np.iscomplexobj(A) else real_entries(A).astype(float) for A in fixed]
     for A in fixed or [np.zeros((1, 1))]:
         MatrixOp(A, p_role, p_role)  # the role, shape and finiteness checks, once per matrix
+        if A.size == 0:
+            raise DimensionError(f"a fixed matrix of shape {A.shape} has no entries")
 
     norms = lambda S: _op_norm_upper(S, p_role, p_role, cfg, np.iscomplexobj(S))[0]
     counts, normals, uniforms = (cfg.stream("matrix_law", kind) for kind in (COUNTS, NORMALS, UNIFORMS))
@@ -186,7 +207,18 @@ def check_multinorm_matrix_law(
             tuples.append(Xs[idx, :, : A.shape[-1]])
         vals = _point_values(spec, space, [X @ np.swapaxes(A, -1, -2) for A, X in zip(mats, tuples)] + tuples, cfg)
         lhs, rhs = _in_trial_order(groups, vals[: len(groups)]), _in_trial_order(groups, vals[len(groups) :])
-        bound = _in_trial_order(groups, _stack_values(norms, mats)) * rhs
+        if p_role == 2:
+            # LAPACK's singular values of a zero-padded matrix differ from the matrix's own in the last bits
+            anorm = _in_trial_order(groups, _stack_values(norms, mats))
+        else:
+            # the other rules sum or max at most 4 moduli in order, so the padding zeros keep every bit
+            anorm, drawn = np.empty(T), codes >= 0
+            if drawn.any():
+                anorm[drawn] = norms(_padded_draws(entries[drawn], sizes[drawn], coins[drawn], space.is_complex))
+            for (code, idx), A in zip(groups, mats):
+                if code < 0:
+                    anorm[idx] = norms(A)
+        bound = anorm * rhs
         for i in np.flatnonzero(lhs > bound + tol * np.maximum(1.0, bound)).tolist():
             g, r = owner[i], row[i]
             violations.append(LawViolation(float(lhs[i]), float(bound[i]), mats[g][r], tuples[g][r]))

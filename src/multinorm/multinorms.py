@@ -1108,17 +1108,19 @@ def _stack_values(evaluate_stack: Callable[[np.ndarray], Any], stacks: list) -> 
     """The float values of each (B_i, *shape) stack of a list, in list order.
 
     evaluate_stack gets the stacks of one (shape, dtype) group concatenated
-    in list order and returns their values; where it keeps point_value's
-    contract each value equals the value of its array alone bit for bit.
+    in list order and returns their values, which are copied back to each
+    stack by slices; where it keeps point_value's contract each value
+    equals the value of its array alone bit for bit.
     """
     groups: dict = {}
     for i, S in enumerate(stacks):
         groups.setdefault((S.shape[1:], S.dtype), []).append(i)
     out = [np.empty(len(S)) for S in stacks]
     for idx in groups.values():
-        vals = evaluate_stack(np.concatenate([stacks[i] for i in idx]))
-        for i, v in zip(idx, np.split(vals, np.cumsum([len(stacks[i]) for i in idx])[:-1])):
-            out[i][:] = v
+        vals, start = evaluate_stack(np.concatenate([stacks[i] for i in idx])), 0
+        for i in idx:
+            out[i][:] = vals[start : start + len(out[i])]
+            start += len(out[i])
     return out
 
 

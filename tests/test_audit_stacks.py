@@ -9,7 +9,8 @@ evaluate the chunk as stacks; their reports (violations, gaps, witnesses)
 must be identical bit for bit, so a trial's numbers do not depend on the
 chunking either.  The value-map tests also compare every evaluated
 tuple's value, violation or not, and the call-count tests check that a
-chunk makes one evaluation call per (width, dtype).
+chunk makes one evaluation call per (width, dtype), and one law-norm call
+for its drawn matrices, zero-padded to 4x4 (per matrix shape at role 2).
 """
 
 import json
@@ -399,6 +400,33 @@ def test_stacked_closed_forms_match_op_norm_exact(is_complex, role):
             assert list(methods) == [res.method for res in want]
 
 
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("role", [1, 1.5, 3, INF])
+def test_padded_law_norms_match_op_norm_pq(is_complex, role):
+    # the law norms a chunk's drawn matrices as one zero-padded 4x4 stack; each value is op_norm_pq's of the matrix alone
+    rng = np.random.default_rng(17)
+    sizes = np.array([(n, m) for n in range(1, 5) for m in range(1, 5)] * 8)  # every shape, two coins, four kinds of slice
+    T = len(sizes)
+    entries = rng.uniform(-1, 1, size=(T, 2, 4, 4))
+    kinds = np.arange(T) // 32  # dense, sparse, generalized permutation, zero
+    entries[kinds == 1] *= rng.uniform(size=(np.sum(kinds == 1), 1, 4, 4)) < 0.5
+    for t in np.flatnonzero(kinds == 2):
+        n, m = sizes[t]
+        keep = np.zeros((4, 4), dtype=bool)
+        keep[rng.permutation(m)[: min(m, n)], rng.permutation(n)[: min(m, n)]] = True
+        entries[t] *= keep
+    entries[kinds == 3] = 0.0
+    coins = is_complex & (np.arange(T) // 16 % 2 == 1)
+    P = matrixlaws._padded_draws(entries, sizes, coins, is_complex)
+    assert P.shape == (T, 4, 4) and P.dtype == (complex if is_complex else float)
+    values = matrixlaws._op_norm_upper(P, role, role, LAW_CFG, is_complex)[0]
+    for t, ((n, m), coin) in enumerate(zip(sizes.tolist(), coins.tolist())):
+        A = entries[t, 0, :m, :n] + 1j * entries[t, 1, :m, :n] if coin else entries[t, 0, :m, :n]
+        res = op_norm_pq(MatrixOp(A, role, role), LAW_CFG)
+        assert values[t].hex() == (res.lower if res.kind == "exact" else res.upper).hex()
+        assert res.kind == "exact" or kinds[t] < 2  # generalized permutations and zeros have exact norms at every role
+
+
 def test_closed_forms_cover_only_their_roles():
     # a dense matrix has no exact path for these roles, so the law takes the Holder upper bound
     A = np.random.default_rng(3).uniform(-1, 1, size=(1, 3, 3))
@@ -485,12 +513,21 @@ def _pq_split(args, res):
     return args[0].entries, res.lower if res.kind == "exact" else res.upper  # op_norm_pq(MatrixOp(A, p, p), cfg)
 
 
+def _unpadded(A):
+    """A without its trailing zero rows and columns, real if its imaginary part is all zero: a padded law matrix as drawn."""
+    nz = np.abs(A) > 0
+    A = A[: nz.any(axis=1).nonzero()[0].max(initial=-1) + 1, : nz.any(axis=0).nonzero()[0].max(initial=-1) + 1]
+    return A.real.copy() if np.iscomplexobj(A) and not A.imag.any() else A
+
+
 def _value_maps(monkeypatch, stacked, looped):
     """{kind: {tuple or matrix bytes: value}} of every evaluation in the stacked run and in the frozen loop.
 
     point_value is wrapped where each run looks it up, and so are the
     law's matrix norms: matrixlaws._op_norm_upper for the stacked run,
-    op_norm_pq for the loop.  A stack records each of its arrays.
+    op_norm_pq for the loop.  A stack records each of its arrays, a matrix
+    keyed by _unpadded(matrix), so a drawn trial's zero-padded 4x4 slice
+    (complex over C) meets the matrix the loop drew.
     """
     this = sys.modules[__name__]
     runs = (
@@ -503,10 +540,11 @@ def _value_maps(monkeypatch, stacked, looped):
         with monkeypatch.context() as mp:
             for kind, owner, name, split in wraps:
 
-                def wrapper(*args, _real=getattr(owner, name), _split=split, _seen=seen[kind]):
+                def wrapper(*args, _real=getattr(owner, name), _split=split, _seen=seen[kind], _key=_unpadded if kind == "norm" else np.asarray):
                     res = _real(*args)
                     X, vals = (np.asarray(a) for a in _split(args, res))
                     for x, v in zip(X.reshape(-1, *X.shape[-2:]), vals.reshape(-1).tolist()):
+                        x = _key(x)
                         key = (x.shape, x.dtype.str, x.tobytes())
                         assert _seen.setdefault(key, v.hex()) == v.hex()
                     return res
@@ -592,18 +630,28 @@ def _one_per_group(calls):
 def test_matrix_law_stacks_per_shape(monkeypatch, field):
     space = _space(2, field, False)
     points, norms = _counting(monkeypatch, multinorms, "point_value", 2), _counting(monkeypatch, matrixlaws, "_op_norm_upper", 0)
-    for trials in (30, 300):
+    dtype = np.dtype(complex if field == "complex" else float)
+    for role in (INF, 1, 2):
+        for trials in (30, 300):
+            points.clear()
+            norms.clear()
+            mn.check_multinorm_matrix_law(Spec.lattice(), space, role, trials, CFG)
+            assert sum(s[0] for s, _ in points) == 2 * trials and sum(s[0] for s, _ in norms) == trials
+            counts = (_one_per_group(points), _one_per_group(norms))
+            if role != 2:
+                # the drawn matrices zero-padded to one 4x4 stack, complex over C
+                assert norms == [((trials, 4, 4), dtype)]
+        # at 300 trials: widths 1..4 of X and of X A^T; at role 2 the 16 matrix shapes, real and, over C, complex
+        assert counts == (4, (32 if field == "complex" else 16) if role == 2 else 1)
+    fixed = FIXED[:2] if field == "complex" else [np.real(A) for A in FIXED[:2]]
+    for role in (INF, 2):
         points.clear()
         norms.clear()
-        mn.check_multinorm_matrix_law(Spec.lattice(), space, INF, trials, CFG)
-        assert sum(s[0] for s, _ in points) == 2 * trials and sum(s[0] for s, _ in norms) == trials
-        counts = (_one_per_group(points), _one_per_group(norms))
-    # at 300 trials: widths 1..4 of X and of X A^T; the 16 matrix shapes, real and, over C, complex
-    assert counts == (4, 32 if field == "complex" else 16)
-    points.clear()
-    norms.clear()
-    mn.check_multinorm_matrix_law(Spec.lattice(), space, INF, 3, CFG, fixed_matrices=FIXED[:2] if field == "complex" else [np.real(A) for A in FIXED[:2]])
-    assert _one_per_group(norms) == 3 and _one_per_group(points) <= 4
+        mn.check_multinorm_matrix_law(Spec.lattice(), space, role, 3, CFG, fixed_matrices=fixed)
+        # each fixed matrix alone, and the drawn trial: a 4x4 stack, or at role 2 a stack of its own shape
+        assert _one_per_group(norms) == 3 and _one_per_group(points) <= 4
+        assert {(1, 2, 2), (1, 1, 3)} < {shape for shape, _ in norms}
+        assert ((1, 4, 4) in {shape for shape, _ in norms}) == (role != 2)
 
 
 def test_coagulation_stacks_per_shape(monkeypatch):

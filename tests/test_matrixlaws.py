@@ -153,3 +153,38 @@ def test_audits_reject_bad_sizes():
         with pytest.raises(mn.SpecError, match="trials"):
             audit()
     assert mn.check_axioms(Spec.lattice(), s, trials=0, cfg=CFG).ok
+
+
+def test_special_decompositions_check_raw_arrays():
+    # a raw array gets a MatrixOp's checks: a NaN was dropped (norms (1.0,)), an inf emptied the decomposition
+    for decompose, norm in ((mn.row_special_decompose, 3.0), (mn.column_special_decompose, 4.0)):
+        for A in (np.array([[np.nan, 1.0]]), np.array([[np.inf, 1.0]]), np.array([[1.0, 2.0], [1j * np.inf, 0.0]])):
+            with pytest.raises(ValueError, match="finite"):
+                decompose(A)
+        for A in (np.ones(3), np.ones((1, 2, 2)), np.float64(1.0)):
+            with pytest.raises(mn.DimensionError):
+                decompose(A)
+        for shape in ((0, 3), (3, 0)):
+            dec = decompose(np.zeros(shape))
+            assert dec.parts == () and dec.total == 0.0
+        assert decompose([[2.0, 1.0], [0.0, 3.0]]).total == norm  # a nested list is still taken
+
+
+def test_special_decompositions_refuse_an_overflowing_norm():
+    # the row sums overflow to inf, so the 1e-14 * inf threshold snapped every entry to 0 (total 0.0) behind a RuntimeWarning
+    for A in (np.array([[1e308, 1e308]]), np.array([[1e308 + 1e308j, -1e308]])):
+        with pytest.raises(mn.DegenerateNormError, match="overflows"):
+            mn.row_special_decompose(A)
+        with pytest.raises(mn.DegenerateNormError, match="overflows"):
+            mn.column_special_decompose(A.T)
+    dec = mn.row_special_decompose(np.array([[1e308, -5e307]]))
+    assert dec.total == 1.5e308
+
+
+def test_fixed_matrices_must_have_entries():
+    # a 0 x n or m x 0 fixed matrix died in numpy's zero-size maximum
+    s = SpaceSpec(2, 3)
+    for shape in ((0, 2), (2, 0), (0, 0)):
+        for role in (INF, 2, 1.5):
+            with pytest.raises(mn.DimensionError, match="no entries"):
+                mn.check_multinorm_matrix_law(Spec.lattice(), s, role, 3, CFG, fixed_matrices=[np.zeros(shape)])
