@@ -98,11 +98,6 @@ def _cfg(doc: dict, args) -> OptimConfig:
         merged["seed"] = args.seed
     if args.restarts is not None:
         merged["restarts"] = args.restarts
-    if args.tol is not None:
-        try:
-            merged["tol"] = float(args.tol)
-        except ValueError:
-            raise SchemaError(f"bad --tol {args.tol!r}") from None
     if args.max_enum is not None:
         merged["max_enum"] = args.max_enum
     for key in ("seed", "restarts", "grid_points", "max_enum"):
@@ -276,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default=None, help="JSON document: file path, inline JSON, or '-' for stdin")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--tol", default=None, help="ascent acceptance tolerance, a finite positive number")
     p.add_argument("--max-enum", type=int, default=None, dest="max_enum")
     p.add_argument("--only", action="append", default=None, help="criterion id for verify (repeatable)")
     p.add_argument("--output", default=None, help="write the JSON report to this path")

@@ -110,12 +110,9 @@ class FamilyOfDecompositions:
         return fam
 
 
-def band_family(space: SpaceSpec, max_blocks: int | None = None) -> FamilyOfDecompositions:
+def band_family(space: SpaceSpec) -> FamilyOfDecompositions:
     """All coordinate-partition (band) decompositions of the space."""
-    members = []
-    for blocks in set_partitions(space.dim, max_blocks):
-        members.append(coordinate_decomposition(space, blocks))
-    return FamilyOfDecompositions(tuple(members))
+    return FamilyOfDecompositions(tuple(coordinate_decomposition(space, blocks) for blocks in set_partitions(space.dim)))
 
 
 def trivial_family(space: SpaceSpec) -> FamilyOfDecompositions:

@@ -16,13 +16,12 @@ upper bound.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateNormError, SpecError
+from .errors import SpecError
 from .optim import (
     COUNTS,
     NORMALS,
@@ -40,7 +39,7 @@ from .optim import (
     seeded_ascent,
 )
 from .partitions import GRID_BLOCK, digit_rows, slot_assignments
-from .spaces import INF, SpaceSpec, VectorTuple, _as_value, _json_number, _root, binary_exponent, conjugate_index, delta, delta_tuple, lp_norm, phase, pow2_scaled, roots_tuple
+from .spaces import INF, SpaceSpec, VectorTuple, _as_value, _json_number, _root, binary_exponent, conjugate_index, delta_tuple, lp_norm, phase, pow2_scaled, roots_tuple
 from . import summing
 
 VARIANTS = (
@@ -1231,9 +1230,11 @@ def _lattice_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimCon
 
     phi_n is the largest p_n(S; min -> lattice) over the operators S (the
     identity for lattice), each from summing._row_partition_levels; the
-    value is the spec's own at the best witness, and DegenerateNormError
-    where that value overflows.  None also where that helper gives none:
-    past its budget, or for a complex operator on a real space.
+    value is the spec's own at the best witness, max over S of 2^e times
+    the lattice value of 2^-e S x (e = binary_exponent(S)), so no power
+    overflows on the way, and DegenerateNormError where that value passes
+    the float range.  None also where that helper gives none: past its
+    budget, or for a complex operator on a real space.
     """
     if spec.variant == "lattice":
         ops = [np.eye(space.dim)]
@@ -1244,10 +1245,10 @@ def _lattice_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimCon
     levels = [summing._row_partition_levels([T], space, space, n, cfg) for T in ops]
     if None in levels:
         return None
-    values = [point_value(spec, space, lv[-1][0], cfg) for lv in levels]
+    scaled = [(e, pow2_scaled(T, -e)) for T in ops for e in (binary_exponent(T),)]
+    lattice = exact_evaluator(MultiNormSpec.lattice(), space, n, cfg)
+    values = [max(summing._unscaled(lattice(S @ lv[-1][0]), e) for e, S in scaled) for lv in levels]
     best = int(np.argmax(values))
-    if not math.isfinite(values[best]):
-        raise DegenerateNormError(f"phi_{n} of an operator family whose images overflow")
     return values[best], levels[best][-1][0], max(lv[-1][1] for lv in levels)
 
 
@@ -1269,29 +1270,24 @@ def rate_of_growth(spec: MultiNormSpec, space: SpaceSpec, n: int, cfg: OptimConf
         raise SpecError("n must be >= 1")
     m = space.dim
     v = spec.variant
+    repeated = np.repeat(summing._unit_delta_tuple(space, 1), n, axis=1)  # the unit delta_0 in every slot
 
     if v == "min":
-        x = delta(space, 0) / space.norm(delta(space, 0))
-        return NormValue.exact(1.0, {"tuple": np.repeat(x[:, None], n, axis=1)}, "min_growth")
+        return NormValue.exact(1.0, {"tuple": repeated}, "min_growth")
 
     closed = _lattice_growth(spec, space, n, cfg)
     if closed is not None:
         return NormValue.certified(closed[0], closed[2], {"tuple": closed[1]}, "row_partition")
 
     def closed_form() -> tuple[float, np.ndarray] | None:
-        dt = complex if space.is_complex else float
         if v in ("standard_q", "max") and space.p != INF and m >= n:
             q = spec.q if v == "standard_q" else 1.0
             if v == "max" and space.p != 1:
                 return None
-            cols = np.zeros((m, n), dtype=dt)
-            for j in range(n):
-                cols[j, j] = 1.0 / space.norm(delta(space, j))
-            return n ** (1.0 / q), cols
+            return n ** (1.0 / q), summing._unit_delta_tuple(space, n)
         if v in ("dual_lattice", "weak_summing", "lp_sum"):
             q = 1.0 if v == "dual_lattice" else spec.p
-            x = delta(space, 0) / space.norm(delta(space, 0))
-            return n ** (1.0 / q), np.repeat(x[:, None], n, axis=1).astype(dt)
+            return n ** (1.0 / q), repeated
         return None
 
     cf = closed_form()

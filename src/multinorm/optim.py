@@ -11,7 +11,6 @@ are bit-identical across runs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Sequence
 
@@ -21,7 +20,8 @@ from .errors import DegenerateNormError
 from .partitions import grid_fits, unit_grid
 from .spaces import COMPLEX, INF, REAL, MatrixOp, _as_value, conjugate_index, lp_norm, phase, real_entries, vector_to_json
 
-_ASCENT_ITERS = 200
+_ASCENT_ITERS = 200  # ticks of every seeded_ascent
+_ASCENT_TOL = 1e-9  # seeded_ascent's relative acceptance bar, and ball_linear_max's degeneracy threshold
 _TORUS_UPPER_POINTS = 2**18  # grid budget of torus_certified_upper, within cfg.max_enum
 _POWER_ENTRIES = 2**18  # most matrix entries a stacked power iteration gathers per step; longer stacks climb in chunks
 
@@ -56,14 +56,11 @@ class OptimConfig:
     restarts: int = 32
     grid_points: int = 64
     max_enum: int = 2**20
-    tol: float = 1e-9
 
     def __post_init__(self):
         for name, least in (("restarts", 1), ("grid_points", 8), ("max_enum", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
-        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) or not 0 < self.tol < INF:
-            raise ValueError(f"tol must be a finite positive number, got {self.tol!r}")
 
     def stream(self, site: str, index: int = 0) -> np.random.Generator:
         """The generator of (seed, site, index); the seed is taken mod 2**64, so any integer seed works."""
@@ -302,7 +299,6 @@ def seeded_ascent(
     shape: tuple,
     cfg: OptimConfig,
     complex_field: bool = False,
-    iters: int = _ASCENT_ITERS,
     ceiling: float = INF,
 ) -> tuple[float, np.ndarray | None]:
     """Maximize value over the feasible set reached by project.
@@ -313,29 +309,30 @@ def seeded_ascent(
     values of a stack of feasible points.
 
     Every restart (the seeds, then the cfg.restarts Gaussian starts of
-    gaussian_starts(cfg, "ascent.starts", ...)) climbs in lockstep: on each
-    tick each live restart proposes pt + step*d with a fresh direction d
-    while exploring, or pt + boost*d while riding a direction that just
-    paid, and one project and one value call handle all proposals.  The
+    gaussian_starts(cfg, "ascent.starts", ...)) that projects climbs in
+    lockstep for _ASCENT_ITERS (200) ticks: on each tick each restart
+    proposes pt + step*d with a fresh direction d while exploring, or
+    pt + boost*d while riding a direction that just paid, and one project
+    and one value call handle all proposals.  The
     directions come from one cfg.stream("ascent.directions"): tick t draws
     field_normal(rng, (L0, *shape)) for the L0 starts, and restart i's fresh
-    direction at tick t is row i of it, whatever else is live.  So every
+    direction at tick t is row i of it, whatever else projects.  So every
     trajectory is the one the restart would climb alone.  Deterministic in
     cfg.seed; ties resolved by first find.
 
     The draws come K ticks at a time in one (K, L0, *shape) block, with
-    K = min(iters, max(1, 2**16 // (L0 * prod(shape)))): the pool holds at
+    K = min(200, max(1, 2**16 // (L0 * prod(shape)))): the pool holds at
     most 2**16 entries, or one tick's directions where L0 * prod(shape)
-    exceeds that.  The live restarts' rows of a block are gathered once,
-    when it is drawn (the block itself while every start is live), and
-    again only when a restart leaves.
+    exceeds that.  The climbing restarts' rows of a block are gathered
+    once, when it is drawn (the block itself where every start projects).
 
     A tick's work is one project and one value call and about a dozen
-    bookkeeping calls: the acceptance bar max(vals * grow, vals / grow) is
-    kept and moves only on a tick where some restart improves, and a tick
-    where none improves only counts the explorers' misses.  A restart
-    leaves once its step falls below 1e-7, after 31 shrinks of 8 misses
-    each, so not before tick 248; the default 200 ticks never reach it.
+    bookkeeping calls: the acceptance bar max(vals * grow, vals / grow),
+    grow = 1 + _ASCENT_TOL, is kept and moves only on a tick where some
+    restart improves, and a tick where none improves only counts the
+    explorers' misses.  No restart stops early, and none needs to: a step
+    shrinks by 0.6 after 8 misses, so it would fall from 0.5 below 1e-7
+    only after 31 shrinks, 248 ticks at the least.
 
     ceiling is a certified upper bound of value, if the caller has one.
     Where the first maximum over the valued starts already meets it (see
@@ -355,27 +352,24 @@ def seeded_ascent(
         if meets(best, ceiling):
             return best, pts[i].copy()
 
-    # per-restart state of the live restarts; a restart whose step underflows leaves the arrays
-    final_vals, final_pts = vals.copy(), pts.copy()
-    live = np.arange(ids.size)
     directions = cfg.stream("ascent.directions")
-    K = min(iters, max(1, 2**16 // (len(starts) * math.prod(shape))))
+    K = min(_ASCENT_ITERS, max(1, 2**16 // (len(starts) * math.prod(shape))))
     d = np.zeros_like(pts)
     step = np.full(ids.size, 0.5)
     mult = np.zeros(ids.size)
     misses = np.zeros(ids.size, dtype=int)
     riding = np.zeros(ids.size, dtype=bool)
     rode = False  # whether any restart rides this tick
-    grow = 1 + cfg.tol
+    grow = 1 + _ASCENT_TOL
     # the larger of vals * grow and vals / grow lies above vals for either sign of vals; it moves only with vals
     bar = np.maximum(vals * grow, vals / grow)
     bcast = (-1,) + (1,) * len(shape)
 
-    for t in range(iters):
+    for t in range(_ASCENT_ITERS):
         if t % K == 0:
             pool = field_normal_block(directions, K, (len(starts), *shape), complex_field)
-            # the live restarts' rows of the block: the block itself while every start is live
-            rows = pool if live.size == len(starts) else pool[:, ids[live]]
+            # the projected starts' rows of the block: the block itself where every start projects
+            rows = pool if ids.size == len(starts) else pool[:, ids]
         # a riding restart keeps its direction; an exploring one takes its own row of this tick's draw.
         # An exploring restart steps by step; a paying step starts a ride at twice it, and a paying ride doubles
         if rode:
@@ -387,7 +381,7 @@ def seeded_ascent(
         if cok.all():
             v = np.asarray(value(cand), dtype=float)
         else:
-            v = np.full(live.size, -INF)
+            v = np.full(ids.size, -INF)
             if cok.any():
                 v[cok] = value(cand[cok])
 
@@ -406,22 +400,11 @@ def seeded_ascent(
             shrink = misses >= 8
             step = np.where(shrink, step * 0.6, step)
             misses[shrink] = 0
-            keep = step >= 1e-7
-            if not keep.all():
-                gone = ~keep
-                final_vals[live[gone]], final_pts[live[gone]] = vals[gone], pts[gone]
-                live, vals, pts, step, mult, misses, riding, d, bar = (
-                    a[keep] for a in (live, vals, pts, step, mult, misses, riding, d, bar)
-                )
-                rows = rows[:, keep]
-                if live.size == 0:
-                    break
-    final_vals[live], final_pts[live] = vals, pts
 
-    best_r, best_val = _first_max(final_vals)
+    best_r, best_val = _first_max(vals)
     if best_val == -INF:
         return -INF, None
-    return best_val, final_pts[best_r].copy()
+    return best_val, pts[best_r].copy()
 
 
 def ball_linear_max(
@@ -448,7 +431,7 @@ def ball_linear_max(
     def project(P):
         nu = np.asarray(membership(P), dtype=float)
         ok = (nu > 0.0) & np.isfinite(nu)
-        if not ok.all() and np.any(np.abs(objective(P[~ok])) > cfg.tol):
+        if not ok.all() and np.any(np.abs(objective(P[~ok])) > _ASCENT_TOL):
             raise DegenerateNormError("membership vanished on a direction with nonzero objective")
         out = P.copy()
         out[ok] = P[ok] / nu[ok].reshape((-1,) + (1,) * len(shape))

@@ -13,43 +13,28 @@ from .errors import BudgetError
 GRID_BLOCK = 4096  # rows per block of unit_grid
 
 
-def set_partitions(k: int, max_blocks: int | None = None) -> Iterator[list[list[int]]]:
-    """All partitions of {0..k-1} via restricted growth strings."""
+def set_partitions(k: int) -> Iterator[list[list[int]]]:
+    """All partitions of {0..k-1}, in the lexicographic order of their restricted growth strings.
+
+    Element i goes into each block of a partition of {0..i-1} in turn, then
+    into a new block; every partition is yielded as fresh lists.
+    """
     if k > 12:
         raise BudgetError(f"set-partition enumeration capped at 12 elements, got {k}")
-    a = [0] * k
-    b = [1] * k  # b[i] = 1 + max(a[:i])
 
-    def emit():
-        nblocks = max(a) + 1
-        if max_blocks is not None and nblocks > max_blocks:
-            return None
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for i, bi in enumerate(a):
-            blocks[bi].append(i)
-        return blocks
-
-    if k == 0:
-        yield []
-        return
-    pos = k - 1
-    out = emit()
-    if out is not None:
-        yield out
-    while True:
-        while pos > 0 and a[pos] >= b[pos]:
-            a[pos] = 0
-            pos -= 1
-        if pos == 0:
+    def extend(blocks: list[list[int]], i: int) -> Iterator[list[list[int]]]:
+        if i == k:
+            yield [b[:] for b in blocks]
             return
-        a[pos] += 1
-        for i in range(pos + 1, k):
-            a[i] = 0
-            b[i] = max(b[pos], a[pos] + 1)
-        pos = k - 1
-        out = emit()
-        if out is not None:
-            yield out
+        for block in blocks:
+            block.append(i)
+            yield from extend(blocks, i + 1)
+            block.pop()
+        blocks.append([i])
+        yield from extend(blocks, i + 1)
+        blocks.pop()
+
+    yield from extend([], 0)
 
 
 def slot_assignments(items: int, slots: int, budget: int) -> Iterator[tuple[int, ...]]:

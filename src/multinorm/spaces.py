@@ -278,7 +278,7 @@ class MatrixOp:
         A = np.asarray(self.entries)
         if A.ndim != 2:
             raise DimensionError("matrix must be 2-dimensional")
-        if not np.all(np.isfinite(np.abs(A))):
+        if not np.all(np.isfinite(A)):
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "entries", A)
         for r in (self.in_index, self.out_index):

@@ -172,13 +172,17 @@ def test_special_decompositions_check_raw_arrays():
 
 def test_special_decompositions_refuse_an_overflowing_norm():
     # the row sums overflow to inf, so the 1e-14 * inf threshold snapped every entry to 0 (total 0.0) behind a RuntimeWarning
-    for A in (np.array([[1e308, 1e308]]), np.array([[1e308 + 1e308j, -1e308]])):
+    # a finite complex entry whose modulus overflows passes MatrixOp (np.abs of it warned) and overflows the norm
+    for A in (np.array([[1e308, 1e308]]), np.array([[1e308 + 1e308j, -1e308]]), np.array([[1.5e308 + 1.5e308j]])):
         with pytest.raises(mn.DegenerateNormError, match="overflows"):
             mn.row_special_decompose(A)
         with pytest.raises(mn.DegenerateNormError, match="overflows"):
             mn.column_special_decompose(A.T)
     dec = mn.row_special_decompose(np.array([[1e308, -5e307]]))
     assert dec.total == 1.5e308
+    for bad in ([[np.inf + 0j]], [[1 + np.nan * 1j]]):
+        with pytest.raises(ValueError, match="finite"):
+            mn.row_special_decompose(np.array(bad))
 
 
 def test_fixed_matrices_must_have_entries():

@@ -8,7 +8,7 @@ import pytest
 import multinorm as mn
 from multinorm import INF, MatrixOp, OptimConfig, SpaceSpec
 from multinorm.optim import _power_ascent, field_normal, lp_norm
-from multinorm.partitions import GRID_BLOCK, unit_grid
+from multinorm.partitions import GRID_BLOCK, set_partitions, unit_grid
 from multinorm.spaces import delta_tuple, roots_tuple
 
 
@@ -271,6 +271,53 @@ def test_unit_grid_blocks_join_to_product():
     roots = np.exp(2j * np.pi * np.arange(20) / 20)
     expected = np.array([(1.0,) + z for z in itertools.product(roots, repeat=3)])
     assert np.array_equal(np.concatenate(blocks), expected)
+
+
+def _frozen_set_partitions(k):
+    """The restricted-growth-string loop set_partitions replaced."""
+    a = [0] * k
+    b = [1] * k  # b[i] = 1 + max(a[:i])
+
+    def emit():
+        blocks = [[] for _ in range(max(a) + 1)]
+        for i, bi in enumerate(a):
+            blocks[bi].append(i)
+        return blocks
+
+    if k == 0:
+        yield []
+        return
+    pos = k - 1
+    yield emit()
+    while True:
+        while pos > 0 and a[pos] >= b[pos]:
+            a[pos] = 0
+            pos -= 1
+        if pos == 0:
+            return
+        a[pos] += 1
+        for i in range(pos + 1, k):
+            a[i] = 0
+            b[i] = max(b[pos], a[pos] + 1)
+        pos = k - 1
+        yield emit()
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_set_partitions_match_the_frozen_loop(k):
+    got = list(set_partitions(k))
+    assert got == list(_frozen_set_partitions(k))
+    assert len(got) == [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147][k]  # the Bell numbers
+    # every partition is its own lists: changing one leaves the rest alone
+    if k:
+        got[0][0].append(-1)
+        assert all(-1 not in b for p in got[1:] for b in p)
+
+
+def test_set_partitions_budget_is_checked_on_first_use():
+    parts = set_partitions(13)  # a generator: nothing runs yet
+    with pytest.raises(mn.BudgetError, match="capped at 12"):
+        next(parts)
 
 
 def test_sign_supremum_visits_every_sign_vector():

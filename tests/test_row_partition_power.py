@@ -254,11 +254,17 @@ def test_large_and_tiny_entries(c):
 
 
 def test_growth_of_an_overflowing_family_raises_degenerate():
-    # the family's own value of the witness overflows: no IndexError and no made-up certificate
+    # the cube of the big member's image passes the float range, and valued unscaled it raised DegenerateNormError
+    # behind a RuntimeWarning; valued on 2^-e T and scaled back it is 1e150 times the value for T / 1e150
     sp = SpaceSpec(3.0, 2)
-    spec = S.extended(S.lattice(), [np.eye(2), np.array([[1e150, 2e150], [1e150, 1.0]])])
-    with np.errstate(over="ignore"), pytest.raises(DegenerateNormError):
-        mn.rate_of_growth(spec, sp, 2, CFG)
+    T = np.array([[1e150, 2e150], [1e150, 1.0]])
+    big = mn.rate_of_growth(S.extended(S.lattice(), [np.eye(2), T]), sp, 2, CFG)
+    small = mn.rate_of_growth(S.extended(S.lattice(), [np.eye(2), T / 1e150]), sp, 2, CFG)
+    assert (big.kind, big.method, big.lower) == ("exact", "row_partition", 2.501697740116676e150)
+    assert big.lower == pytest.approx(1e150 * small.lower, rel=1e-15)
+    # a phi_n past the float range raises: no IndexError and no made-up certificate
+    with pytest.raises(DegenerateNormError):
+        mn.rate_of_growth(S.extended(S.lattice(), [np.eye(2), np.full((2, 2), 1.7e308)]), sp, 2, CFG)
     # a tiny member leaves the identity's growth in charge
     tiny = mn.rate_of_growth(S.extended(S.lattice(), [np.eye(2), np.array([[1e-170, 2e-170], [1e-170, 1e-170]])]), sp, 2, CFG)
     assert (tiny.kind, tiny.lower) == ("exact", pytest.approx(2 ** (1 / 3), rel=1e-15))
